@@ -18,12 +18,17 @@ zero-injection dead ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import combinations, compress
+from operator import lt
 
 import numpy as np
 
-from .dcflow import connected_components
+# is_islanded reads the union-find through slack_connected's memo and no
+# longer calls connected_components itself. The name stays importable from
+# here because perfbench/tracer.py rebinds contingency.connected_components.
+from .dcflow import connected_components  # noqa: F401
+from .dcflow import slack_connected
 from .errors import ResampleBudgetError
 from .network import ActiveNetwork, NetworkCase
 
@@ -33,6 +38,9 @@ class OutageState:
     lines_out: frozenset[int]  # line ids
     gens_out: frozenset[int]  # fleet indices
     weight: float = 1.0
+    # Element-wise draws sample_state made to reach this state, rejected
+    # infeasible ones included. Bookkeeping only: not part of equality.
+    draws: int = field(default=1, compare=False)
 
 
 @dataclass(frozen=True)
@@ -48,14 +56,14 @@ def is_islanded(
 ) -> bool:
     """True when a demand bus or an online generator's bus loses its path
     to the slack bus once the given lines are removed."""
-    in_service = np.array([ln.id not in lines_out for ln in net.lines])
-    comp = connected_components(net, in_service)
-    slack_comp = comp[net.bus_index[net.slack_bus]]
+    live = slack_connected(net, lines_out)
+    if live.all():
+        return False
     for b in case.buses:
-        if b.base_demand > 0 and comp[net.bus_index[b.id]] != slack_comp:
+        if b.base_demand > 0 and not live[net.bus_index[b.id]]:
             return True
     for k, g in enumerate(case.generators):
-        if k not in gens_out and comp[net.bus_index[g.bus]] != slack_comp:
+        if k not in gens_out and not live[net.bus_index[g.bus]]:
             return True
     return False
 
@@ -82,22 +90,22 @@ def sample_state(
 
     Each element goes out when its uniform draw falls below its forced
     outage rate. Infeasible draws (islanding / too few units online) are
-    rejected and redrawn; exceeding the resample budget raises
-    ResampleBudgetError.
+    rejected and redrawn; the returned state's ``draws`` counts them all.
+    Exhausting the resample budget raises ResampleBudgetError.
     """
-    for _ in range(config.max_resamples):
-        u_lines = rng.random(len(net.lines))
-        u_gens = rng.random(len(case.generators))
-        lines_out = frozenset(
-            ln.id for ln, u in zip(net.lines, u_lines)
-            if u < ln.forced_outage_rate
-        )
-        gens_out = frozenset(
-            k for k, (g, u) in enumerate(zip(case.generators, u_gens))
-            if u < g.forced_outage_rate
-        )
+    line_ids, line_rates = net.line_ids, net.line_outage_rates
+    gen_rates = case.generator_outage_rates
+    n_lines = len(line_ids)
+    for draw in range(1, config.max_resamples + 1):
+        # One call gives the same uniforms as one for the lines followed
+        # by one for the generators.
+        u = rng.random(n_lines + len(gen_rates)).tolist()
+        lines_out = frozenset(compress(line_ids, map(lt, u, line_rates)))
+        gens_out = frozenset(compress(
+            range(len(gen_rates)), map(lt, u[n_lines:], gen_rates)))
         if _feasible(case, net, lines_out, gens_out):
-            return OutageState(lines_out=lines_out, gens_out=gens_out)
+            return OutageState(lines_out=lines_out, gens_out=gens_out,
+                               draws=draw)
     raise ResampleBudgetError(
         f"no feasible outage state within {config.max_resamples} draws")
 

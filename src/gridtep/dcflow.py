@@ -51,6 +51,25 @@ def connected_components(
     return np.array([find(k) for k in range(net.n_buses)])
 
 
+def slack_connected(net: ActiveNetwork, lines_out: frozenset[int]) -> np.ndarray:
+    """Bool per bus: True where the bus still reaches the slack bus once
+    the given lines are removed.
+
+    Memoized on the network instance by outage set, so the union-find runs
+    once per distinct outage set however often the island screen and the
+    load flow ask. The returned array is read-only.
+    """
+    memo = net.slack_connected_memo
+    live = memo.get(lines_out)
+    if live is None:
+        in_service = np.array([ln.id not in lines_out for ln in net.lines])
+        comp = connected_components(net, in_service)
+        live = comp == comp[net.bus_index[net.slack_bus]]
+        live.flags.writeable = False
+        memo[lines_out] = live
+    return live
+
+
 def _solve_live(
     net: ActiveNetwork,
     p: np.ndarray,
@@ -110,8 +129,7 @@ def solve(net: ActiveNetwork, injections) -> FlowSolution:
         raise UnbalancedInjectionsError(
             f"injections sum to {total:.6g} MW, expected 0")
 
-    comp = connected_components(net)
-    if not np.all(comp == comp[net.bus_index[net.slack_bus]]):
+    if not slack_connected(net, frozenset()).all():
         raise NetworkDisconnectedError(
             "network is disconnected: some bus is unreachable from the slack bus")
     live_line = np.ones(len(net.lines), dtype=bool)
@@ -138,13 +156,11 @@ def solve_with_outages(
         raise UnbalancedInjectionsError(
             f"injections sum to {total:.6g} MW, expected 0")
 
-    in_service = np.array([ln.id not in lines_out for ln in net.lines])
-    comp = connected_components(net, in_service)
-    live_bus = comp == comp[net.bus_index[net.slack_bus]]
-    dead = ~live_bus
-    if np.any(np.abs(p[dead]) > BALANCE_TOL):
+    live_bus = slack_connected(net, lines_out)
+    if np.any(np.abs(p[~live_bus]) > BALANCE_TOL):
         raise NetworkDisconnectedError(
             "bus with nonzero injection is disconnected from the slack bus")
+    in_service = np.array([ln.id not in lines_out for ln in net.lines])
     live_line = in_service & live_bus[net.from_idx] & live_bus[net.to_idx]
     return _solve_live(net, p, live_bus, live_line)
 

@@ -7,11 +7,16 @@ distinct state and cached; each capacity assignment then only re-runs
 the cheap truncation arithmetic, vectorized across all distinct states
 of a scenario.
 
-Monte Carlo mode draws one outage state per (scenario, slot) from a
-dedicated RNG substream. A slot whose state fails the validity screen at
-the current capacities redraws from its own stream, so estimates across
-sizing iterations share common random numbers and the extra draws splice
-in deterministically.
+Monte Carlo mode gives each (scenario, slot) its own RNG substream and
+keeps the chain of states the slot has drawn from it. A slot's sample at
+a capacity vector is the first state of its chain that passes the
+validity screen, so estimates across sizing iterations share common
+random numbers. Each capacity vector first evaluates every stored row
+once. Slots whose chain holds no valid state are then resolved in
+rounds: a round draws one more state from each pending slot's stream, in
+slot order, and evaluates only the rows that round added. The cost is
+linear in the draws, validity redraws included. ``max_resamples`` bounds
+every element-wise draw of a slot, island rejections included.
 
 Deterministic modes (N-1 / N-2) run the enumerated states of the peak
 month with equal weights; states invalid at the current capacities are
@@ -59,63 +64,68 @@ class StateRecord:
 
 
 class ScenarioBatch:
-    """Distinct outage states of one scenario, stacked for vector math."""
+    """Distinct outage states of one scenario, stacked for vector math.
+
+    Rows are append-only: a state keeps its row for the batch's lifetime,
+    and the stacked arrays grow in place, so earlier rows are never
+    copied per append.
+    """
 
     def __init__(self, net: ActiveNetwork, n_generators: int):
-        self.net = net
-        self.n_generators = n_generators
         self.key_row: dict[tuple[frozenset[int], frozenset[int]], int] = {}
-        self._records: list[StateRecord] = []
-        self._stacked: tuple[np.ndarray, ...] | None = None
+        self._n = 0
         n_lines, n_buses = len(net.lines), net.n_buses
+        # Row storage with spare capacity; rows [0, _n) are live.
+        self._flows = np.zeros((0, n_lines))
+        self._demand = np.zeros((0, n_buses))
+        self._gen = np.zeros((0, n_buses))
+        self._deficit = np.zeros(0)
+        self._ego = np.zeros((0, n_generators))
         self.a_from = np.zeros((n_lines, n_buses))
         self.a_from[np.arange(n_lines), net.from_idx] = 1.0
         self.a_to = np.zeros((n_lines, n_buses))
         self.a_to[np.arange(n_lines), net.to_idx] = 1.0
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._n
 
     def row_for(self, key, build) -> int:
         """Row index of the state, computing its record on first sight."""
         row = self.key_row.get(key)
         if row is None:
-            row = len(self._records)
+            row = self._append(build())
             self.key_row[key] = row
-            self._records.append(build())
-            self._stacked = None
         return row
 
-    def record(self, row: int) -> StateRecord:
-        return self._records[row]
+    def _append(self, rec: StateRecord) -> int:
+        row = self._n
+        if row == len(self._deficit):
+            size = max(16, 2 * row)
+            self._flows, self._demand, self._gen, self._deficit, self._ego = (
+                np.resize(a, (size, *a.shape[1:])) for a in
+                (self._flows, self._demand, self._gen, self._deficit,
+                 self._ego))
+        self._flows[row] = rec.flows
+        self._demand[row] = rec.demand
+        self._gen[row] = rec.generation
+        self._deficit[row] = rec.deficit
+        self._ego[row] = rec.ego
+        self._n = row + 1
+        return row
 
-    def _arrays(self):
-        if self._stacked is None:
-            if self._records:
-                self._stacked = (
-                    np.array([r.flows for r in self._records]),
-                    np.array([r.demand for r in self._records]),
-                    np.array([r.generation for r in self._records]),
-                    np.array([r.deficit for r in self._records]),
-                    np.array([r.ego for r in self._records]),
-                )
-            else:
-                # Zero feasible states (every enumerated outage islands
-                # something): keep the array shapes so the vector math
-                # degrades to all-zero expectations.
-                n_l, n_b = len(self.net.lines), self.net.n_buses
-                self._stacked = (
-                    np.zeros((0, n_l)),
-                    np.zeros((0, n_b)),
-                    np.zeros((0, n_b)),
-                    np.zeros(0),
-                    np.zeros((0, self.n_generators)),
-                )
-        return self._stacked
+    def evaluate(self, capacities: np.ndarray, start: int = 0
+                 ) -> "BatchEvaluation":
+        """Capacity-dependent quantities for every state from row ``start``
+        on, at once.
 
-    def evaluate(self, capacities: np.ndarray) -> "BatchEvaluation":
-        """Capacity-dependent quantities for every distinct state at once."""
-        flows, demand, gen, deficit, ego = self._arrays()
+        A one-row matrix product takes numpy's matrix-vector path, which
+        rounds differently from the matrix-matrix one; evaluating at least
+        two rows keeps each row's figures independent of how rows are
+        split into calls.
+        """
+        lo = max(0, min(start, self._n - 2))
+        rows = slice(lo, self._n)
+        flows, demand, gen = self._flows[rows], self._demand[rows], self._gen[rows]
         abs_f = np.abs(flows)
         delivered = np.minimum(abs_f, capacities)
         pos = np.where(flows >= 0, delivered, 0.0)
@@ -139,13 +149,14 @@ class ScenarioBatch:
 
         excess = abs_f - capacities
         congested = excess > 0
+        skip = start - lo
         return BatchEvaluation(
-            valid=~(bad_bus | bad_sys),
-            dns=dns_tot + deficit,
-            gns=gns_tot,
-            wheeling=np.where(congested, excess, 0.0).sum(axis=1),
-            congested=congested,
-            ego=ego,
+            valid=~(bad_bus | bad_sys)[skip:],
+            dns=(dns_tot + self._deficit[rows])[skip:],
+            gns=gns_tot[skip:],
+            wheeling=np.where(congested, excess, 0.0).sum(axis=1)[skip:],
+            congested=congested[skip:],
+            ego=self._ego[rows][skip:],
         )
 
 
@@ -157,6 +168,15 @@ class BatchEvaluation:
     wheeling: np.ndarray
     congested: np.ndarray  # (states, lines) bool
     ego: np.ndarray  # (states, generators) MW
+
+    @staticmethod
+    def concat(parts: list["BatchEvaluation"]) -> "BatchEvaluation":
+        """Evaluations of consecutive row ranges, joined in row order."""
+        if len(parts) == 1:
+            return parts[0]
+        return BatchEvaluation(*(
+            np.concatenate([getattr(p, f) for p in parts])
+            for f in ("valid", "dns", "gns", "wheeling", "congested", "ego")))
 
 
 @dataclass(frozen=True)
@@ -192,10 +212,11 @@ class _McsScenario:
         self.month = month
         self.entropy = entropy
         self.n_slots = n_slots
-        self.sampler_config = SamplerConfig(max_resamples=max_resamples)
+        self.max_resamples = max_resamples
         self.base_schedule = base_schedule
         self.batch = ScenarioBatch(net, len(case.generators))
         self.chains: list[list[int]] = [[] for _ in range(n_slots)]
+        self.draws = [0] * n_slots  # element-wise draws per slot, all kinds
         self._rngs: list[np.random.Generator | None] = [None] * n_slots
         self.demand = scenario_demand(case, month)
 
@@ -206,9 +227,20 @@ class _McsScenario:
             self._rngs[slot] = rng
         return rng
 
+    def _budget_error(self, slot: int) -> ResampleBudgetError:
+        return ResampleBudgetError(
+            f"slot {slot} of month {self.month}: no valid sample within "
+            f"{self.max_resamples} draws")
+
     def _extend(self, slot: int) -> int:
-        state = sample_state(self.case, self.net, self._rng(slot),
-                             self.sampler_config)
+        """Draw the slot's next state within what is left of its budget."""
+        left = SamplerConfig(max_resamples=self.max_resamples
+                             - self.draws[slot])
+        try:
+            state = sample_state(self.case, self.net, self._rng(slot), left)
+        except ResampleBudgetError as exc:
+            raise self._budget_error(slot) from exc
+        self.draws[slot] += state.draws
         row = self.batch.row_for(
             (state.lines_out, state.gens_out),
             lambda: build_record(self.case, self.net, self.demand, state,
@@ -221,29 +253,37 @@ class _McsScenario:
         for slot in range(self.n_slots):
             if not self.chains[slot]:
                 self._extend(slot)
-        ev = self.batch.evaluate(capacities)
+        parts = [self.batch.evaluate(capacities)]
+        valid = parts[0].valid
         rows = np.empty(self.n_slots, dtype=np.intp)
-        for slot in range(self.n_slots):
-            chain = self.chains[slot]
-            pick = None
+        pending = []
+        for slot, chain in enumerate(self.chains):
             for row in chain:
-                if ev.valid[row]:
-                    pick = row
+                if valid[row]:
+                    rows[slot] = row
                     break
-            attempts = len(chain)
-            while pick is None:
-                row = self._extend(slot)
-                attempts += 1
-                if attempts > self.sampler_config.max_resamples:
-                    raise ResampleBudgetError(
-                        f"slot {slot} of month {self.month}: no valid sample "
-                        f"within {self.sampler_config.max_resamples} draws")
-                # New rows need evaluating; refresh the batch view.
-                ev = self.batch.evaluate(capacities)
-                if ev.valid[row]:
-                    pick = row
-            rows[slot] = pick
+            else:
+                pending.append(slot)
 
+        # Slots with no valid state yet draw one more each per round, from
+        # their own streams; only the rows a round adds are evaluated.
+        while pending:
+            start = len(self.batch)
+            drawn = [self._extend(slot) for slot in pending]
+            if len(self.batch) > start:
+                parts.append(self.batch.evaluate(capacities, start))
+                valid = np.concatenate([valid, parts[-1].valid])
+            still = []
+            for slot, row in zip(pending, drawn):
+                if valid[row]:
+                    rows[slot] = row
+                elif self.draws[slot] >= self.max_resamples:
+                    raise self._budget_error(slot)
+                else:
+                    still.append(slot)
+            pending = still
+
+        ev = BatchEvaluation.concat(parts)
         counts = np.bincount(rows, minlength=len(self.batch)).astype(float)
         w = counts / self.n_slots
         return ScenarioResult(

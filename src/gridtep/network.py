@@ -100,6 +100,10 @@ class NetworkCase:
         return tuple(ln for ln in self.lines if ln.status == EXISTING)
 
     @cached_property
+    def generator_outage_rates(self) -> tuple[float, ...]:
+        return tuple(g.forced_outage_rate for g in self.generators)
+
+    @cached_property
     def candidate_lines(self) -> tuple[LineSpec, ...]:
         return tuple(ln for ln in self.lines if ln.status == CANDIDATE)
 
@@ -182,6 +186,17 @@ class ActiveNetwork:
     @cached_property
     def line_pos(self) -> dict[int, int]:
         return {ln.id: i for i, ln in enumerate(self.lines)}
+
+    @cached_property
+    def line_outage_rates(self) -> tuple[float, ...]:
+        return tuple(ln.forced_outage_rate for ln in self.lines)
+
+    @cached_property
+    def slack_connected_memo(self) -> dict[frozenset[int], np.ndarray]:
+        """Per-instance memo of :func:`gridtep.dcflow.slack_connected`:
+        outage set (line ids) -> bus mask. Networks built by
+        :meth:`with_capacities` start with an empty one."""
+        return {}
 
     def with_capacities(self, capacities) -> "ActiveNetwork":
         return replace(self, capacities=tuple(float(c) for c in capacities))

@@ -77,6 +77,43 @@ def test_sampler_is_deterministic_per_stream():
     assert draws_a == draws_b
 
 
+def test_sampler_matches_element_by_element_reference():
+    """Each draw is one uniform per line, then one per generator, from the
+    slot's stream; an element is out when its uniform is below its rate.
+    The reference redoes that loop and the screen by hand, on a ring whose
+    draws both screens often reject."""
+    case = build_case(
+        [0, 0, 60, 40],
+        [line(k, k, k % 4 + 1, for_=0.4) for k in range(1, 5)],
+        [gen(1, 80.0, for_=0.3), gen(2, 60.0, for_=0.3),
+         gen(4, 50.0, for_=0.3)],
+        min_online=2,
+    )
+    net = net_of(case)
+    rng, ref = substream(5, 1, 2), substream(5, 1, 2)
+    rejected = 0
+    for _ in range(300):
+        state = sample_state(case, net, rng)
+        draws = 0
+        while True:
+            draws += 1
+            u_lines = ref.random(len(net.lines))
+            u_gens = ref.random(len(case.generators))
+            lines_out = frozenset(ln.id for ln, u in zip(net.lines, u_lines)
+                                  if u < ln.forced_outage_rate)
+            gens_out = frozenset(
+                k for k, (g, u) in enumerate(zip(case.generators, u_gens))
+                if u < g.forced_outage_rate)
+            if (len(case.generators) - len(gens_out)
+                    >= case.min_online_generators
+                    and not is_islanded(case, net, lines_out, gens_out)):
+                break
+        assert (state.lines_out, state.gens_out, state.draws) == (
+            lines_out, gens_out, draws)
+        rejected += draws - 1
+    assert rejected > 100
+
+
 def test_rejection_keeps_demand_served_and_fleet_online():
     """States that island the load bus or leave too few units online never
     come back from the sampler."""
@@ -132,7 +169,8 @@ def test_islanding_sees_offline_generators_as_harmless():
 
 def test_tree_edge_removal_matches_reachability_check():
     """is_islanded agrees with a brute-force reachability test on every
-    single-line outage of a random network."""
+    single-line outage of a random network, both when it computes the
+    answer and when it reads it back from the connectivity memo."""
     rng = np.random.default_rng(3)
     for _ in range(30):
         n = int(rng.integers(3, 7))
@@ -164,7 +202,8 @@ def test_tree_edge_removal_matches_reachability_check():
                 for b in case.buses
                 if b.base_demand > 0 or b.id == 1
             )
-            assert is_islanded(case, net, frozenset([ln.id])) == expected
+            for _ in range(2):  # the second call is a memo hit
+                assert is_islanded(case, net, frozenset([ln.id])) == expected
 
 
 def k4_case(min_online=2):

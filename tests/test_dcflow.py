@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,28 @@ def test_connected_components_partition():
     split = connected_components(net, np.array([True, False, True]))
     assert split[0] == split[1]
     assert split[1] != split[2]
+
+
+def test_outage_solves_do_not_share_connectivity_between_networks():
+    """Two networks with the same line ids but different endpoints, and a
+    re-rated copy of one, each solve every outage set exactly as a freshly
+    built network does, however many outage sets the others solved first."""
+    ring = [(1, 2, 0.1), (2, 3, 0.2), (3, 4, 0.1), (4, 1, 0.4)]
+    chorded = [(1, 3, 0.1), (3, 2, 0.2), (2, 4, 0.1), (4, 1, 0.4)]
+    p = [30.0, -20.0, 0.0, -10.0]  # bus 3 is a zero-injection transit bus
+
+    def outcome(net, lines_out):
+        try:
+            return solve_with_outages(net, p, lines_out).flows.tolist()
+        except NetworkDisconnectedError:
+            return "disconnected"
+
+    a, b = bare_net(4, ring), bare_net(4, chorded)
+    rerated = a.with_capacities([5.0] * 4)
+    outage_sets = [frozenset(c) for k in range(3)
+                   for c in itertools.combinations(range(1, 5), k)]
+    for lines_out in outage_sets:
+        for net, edges in ((a, ring), (b, chorded), (rerated, ring)):
+            assert outcome(net, lines_out) == outcome(bare_net(4, edges),
+                                                      lines_out)
+    assert len({outcome(a, s) == outcome(b, s) for s in outage_sets}) == 2
