@@ -148,6 +148,9 @@ class ExpectationReport:
     ego: np.ndarray  # (scenarios, generators)
     congestion_probability: np.ndarray  # (scenarios, lines)
     samples_used: np.ndarray  # accepted sample count per scenario
+    # Element-wise draws behind the accepted samples, per scenario
+    # (redraws included); the state count for enumerated modes.
+    samples_drawn: np.ndarray
 
     @property
     def annual_edns(self) -> float:
@@ -196,5 +199,5 @@ def aggregate_samples(
         con[i] = np.mean([x.congested for x in samples], axis=0)
     return ExpectationReport(
         edns=edns, egns=egns, ewl=ewl, ego=ego,
-        congestion_probability=con, samples_used=used,
+        congestion_probability=con, samples_used=used, samples_drawn=used,
     )

@@ -8,15 +8,21 @@ the cheap truncation arithmetic, vectorized across all distinct states
 of a scenario.
 
 Monte Carlo mode gives each (scenario, slot) its own RNG substream and
-keeps the chain of states the slot has drawn from it. A slot's sample at
-a capacity vector is the first state of its chain that passes the
-validity screen, so estimates across sizing iterations share common
-random numbers. Each capacity vector first evaluates every stored row
-once. Slots whose chain holds no valid state are then resolved in
-rounds: a round draws one more state from each pending slot's stream, in
-slot order, and evaluates only the rows that round added. The cost is
+keeps the chain of states the slot has drawn from it. A month's slot
+streams are seeded together, in one vectorized pass (``substreams``),
+the first time the month is priced; each is the stream ``substream``
+gives that slot. A slot's sample at a capacity vector is the first state
+of its chain that passes the validity screen, so estimates across sizing
+iterations share common random numbers. Each capacity vector first
+evaluates every stored row once. Slots whose chain holds no valid state
+are then resolved in rounds: a round draws one more state from each
+pending slot's stream, in slot order, and evaluates only the rows that
+round added. The cost is
 linear in the draws, validity redraws included. ``max_resamples`` bounds
-every element-wise draw of a slot, island rejections included.
+every element-wise draw of a slot, island rejections included. A month's
+``samples_drawn`` sums, over slots, the element-wise draws up to and
+including the slot's accepted state, so it does not depend on which
+capacity vectors were priced before.
 
 Deterministic modes (N-1 / N-2) run the enumerated states of the peak
 month with equal weights; states invalid at the current capacities are
@@ -37,7 +43,10 @@ from .dispatch import bus_generation, merit_order_dispatch, injections_from_disp
 from .dcflow import solve_with_outages
 from .errors import ResampleBudgetError
 from .network import MONTHS, ActiveNetwork, NetworkCase, scenario_demand
-from .rng import DOMAIN_MCS, substream
+from .rng import DOMAIN_MCS, substreams
+# Unused here since slots are seeded by substreams; it stays importable
+# because perfbench/tracer.py rebinds evaluation.substream.
+from .rng import substream  # noqa: F401
 from .sizing import SizingEvaluation
 
 MODE_MCS = "mcs"
@@ -187,6 +196,7 @@ class ScenarioResult:
     ego: np.ndarray  # per generator
     congestion_probability: np.ndarray  # per line
     samples_used: int
+    samples_drawn: int
 
 
 @dataclass(frozen=True)
@@ -199,7 +209,7 @@ class CapacityEvaluation:
     ewl_k: float
     ec: float
     t_inv: float
-    congestion_probability: np.ndarray  # per line, pooled over scenarios
+    congestion_probability: np.ndarray  # per line, mean over the 12 months
 
 
 class _McsScenario:
@@ -215,17 +225,17 @@ class _McsScenario:
         self.max_resamples = max_resamples
         self.base_schedule = base_schedule
         self.batch = ScenarioBatch(net, len(case.generators))
-        self.chains: list[list[int]] = [[] for _ in range(n_slots)]
+        # Per slot: (row, element-wise draws of the slot so far) per state.
+        self.chains: list[list[tuple[int, int]]] = [[] for _ in range(n_slots)]
         self.draws = [0] * n_slots  # element-wise draws per slot, all kinds
-        self._rngs: list[np.random.Generator | None] = [None] * n_slots
+        self._rngs: list[np.random.Generator] | None = None
         self.demand = scenario_demand(case, month)
 
     def _rng(self, slot: int) -> np.random.Generator:
-        rng = self._rngs[slot]
-        if rng is None:
-            rng = substream(self.entropy, DOMAIN_MCS, self.month, slot)
-            self._rngs[slot] = rng
-        return rng
+        if self._rngs is None:
+            self._rngs = substreams(self.entropy, (DOMAIN_MCS, self.month),
+                                    self.n_slots)
+        return self._rngs[slot]
 
     def _budget_error(self, slot: int) -> ResampleBudgetError:
         return ResampleBudgetError(
@@ -246,7 +256,7 @@ class _McsScenario:
             lambda: build_record(self.case, self.net, self.demand, state,
                                  self.base_schedule),
         )
-        self.chains[slot].append(row)
+        self.chains[slot].append((row, self.draws[slot]))
         return row
 
     def result(self, capacities: np.ndarray) -> ScenarioResult:
@@ -256,11 +266,13 @@ class _McsScenario:
         parts = [self.batch.evaluate(capacities)]
         valid = parts[0].valid
         rows = np.empty(self.n_slots, dtype=np.intp)
+        drawn = 0
         pending = []
         for slot, chain in enumerate(self.chains):
-            for row in chain:
+            for row, draws in chain:
                 if valid[row]:
                     rows[slot] = row
+                    drawn += draws
                     break
             else:
                 pending.append(slot)
@@ -269,14 +281,15 @@ class _McsScenario:
         # their own streams; only the rows a round adds are evaluated.
         while pending:
             start = len(self.batch)
-            drawn = [self._extend(slot) for slot in pending]
+            added = [self._extend(slot) for slot in pending]
             if len(self.batch) > start:
                 parts.append(self.batch.evaluate(capacities, start))
                 valid = np.concatenate([valid, parts[-1].valid])
             still = []
-            for slot, row in zip(pending, drawn):
+            for slot, row in zip(pending, added):
                 if valid[row]:
                     rows[slot] = row
+                    drawn += self.draws[slot]
                 elif self.draws[slot] >= self.max_resamples:
                     raise self._budget_error(slot)
                 else:
@@ -293,6 +306,7 @@ class _McsScenario:
             ego=w @ ev.ego,
             congestion_probability=w @ ev.congested,
             samples_used=self.n_slots,
+            samples_drawn=drawn,
         )
 
 
@@ -327,6 +341,7 @@ class _DeterministicScenario:
             ego=w @ ev.ego,
             congestion_probability=w @ ev.congested,
             samples_used=int(ev.valid.sum()),
+            samples_drawn=len(self.weights),
         )
 
 
@@ -419,6 +434,7 @@ class PlanEvaluator:
             ego = np.array([r.ego for r in results])
             con = np.array([r.congestion_probability for r in results])
             used = np.array([r.samples_used for r in results])
+            drawn = np.array([r.samples_drawn for r in results])
         else:
             # One peak-month evaluation stands in for every month.
             r = results[0]
@@ -428,11 +444,12 @@ class PlanEvaluator:
             ego = np.tile(r.ego, (12, 1))
             con = np.tile(r.congestion_probability, (12, 1))
             used = np.full(12, r.samples_used)
+            drawn = np.full(12, r.samples_drawn)
 
         report = ExpectationReport(
             edns=edns, egns=egns, ewl=ewl, ego=ego,
             congestion_probability=con.reshape(12, n_line),
-            samples_used=used,
+            samples_used=used, samples_drawn=drawn,
         )
         ego_reshaped = ego.reshape(12, n_gen)
         edns_k = edns_cost(edns, self.case.costs)

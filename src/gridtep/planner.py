@@ -5,8 +5,9 @@ plan, growing line capacities through the roulette sizing loop, and
 rolling the final network up into the objective J = EC + T_inv + G_inv.
 Evaluations are memoized per bit pattern and fully determined by
 (case, chromosome, mode, seed). Plans whose intact topology strands a
-demand bus or a generator get an infinite-J sentinel instead of an
-evaluation.
+demand bus or a generator, and plans whose pricing raises a GridTepError
+(such as an exhausted resample budget), get an infinite-J sentinel and
+the reason instead of an evaluation; the search goes on.
 
 The outer loop is a plain generational GA: tournament selection, uniform
 crossover, per-bit mutation, and elitism.
@@ -20,8 +21,9 @@ from dataclasses import dataclass
 from .adequacy import ExpectationReport
 from .contingency import is_islanded
 from .costs import CostBreakdown, generation_investment, objective
+from .errors import GridTepError
 from .evaluation import EvalConfig, PlanEvaluator, base_schedules
-from .network import Chromosome, NetworkCase, apply_plan
+from .network import ActiveNetwork, Chromosome, NetworkCase, apply_plan
 from .rng import DOMAIN_GA, chromosome_entropy, substream
 from .sizing import POLICY_NL, SizingConfig, sizing_loop
 
@@ -72,6 +74,7 @@ class FitnessRecord:
     breakdown: CostBreakdown
     report: ExpectationReport | None
     sizing: SizingSummary | None
+    infeasible_reason: str | None = None
 
     @property
     def j(self) -> float:
@@ -89,7 +92,8 @@ class PlanResult:
 INFEASIBLE_SENTINEL = math.inf
 
 
-def _infeasible_record(chromosome: Chromosome, g_inv: float) -> FitnessRecord:
+def _infeasible_record(chromosome: Chromosome, g_inv: float,
+                       reason: str) -> FitnessRecord:
     # inf propagates through the breakdown so j = ec + t_inv + g_inv holds.
     return FitnessRecord(
         chromosome=chromosome,
@@ -100,6 +104,7 @@ def _infeasible_record(chromosome: Chromosome, g_inv: float) -> FitnessRecord:
                             INFEASIBLE_SENTINEL, g_inv),
         report=None,
         sizing=None,
+        infeasible_reason=reason,
     )
 
 
@@ -115,13 +120,28 @@ def evaluate_chromosome(
     seed: int,
     g_inv: float | None = None,
 ) -> FitnessRecord:
-    """Full pricing of one build plan: sizing loop plus cost rollup."""
+    """Full pricing of one build plan: sizing loop plus cost rollup.
+
+    A plan that islands, or whose pricing raises a GridTepError, comes back
+    infeasible with the reason.
+    """
     if g_inv is None:
         g_inv = case_generation_investment(case)
     net = apply_plan(case, chromosome)
     if is_islanded(case, net, frozenset(), frozenset()):
-        return _infeasible_record(chromosome, g_inv)
+        return _infeasible_record(
+            chromosome, g_inv,
+            "intact network strands a demand bus or a generator")
+    try:
+        return _priced_record(case, chromosome, net, settings, seed, g_inv)
+    except GridTepError as exc:
+        return _infeasible_record(chromosome, g_inv,
+                                  f"{type(exc).__name__}: {exc}")
 
+
+def _priced_record(case: NetworkCase, chromosome: Chromosome,
+                   net: ActiveNetwork, settings: PlanSettings, seed: int,
+                   g_inv: float) -> FitnessRecord:
     entropy = chromosome_entropy(seed, chromosome.bits)
     evaluator = PlanEvaluator(
         case, net,

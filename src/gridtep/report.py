@@ -48,6 +48,7 @@ def _report_dict(report: ExpectationReport | None) -> dict | None:
         "congestion_probability_by_month_per_line":
             report.congestion_probability.tolist(),
         "samples_used_by_month": report.samples_used.tolist(),
+        "samples_drawn_by_month": report.samples_drawn.tolist(),
     }
 
 
@@ -61,6 +62,7 @@ def _record_dict(rec: FitnessRecord) -> dict:
         "costs_musd": rec.breakdown.in_millions(),
         "sizing": asdict(rec.sizing) if rec.sizing is not None else None,
         "expectations": _report_dict(rec.report),
+        "infeasible_reason": rec.infeasible_reason,
     }
 
 
@@ -131,7 +133,7 @@ def write_adequacy_csv(path, report: ExpectationReport) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["month", "edns_mw", "egns_mw", "ewl_mw",
-                         "samples_used"])
+                         "samples_used", "samples_drawn"])
         for m in range(12):
             writer.writerow([
                 m + 1,
@@ -139,4 +141,5 @@ def write_adequacy_csv(path, report: ExpectationReport) -> None:
                 f"{report.egns[m]:.6f}",
                 f"{report.ewl[m]:.6f}",
                 int(report.samples_used[m]),
+                int(report.samples_drawn[m]),
             ])

@@ -176,7 +176,7 @@ class SizingEvaluation:
 
     expected_cost: float
     transmission_investment: float
-    congestion_probability: np.ndarray  # max over scenarios, per line
+    congestion_probability: np.ndarray  # per line, mean over the 12 months
 
 
 def sizing_loop(

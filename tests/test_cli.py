@@ -99,9 +99,12 @@ def test_adequacy_reports_zeros_without_outages(tmp_path, capsys):
 
     with open(out / "adequacy.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["month", "edns_mw", "egns_mw", "ewl_mw", "samples_used"]
+    assert rows[0] == ["month", "edns_mw", "egns_mw", "ewl_mw", "samples_used",
+                       "samples_drawn"]
     assert len(rows) == 13
     assert all(r[1] == "0.000000" for r in rows[1:])
+    # Nothing fails, so each slot takes its first draw.
+    assert all(r[4] == r[5] == "50" for r in rows[1:])
 
 
 def test_adequacy_rejects_malformed_plan_string(toy_case_path, capsys):

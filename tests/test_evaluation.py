@@ -95,6 +95,8 @@ def test_deterministic_mode_matches_manual_state_weighting():
 
     np.testing.assert_allclose(result.report.edns, expected_edns)
     assert result.report.samples_used[0] == len(kept_dns)
+    np.testing.assert_array_equal(result.report.samples_drawn,
+                                  len(enumerate_deterministic(case, net, 1)))
 
 
 def test_deterministic_mode_replicates_peak_month():
@@ -138,10 +140,12 @@ def test_generous_ratings_remove_all_shortfalls():
 def first_valid_reference(case, net, entropy, n_mcs, caps):
     """Monthly (EDNS, EGNS, EWL) the slow way: replay each (month, slot)
     substream through sample_state and average the first state of each
-    slot that is valid at ``caps``."""
+    slot that is valid at ``caps``. Also returns each month's element-wise
+    draws up to and including those states."""
     schedules = base_schedules(case)
     records = {}
     out = []
+    drawn = np.zeros(12, dtype=int)
     for month in MONTHS:
         demand = scenario_demand(case, month)
         totals = np.zeros(3)
@@ -149,6 +153,7 @@ def first_valid_reference(case, net, entropy, n_mcs, caps):
             rng = substream(entropy, DOMAIN_MCS, month, slot)
             while True:
                 state = sample_state(case, net, rng)
+                drawn[month - 1] += state.draws
                 key = (month, state.lines_out, state.gens_out)
                 if key not in records:
                     records[key] = build_record(case, net, demand, state,
@@ -161,7 +166,7 @@ def first_valid_reference(case, net, entropy, n_mcs, caps):
             totals += (balance.total_dns + rec.deficit, balance.total_gns,
                        wheeling_loss(rec.flows, caps))
         out.append(totals / n_mcs)
-    return np.array(out)
+    return np.array(out), drawn
 
 
 # At 5 MW on every line the validity screen rejects about 93 % of the toy
@@ -177,7 +182,8 @@ def test_mcs_chain_takes_first_valid_state_of_each_slot_stream(vectors, seed,
                                                                data):
     """Common random numbers: whatever capacity vectors an evaluator saw
     before, and in whatever order, each slot's sample is the first state
-    of its own substream that is valid at the current ratings."""
+    of its own substream that is valid at the current ratings, and the
+    draws reported are those up to that state."""
     case = mcs_toy_case()
     net = toy_net(case)
     n_mcs = 8
@@ -190,9 +196,41 @@ def test_mcs_chain_takes_first_valid_state_of_each_slot_stream(vectors, seed,
             caps = np.array(vectors[k])
             report = evaluator.evaluate(net.with_capacities(caps)).report
             got = np.column_stack([report.edns, report.egns, report.ewl])
-            want = first_valid_reference(case, net, entropy, n_mcs, caps)
+            want, drawn = first_valid_reference(case, net, entropy, n_mcs,
+                                                caps)
             # atol only absorbs float noise on near-zero EGNS.
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+            np.testing.assert_array_equal(report.samples_drawn, drawn)
+
+
+def test_samples_drawn_counts_redraws_up_to_each_accepted_state():
+    """At 5 MW the validity screen rejects most states; each month reports
+    the draws its slots made up to their accepted states, not n_mcs."""
+    case = mcs_toy_case()
+    net = toy_net(case)
+    caps = np.full(4, 5.0)
+    n_mcs, entropy = 20, [4, 1]
+    report = PlanEvaluator(case, net, EvalConfig(mode="mcs", n_mcs=n_mcs),
+                           entropy).evaluate(net.with_capacities(caps)).report
+    _, drawn = first_valid_reference(case, net, entropy, n_mcs, caps)
+    np.testing.assert_array_equal(report.samples_drawn, drawn)
+    np.testing.assert_array_equal(report.samples_used, n_mcs)
+    assert np.all(report.samples_drawn > 2 * n_mcs)
+
+
+def test_sizing_sees_the_mean_of_the_monthly_congestion_rows():
+    case = mcs_toy_case()
+    net = toy_net(case).with_capacities([30.0] * 4)
+    evaluator = PlanEvaluator(case, net, EvalConfig(mode="mcs", n_mcs=40),
+                              [6, 1])
+    ev = evaluator.evaluate(net)
+    monthly = ev.report.congestion_probability
+    assert not np.array_equal(monthly.max(axis=0), monthly.mean(axis=0))
+    np.testing.assert_array_equal(ev.congestion_probability,
+                                  monthly.mean(axis=0))
+    np.testing.assert_array_equal(
+        evaluator.sizing_evaluate(net).congestion_probability,
+        ev.congestion_probability)
 
 
 def count_draws(monkeypatch):

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from gridtep import planner
 from gridtep.network import Chromosome, load_case
 from gridtep.planner import (
     GaConfig,
@@ -15,6 +16,7 @@ from gridtep.planner import (
     evaluate_chromosome,
     run,
 )
+from gridtep.report import RunManifest, plan_payload
 
 from _toys import build_case, ga_toy_case, gen, line
 
@@ -32,6 +34,45 @@ def test_plan_that_strands_a_generator_is_infeasible():
     assert math.isinf(rec.j)
     # G_inv survives so J still decomposes as EC + T_inv + G_inv.
     assert rec.breakdown.g_inv == case_generation_investment(case)
+    assert "strands" in rec.infeasible_reason
+
+
+def test_plan_whose_pricing_raises_is_infeasible_and_the_search_goes_on(
+        monkeypatch):
+    """On a ring whose elements fail 40 % of the time, one draw per slot
+    seldom yields a usable state: pricing raises ResampleBudgetError,
+    which marks that plan infeasible with the reason instead of ending
+    the run."""
+    lines = [line(1, 1, 2, for_=0.4), line(2, 2, 3, for_=0.4),
+             line(3, 3, 4, for_=0.4), line(4, 4, 1, for_=0.4),
+             line(5, 1, 3, for_=0.4, status="candidate"),
+             line(6, 2, 4, for_=0.4, status="candidate")]
+    case = build_case([0, 0, 60, 40], lines, [gen(1, 80.0), gen(2, 60.0)],
+                      min_online=1)
+    settings = PlanSettings(mode="mcs", n_mcs=10, max_resamples=1)
+    records = []
+    real = planner.evaluate_chromosome
+
+    def recorded(*args, **kwargs):
+        records.append(real(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(planner, "evaluate_chromosome", recorded)
+    result = run(case, GaConfig(population_size=4, generations=2, seed=1),
+                 settings)
+    assert len(result.history) == 3
+    failed = [r for r in records if not r.feasible]
+    assert failed
+    for rec in failed:
+        assert math.isinf(rec.j)
+        assert rec.infeasible_reason.startswith("ResampleBudgetError: ")
+
+    manifest = RunManifest(
+        command="plan", case_path="ring.json", mode="mcs", policy="nl",
+        seed=1, mcs_iters=10, generations=2, pop_size=4, delta_f=5.0,
+        congestion_threshold=0.1, tool_version="test", wall_time_s=0.0)
+    best = plan_payload(manifest, result)["result"]["best"]
+    assert best["infeasible_reason"] == result.best.infeasible_reason
 
 
 def test_chromosome_pricing_is_deterministic():
