@@ -15,7 +15,9 @@ totals always satisfy DNS = GNS when generation matches demand — energy
 bottled up at one end is energy missing at the other.
 
 Flows above a line's rating also accrue wheeling loss (WL), the total
-overload in MW, which the planner prices separately.
+overload in MW, which the planner prices separately. These are the same
+kernel functions the planner runs on every outage state it prices, here
+called on a single state.
 
 Run:  python demos/02_nodal_adequacy.py
 """
@@ -28,9 +30,9 @@ from gridtep import (
     ActiveNetwork,
     Bus,
     LineSpec,
+    line_overloads,
     nodal_balance,
     solve,
-    wheeling_loss,
 )
 
 
@@ -74,7 +76,8 @@ def main() -> None:
           f" GNS = {balance.total_gns:.2f} MW (always equal when"
           " generation matches demand)")
 
-    wl = wheeling_loss(sol.flows, net.capacity_array)
+    print(f"  state passes the validity screen: {bool(balance.valid)}")
+    _, wl = line_overloads(sol.flows, net.capacity_array)
     print(f"  wheeling loss (total overload) = {wl:.2f} MW")
 
     # Growing the weak line's rating converts unserved demand back into
@@ -82,8 +85,9 @@ def main() -> None:
     for cap2 in (20.0, 45.0, 70.0):
         caps = np.array([50.0, cap2])
         b = nodal_balance(net, sol.flows, demand, generation, capacities=caps)
+        _, wl = line_overloads(sol.flows, caps)
         print(f"  rating of line 2 at {cap2:5.1f} MW -> system DNS"
-              f" {b.total_dns:6.2f} MW, WL {wheeling_loss(sol.flows, caps):6.2f}")
+              f" {b.total_dns:6.2f} MW, WL {wl:6.2f}")
 
 
 if __name__ == "__main__":

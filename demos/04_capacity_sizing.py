@@ -52,7 +52,7 @@ def main() -> None:
     config = SizingConfig(policy="wel", delta_f=5.0, congestion_threshold=0.1)
 
     print("sizing the all-candidates plan (WEL policy, 5 MW steps)\n")
-    trace = sizing_loop(net, evaluator.sizing_evaluate, config, entropy)
+    trace = sizing_loop(net, evaluator.evaluate, config, entropy)
 
     print("iter  F_N (MW)  EC (k$)      T_inv (k$)   MEC      MI")
     for s in trace.steps:

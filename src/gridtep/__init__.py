@@ -5,40 +5,23 @@ Monte Carlo contingency simulation, nodal adequacy accounting,
 roulette-wheel capacity growth, and a genetic-algorithm search over
 build plans. Deterministic N-1/N-2 contingency enumeration is available
 as an alternative to sampling for direct comparison.
+
+The package namespace holds what the demos and the README use, with the
+types they return and raise; everything else is imported from its
+module (``gridtep.costs``, ``gridtep.sizing``, ...).
 """
 
 from .adequacy import (
-    AdequacySample,
     ExpectationReport,
     NodalBalance,
-    aggregate_samples,
     balance_from_diffs,
-    expectation,
-    is_valid_sample,
+    line_overloads,
     nodal_balance,
-    system_totals,
-    wheeling_loss,
+    nodal_diff,
 )
-from .contingency import (
-    OutageState,
-    SamplerConfig,
-    enumerate_deterministic,
-    is_islanded,
-    sample_state,
-)
-from .costs import (
-    CostBreakdown,
-    edns_cost,
-    egns_cost,
-    ewl_cost,
-    generation_investment,
-    line_capital_rate,
-    objective,
-    outage_compensation_factor,
-    transmission_investment,
-)
-from .dcflow import FlowSolution, connected_components, flow_residual, solve, solve_with_outages
-from .dispatch import DispatchResult, merit_order_dispatch, select_slack
+from .contingency import OutageState, enumerate_deterministic, sample_state
+from .costs import CostBreakdown, objective
+from .dcflow import FlowSolution, flow_residual, solve, solve_with_outages
 from .errors import (
     CaseParseError,
     CaseValidationError,
@@ -52,62 +35,32 @@ from .network import (
     ActiveNetwork,
     Bus,
     Chromosome,
-    CostParameters,
-    GeneratorSpec,
     LineSpec,
-    LoadDurationCurve,
     NetworkCase,
     apply_plan,
     load_case,
-    save_case,
-    scenario_demand,
-    validate_case,
 )
-from .planner import (
-    FitnessRecord,
-    GaConfig,
-    PlanResult,
-    PlanSettings,
-    evaluate_chromosome,
-    run,
-)
+from .planner import FitnessRecord, GaConfig, PlanResult, PlanSettings, run
 from .rng import chromosome_entropy, substream
-from .sizing import (
-    POLICY_NL,
-    POLICY_WEL,
-    CongestionStats,
-    RouletteWheel,
-    SizingConfig,
-    SizingTrace,
-    accumulate_congestion,
-    build_wheel,
-    marginal_quantities,
-    sizing_loop,
-    spin_and_update,
-)
+from .sizing import SizingConfig, SizingTrace, sizing_loop
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActiveNetwork",
-    "AdequacySample",
     "Bus",
     "CapacityEvaluation",
     "CaseParseError",
     "CaseValidationError",
     "Chromosome",
     "CostBreakdown",
-    "CostParameters",
-    "DispatchResult",
     "EvalConfig",
     "ExpectationReport",
     "FitnessRecord",
     "FlowSolution",
     "GaConfig",
-    "GeneratorSpec",
     "GridTepError",
     "LineSpec",
-    "LoadDurationCurve",
     "NetworkCase",
     "NetworkDisconnectedError",
     "NodalBalance",
@@ -115,51 +68,24 @@ __all__ = [
     "PlanEvaluator",
     "PlanResult",
     "PlanSettings",
-    "POLICY_NL",
-    "POLICY_WEL",
     "ResampleBudgetError",
-    "RouletteWheel",
-    "SamplerConfig",
     "SizingConfig",
     "SizingTrace",
     "UnbalancedInjectionsError",
-    "CongestionStats",
-    "accumulate_congestion",
-    "aggregate_samples",
     "apply_plan",
     "balance_from_diffs",
-    "build_wheel",
     "chromosome_entropy",
-    "connected_components",
-    "marginal_quantities",
-    "spin_and_update",
-    "edns_cost",
-    "egns_cost",
     "enumerate_deterministic",
-    "evaluate_chromosome",
-    "ewl_cost",
-    "expectation",
     "flow_residual",
-    "generation_investment",
-    "is_islanded",
-    "is_valid_sample",
-    "line_capital_rate",
+    "line_overloads",
     "load_case",
-    "merit_order_dispatch",
     "nodal_balance",
+    "nodal_diff",
     "objective",
-    "outage_compensation_factor",
     "run",
     "sample_state",
-    "save_case",
-    "scenario_demand",
-    "select_slack",
-    "sizing_loop",
     "solve",
     "solve_with_outages",
+    "sizing_loop",
     "substream",
-    "system_totals",
-    "transmission_investment",
-    "validate_case",
-    "wheeling_loss",
 ]

@@ -1,17 +1,27 @@
-"""Nodal adequacy accounting.
+"""Nodal adequacy kernel.
 
-For each bus the balance DIFF compares demand against local generation
-plus what the (capacity-limited) lines can actually deliver:
+The kernel prices one solved outage state, or many stacked as rows, in
+two steps that can also be called on their own:
 
-    DIFF_s = D_s - sum_in min(|f|, cap) + sum_out min(|f|, cap) - G_s
+(a) ``nodal_diff`` truncates each line's delivery at its rating and
+    forms the per-bus balance
 
-where "in" and "out" follow the sign of the solved flow. A positive DIFF
-is demand not supplied at that bus (DNS); a negative one is generation
-that cannot be evacuated (GNS). Line terms cancel system-wide, so total
-DNS equals total GNS whenever the underlying injections balance.
+        DIFF_s = D_s - sum_in min(|f|, cap) + sum_out min(|f|, cap) - G_s
 
-Wheeling loss is the total overload on congested lines — flow magnitude
-beyond rating, summed over lines where |f| strictly exceeds the rating.
+    where "in" and "out" follow the sign of the solved flow;
+(b) ``balance_from_diffs`` splits DIFF into demand not supplied (DNS,
+    the positive part) and generation not supplied (GNS, the negative
+    part) and applies the validity screen.
+
+Line terms cancel system-wide, so total DNS equals total GNS whenever
+the underlying injections balance. ``line_overloads`` adds per-line
+congestion (|f| strictly above the rating) and the wheeling loss, the
+total overload on congested lines.
+
+Every function takes one state as per-bus / per-line vectors, or a
+block of states with a leading rows axis; buses and lines are always the
+last axis, and totals reduce over it. ``nodal_balance`` chains (a) and
+(b); ``ScenarioBatch.evaluate`` prices plans with the same functions.
 """
 
 from __future__ import annotations
@@ -25,27 +35,66 @@ from .network import ActiveNetwork
 
 @dataclass(frozen=True)
 class NodalBalance:
+    """Per-bus balance of one state, or of rows of states."""
+
     diff: np.ndarray  # MW per bus, signed
     dns: np.ndarray  # MW per bus, demand not supplied
     gns: np.ndarray  # MW per bus, generation not supplied
-
-    @property
-    def total_dns(self) -> float:
-        return float(self.dns.sum())
-
-    @property
-    def total_gns(self) -> float:
-        return float(self.gns.sum())
+    total_dns: np.ndarray  # MW, system sum over buses
+    total_gns: np.ndarray
+    valid: np.ndarray  # bool: the state passes the validity screen
 
 
-def balance_from_diffs(diff: np.ndarray) -> NodalBalance:
-    """Split a signed DIFF vector into its DNS / GNS parts."""
+def nodal_diff(
+    net: ActiveNetwork,
+    flows: np.ndarray,
+    demand: np.ndarray,
+    generation: np.ndarray,
+    capacities: np.ndarray | None = None,
+) -> np.ndarray:
+    """Step (a): per-bus DIFF from unconstrained DC flows, with each
+    line's deliverable power truncated at its rating (the network's own
+    ratings unless ``capacities`` is given)."""
+    caps = net.capacity_array if capacities is None else capacities
+    flows = np.asarray(flows, dtype=float)
+    delivered = np.minimum(np.abs(flows), caps)
+    pos = np.where(flows >= 0, delivered, 0.0)
+    neg = np.where(flows < 0, delivered, 0.0)
+    a_from, a_to = net.incidence
+    inflow = pos @ a_to + neg @ a_from
+    outflow = pos @ a_from + neg @ a_to
+    return np.asarray(demand, float) - inflow + outflow \
+        - np.asarray(generation, float)
+
+
+def balance_from_diffs(
+    diff: np.ndarray, demand: np.ndarray, generation: np.ndarray
+) -> NodalBalance:
+    """Step (b): split DIFF into DNS / GNS and screen the state.
+
+    A bus losing its entire demand (or bottling its entire generation)
+    marks the state as pathological, as does a system total outside
+    [0, total). Such states are resampled (or dropped) rather than
+    averaged in. The per-bus screens only apply where the bus actually
+    has demand or generation; transit buses can carry small balance
+    artifacts from asymmetric line truncation, which the system totals
+    still absorb.
+    """
     diff = np.asarray(diff, dtype=float)
-    return NodalBalance(
-        diff=diff,
-        dns=np.maximum(diff, 0.0),
-        gns=np.maximum(-diff, 0.0),
-    )
+    demand = np.asarray(demand, dtype=float)
+    generation = np.asarray(generation, dtype=float)
+    dns = np.maximum(diff, 0.0)
+    gns = np.maximum(-diff, 0.0)
+    bad_bus = np.any((demand > 0) & (dns >= demand), axis=-1) | np.any(
+        (generation > 0) & (gns >= generation), axis=-1)
+    dns_tot = dns.sum(axis=-1)
+    gns_tot = gns.sum(axis=-1)
+    d_tot = demand.sum(axis=-1)
+    g_tot = generation.sum(axis=-1)
+    bad_sys = ((dns_tot >= d_tot) & ~((d_tot == 0) & (dns_tot == 0))) | (
+        (gns_tot >= g_tot) & ~((g_tot == 0) & (gns_tot == 0)))
+    return NodalBalance(diff=diff, dns=dns, gns=gns, total_dns=dns_tot,
+                        total_gns=gns_tot, valid=~(bad_bus | bad_sys))
 
 
 def nodal_balance(
@@ -55,87 +104,20 @@ def nodal_balance(
     generation: np.ndarray,
     capacities: np.ndarray | None = None,
 ) -> NodalBalance:
-    """Per-bus DIFF/DNS/GNS for one solved state.
-
-    ``flows`` are the unconstrained DC flows; deliverable power on each
-    line is truncated at its rating before entering the bus balances.
-    """
-    caps = net.capacity_array if capacities is None else np.asarray(capacities, float)
-    flows = np.asarray(flows, dtype=float)
-    delivered = np.minimum(np.abs(flows), caps)
-    signed = np.where(flows >= 0, delivered, -delivered)
-
-    n = net.n_buses
-    inflow = np.zeros(n)
-    np.add.at(inflow, net.to_idx, np.maximum(signed, 0.0))
-    np.add.at(inflow, net.from_idx, np.maximum(-signed, 0.0))
-    outflow = np.zeros(n)
-    np.add.at(outflow, net.from_idx, np.maximum(signed, 0.0))
-    np.add.at(outflow, net.to_idx, np.maximum(-signed, 0.0))
-
-    diff = np.asarray(demand, float) - inflow + outflow - np.asarray(generation, float)
-    return balance_from_diffs(diff)
+    """Steps (a) and (b): DIFF, DNS, GNS and the validity screen."""
+    return balance_from_diffs(
+        nodal_diff(net, flows, demand, generation, capacities),
+        demand, generation)
 
 
-def system_totals(balance: NodalBalance) -> tuple[float, float]:
-    """(system DNS, system GNS): the componentwise sums over buses."""
-    return balance.total_dns, balance.total_gns
-
-
-def wheeling_loss(
-    flows: np.ndarray, capacities: np.ndarray, threshold: float = 0.0
-) -> float:
-    """Total overload (MW) across congested lines.
-
-    A line is congested when |flow| strictly exceeds its rating; the
-    optional threshold requires the excess to clear a margin too.
-    """
-    excess = np.abs(np.asarray(flows, float)) - np.asarray(capacities, float)
-    over = excess > threshold if threshold > 0 else excess > 0
-    return float(excess[over].sum())
-
-
-def congested_mask(
-    flows: np.ndarray, capacities: np.ndarray, threshold: float = 0.0
-) -> np.ndarray:
-    """Boolean per-line congestion indicator (strict overload)."""
-    excess = np.abs(np.asarray(flows, float)) - np.asarray(capacities, float)
-    return excess > threshold if threshold > 0 else excess > 0
-
-
-@dataclass(frozen=True)
-class AdequacySample:
-    dns: float
-    gns: float
-    wheeling: float
-    ego: np.ndarray  # MW per generator cut off by forced outages
-    congested: np.ndarray  # bool per line
-
-
-def is_valid_sample(
-    balance: NodalBalance, demand: np.ndarray, generation_capacity: np.ndarray
-) -> bool:
-    """Sanity screen used before a sample enters the expectations.
-
-    A bus losing its entire demand (or bottling its entire generation)
-    marks the state as pathological, as does a system total outside
-    [0, total). Such states are resampled rather than averaged in. The
-    per-bus screens only apply where the bus actually has demand or
-    generation; transit buses can carry small balance artifacts from
-    asymmetric line truncation, which the system totals still absorb.
-    """
-    demand = np.asarray(demand, float)
-    cap = np.asarray(generation_capacity, float)
-    if np.any((demand > 0) & (balance.dns >= demand)):
-        return False
-    if np.any((cap > 0) & (balance.gns >= cap)):
-        return False
-    total_d, total_g = float(demand.sum()), float(cap.sum())
-    if balance.total_dns >= total_d and not (total_d == 0 and balance.total_dns == 0):
-        return False
-    if balance.total_gns >= total_g and not (total_g == 0 and balance.total_gns == 0):
-        return False
-    return True
+def line_overloads(
+    flows: np.ndarray, capacities: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(congested, wheeling loss): per line, whether |flow| strictly
+    exceeds its rating, and the total overload in MW over those lines."""
+    excess = np.abs(np.asarray(flows, dtype=float)) - capacities
+    congested = excess > 0
+    return congested, np.where(congested, excess, 0.0).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -151,53 +133,3 @@ class ExpectationReport:
     # Element-wise draws behind the accepted samples, per scenario
     # (redraws included); the state count for enumerated modes.
     samples_drawn: np.ndarray
-
-    @property
-    def annual_edns(self) -> float:
-        return float(self.edns.sum())
-
-
-def expectation(samples) -> float:
-    """Probability-weighted mean of (value, probability) pairs.
-
-    Weights must be nonnegative and sum to one within 1e-9. Equal-weight
-    Monte Carlo samples use probability 1/N each.
-    """
-    if not samples:
-        raise ValueError("expectation of an empty sample set")
-    values = np.array([v for v, _ in samples], dtype=float)
-    probs = np.array([p for _, p in samples], dtype=float)
-    if np.any(probs < 0):
-        raise ValueError("sample probabilities must be nonnegative")
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError(
-            f"sample probabilities sum to {probs.sum():.12g}, expected 1")
-    return float(np.dot(values, probs))
-
-
-def aggregate_samples(
-    samples_by_scenario: list[list[AdequacySample]],
-    n_lines: int,
-    n_generators: int,
-) -> ExpectationReport:
-    """Average per-scenario sample lists into an ExpectationReport."""
-    s = len(samples_by_scenario)
-    edns = np.zeros(s)
-    egns = np.zeros(s)
-    ewl = np.zeros(s)
-    ego = np.zeros((s, n_generators))
-    con = np.zeros((s, n_lines))
-    used = np.zeros(s, dtype=int)
-    for i, samples in enumerate(samples_by_scenario):
-        if not samples:
-            continue
-        used[i] = len(samples)
-        edns[i] = float(np.mean([x.dns for x in samples]))
-        egns[i] = float(np.mean([x.gns for x in samples]))
-        ewl[i] = float(np.mean([x.wheeling for x in samples]))
-        ego[i] = np.mean([x.ego for x in samples], axis=0)
-        con[i] = np.mean([x.congested for x in samples], axis=0)
-    return ExpectationReport(
-        edns=edns, egns=egns, ewl=ewl, ego=ego,
-        congestion_probability=con, samples_used=used, samples_drawn=used,
-    )

@@ -108,7 +108,6 @@ def outage_compensation_factor(forced_outage_rate: float) -> float:
 def transmission_investment(
     net: ActiveNetwork,
     costs: CostParameters,
-    include_operating: bool = True,
 ) -> float:
     """Line investment for a sized network, in k$.
 
@@ -127,9 +126,8 @@ def transmission_investment(
             increment = cap - ln.base_capacity_mw
             if increment > 0:
                 capital += line_capital_rate(increment) * ln.length_km
-        if include_operating:
-            ocf = outage_compensation_factor(ln.forced_outage_rate)
-            operating += costs.c_t2 * ln.length_km * cap * ocf
+        ocf = outage_compensation_factor(ln.forced_outage_rate)
+        operating += costs.c_t2 * ln.length_km * cap * ocf
     return capital + operating
 
 

@@ -1,12 +1,13 @@
 """Merit-order generation dispatch.
 
 Online units are loaded cheapest-first (ties broken by bus id) until the
-scenario demand is covered; the marginal unit takes the remainder. When
-the slack bus's generator is offline, the largest-capacity online unit
-(ties: lowest bus id) absorbs the balancing role. If online capacity
-falls short of demand, every bus's demand is curtailed proportionally so
-the dispatch still balances, and the shortfall is reported for the
-adequacy accounting.
+scenario demand is covered; the marginal unit takes the remainder. No
+unit takes a balancing role: the dispatch itself matches generation to
+demand, and the DC solve always pins the case's slack bus as its angle
+reference, whichever units are online. If online capacity falls short of
+demand, every bus's demand is curtailed proportionally so the dispatch
+still balances, and the shortfall is reported for the adequacy
+accounting.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import GeneratorSpec, NetworkCase
+from .network import NetworkCase
 
 
 @dataclass(frozen=True)
@@ -23,11 +24,6 @@ class DispatchResult:
     schedule: tuple[float, ...]  # MW per generator, case fleet order
     served_demand: np.ndarray  # MW per bus, after any curtailment
     deficit: float  # MW of demand that could not be covered
-    slack_unit: int | None  # fleet index of the balancing unit
-
-    @property
-    def total_output(self) -> float:
-        return float(sum(self.schedule))
 
 
 def merit_order(case: NetworkCase) -> list[int]:
@@ -38,21 +34,6 @@ def merit_order(case: NetworkCase) -> list[int]:
     )
 
 
-def select_slack(case: NetworkCase, online: set[int]) -> int | None:
-    """Balancing unit for a set of online fleet indices.
-
-    The slack bus's own generator when online; otherwise the
-    largest-capacity online unit, ties broken by lowest bus id.
-    """
-    if not online:
-        return None
-    for k in online:
-        if case.generators[k].bus == case.slack_bus:
-            return k
-    return min(online, key=lambda k: (-case.generators[k].capacity_mw,
-                                      case.generators[k].bus))
-
-
 def merit_order_dispatch(
     case: NetworkCase,
     demand: np.ndarray,
@@ -61,13 +42,11 @@ def merit_order_dispatch(
     """Dispatch the online fleet against a per-bus demand vector."""
     demand = np.asarray(demand, dtype=float)
     total_demand = float(demand.sum())
-    online = {k for k in range(len(case.generators)) if k not in offline}
-    slack_unit = select_slack(case, online)
 
     schedule = [0.0] * len(case.generators)
     remaining = total_demand
     for k in merit_order(case):
-        if k not in online or remaining <= 0:
+        if k in offline or remaining <= 0:
             continue
         take = min(case.generators[k].capacity_mw, remaining)
         schedule[k] = take
@@ -87,7 +66,6 @@ def merit_order_dispatch(
         schedule=tuple(schedule),
         served_demand=served,
         deficit=deficit,
-        slack_unit=slack_unit,
     )
 
 
@@ -109,14 +87,3 @@ def bus_generation(case: NetworkCase, schedule: tuple[float, ...]) -> np.ndarray
         if mw:
             g[case.bus_index[case.generators[k].bus]] += mw
     return g
-
-
-def cut_off_outputs(
-    case: NetworkCase,
-    base_schedule: tuple[float, ...],
-    offline_gens: frozenset[int],
-) -> dict[int, float]:
-    """Output each offline unit would have produced under the intact-fleet
-    base dispatch; this is the generation treated as not supplied when the
-    unit is forced out."""
-    return {k: base_schedule[k] for k in offline_gens if base_schedule[k] > 0}

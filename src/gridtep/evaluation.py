@@ -26,28 +26,32 @@ capacity vectors were priced before.
 
 Deterministic modes (N-1 / N-2) run the enumerated states of the peak
 month with equal weights; states invalid at the current capacities are
-dropped and the weights renormalized. Their peak-month expectations are
-replicated across all 12 months for the annual cost formulas.
+dropped and the weights renormalized, and when none is left the capacity
+vector cannot be priced (GridTepError). Their peak-month expectations
+are replicated across all 12 months for the annual cost formulas.
+
+Both kinds of scenario price their distinct states through the adequacy
+kernel (``adequacy.nodal_balance`` and ``adequacy.line_overloads``) and
+reduce them to expectations with per-state weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adequacy import ExpectationReport
+from .adequacy import ExpectationReport, line_overloads, nodal_balance
 from .contingency import OutageState, SamplerConfig, enumerate_deterministic, sample_state
 from .costs import edns_cost, egns_cost, ewl_cost, transmission_investment
 from .dispatch import bus_generation, merit_order_dispatch, injections_from_dispatch
 from .dcflow import solve_with_outages
-from .errors import ResampleBudgetError
+from .errors import GridTepError, ResampleBudgetError
 from .network import MONTHS, ActiveNetwork, NetworkCase, scenario_demand
 from .rng import DOMAIN_MCS, substreams
 # Unused here since slots are seeded by substreams; it stays importable
 # because perfbench/tracer.py rebinds evaluation.substream.
 from .rng import substream  # noqa: F401
-from .sizing import SizingEvaluation
 
 MODE_MCS = "mcs"
 MODE_N1 = "n1"
@@ -81,6 +85,7 @@ class ScenarioBatch:
     """
 
     def __init__(self, net: ActiveNetwork, n_generators: int):
+        self.net = net
         self.key_row: dict[tuple[frozenset[int], frozenset[int]], int] = {}
         self._n = 0
         n_lines, n_buses = len(net.lines), net.n_buses
@@ -90,10 +95,6 @@ class ScenarioBatch:
         self._gen = np.zeros((0, n_buses))
         self._deficit = np.zeros(0)
         self._ego = np.zeros((0, n_generators))
-        self.a_from = np.zeros((n_lines, n_buses))
-        self.a_from[np.arange(n_lines), net.from_idx] = 1.0
-        self.a_to = np.zeros((n_lines, n_buses))
-        self.a_to[np.arange(n_lines), net.to_idx] = 1.0
 
     def __len__(self) -> int:
         return self._n
@@ -125,7 +126,7 @@ class ScenarioBatch:
     def evaluate(self, capacities: np.ndarray, start: int = 0
                  ) -> "BatchEvaluation":
         """Capacity-dependent quantities for every state from row ``start``
-        on, at once.
+        on, at once, through the adequacy kernel.
 
         A one-row matrix product takes numpy's matrix-vector path, which
         rounds differently from the matrix-matrix one; evaluating at least
@@ -134,36 +135,16 @@ class ScenarioBatch:
         """
         lo = max(0, min(start, self._n - 2))
         rows = slice(lo, self._n)
-        flows, demand, gen = self._flows[rows], self._demand[rows], self._gen[rows]
-        abs_f = np.abs(flows)
-        delivered = np.minimum(abs_f, capacities)
-        pos = np.where(flows >= 0, delivered, 0.0)
-        neg = np.where(flows < 0, delivered, 0.0)
-        inflow = pos @ self.a_to + neg @ self.a_from
-        outflow = pos @ self.a_from + neg @ self.a_to
-        diff = demand - inflow + outflow - gen
-        dns = np.maximum(diff, 0.0)
-        gns = np.maximum(-diff, 0.0)
-
-        # Isolation screens apply only where a bus has demand/generation;
-        # transit buses may carry truncation artifacts (see is_valid_sample).
-        bad_bus = np.any((demand > 0) & (dns >= demand), axis=1) | np.any(
-            (gen > 0) & (gns >= gen), axis=1)
-        dns_tot = dns.sum(axis=1)
-        gns_tot = gns.sum(axis=1)
-        d_tot = demand.sum(axis=1)
-        g_tot = gen.sum(axis=1)
-        bad_sys = ((dns_tot >= d_tot) & ~((d_tot == 0) & (dns_tot == 0))) | (
-            (gns_tot >= g_tot) & ~((g_tot == 0) & (gns_tot == 0)))
-
-        excess = abs_f - capacities
-        congested = excess > 0
+        flows = self._flows[rows]
+        balance = nodal_balance(self.net, flows, self._demand[rows],
+                                self._gen[rows], capacities)
+        congested, wheeling = line_overloads(flows, capacities)
         skip = start - lo
         return BatchEvaluation(
-            valid=~(bad_bus | bad_sys)[skip:],
-            dns=(dns_tot + self._deficit[rows])[skip:],
-            gns=gns_tot[skip:],
-            wheeling=np.where(congested, excess, 0.0).sum(axis=1)[skip:],
+            valid=balance.valid[skip:],
+            dns=(balance.total_dns + self._deficit[rows])[skip:],
+            gns=balance.total_gns[skip:],
+            wheeling=wheeling[skip:],
             congested=congested[skip:],
             ego=self._ego[rows][skip:],
         )
@@ -186,6 +167,19 @@ class BatchEvaluation:
         return BatchEvaluation(*(
             np.concatenate([getattr(p, f) for p in parts])
             for f in ("valid", "dns", "gns", "wheeling", "congested", "ego")))
+
+    def weighted(self, w: np.ndarray, samples_used: int,
+                 samples_drawn: int) -> "ScenarioResult":
+        """Expectations over the states with per-row weights ``w``."""
+        return ScenarioResult(
+            edns=float(w @ self.dns),
+            egns=float(w @ self.gns),
+            ewl=float(w @ self.wheeling),
+            ego=w @ self.ego,
+            congestion_probability=w @ self.congested,
+            samples_used=samples_used,
+            samples_drawn=samples_drawn,
+        )
 
 
 @dataclass(frozen=True)
@@ -296,26 +290,16 @@ class _McsScenario:
                     still.append(slot)
             pending = still
 
-        ev = BatchEvaluation.concat(parts)
         counts = np.bincount(rows, minlength=len(self.batch)).astype(float)
-        w = counts / self.n_slots
-        return ScenarioResult(
-            edns=float(w @ ev.dns),
-            egns=float(w @ ev.gns),
-            ewl=float(w @ ev.wheeling),
-            ego=w @ ev.ego,
-            congestion_probability=w @ ev.congested,
-            samples_used=self.n_slots,
-            samples_drawn=drawn,
-        )
+        return BatchEvaluation.concat(parts).weighted(
+            counts / self.n_slots, self.n_slots, drawn)
 
 
 class _DeterministicScenario:
     """Enumerated equal-weight states for one scenario month."""
 
-    def __init__(self, case, net, month, order, base_schedule):
-        self.case = case
-        self.net = net
+    def __init__(self, case, net, mode, month, order, base_schedule):
+        self.mode = mode
         self.month = month
         self.demand = scenario_demand(case, month)
         self.batch = ScenarioBatch(net, len(case.generators))
@@ -332,17 +316,12 @@ class _DeterministicScenario:
         ev = self.batch.evaluate(capacities)
         w = np.where(ev.valid, self.weights, 0.0)
         total = w.sum()
-        if total > 0:
-            w = w / total
-        return ScenarioResult(
-            edns=float(w @ ev.dns),
-            egns=float(w @ ev.gns),
-            ewl=float(w @ ev.wheeling),
-            ego=w @ ev.ego,
-            congestion_probability=w @ ev.congested,
-            samples_used=int(ev.valid.sum()),
-            samples_drawn=len(self.weights),
-        )
+        if not total > 0:
+            raise GridTepError(
+                f"mode {self.mode}, month {self.month}: none of the "
+                f"{len(self.weights)} enumerated states passes the validity "
+                "screen at these ratings")
+        return ev.weighted(w / total, int(ev.valid.sum()), len(self.weights))
 
 
 def build_record(
@@ -398,18 +377,16 @@ class PlanEvaluator:
         self._cache: dict[tuple[float, ...], CapacityEvaluation] = {}
 
         if config.mode == MODE_MCS:
-            self.months = MONTHS
             self.scenarios = [
                 _McsScenario(case, net, m, entropy, config.n_mcs,
                              config.max_resamples, self.base_schedules[m - 1])
-                for m in self.months
+                for m in MONTHS
             ]
         elif config.mode in (MODE_N1, MODE_N2):
             peak = case.ldc.peak_month()
-            self.months = (peak,)
             order = 1 if config.mode == MODE_N1 else 2
             self.scenarios = [
-                _DeterministicScenario(case, net, peak, order,
+                _DeterministicScenario(case, net, config.mode, peak, order,
                                        self.base_schedules[peak - 1])
             ]
         else:
@@ -424,38 +401,15 @@ class PlanEvaluator:
             return hit
         caps = np.asarray(key, dtype=float)
         results = [sc.result(caps) for sc in self.scenarios]
-
-        n_gen = len(self.case.generators)
-        n_line = len(self.net.lines)
-        if self.config.mode == MODE_MCS:
-            edns = np.array([r.edns for r in results])
-            egns = np.array([r.egns for r in results])
-            ewl = np.array([r.ewl for r in results])
-            ego = np.array([r.ego for r in results])
-            con = np.array([r.congestion_probability for r in results])
-            used = np.array([r.samples_used for r in results])
-            drawn = np.array([r.samples_drawn for r in results])
-        else:
-            # One peak-month evaluation stands in for every month.
-            r = results[0]
-            edns = np.full(12, r.edns)
-            egns = np.full(12, r.egns)
-            ewl = np.full(12, r.ewl)
-            ego = np.tile(r.ego, (12, 1))
-            con = np.tile(r.congestion_probability, (12, 1))
-            used = np.full(12, r.samples_used)
-            drawn = np.full(12, r.samples_drawn)
-
-        report = ExpectationReport(
-            edns=edns, egns=egns, ewl=ewl, ego=ego,
-            congestion_probability=con.reshape(12, n_line),
-            samples_used=used, samples_drawn=drawn,
-        )
-        ego_reshaped = ego.reshape(12, n_gen)
-        edns_k = edns_cost(edns, self.case.costs)
-        egns_k = egns_cost(egns, ego_reshaped, self.case.costs,
+        if len(results) == 1:  # n1/n2: the peak month stands in for all 12
+            results *= 12
+        report = ExpectationReport(**{
+            f.name: np.array([getattr(r, f.name) for r in results])
+            for f in fields(ScenarioResult)})
+        edns_k = edns_cost(report.edns, self.case.costs)
+        egns_k = egns_cost(report.egns, report.ego, self.case.costs,
                            self.case.generators)
-        ewl_k = ewl_cost(ewl, self.case.costs)
+        ewl_k = ewl_cost(report.ewl, self.case.costs)
         evaluation = CapacityEvaluation(
             report=report,
             edns_k=edns_k,
@@ -463,15 +417,7 @@ class PlanEvaluator:
             ewl_k=ewl_k,
             ec=edns_k + egns_k + ewl_k,
             t_inv=transmission_investment(net, self.case.costs),
-            congestion_probability=con.mean(axis=0),
+            congestion_probability=report.congestion_probability.mean(axis=0),
         )
         self._cache[key] = evaluation
         return evaluation
-
-    def sizing_evaluate(self, net: ActiveNetwork) -> SizingEvaluation:
-        ev = self.evaluate(net)
-        return SizingEvaluation(
-            expected_cost=ev.ec,
-            transmission_investment=ev.t_inv,
-            congestion_probability=ev.congestion_probability,
-        )

@@ -107,13 +107,6 @@ class NetworkCase:
     def candidate_lines(self) -> tuple[LineSpec, ...]:
         return tuple(ln for ln in self.lines if ln.status == CANDIDATE)
 
-    def nominal_slack_generator(self) -> GeneratorSpec | None:
-        """Generator at the slack bus, if one exists."""
-        for g in self.generators:
-            if g.bus == self.slack_bus:
-                return g
-        return None
-
 
 @dataclass(frozen=True)
 class Chromosome:
@@ -166,6 +159,19 @@ class ActiveNetwork:
         a = np.array([self.bus_index[ln.to_bus] for ln in self.lines], dtype=np.intp)
         a.flags.writeable = False
         return a
+
+    @cached_property
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """(from, to) line-by-bus 0/1 matrices: row k marks line k's
+        from bus and its to bus."""
+        rows = np.arange(len(self.lines))
+        a_from = np.zeros((len(self.lines), self.n_buses))
+        a_from[rows, self.from_idx] = 1.0
+        a_to = np.zeros((len(self.lines), self.n_buses))
+        a_to[rows, self.to_idx] = 1.0
+        a_from.flags.writeable = False
+        a_to.flags.writeable = False
+        return a_from, a_to
 
     @cached_property
     def susceptance(self) -> np.ndarray:

@@ -151,7 +151,7 @@ def _priced_record(case: NetworkCase, chromosome: Chromosome,
     )
     trace = sizing_loop(
         net,
-        evaluator.sizing_evaluate,
+        evaluator.evaluate,
         SizingConfig(
             policy=settings.policy,
             delta_f=settings.delta_f,

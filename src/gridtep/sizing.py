@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .evaluation import CapacityEvaluation
 from .network import CANDIDATE, ActiveNetwork
 from .rng import DOMAIN_SPIN, substream
 
@@ -37,29 +38,6 @@ class SizingConfig:
     delta_f: float = 5.0  # MW added per wheel hit
     congestion_threshold: float = 0.1  # P_con must strictly exceed this
     max_iterations: int = 200
-
-
-@dataclass(frozen=True)
-class CongestionStats:
-    """Per-line congestion counts over a series of retained runs."""
-
-    counts: np.ndarray  # one integer per line
-    runs: int
-
-    @property
-    def probability(self) -> np.ndarray:
-        if self.runs == 0:
-            return np.zeros_like(self.counts, dtype=float)
-        return self.counts / self.runs
-
-
-def accumulate_congestion(
-    stats: CongestionStats, flows: np.ndarray, capacities: np.ndarray
-) -> CongestionStats:
-    """One more run: count every line whose |flow| strictly exceeds its
-    rating."""
-    congested = np.abs(np.asarray(flows, float)) > np.asarray(capacities, float)
-    return CongestionStats(counts=stats.counts + congested, runs=stats.runs + 1)
 
 
 @dataclass(frozen=True)
@@ -144,60 +122,26 @@ def apply_hits(
     return net.with_capacities(caps)
 
 
-def spin_and_update(
-    wheel: RouletteWheel,
-    rng: np.random.Generator,
-    net: ActiveNetwork,
-    delta_f: float,
-) -> tuple[ActiveNetwork, dict[int, int]]:
-    """One update round: spin once per wheel segment, grow each hit line
-    by its hit count times delta_f."""
-    hits = wheel.spin(rng, n_spins=len(wheel.line_ids))
-    return apply_hits(net, hits, delta_f), hits
-
-
-def marginal_quantities(trace: "SizingTrace") -> tuple[float, float]:
-    """(MEC, MI) between the trace's last two iterations: the change in
-    expected cost / transmission investment per MW of added capacity."""
-    if len(trace.steps) < 2:
-        raise ValueError("marginal quantities need at least two iterations")
-    prev, last = trace.steps[-2], trace.steps[-1]
-    df = sum(last.capacities) - sum(prev.capacities)
-    if df == 0:
-        raise ValueError("no capacity change between the last two iterations")
-    mec = (last.expected_cost - prev.expected_cost) / df
-    mi = (last.transmission_investment - prev.transmission_investment) / df
-    return mec, mi
-
-
-@dataclass(frozen=True)
-class SizingEvaluation:
-    """What the evaluator reports back for one capacity assignment."""
-
-    expected_cost: float
-    transmission_investment: float
-    congestion_probability: np.ndarray  # per line, mean over the 12 months
-
-
 def sizing_loop(
     net: ActiveNetwork,
-    evaluate: Callable[[ActiveNetwork], SizingEvaluation],
+    evaluate: Callable[[ActiveNetwork], CapacityEvaluation],
     config: SizingConfig,
     rng_entropy,
 ) -> SizingTrace:
     """Drive the capacity-update loop for one topology.
 
-    ``evaluate`` prices a capacity assignment (expected cost over all
-    scenarios, transmission investment, per-line congestion
-    probabilities). The spin RNG is derived from ``rng_entropy`` and the
+    ``evaluate`` prices a capacity assignment, as
+    ``PlanEvaluator.evaluate`` does; the loop reads its expected cost
+    ``ec``, transmission investment ``t_inv`` and per-line congestion
+    probabilities. The spin RNG is derived from ``rng_entropy`` and the
     iteration index, so traces replay exactly for a fixed seed.
     """
     ev = evaluate(net)
     steps = [SizingStep(
         iteration=0,
         capacities=net.capacities,
-        expected_cost=ev.expected_cost,
-        transmission_investment=ev.transmission_investment,
+        expected_cost=ev.ec,
+        transmission_investment=ev.t_inv,
         eligible=(),
         hits=(),
         mec=None,
@@ -221,13 +165,13 @@ def sizing_loop(
         net = apply_hits(net, hits, config.delta_f)
         ev = evaluate(net)
 
-        mec = (ev.expected_cost - prev.expected_cost) / added_mw
-        mi = (ev.transmission_investment - prev.transmission_investment) / added_mw
+        mec = (ev.ec - prev.ec) / added_mw
+        mi = (ev.t_inv - prev.t_inv) / added_mw
         steps.append(SizingStep(
             iteration=iteration,
             capacities=net.capacities,
-            expected_cost=ev.expected_cost,
-            transmission_investment=ev.transmission_investment,
+            expected_cost=ev.ec,
+            transmission_investment=ev.t_inv,
             eligible=wheel.line_ids,
             hits=tuple(sorted(hits.items())),
             mec=mec,

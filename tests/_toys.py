@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from gridtep.network import (
@@ -132,3 +134,56 @@ def ga_toy_case() -> NetworkCase:
     ]
     gens = [gen(1, 120.0, cost=1.0, for_=0.06), gen(2, 100.0, cost=2.0, for_=0.05)]
     return build_case([0, 30, 50, 60, 40], lines, gens)
+
+
+class AdequacyReference(NamedTuple):
+    diff: list[float]  # per bus
+    dns: list[float]
+    gns: list[float]
+    total_dns: float
+    total_gns: float
+    valid: bool
+    congested: list[bool]  # per line
+    wheeling: float
+
+
+def adequacy_reference(net, flows, demand, generation, caps
+                       ) -> AdequacyReference:
+    """One state's adequacy the slow way, line by line and bus by bus in
+    plain Python: the independent oracle for the kernel in
+    gridtep.adequacy."""
+    n = net.n_buses
+    inflow = [0.0] * n
+    outflow = [0.0] * n
+    congested = []
+    wheeling = 0.0
+    for k in range(len(net.lines)):
+        f, cap = float(flows[k]), float(caps[k])
+        delivered = min(abs(f), cap)
+        src, dst = int(net.from_idx[k]), int(net.to_idx[k])
+        if f < 0:
+            src, dst = dst, src
+        outflow[src] += delivered
+        inflow[dst] += delivered
+        congested.append(abs(f) > cap)
+        if abs(f) > cap:
+            wheeling += abs(f) - cap
+    diff = [float(demand[s]) - inflow[s] + outflow[s] - float(generation[s])
+            for s in range(n)]
+    dns = [max(d, 0.0) for d in diff]
+    gns = [max(-d, 0.0) for d in diff]
+    total_dns, total_gns = sum(dns), sum(gns)
+    total_d = sum(float(d) for d in demand)
+    total_g = sum(float(g) for g in generation)
+    valid = True
+    for s in range(n):
+        if demand[s] > 0 and dns[s] >= demand[s]:
+            valid = False  # a demand bus lost all of its demand
+        if generation[s] > 0 and gns[s] >= generation[s]:
+            valid = False  # a generator bus bottled all of its output
+    if total_dns >= total_d and not (total_d == 0 and total_dns == 0):
+        valid = False
+    if total_gns >= total_g and not (total_g == 0 and total_gns == 0):
+        valid = False
+    return AdequacyReference(diff, dns, gns, total_dns, total_gns, valid,
+                             congested, wheeling)

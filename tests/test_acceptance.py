@@ -14,12 +14,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from gridtep.adequacy import (
-    balance_from_diffs,
-    is_valid_sample,
-    nodal_balance,
-    wheeling_loss,
-)
+from gridtep.adequacy import balance_from_diffs, line_overloads, nodal_balance
 from gridtep.cli import EXIT_OK, main
 from gridtep.contingency import is_islanded
 from gridtep.costs import line_capital_rate
@@ -31,13 +26,14 @@ from gridtep.rng import chromosome_entropy, substream
 from gridtep.sizing import (
     POLICY_WEL,
     SizingConfig,
+    apply_hits,
     build_wheel,
     sizing_loop,
-    spin_and_update,
 )
 
 from _criteria import record
 from _toys import (
+    adequacy_reference,
     bare_net,
     ga_toy_case,
     mcs_toy_case,
@@ -74,7 +70,7 @@ def _sized_run(case, policy):
     evaluator = PlanEvaluator(
         case, net, EvalConfig(mode="mcs", n_mcs=DESK_MCS), entropy)
     trace = sizing_loop(
-        net, evaluator.sizing_evaluate,
+        net, evaluator.evaluate,
         SizingConfig(policy=policy, delta_f=5.0, congestion_threshold=0.1,
                      max_iterations=200),
         entropy,
@@ -96,7 +92,9 @@ def bundled_nl_run(bundled_case):
 # Criteria
 
 def test_criterion_01_worked_diff_classification():
-    balance = balance_from_diffs([-25.0, 0.0, 9.02, 15.83, 0.0])
+    balance = balance_from_diffs([-25.0, 0.0, 9.02, 15.83, 0.0],
+                                 demand=[0.0, 0.0, 30.0, 40.0, 0.0],
+                                 generation=[70.0, 0.0, 0.0, 0.0, 0.0])
     ok = (
         balance.gns[0] == 25.0
         and balance.dns[2] == 9.02
@@ -109,7 +107,7 @@ def test_criterion_01_worked_diff_classification():
 
 
 def test_criterion_02_wheeling_loss_exact():
-    wl = wheeling_loss(np.array([27.85, 15.83]), np.zeros(2))
+    _, wl = line_overloads(np.array([27.85, 15.83]), np.zeros(2))
     check(2, wl == 43.68, "overloads {27.85, 15.83} sum to WL = 43.68 exactly")
 
 
@@ -194,15 +192,12 @@ def _exhaustive_toy_oracle(case, net, caps):
         from gridtep.contingency import OutageState
         rec = build_record(case, net, demand,
                            OutageState(lines_out, gens_out), schedule)
-        balance = nodal_balance(net, rec.flows, rec.demand, rec.generation,
-                                capacities=caps)
-        if not is_valid_sample(balance, rec.demand, rec.generation):
+        ref = adequacy_reference(net, rec.flows, rec.demand, rec.generation,
+                                 caps)
+        if not ref.valid:
             continue
-        x = np.array([
-            balance.total_dns + rec.deficit,
-            balance.total_gns,
-            wheeling_loss(rec.flows, caps),
-        ])
+        x = np.array([ref.total_dns + rec.deficit, ref.total_gns,
+                      ref.wheeling])
         total_w += w
         moments[0] += w * x
         moments[1] += w * x ** 2
@@ -245,7 +240,8 @@ def test_criterion_07_roulette_conservation():
         if not wheel.line_ids:
             continue
         before = net.capacities
-        updated, hits = spin_and_update(wheel, rng, net, 5.0)
+        hits = wheel.spin(rng, n_spins=len(wheel.line_ids))
+        updated = apply_hits(net, hits, 5.0)
         ok = ok and sum(hits.values()) == len(wheel.line_ids)
         for pos, ln in enumerate(net.lines):
             expected = before[pos] + hits.get(ln.id, 0) * 5.0

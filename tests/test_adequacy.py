@@ -1,36 +1,42 @@
-"""Tests for nodal adequacy accounting and expectation aggregation."""
+"""Tests for the nodal adequacy kernel."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridtep.adequacy import (
-    AdequacySample,
-    aggregate_samples,
+    NodalBalance,
     balance_from_diffs,
-    congested_mask,
-    expectation,
-    is_valid_sample,
+    line_overloads,
     nodal_balance,
-    system_totals,
-    wheeling_loss,
+    nodal_diff,
 )
 from gridtep.dcflow import solve
 
-from _toys import bare_net, random_balanced_parts, random_connected_net
+from _toys import (
+    adequacy_reference,
+    bare_net,
+    random_balanced_parts,
+    random_connected_net,
+)
 
 
 def test_diff_vector_splits_into_dns_and_gns():
     """A mixed DIFF vector classifies negative entries as stranded
     generation and positive ones as unserved demand."""
-    balance = balance_from_diffs([-25.0, 0.0, 9.02, 15.83, 0.0])
+    balance = balance_from_diffs([-25.0, 0.0, 9.02, 15.83, 0.0],
+                                 demand=[0.0, 0.0, 30.0, 40.0, 0.0],
+                                 generation=[70.0, 0.0, 0.0, 0.0, 0.0])
     assert balance.gns[0] == 25.0
     assert balance.dns[2] == 9.02
     assert balance.dns[3] == 15.83
     assert abs(balance.total_dns - 24.85) <= 0.02
     assert balance.total_gns == 25.0
-    assert system_totals(balance) == (balance.total_dns, balance.total_gns)
+    assert balance.total_dns == balance.dns.sum()
+    assert balance.valid
 
 
 def test_rating_limits_delivery_into_demand_bus():
@@ -50,38 +56,42 @@ def test_solved_state_with_ample_ratings_balances_exactly():
         net = random_connected_net(rng)
         demand, generation = random_balanced_parts(rng, net.n_buses)
         sol = solve(net, generation - demand)
-        balance = nodal_balance(net, sol.flows, demand, generation,
-                                capacities=np.full(len(net.lines), 1e12))
-        np.testing.assert_allclose(balance.diff, 0.0, atol=1e-6)
+        diff = nodal_diff(net, sol.flows, demand, generation,
+                          capacities=np.full(len(net.lines), 1e12))
+        np.testing.assert_allclose(diff, 0.0, atol=1e-6)
 
 
 def test_system_dns_equals_gns_for_balanced_totals():
     """Line terms cancel in the system sums, so total DNS = total GNS for
     any flow vector and any ratings whenever demand and generation totals
-    match."""
+    match; checked on stacked rows, the way plans are priced."""
     rng = np.random.default_rng(23)
     for _ in range(200):
         net = random_connected_net(rng)
         demand, generation = random_balanced_parts(rng, net.n_buses)
-        flows = rng.uniform(-120, 120, size=len(net.lines))
+        flows = rng.uniform(-120, 120, size=(3, len(net.lines)))
         caps = rng.uniform(0, 100, size=len(net.lines))
-        balance = nodal_balance(net, flows, demand, generation, capacities=caps)
-        assert abs(balance.total_dns - balance.total_gns) <= 1e-6 * demand.sum()
+        balance = nodal_balance(net, flows, np.tile(demand, (3, 1)),
+                                np.tile(generation, (3, 1)), capacities=caps)
+        assert np.all(np.abs(balance.total_dns - balance.total_gns)
+                      <= 1e-6 * demand.sum())
 
 
 def test_wheeling_loss_sums_strict_overloads():
     """Overloads of 27.85 and 15.83 MW add up to exactly 43.68 MW."""
     flows = np.array([27.85, 15.83])
     caps = np.zeros(2)
-    assert wheeling_loss(flows, caps) == 43.68
-    np.testing.assert_array_equal(congested_mask(flows, caps), [True, True])
+    congested, wheeling = line_overloads(flows, caps)
+    assert wheeling == 43.68
+    np.testing.assert_array_equal(congested, [True, True])
 
 
 def test_flow_at_rating_is_not_congested():
     flows = np.array([40.0, -25.0])
     caps = np.array([40.0, 25.0])
-    assert wheeling_loss(flows, caps) == 0.0
-    np.testing.assert_array_equal(congested_mask(flows, caps), [False, False])
+    congested, wheeling = line_overloads(flows, caps)
+    assert wheeling == 0.0
+    np.testing.assert_array_equal(congested, [False, False])
 
 
 def test_wheeling_never_increases_with_capacity():
@@ -91,7 +101,8 @@ def test_wheeling_never_increases_with_capacity():
         caps = rng.uniform(0, 60, size=6)
         grown = caps.copy()
         grown[rng.integers(0, 6)] += rng.uniform(0, 40)
-        assert wheeling_loss(flows, grown) <= wheeling_loss(flows, caps) + 1e-12
+        assert line_overloads(flows, grown)[1] \
+            <= line_overloads(flows, caps)[1] + 1e-12
 
 
 def test_receiving_bus_dns_never_rises_with_its_line_capacity():
@@ -118,72 +129,71 @@ def test_receiving_bus_dns_never_rises_with_its_line_capacity():
 def test_validity_screens():
     demand = np.array([0.0, 50.0])
     generation = np.array([60.0, 0.0])
-    assert is_valid_sample(balance_from_diffs([-20.0, 10.0]), demand, generation)
+    assert balance_from_diffs([-20.0, 10.0], demand, generation).valid
     # A demand bus losing everything is pathological.
-    assert not is_valid_sample(balance_from_diffs([-50.0, 50.0]), demand,
-                               generation)
+    assert not balance_from_diffs([-50.0, 50.0], demand, generation).valid
     # So is a generator bus bottling its entire output.
-    assert not is_valid_sample(balance_from_diffs([-60.0, 40.0]), demand,
-                               generation)
+    assert not balance_from_diffs([-60.0, 40.0], demand, generation).valid
 
 
 def test_validity_tolerates_transit_artifacts_but_not_system_blowups():
     demand = np.array([0.0, 50.0, 0.0])
     generation = np.array([50.0, 0.0, 0.0])
     # Truncation noise parked at a transit bus is tolerated...
-    assert is_valid_sample(balance_from_diffs([0.0, 5.0, 3.0]), demand,
-                           generation)
+    assert balance_from_diffs([0.0, 5.0, 3.0], demand, generation).valid
     # ...until the system total reaches the total demand.
-    assert not is_valid_sample(balance_from_diffs([0.0, -10.0, 60.0]), demand,
-                               generation)
+    assert not balance_from_diffs([0.0, -10.0, 60.0], demand,
+                                  generation).valid
 
 
 def test_validity_allows_all_zero_case():
     zeros = np.zeros(2)
-    assert is_valid_sample(balance_from_diffs(zeros), zeros, zeros)
+    assert balance_from_diffs(zeros, zeros, zeros).valid
 
 
-def test_expectation_weights_three_line_outage_states():
-    """Hand-enumerated oracle: a 100 MW load fed by three parallel 40 MW
-    lines (FOR 0.1 each). One line out leaves 20 MW unserved, two leave
-    60 MW, all three island the load and are excluded; the surviving
-    weights renormalize by 0.999. EDNS = 6.48 / 0.999."""
-    z = 0.999
-    pairs = [
-        (0.0, 0.729 / z),  # all in: 3x40 covers the load
-        (20.0, 0.243 / z),  # one out (3 ways): 80 delivered
-        (60.0, 0.027 / z),  # two out (3 ways): 40 delivered
-    ]
-    value = expectation(pairs)
-    assert value == pytest.approx(6.48 / 0.999, rel=1e-12)
-    assert value == pytest.approx(6.486486486486487, abs=1e-12)
+# Quarter-MW values keep every sum exact in float64, so kernel and
+# reference must agree bit for bit, exact ties (flow at rating, DNS equal
+# to demand) included.
+QUARTERS = st.integers(-600, 600).map(lambda q: q / 4)
+NONNEGATIVE_QUARTERS = st.integers(0, 400).map(lambda q: q / 4)
 
 
-def test_expectation_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        expectation([])
-    with pytest.raises(ValueError):
-        expectation([(1.0, 0.5), (2.0, -0.5)])
-    with pytest.raises(ValueError):
-        expectation([(1.0, 0.5), (2.0, 0.4)])
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5),
+       data=st.data())
+def test_kernel_rows_match_the_per_line_loop_reference(seed, rows, data):
+    """The kernel on k stacked rows, and on each row alone, gives what a
+    plain loop over lines and buses gives for DIFF, DNS, GNS, validity,
+    congestion and wheeling loss."""
+    net = random_connected_net(np.random.default_rng(seed))
+    n_lines, n_buses = len(net.lines), net.n_buses
+
+    def block(values, width):
+        return np.array(data.draw(st.lists(
+            st.lists(values, min_size=width, max_size=width),
+            min_size=rows, max_size=rows)))
+
+    flows = block(QUARTERS, n_lines)
+    demand = block(NONNEGATIVE_QUARTERS, n_buses)
+    generation = block(NONNEGATIVE_QUARTERS, n_buses)
+    caps = np.array(data.draw(st.lists(NONNEGATIVE_QUARTERS,
+                                       min_size=n_lines, max_size=n_lines)))
+
+    stacked = nodal_balance(net, flows, demand, generation, caps)
+    congested, wheeling = line_overloads(flows, caps)
+    for r in range(rows):
+        want = tuple(adequacy_reference(net, flows[r], demand[r],
+                                        generation[r], caps))
+        one = nodal_balance(net, flows[r], demand[r], generation[r], caps)
+        one_congested, one_wheeling = line_overloads(flows[r], caps)
+        assert want == summary(one, one_congested, one_wheeling)
+        row = NodalBalance(*(getattr(stacked, f.name)[r]
+                             for f in fields(stacked)))
+        assert want == summary(row, congested[r], wheeling[r])
 
 
-def test_aggregate_samples_means_per_scenario():
-    mk = lambda dns, gns, wl, ego, con: AdequacySample(
-        dns=dns, gns=gns, wheeling=wl, ego=np.array(ego), congested=np.array(con))
-    report = aggregate_samples(
-        [
-            [mk(10, 10, 2, [5, 0], [True, False]),
-             mk(30, 30, 0, [0, 0], [False, False])],
-            [mk(0, 0, 0, [0, 4], [False, True])],
-        ],
-        n_lines=2,
-        n_generators=2,
-    )
-    np.testing.assert_allclose(report.edns, [20.0, 0.0])
-    np.testing.assert_allclose(report.egns, [20.0, 0.0])
-    np.testing.assert_allclose(report.ewl, [1.0, 0.0])
-    np.testing.assert_allclose(report.ego, [[2.5, 0.0], [0.0, 4.0]])
-    np.testing.assert_allclose(report.congestion_probability,
-                               [[0.5, 0.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(report.samples_used, [2, 1])
+def summary(balance, congested, wheeling):
+    """One state's kernel output in the reference's field order."""
+    return (balance.diff.tolist(), balance.dns.tolist(), balance.gns.tolist(),
+            float(balance.total_dns), float(balance.total_gns),
+            bool(balance.valid), congested.tolist(), float(wheeling))

@@ -98,8 +98,7 @@ def test_new_line_pays_full_rating():
         capacities=(100.0,),
         slack_bus=1,
     )
-    assert transmission_investment(net, params(),
-                                   include_operating=False) == 1407.6
+    assert transmission_investment(net, params(c_t2=0.0)) == 1407.6
 
 
 def test_existing_line_pays_only_its_increment():
@@ -113,8 +112,7 @@ def test_existing_line_pays_only_its_increment():
     net = ActiveNetwork(buses=base.buses, lines=lines,
                         capacities=(120.0, 100.0), slack_bus=1)
     expected = line_capital_rate(20.0) * 10.0
-    assert transmission_investment(net, params(),
-                                   include_operating=False) == expected
+    assert transmission_investment(net, params(c_t2=0.0)) == expected
 
 
 def test_operating_charge_scales_with_rating_and_outage_factor():
@@ -128,7 +126,7 @@ def test_operating_charge_scales_with_rating_and_outage_factor():
     )
     p = params(c_t2=0.002)
     operating_only = transmission_investment(net, p) - transmission_investment(
-        net, p, include_operating=False)
+        net, params(c_t2=0.0))
     assert operating_only == pytest.approx(0.002 * 10.0 * 50.0 * 9.0)
 
 

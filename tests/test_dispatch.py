@@ -6,14 +6,15 @@ import itertools
 
 import numpy as np
 
+from gridtep.contingency import OutageState
 from gridtep.dispatch import (
     bus_generation,
-    cut_off_outputs,
     injections_from_dispatch,
     merit_order,
     merit_order_dispatch,
-    select_slack,
 )
+from gridtep.evaluation import build_record
+from gridtep.network import Chromosome, apply_plan
 
 from _toys import build_case, gen, line
 
@@ -38,7 +39,7 @@ def test_zero_demand_dispatches_nothing():
     case = two_gen_case()
     result = merit_order_dispatch(case, np.zeros(3))
     assert result.schedule == (0.0, 0.0)
-    assert result.total_output == 0.0
+    np.testing.assert_array_equal(result.served_demand, 0.0)
 
 
 def test_shortfall_becomes_deficit_and_curtails_proportionally():
@@ -63,20 +64,6 @@ def test_merit_order_breaks_cost_ties_by_bus():
         [gen(3, 50.0, cost=1.0), gen(1, 50.0, cost=1.0), gen(2, 50.0, cost=0.5)],
     )
     assert merit_order(case) == [2, 1, 0]
-
-
-def test_slack_unit_prefers_slack_bus_then_capacity():
-    """The slack bus's generator balances when online; otherwise the
-    biggest online unit does, ties to the lowest bus id."""
-    case = build_case(
-        [0, 0, 100],
-        [line(1, 1, 2), line(2, 2, 3)],
-        [gen(1, 50.0), gen(2, 80.0), gen(3, 80.0)],
-    )
-    assert select_slack(case, {0, 1, 2}) == 0
-    assert select_slack(case, {1, 2}) == 1
-    assert select_slack(case, {2}) == 2
-    assert select_slack(case, set()) is None
 
 
 def test_dispatch_ignores_demand_bus_permutation():
@@ -133,6 +120,12 @@ def test_cut_off_outputs_use_base_schedule():
     """A forced-out unit's lost output is what it produced in the
     intact-fleet dispatch, not zero."""
     case = two_gen_case()
-    base = merit_order_dispatch(case, np.array([0.0, 0.0, 120.0])).schedule
-    assert cut_off_outputs(case, base, frozenset([0])) == {0: 50.0}
-    assert cut_off_outputs(case, base, frozenset()) == {}
+    net = apply_plan(case, Chromosome(()))
+    demand = np.array([0.0, 0.0, 120.0])
+    base = merit_order_dispatch(case, demand).schedule
+    out = build_record(case, net, demand, OutageState(frozenset(),
+                                                      frozenset([0])), base)
+    np.testing.assert_array_equal(out.ego, [50.0, 0.0])
+    intact = build_record(case, net, demand, OutageState(frozenset(),
+                                                         frozenset()), base)
+    np.testing.assert_array_equal(intact.ego, [0.0, 0.0])

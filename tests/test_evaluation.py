@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridtep import contingency
-from gridtep.adequacy import is_valid_sample, nodal_balance, wheeling_loss
 from gridtep.contingency import enumerate_deterministic, sample_state
-from gridtep.errors import ResampleBudgetError
+from gridtep.errors import GridTepError, ResampleBudgetError
 from gridtep.evaluation import (
     EvalConfig,
     PlanEvaluator,
@@ -26,7 +25,7 @@ from gridtep.network import (
 )
 from gridtep.rng import DOMAIN_MCS, substream
 
-from _toys import build_case, gen, line, mcs_toy_case
+from _toys import adequacy_reference, build_case, gen, line, mcs_toy_case
 from test_network import BUNDLED
 
 
@@ -87,16 +86,31 @@ def test_deterministic_mode_matches_manual_state_weighting():
     kept_dns = []
     for state in enumerate_deterministic(case, net, 1):
         rec = build_record(case, net, demand, state, schedule)
-        balance = nodal_balance(net, rec.flows, rec.demand, rec.generation,
-                                capacities=caps)
-        if is_valid_sample(balance, rec.demand, rec.generation):
-            kept_dns.append(balance.total_dns + rec.deficit)
+        ref = adequacy_reference(net, rec.flows, rec.demand, rec.generation,
+                                 caps)
+        if ref.valid:
+            kept_dns.append(ref.total_dns + rec.deficit)
     expected_edns = float(np.mean(kept_dns))
 
     np.testing.assert_allclose(result.report.edns, expected_edns)
     assert result.report.samples_used[0] == len(kept_dns)
     np.testing.assert_array_equal(result.report.samples_drawn,
                                   len(enumerate_deterministic(case, net, 1)))
+
+
+def test_deterministic_mode_raises_when_no_state_passes_the_screen():
+    """At 1 MW on every line each of the toy case's N-1 states fails the
+    validity screen; the capacity vector cannot be priced, which the
+    planner records as an infeasible plan, not as EC = 0. At 5 MW one
+    state passes and carries all the weight."""
+    case = mcs_toy_case()
+    net = toy_net(case)
+    evaluator = PlanEvaluator(case, net, EvalConfig(mode="n1"), [1, 1])
+    with pytest.raises(GridTepError, match="mode n1, month 1"):
+        evaluator.evaluate(net.with_capacities([1.0] * 4))
+    priced = evaluator.evaluate(net.with_capacities([5.0] * 4))
+    assert priced.report.edns[0] == 90.0
+    assert priced.report.samples_used[0] == 1
 
 
 def test_deterministic_mode_replicates_peak_month():
@@ -159,12 +173,12 @@ def first_valid_reference(case, net, entropy, n_mcs, caps):
                     records[key] = build_record(case, net, demand, state,
                                                 schedules[month - 1])
                 rec = records[key]
-                balance = nodal_balance(net, rec.flows, rec.demand,
-                                        rec.generation, capacities=caps)
-                if is_valid_sample(balance, rec.demand, rec.generation):
+                ref = adequacy_reference(net, rec.flows, rec.demand,
+                                         rec.generation, caps)
+                if ref.valid:
                     break
-            totals += (balance.total_dns + rec.deficit, balance.total_gns,
-                       wheeling_loss(rec.flows, caps))
+            totals += (ref.total_dns + rec.deficit, ref.total_gns,
+                       ref.wheeling)
         out.append(totals / n_mcs)
     return np.array(out), drawn
 
@@ -228,9 +242,6 @@ def test_sizing_sees_the_mean_of_the_monthly_congestion_rows():
     assert not np.array_equal(monthly.max(axis=0), monthly.mean(axis=0))
     np.testing.assert_array_equal(ev.congestion_probability,
                                   monthly.mean(axis=0))
-    np.testing.assert_array_equal(
-        evaluator.sizing_evaluate(net).congestion_probability,
-        ev.congestion_probability)
 
 
 def count_draws(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -18,7 +19,7 @@ from gridtep.planner import (
 )
 from gridtep.report import RunManifest, plan_payload
 
-from _toys import build_case, ga_toy_case, gen, line
+from _toys import build_case, ga_toy_case, gen, line, mcs_toy_case
 
 from test_network import BUNDLED
 
@@ -73,6 +74,19 @@ def test_plan_whose_pricing_raises_is_infeasible_and_the_search_goes_on(
         congestion_threshold=0.1, tool_version="test", wall_time_s=0.0)
     best = plan_payload(manifest, result)["result"]["best"]
     assert best["infeasible_reason"] == result.best.infeasible_reason
+
+
+def test_n1_plan_whose_every_state_fails_the_screen_is_infeasible():
+    """With every line of the toy case rated 1 MW, none of its N-1 states
+    passes the validity screen: the plan is infeasible with a reason that
+    names the mode and the month, not priced at EC = 0."""
+    toy = mcs_toy_case()
+    case = dataclasses.replace(toy, lines=tuple(
+        dataclasses.replace(ln, base_capacity_mw=1.0) for ln in toy.lines))
+    rec = evaluate_chromosome(case, Chromosome(()), N1, seed=0)
+    assert not rec.feasible
+    assert math.isinf(rec.j)
+    assert rec.infeasible_reason.startswith("GridTepError: mode n1, month 1")
 
 
 def test_chromosome_pricing_is_deterministic():

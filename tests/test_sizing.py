@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gridtep.adequacy import line_overloads
+from gridtep.evaluation import CapacityEvaluation
 from gridtep.network import ActiveNetwork
 from gridtep.rng import substream
 from gridtep.sizing import (
@@ -13,17 +15,10 @@ from gridtep.sizing import (
     STOP_ITERATION_CAP,
     STOP_MARGINAL,
     STOP_NO_CONGESTION,
-    CongestionStats,
     SizingConfig,
-    SizingEvaluation,
-    SizingStep,
-    SizingTrace,
-    accumulate_congestion,
     apply_hits,
     build_wheel,
-    marginal_quantities,
     sizing_loop,
-    spin_and_update,
     updatable_mask,
 )
 
@@ -43,16 +38,17 @@ def mixed_net():
 
 
 def test_congestion_probability_counts_runs():
-    stats = CongestionStats(counts=np.zeros(2, dtype=int), runs=0)
-    np.testing.assert_allclose(stats.probability, [0.0, 0.0])
-    for _ in range(1000):
-        stats = accumulate_congestion(stats, np.array([50.0, 10.0]),
-                                      np.array([40.0, 10.0]))
-    # 250 congestions in 1000 runs would give 0.25; here line 1 congests
-    # every run and line 2 (exactly at its rating) never does.
-    np.testing.assert_allclose(stats.probability, [1.0, 0.0])
-    assert CongestionStats(counts=np.array([250, 0]), runs=1000
-                           ).probability[0] == 0.25
+    """Sizing's congestion probability is the weighted share of states in
+    which a line's |flow| strictly exceeds its rating: the kernel's
+    congestion flags averaged with the states' weights."""
+    flows = np.tile([50.0, 10.0], (1000, 1))
+    congested, _ = line_overloads(flows, np.array([40.0, 10.0]))
+    equal = np.full(1000, 1 / 1000)
+    # Line 1 congests in every run; line 2 (exactly at its rating) never.
+    np.testing.assert_allclose(equal @ congested, [1.0, 0.0])
+    flows[250:, 0] = 40.0  # at rating from run 251 on
+    congested, _ = line_overloads(flows, np.array([40.0, 10.0]))
+    assert (equal @ congested)[0] == pytest.approx(0.25)
 
 
 def test_policies_differ_on_existing_lines():
@@ -96,7 +92,8 @@ def test_spin_rounds_conserve_hits_and_update_exactly():
         p = np.round(rng.uniform(0, 1, size=3), 3)
         wheel = build_wheel(net, p, POLICY_WEL, 0.1)
         before = net.capacities
-        updated, hits = spin_and_update(wheel, rng, net, delta_f)
+        hits = wheel.spin(rng, n_spins=len(wheel.line_ids))
+        updated = apply_hits(net, hits, delta_f)
         assert sum(hits.values()) == len(wheel.line_ids)
         assert set(hits) <= set(wheel.line_ids)
         for pos, ln in enumerate(net.lines):
@@ -119,54 +116,69 @@ def test_equal_segments_split_spins_evenly():
 def test_single_segment_takes_every_spin():
     net = mixed_net()
     wheel = build_wheel(net, np.array([0.0, 0.0, 0.9]), POLICY_WEL, 0.1)
-    _, hits = spin_and_update(wheel, substream(1, 1), net, 5.0)
+    hits = wheel.spin(substream(1, 1), n_spins=len(wheel.line_ids))
     assert hits == {3: 1}
     grown = apply_hits(net, {3: 4}, 5.0)
     assert grown.capacities[2] == net.capacities[2] + 20.0
 
 
-def step(i, caps, ec, t_inv):
-    return SizingStep(iteration=i, capacities=caps, expected_cost=ec,
-                      transmission_investment=t_inv, eligible=(), hits=(),
-                      mec=None, mi=None)
+def priced(ec, t_inv, congestion_probability):
+    """A stand-in for PlanEvaluator.evaluate's result, as sizing reads it."""
+    return CapacityEvaluation(
+        report=None, edns_k=ec, egns_k=0.0, ewl_k=0.0, ec=ec, t_inv=t_inv,
+        congestion_probability=np.asarray(congestion_probability, float))
+
+
+def one_update(ec, t_inv, delta_f=50.0):
+    """Sizing trace of one update: only the candidate line congests until
+    it has grown once by delta_f; ``ec`` and ``t_inv`` map the total
+    capacity to the priced figures."""
+    net = mixed_net()
+    start = sum(net.capacities)
+
+    def evaluate(net):
+        total = sum(net.capacities)
+        p = [0.0, 0.0, 0.9 if total == start else 0.0]
+        return priced(ec(total), t_inv(total), p)
+
+    return sizing_loop(net, evaluate,
+                       SizingConfig(policy=POLICY_WEL, delta_f=delta_f),
+                       rng_entropy=3)
 
 
 def test_marginal_quantities_from_last_two_iterations():
     """EC falling 5 M$ while investment rises 1 M$ over 50 added MW gives
     MEC -0.1 and MI +0.02 per MW."""
-    trace = SizingTrace(
-        steps=(step(0, (500.0,), 55.4, 19.3), step(1, (550.0,), 50.4, 20.3)),
-        stop_reason=STOP_MARGINAL,
-    )
-    mec, mi = marginal_quantities(trace)
-    assert mec == pytest.approx(-0.1)
-    assert mi == pytest.approx(0.02)
+    trace = one_update(lambda total: 55.4 if total == 205.0 else 50.4,
+                       lambda total: 19.3 if total == 205.0 else 20.3)
+    assert trace.iterations == 1
+    assert sum(trace.final_capacities) == 255.0
+    assert trace.steps[-1].mec == pytest.approx(-0.1)
+    assert trace.steps[-1].mi == pytest.approx(0.02)
 
 
 def test_marginal_quantities_zero_when_cost_flat():
-    trace = SizingTrace(
-        steps=(step(0, (500.0,), 55.4, 19.3), step(1, (550.0,), 55.4, 19.3)),
-        stop_reason=STOP_MARGINAL,
-    )
-    assert marginal_quantities(trace) == (0.0, 0.0)
+    trace = one_update(lambda total: 55.4, lambda total: 19.3)
+    assert (trace.steps[-1].mec, trace.steps[-1].mi) == (0.0, 0.0)
 
 
 def test_marginal_quantities_needs_movement():
-    with pytest.raises(ValueError):
-        marginal_quantities(SizingTrace(steps=(step(0, (5.0,), 1.0, 1.0),),
-                                        stop_reason=STOP_MARGINAL))
-    with pytest.raises(ValueError):
-        marginal_quantities(SizingTrace(
-            steps=(step(0, (5.0,), 1.0, 1.0), step(1, (5.0,), 2.0, 2.0)),
-            stop_reason=STOP_MARGINAL))
+    """Marginal quantities need two iterations and a capacity change
+    between them: the first step has none, and every update adds the MW
+    its hits won, so MEC and MI are the cost changes over that."""
+    trace = one_update(lambda total: 1000.0 - total, lambda total: total,
+                       delta_f=5.0)
+    first, last = trace.steps
+    assert first.mec is None and first.mi is None
+    added = sum(last.capacities) - sum(first.capacities)
+    assert added == sum(m for _, m in last.hits) * 5.0 > 0
+    assert last.mec == (last.expected_cost - first.expected_cost) / added
+    assert last.mi == (last.transmission_investment
+                       - first.transmission_investment) / added
 
 
 def uncongested_evaluator(net):
-    return SizingEvaluation(
-        expected_cost=10.0,
-        transmission_investment=1.0,
-        congestion_probability=np.zeros(len(net.lines)),
-    )
+    return priced(10.0, 1.0, np.zeros(len(net.lines)))
 
 
 def test_loop_stops_immediately_without_congestion():
@@ -180,11 +192,8 @@ def test_loop_stops_immediately_without_congestion():
 
 def test_loop_hits_iteration_cap_when_congestion_persists():
     def stubborn(net):
-        return SizingEvaluation(
-            expected_cost=sum(net.capacities) * -1.0,  # keeps MEC very negative
-            transmission_investment=0.0,
-            congestion_probability=np.full(len(net.lines), 0.9),
-        )
+        return priced(sum(net.capacities) * -1.0,  # keeps MEC very negative
+                      0.0, np.full(len(net.lines), 0.9))
 
     net = mixed_net()
     trace = sizing_loop(net, stubborn,
@@ -200,11 +209,8 @@ def test_loop_stops_once_marginal_saving_fades():
     marginal crossing, never before the second iteration."""
     def fading(net):
         total = sum(net.capacities)
-        return SizingEvaluation(
-            expected_cost=max(0.0, 1000.0 - total),
-            transmission_investment=0.01 * total,
-            congestion_probability=np.full(len(net.lines), 0.5),
-        )
+        return priced(max(0.0, 1000.0 - total), 0.01 * total,
+                      np.full(len(net.lines), 0.5))
 
     net = mixed_net()
     trace = sizing_loop(net, fading,
@@ -222,11 +228,8 @@ def test_loop_records_replayable_steps():
     def congested_once(net):
         total = sum(net.capacities)
         p = 0.9 if total < 250 else 0.0
-        return SizingEvaluation(
-            expected_cost=500.0 - total,
-            transmission_investment=0.1 * total,
-            congestion_probability=np.full(len(net.lines), p),
-        )
+        return priced(500.0 - total, 0.1 * total,
+                      np.full(len(net.lines), p))
 
     net = mixed_net()
     a = sizing_loop(net, congested_once, SizingConfig(policy=POLICY_WEL),
