@@ -27,8 +27,8 @@ from pathlib import Path
 
 from gridtep import (
     Chromosome,
-    EvalConfig,
     PlanEvaluator,
+    PlanSettings,
     apply_plan,
     chromosome_entropy,
     load_case,
@@ -46,7 +46,7 @@ def main() -> None:
 
     n_mcs = 500
     evaluator = PlanEvaluator(
-        case, net, EvalConfig(mode="mcs", n_mcs=n_mcs),
+        case, net, PlanSettings(mode="mcs", n_mcs=n_mcs),
         entropy=chromosome_entropy(seed=0, bits=bits),
     )
     ev = evaluator.evaluate(net)

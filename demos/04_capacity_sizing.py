@@ -29,9 +29,8 @@ from pathlib import Path
 
 from gridtep import (
     Chromosome,
-    EvalConfig,
     PlanEvaluator,
-    SizingConfig,
+    PlanSettings,
     apply_plan,
     chromosome_entropy,
     load_case,
@@ -47,12 +46,12 @@ def main() -> None:
     net = apply_plan(case, Chromosome(bits))
     entropy = chromosome_entropy(seed=0, bits=bits)
 
-    evaluator = PlanEvaluator(case, net, EvalConfig(mode="mcs", n_mcs=300),
-                              entropy)
-    config = SizingConfig(policy="wel", delta_f=5.0, congestion_threshold=0.1)
+    settings = PlanSettings(mode="mcs", policy="wel", n_mcs=300,
+                            delta_f=5.0, congestion_threshold=0.1)
+    evaluator = PlanEvaluator(case, net, settings, entropy)
 
     print("sizing the all-candidates plan (WEL policy, 5 MW steps)\n")
-    trace = sizing_loop(net, evaluator.evaluate, config, entropy)
+    trace = sizing_loop(net, evaluator.evaluate, settings, entropy)
 
     print("iter  F_N (MW)  EC (k$)      T_inv (k$)   MEC      MI")
     for s in trace.steps:

@@ -30,7 +30,7 @@ from .errors import (
     ResampleBudgetError,
     UnbalancedInjectionsError,
 )
-from .evaluation import CapacityEvaluation, EvalConfig, PlanEvaluator
+from .evaluation import CapacityEvaluation, PlanEvaluator, PlanSettings
 from .network import (
     ActiveNetwork,
     Bus,
@@ -40,9 +40,9 @@ from .network import (
     apply_plan,
     load_case,
 )
-from .planner import FitnessRecord, GaConfig, PlanResult, PlanSettings, run
+from .planner import FitnessRecord, GaConfig, PlanResult, run
 from .rng import chromosome_entropy, substream
-from .sizing import SizingConfig, SizingTrace, sizing_loop
+from .sizing import SizingTrace, sizing_loop
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "CaseValidationError",
     "Chromosome",
     "CostBreakdown",
-    "EvalConfig",
     "ExpectationReport",
     "FitnessRecord",
     "FlowSolution",
@@ -69,7 +68,6 @@ __all__ = [
     "PlanResult",
     "PlanSettings",
     "ResampleBudgetError",
-    "SizingConfig",
     "SizingTrace",
     "UnbalancedInjectionsError",
     "apply_plan",

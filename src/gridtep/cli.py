@@ -18,10 +18,10 @@ from pathlib import Path
 
 from . import __version__
 from .errors import CaseParseError, CaseValidationError, GridTepError
-from .evaluation import EvalConfig, PlanEvaluator
+from .evaluation import MODES, POLICIES, PlanEvaluator, PlanSettings
 from .network import Chromosome, apply_plan, load_case
 from .contingency import is_islanded
-from .planner import GaConfig, PlanSettings, run
+from .planner import GaConfig, run
 from .report import (
     RunManifest,
     plan_payload,
@@ -46,16 +46,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="run the GA expansion study")
     p_plan.add_argument("--case", required=True, help="case file (JSON)")
-    p_plan.add_argument("--mode", choices=["mcs", "n1", "n2"], default="mcs")
-    p_plan.add_argument("--policy", choices=["nl", "wel"], default="nl")
+    p_plan.add_argument("--mode", choices=MODES, default=PlanSettings.mode)
+    p_plan.add_argument("--policy", choices=POLICIES,
+                        default=PlanSettings.policy)
     p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument("--mcs-iters", type=int, default=1000,
+    p_plan.add_argument("--mcs-iters", type=int, default=PlanSettings.n_mcs,
                         help="Monte Carlo samples per scenario")
     p_plan.add_argument("--generations", type=int, default=20)
     p_plan.add_argument("--pop-size", type=int, default=10)
-    p_plan.add_argument("--delta-f", type=float, default=5.0,
+    p_plan.add_argument("--delta-f", type=float, default=PlanSettings.delta_f,
                         help="MW added per roulette hit")
-    p_plan.add_argument("--congestion-threshold", type=float, default=0.1)
+    p_plan.add_argument("--congestion-threshold", type=float,
+                        default=PlanSettings.congestion_threshold)
     p_plan.add_argument("--out", default=".", help="output directory")
     p_plan.set_defaults(func=cmd_plan)
 
@@ -66,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_adq = sub.add_parser("adequacy",
                            help="expected adequacy of a fixed network")
     p_adq.add_argument("--case", required=True)
-    p_adq.add_argument("--mode", choices=["mcs", "n1", "n2"], default="mcs")
+    p_adq.add_argument("--mode", choices=MODES, default=PlanSettings.mode)
     p_adq.add_argument("--seed", type=int, default=0)
-    p_adq.add_argument("--mcs-iters", type=int, default=1000)
+    p_adq.add_argument("--mcs-iters", type=int, default=PlanSettings.n_mcs)
     p_adq.add_argument("--plan", default=None,
                        help="candidate bits as a 0/1 string (default: none built)")
     p_adq.add_argument("--plan-file", default=None,
@@ -89,21 +91,25 @@ def _load(path: str):
 
 
 def cmd_plan(args) -> int:
+    try:
+        settings = PlanSettings(
+            mode=args.mode,
+            policy=args.policy,
+            n_mcs=args.mcs_iters,
+            delta_f=args.delta_f,
+            congestion_threshold=args.congestion_threshold,
+        )
+        ga = GaConfig(
+            population_size=args.pop_size,
+            generations=args.generations,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     case = _load(args.case)
     if case is None:
         return EXIT_VALIDATION
-    settings = PlanSettings(
-        mode=args.mode,
-        policy=args.policy,
-        n_mcs=args.mcs_iters,
-        delta_f=args.delta_f,
-        congestion_threshold=args.congestion_threshold,
-    )
-    ga = GaConfig(
-        population_size=args.pop_size,
-        generations=args.generations,
-        seed=args.seed,
-    )
     started = time.perf_counter()
     try:
         result = run(case, ga, settings)
@@ -181,6 +187,11 @@ def _plan_bits(args, case) -> tuple[Chromosome, tuple[float, ...] | None]:
 
 
 def cmd_adequacy(args) -> int:
+    try:
+        settings = PlanSettings(mode=args.mode, n_mcs=args.mcs_iters)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     case = _load(args.case)
     if case is None:
         return EXIT_VALIDATION
@@ -193,8 +204,7 @@ def cmd_adequacy(args) -> int:
             raise GridTepError(
                 "plan leaves a demand bus or generator bus disconnected")
         evaluator = PlanEvaluator(
-            case, net,
-            EvalConfig(mode=args.mode, n_mcs=args.mcs_iters),
+            case, net, settings,
             chromosome_entropy(args.seed, chromosome.bits),
         )
         ev = evaluator.evaluate(net)

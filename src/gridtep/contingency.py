@@ -43,11 +43,6 @@ class OutageState:
     draws: int = field(default=1, compare=False)
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    max_resamples: int = 1000
-
-
 def is_islanded(
     case: NetworkCase,
     net: ActiveNetwork,
@@ -84,19 +79,20 @@ def sample_state(
     case: NetworkCase,
     net: ActiveNetwork,
     rng: np.random.Generator,
-    config: SamplerConfig = SamplerConfig(),
+    max_draws: int = 1000,
 ) -> OutageState:
     """Draw one feasible outage state.
 
     Each element goes out when its uniform draw falls below its forced
     outage rate. Infeasible draws (islanding / too few units online) are
     rejected and redrawn; the returned state's ``draws`` counts them all.
-    Exhausting the resample budget raises ResampleBudgetError.
+    Finding no feasible state within ``max_draws`` draws raises
+    ResampleBudgetError.
     """
     line_ids, line_rates = net.line_ids, net.line_outage_rates
     gen_rates = case.generator_outage_rates
     n_lines = len(line_ids)
-    for draw in range(1, config.max_resamples + 1):
+    for draw in range(1, max_draws + 1):
         # One call gives the same uniforms as one for the lines followed
         # by one for the generators.
         u = rng.random(n_lines + len(gen_rates)).tolist()
@@ -107,7 +103,7 @@ def sample_state(
             return OutageState(lines_out=lines_out, gens_out=gens_out,
                                draws=draw)
     raise ResampleBudgetError(
-        f"no feasible outage state within {config.max_resamples} draws")
+        f"no feasible outage state within {max_draws} draws")
 
 
 def enumerate_deterministic(

@@ -37,12 +37,13 @@ reduce them to expectations with per-state weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .adequacy import ExpectationReport, line_overloads, nodal_balance
-from .contingency import OutageState, SamplerConfig, enumerate_deterministic, sample_state
+from .contingency import OutageState, enumerate_deterministic, sample_state
 from .costs import edns_cost, egns_cost, ewl_cost, transmission_investment
 from .dispatch import bus_generation, merit_order_dispatch, injections_from_dispatch
 from .dcflow import solve_with_outages
@@ -56,13 +57,43 @@ from .rng import substream  # noqa: F401
 MODE_MCS = "mcs"
 MODE_N1 = "n1"
 MODE_N2 = "n2"
+MODES = (MODE_MCS, MODE_N1, MODE_N2)
+
+POLICY_NL = "nl"  # sizing may resize candidate lines only
+POLICY_WEL = "wel"  # sizing may resize every line
+POLICIES = (POLICY_NL, POLICY_WEL)
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    mode: str = MODE_MCS
-    n_mcs: int = 1000
-    max_resamples: int = 1000
+class PlanSettings:
+    """How a plan is priced: the contingency mode, the sizing policy and
+    their knobs. ``PlanEvaluator`` reads the mode, ``n_mcs`` and
+    ``max_resamples``; ``sizing_loop`` reads the rest. Out-of-range values
+    raise ValueError here, so neither has to check them."""
+
+    mode: str = MODE_MCS  # mcs | n1 | n2
+    policy: str = POLICY_NL  # nl | wel
+    n_mcs: int = 1000  # Monte Carlo samples per month
+    delta_f: float = 5.0  # MW added per roulette hit
+    congestion_threshold: float = 0.1  # P_con must strictly exceed this
+    max_sizing_iterations: int = 200
+    max_resamples: int = 1000  # element-wise draws per Monte Carlo slot
+
+    def __post_init__(self):
+        # Each check is a comparison that NaN fails, so NaN is rejected.
+        for name, rule, ok in (
+            ("mode", f"one of {', '.join(MODES)}", self.mode in MODES),
+            ("policy", f"one of {', '.join(POLICIES)}",
+             self.policy in POLICIES),
+            ("n_mcs", ">= 1", self.n_mcs >= 1),
+            ("delta_f", "finite and > 0", 0 < self.delta_f < math.inf),
+            ("congestion_threshold", ">= 0", self.congestion_threshold >= 0),
+            ("max_resamples", ">= 1", self.max_resamples >= 1),
+            ("max_sizing_iterations", ">= 0", self.max_sizing_iterations >= 0),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -238,8 +269,7 @@ class _McsScenario:
 
     def _extend(self, slot: int) -> int:
         """Draw the slot's next state within what is left of its budget."""
-        left = SamplerConfig(max_resamples=self.max_resamples
-                             - self.draws[slot])
+        left = self.max_resamples - self.draws[slot]
         try:
             state = sample_state(self.case, self.net, self._rng(slot), left)
         except ResampleBudgetError as exc:
@@ -367,30 +397,28 @@ class PlanEvaluator:
         self,
         case: NetworkCase,
         net: ActiveNetwork,
-        config: EvalConfig,
+        settings: PlanSettings,
         entropy,
     ):
         self.case = case
         self.net = net
-        self.config = config
         self.base_schedules = base_schedules(case)
         self._cache: dict[tuple[float, ...], CapacityEvaluation] = {}
 
-        if config.mode == MODE_MCS:
+        if settings.mode == MODE_MCS:
             self.scenarios = [
-                _McsScenario(case, net, m, entropy, config.n_mcs,
-                             config.max_resamples, self.base_schedules[m - 1])
+                _McsScenario(case, net, m, entropy, settings.n_mcs,
+                             settings.max_resamples,
+                             self.base_schedules[m - 1])
                 for m in MONTHS
             ]
-        elif config.mode in (MODE_N1, MODE_N2):
+        else:
             peak = case.ldc.peak_month()
-            order = 1 if config.mode == MODE_N1 else 2
+            order = 1 if settings.mode == MODE_N1 else 2
             self.scenarios = [
-                _DeterministicScenario(case, net, config.mode, peak, order,
+                _DeterministicScenario(case, net, settings.mode, peak, order,
                                        self.base_schedules[peak - 1])
             ]
-        else:
-            raise ValueError(f"unknown mode {config.mode!r}")
 
     def evaluate(self, net: ActiveNetwork) -> CapacityEvaluation:
         if net.line_ids != self.net.line_ids:

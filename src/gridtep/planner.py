@@ -10,7 +10,7 @@ demand bus or a generator, and plans whose pricing raises a GridTepError
 the reason instead of an evaluation; the search goes on.
 
 The outer loop is a plain generational GA: tournament selection, uniform
-crossover, per-bit mutation, and elitism.
+crossover, per-bit mutation at rate 1 / chromosome length, and elitism.
 """
 
 from __future__ import annotations
@@ -22,40 +22,29 @@ from .adequacy import ExpectationReport
 from .contingency import is_islanded
 from .costs import CostBreakdown, generation_investment, objective
 from .errors import GridTepError
-from .evaluation import EvalConfig, PlanEvaluator, base_schedules
+from .evaluation import PlanEvaluator, PlanSettings, base_schedules
 from .network import ActiveNetwork, Chromosome, NetworkCase, apply_plan
 from .rng import DOMAIN_GA, chromosome_entropy, substream
-from .sizing import POLICY_NL, SizingConfig, sizing_loop
+from .sizing import sizing_loop
 
-
-@dataclass(frozen=True)
-class PlanSettings:
-    """Everything about how a chromosome is priced (mode and knobs)."""
-
-    mode: str = "mcs"  # mcs | n1 | n2
-    policy: str = POLICY_NL  # nl | wel
-    n_mcs: int = 1000
-    delta_f: float = 5.0
-    congestion_threshold: float = 0.1
-    max_sizing_iterations: int = 200
-    max_resamples: int = 1000
+CROSSOVER_RATE = 0.9  # share of children bred by uniform crossover
+TOURNAMENT_SIZE = 2
+ELITISM_COUNT = 1  # best plans carried over unchanged
 
 
 @dataclass(frozen=True)
 class GaConfig:
     population_size: int = 30
     generations: int = 450
-    crossover_rate: float = 0.9
-    mutation_rate: float | None = None  # default 1/chromosome-length
-    tournament_size: int = 2
-    elitism_count: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if not 0 <= self.elitism_count < self.population_size:
-            raise ValueError("elitism_count must be < population_size")
+        if not self.population_size >= 2:
+            raise ValueError(
+                f"population_size must be >= 2, got {self.population_size!r}")
+        if not self.generations >= 0:
+            raise ValueError(
+                f"generations must be >= 0, got {self.generations!r}")
 
 
 @dataclass(frozen=True)
@@ -143,23 +132,8 @@ def _priced_record(case: NetworkCase, chromosome: Chromosome,
                    net: ActiveNetwork, settings: PlanSettings, seed: int,
                    g_inv: float) -> FitnessRecord:
     entropy = chromosome_entropy(seed, chromosome.bits)
-    evaluator = PlanEvaluator(
-        case, net,
-        EvalConfig(mode=settings.mode, n_mcs=settings.n_mcs,
-                   max_resamples=settings.max_resamples),
-        entropy,
-    )
-    trace = sizing_loop(
-        net,
-        evaluator.evaluate,
-        SizingConfig(
-            policy=settings.policy,
-            delta_f=settings.delta_f,
-            congestion_threshold=settings.congestion_threshold,
-            max_iterations=settings.max_sizing_iterations,
-        ),
-        entropy,
-    )
+    evaluator = PlanEvaluator(case, net, settings, entropy)
+    trace = sizing_loop(net, evaluator.evaluate, settings, entropy)
     final_net = net.with_capacities(trace.final_capacities)
     ev = evaluator.evaluate(final_net)
     breakdown = objective(ev.edns_k, ev.egns_k, ev.ewl_k, ev.t_inv, g_inv)
@@ -207,7 +181,6 @@ def run(
                           mode=settings.mode, policy=settings.policy)
 
     rng = substream([ga.seed, 0], DOMAIN_GA)
-    mutation_rate = ga.mutation_rate if ga.mutation_rate is not None else 1.0 / n_bits
 
     population = [
         tuple(bool(b) for b in rng.random(n_bits) < 0.5)
@@ -220,16 +193,16 @@ def run(
     for _ in range(ga.generations):
         fitness = [r.j for r in records]
         ranked = sorted(range(len(population)), key=lambda k: (fitness[k], k))
-        next_pop = [population[k] for k in ranked[:ga.elitism_count]]
+        next_pop = [population[k] for k in ranked[:ELITISM_COUNT]]
         while len(next_pop) < ga.population_size:
-            p1 = population[_tournament(rng, fitness, ga.tournament_size)]
-            p2 = population[_tournament(rng, fitness, ga.tournament_size)]
-            if rng.random() < ga.crossover_rate:
+            p1 = population[_tournament(rng, fitness, TOURNAMENT_SIZE)]
+            p2 = population[_tournament(rng, fitness, TOURNAMENT_SIZE)]
+            if rng.random() < CROSSOVER_RATE:
                 mix = rng.random(n_bits) < 0.5
                 child = tuple(a if m else b for a, b, m in zip(p1, p2, mix))
             else:
                 child = p1
-            flips = rng.random(n_bits) < mutation_rate
+            flips = rng.random(n_bits) < 1.0 / n_bits
             child = tuple(b ^ f for b, f in zip(child, flips))
             next_pop.append(child)
         population = next_pop

@@ -20,24 +20,14 @@ from typing import Callable
 
 import numpy as np
 
-from .evaluation import CapacityEvaluation
+from .evaluation import (POLICY_NL, POLICY_WEL, CapacityEvaluation,
+                         PlanSettings)
 from .network import CANDIDATE, ActiveNetwork
 from .rng import DOMAIN_SPIN, substream
-
-POLICY_NL = "nl"
-POLICY_WEL = "wel"
 
 STOP_NO_CONGESTION = "no_congestion"
 STOP_MARGINAL = "marginal_cost_floor"
 STOP_ITERATION_CAP = "iteration_cap"
-
-
-@dataclass(frozen=True)
-class SizingConfig:
-    policy: str = POLICY_NL
-    delta_f: float = 5.0  # MW added per wheel hit
-    congestion_threshold: float = 0.1  # P_con must strictly exceed this
-    max_iterations: int = 200
 
 
 @dataclass(frozen=True)
@@ -125,7 +115,7 @@ def apply_hits(
 def sizing_loop(
     net: ActiveNetwork,
     evaluate: Callable[[ActiveNetwork], CapacityEvaluation],
-    config: SizingConfig,
+    settings: PlanSettings,
     rng_entropy,
 ) -> SizingTrace:
     """Drive the capacity-update loop for one topology.
@@ -133,8 +123,10 @@ def sizing_loop(
     ``evaluate`` prices a capacity assignment, as
     ``PlanEvaluator.evaluate`` does; the loop reads its expected cost
     ``ec``, transmission investment ``t_inv`` and per-line congestion
-    probabilities. The spin RNG is derived from ``rng_entropy`` and the
-    iteration index, so traces replay exactly for a fixed seed.
+    probabilities. ``settings`` gives the policy, the congestion
+    threshold, the step ``delta_f`` and the iteration cap. The spin RNG
+    is derived from ``rng_entropy`` and the iteration index, so traces
+    replay exactly for a fixed seed.
     """
     ev = evaluate(net)
     steps = [SizingStep(
@@ -150,19 +142,19 @@ def sizing_loop(
 
     iteration = 0
     while True:
-        wheel = build_wheel(net, ev.congestion_probability, config.policy,
-                            config.congestion_threshold)
+        wheel = build_wheel(net, ev.congestion_probability, settings.policy,
+                            settings.congestion_threshold)
         if not wheel.line_ids:
             return SizingTrace(steps=tuple(steps), stop_reason=STOP_NO_CONGESTION)
-        if iteration >= config.max_iterations:
+        if iteration >= settings.max_sizing_iterations:
             return SizingTrace(steps=tuple(steps), stop_reason=STOP_ITERATION_CAP)
 
         iteration += 1
         rng = substream(rng_entropy, DOMAIN_SPIN, iteration)
         hits = wheel.spin(rng, n_spins=len(wheel.line_ids))
-        added_mw = sum(hits.values()) * config.delta_f
+        added_mw = sum(hits.values()) * settings.delta_f
         prev = ev
-        net = apply_hits(net, hits, config.delta_f)
+        net = apply_hits(net, hits, settings.delta_f)
         ev = evaluate(net)
 
         mec = (ev.ec - prev.ec) / added_mw

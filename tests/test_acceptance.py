@@ -19,13 +19,12 @@ from gridtep.cli import EXIT_OK, main
 from gridtep.contingency import is_islanded
 from gridtep.costs import line_capital_rate
 from gridtep.dcflow import flow_residual, solve
-from gridtep.evaluation import EvalConfig, PlanEvaluator, base_schedules
+from gridtep.evaluation import PlanEvaluator, PlanSettings, base_schedules
 from gridtep.network import Chromosome, apply_plan, load_case, scenario_demand
-from gridtep.planner import GaConfig, PlanSettings, evaluate_chromosome, run
+from gridtep.planner import GaConfig, evaluate_chromosome, run
 from gridtep.rng import chromosome_entropy, substream
 from gridtep.sizing import (
     POLICY_WEL,
-    SizingConfig,
     apply_hits,
     build_wheel,
     sizing_loop,
@@ -67,14 +66,11 @@ def _sized_run(case, policy):
     the trace, and the final network."""
     net = apply_plan(case, Chromosome(ALL_ONES))
     entropy = chromosome_entropy(SIZING_SEED, ALL_ONES)
-    evaluator = PlanEvaluator(
-        case, net, EvalConfig(mode="mcs", n_mcs=DESK_MCS), entropy)
-    trace = sizing_loop(
-        net, evaluator.evaluate,
-        SizingConfig(policy=policy, delta_f=5.0, congestion_threshold=0.1,
-                     max_iterations=200),
-        entropy,
-    )
+    settings = PlanSettings(mode="mcs", policy=policy, n_mcs=DESK_MCS,
+                            delta_f=5.0, congestion_threshold=0.1,
+                            max_sizing_iterations=200)
+    evaluator = PlanEvaluator(case, net, settings, entropy)
+    trace = sizing_loop(net, evaluator.evaluate, settings, entropy)
     return evaluator, trace, net.with_capacities(trace.final_capacities)
 
 
@@ -213,7 +209,7 @@ def test_criterion_06_mcs_matches_exhaustive_oracle():
     exact_mean, exact_var = _exhaustive_toy_oracle(case, net, caps)
 
     n_mcs = 1000
-    evaluator = PlanEvaluator(case, net, EvalConfig(mode="mcs", n_mcs=n_mcs),
+    evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=n_mcs),
                               entropy=[606, 1])
     report = evaluator.evaluate(net).report
     estimates = np.array([
@@ -257,7 +253,7 @@ def test_criterion_08_sizing_terminates_and_clears_congestion(
     _, trace, final_net = bundled_wel_run
     fresh = PlanEvaluator(
         bundled_case, apply_plan(bundled_case, Chromosome(ALL_ONES)),
-        EvalConfig(mode="mcs", n_mcs=DESK_MCS),
+        PlanSettings(mode="mcs", n_mcs=DESK_MCS),
         chromosome_entropy(SIZING_SEED + 1, ALL_ONES),
     )
     p_con = fresh.evaluate(final_net).congestion_probability

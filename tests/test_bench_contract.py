@@ -6,6 +6,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from gridtep import cli
+from gridtep.network import save_case
+
+from _toys import mcs_toy_case
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -21,3 +26,22 @@ def test_tracer_rebinds_and_restores_every_name(monkeypatch):
             assert getattr(owner, attr).__wrapped__ is original, attr
     for owner, attr, original in rebound:
         assert getattr(owner, attr) is original, attr
+
+
+def test_tracer_counts_the_slots_of_an_mcs_adequacy_call(
+        monkeypatch, tmp_path, capsys):
+    """The tracer reads the mode and n_mcs of PlanEvaluator's settings
+    argument when an evaluator is built; a change to that signature must
+    fail here, not only in the benchmark."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracer import Tracer
+
+    path = tmp_path / "toy.json"
+    save_case(mcs_toy_case(), path)
+    n_mcs = 3
+    tracer = Tracer()
+    with tracer:
+        code = cli.main(["adequacy", "--case", str(path), "--mode", "mcs",
+                         "--mcs-iters", str(n_mcs)])
+    assert code == cli.EXIT_OK
+    assert tracer.mcs_slots == 12 * n_mcs

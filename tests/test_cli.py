@@ -7,7 +7,10 @@ import json
 
 import pytest
 
+from gridtep import cli
 from gridtep.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from gridtep.errors import GridTepError
+from gridtep.evaluation import PlanSettings
 from gridtep.network import case_to_dict, save_case
 
 from _toys import build_case, ga_toy_case, gen, line
@@ -132,6 +135,51 @@ def test_adequacy_accepts_plan_file(toy_case_path, tmp_path, capsys):
                  "--plan-file", str(out / "plan.json")])
     assert code == EXIT_OK
     assert "month" in capsys.readouterr().out
+
+
+# Small study flags first; argparse keeps the last value of a repeated flag.
+QUICK_PLAN = ["plan", "--mode", "n1", "--generations", "1", "--pop-size", "2"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (QUICK_PLAN + ["--delta-f", "0"], "delta_f"),
+    (QUICK_PLAN + ["--delta-f", "-5"], "delta_f"),
+    (QUICK_PLAN + ["--delta-f", "nan"], "delta_f"),
+    (QUICK_PLAN + ["--congestion-threshold", "-0.1"], "congestion_threshold"),
+    (QUICK_PLAN + ["--congestion-threshold", "nan"], "congestion_threshold"),
+    (QUICK_PLAN + ["--mcs-iters", "0"], "n_mcs"),
+    (QUICK_PLAN + ["--pop-size", "1"], "population_size"),
+    (QUICK_PLAN + ["--generations", "-1"], "generations"),
+    (["adequacy", "--mode", "mcs", "--mcs-iters", "0"], "n_mcs"),
+])
+def test_out_of_range_setting_is_one_error_line_and_exit_2(
+        argv, field, toy_case_path, tmp_path, capsys):
+    """Settings are checked before any work starts: one `error:` line
+    naming the setting, no traceback, no artifacts."""
+    out = tmp_path / "out"
+    code = main([*argv, "--case", str(toy_case_path), "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_defaults_are_the_library_defaults(toy_case_path, monkeypatch):
+    """`plan` and `adequacy` given only a case price with exactly
+    PlanSettings()."""
+    seen = []
+
+    def stop(*args):
+        seen.append(next(a for a in args if isinstance(a, PlanSettings)))
+        raise GridTepError("stop")
+
+    monkeypatch.setattr(cli, "run", stop)
+    monkeypatch.setattr(cli, "PlanEvaluator", stop)
+    assert main(["plan", "--case", str(toy_case_path)]) == EXIT_RUNTIME
+    assert main(["adequacy", "--case", str(toy_case_path)]) == EXIT_RUNTIME
+    assert seen == [PlanSettings(), PlanSettings()]
 
 
 def test_missing_case_file_is_validation_error(capsys):

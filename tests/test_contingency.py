@@ -9,7 +9,6 @@ import pytest
 
 from gridtep.contingency import (
     OutageState,
-    SamplerConfig,
     enumerate_deterministic,
     is_islanded,
     sample_state,
@@ -141,7 +140,7 @@ def test_budget_exhaustion_raises():
     )
     net = net_of(case)
     with pytest.raises(ResampleBudgetError):
-        sample_state(case, net, substream(0, 1), SamplerConfig(max_resamples=50))
+        sample_state(case, net, substream(0, 1), max_draws=50)
 
 
 def test_islanding_on_bundled_case():

@@ -10,8 +10,8 @@ from gridtep import contingency
 from gridtep.contingency import enumerate_deterministic, sample_state
 from gridtep.errors import GridTepError, ResampleBudgetError
 from gridtep.evaluation import (
-    EvalConfig,
     PlanEvaluator,
+    PlanSettings,
     base_schedules,
     build_record,
 )
@@ -36,7 +36,7 @@ def toy_net(case):
 def test_mcs_evaluation_is_deterministic_per_entropy():
     case = mcs_toy_case()
     net = toy_net(case)
-    config = EvalConfig(mode="mcs", n_mcs=200)
+    config = PlanSettings(mode="mcs", n_mcs=200)
     a = PlanEvaluator(case, net, config, entropy=[7, 1]).evaluate(net)
     b = PlanEvaluator(case, net, config, entropy=[7, 1]).evaluate(net)
     np.testing.assert_array_equal(a.report.edns, b.report.edns)
@@ -51,7 +51,7 @@ def test_mcs_evaluation_is_deterministic_per_entropy():
 def test_capacity_cache_returns_same_object():
     case = mcs_toy_case()
     net = toy_net(case)
-    evaluator = PlanEvaluator(case, net, EvalConfig(mode="mcs", n_mcs=100),
+    evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=100),
                               entropy=[1, 1])
     assert evaluator.evaluate(net) is evaluator.evaluate(net)
     grown = net.with_capacities([c + 5 for c in net.capacities])
@@ -65,9 +65,27 @@ def test_evaluator_rejects_foreign_topology():
     trimmed = ActiveNetwork(buses=other.buses, lines=other.lines[:3],
                             capacities=other.capacities[:3],
                             slack_bus=other.slack_bus)
-    evaluator = PlanEvaluator(case, net, EvalConfig(mode="n1"), entropy=[1, 1])
+    evaluator = PlanEvaluator(case, net, PlanSettings(mode="n1"),
+                              entropy=[1, 1])
     with pytest.raises(ValueError):
         evaluator.evaluate(trimmed)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mode", "n3"),
+    ("policy", "all"),
+    ("n_mcs", 0),
+    ("delta_f", 0.0),
+    ("delta_f", float("inf")),
+    ("delta_f", float("nan")),
+    ("congestion_threshold", -0.1),
+    ("congestion_threshold", float("nan")),
+    ("max_resamples", 0),
+    ("max_sizing_iterations", -1),
+])
+def test_plan_settings_reject_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        PlanSettings(**{field: value})
 
 
 def test_deterministic_mode_matches_manual_state_weighting():
@@ -76,7 +94,8 @@ def test_deterministic_mode_matches_manual_state_weighting():
     renormalize, average."""
     case = mcs_toy_case()
     net = toy_net(case)
-    evaluator = PlanEvaluator(case, net, EvalConfig(mode="n1"), entropy=[1, 1])
+    evaluator = PlanEvaluator(case, net, PlanSettings(mode="n1"),
+                              entropy=[1, 1])
     result = evaluator.evaluate(net)
 
     peak = case.ldc.peak_month()
@@ -105,7 +124,7 @@ def test_deterministic_mode_raises_when_no_state_passes_the_screen():
     state passes and carries all the weight."""
     case = mcs_toy_case()
     net = toy_net(case)
-    evaluator = PlanEvaluator(case, net, EvalConfig(mode="n1"), [1, 1])
+    evaluator = PlanEvaluator(case, net, PlanSettings(mode="n1"), [1, 1])
     with pytest.raises(GridTepError, match="mode n1, month 1"):
         evaluator.evaluate(net.with_capacities([1.0] * 4))
     priced = evaluator.evaluate(net.with_capacities([5.0] * 4))
@@ -116,7 +135,7 @@ def test_deterministic_mode_raises_when_no_state_passes_the_screen():
 def test_deterministic_mode_replicates_peak_month():
     case = mcs_toy_case()
     net = toy_net(case)
-    result = PlanEvaluator(case, net, EvalConfig(mode="n2"), entropy=[1, 1]
+    result = PlanEvaluator(case, net, PlanSettings(mode="n2"), entropy=[1, 1]
                            ).evaluate(net)
     assert np.ptp(result.report.edns) == 0.0
     assert np.ptp(result.report.ewl) == 0.0
@@ -126,7 +145,8 @@ def test_generous_ratings_remove_all_shortfalls():
     case = mcs_toy_case()
     net = toy_net(case)
     big = net.with_capacities([1e9] * len(net.lines))
-    evaluator = PlanEvaluator(case, big, EvalConfig(mode="n1"), entropy=[1, 1])
+    evaluator = PlanEvaluator(case, big, PlanSettings(mode="n1"),
+                              entropy=[1, 1])
     result = evaluator.evaluate(big)
     # Line outages redistribute flow but nothing is truncated, so the only
     # remaining shortfalls come from generator-outage deficits.
@@ -202,7 +222,7 @@ def test_mcs_chain_takes_first_valid_state_of_each_slot_stream(vectors, seed,
     net = toy_net(case)
     n_mcs = 8
     entropy = [seed, 1]
-    config = EvalConfig(mode="mcs", n_mcs=n_mcs)
+    config = PlanSettings(mode="mcs", n_mcs=n_mcs)
     order = data.draw(st.permutations(range(len(vectors))))
     for sequence in (range(len(vectors)), order):
         evaluator = PlanEvaluator(case, net, config, entropy)
@@ -224,7 +244,7 @@ def test_samples_drawn_counts_redraws_up_to_each_accepted_state():
     net = toy_net(case)
     caps = np.full(4, 5.0)
     n_mcs, entropy = 20, [4, 1]
-    report = PlanEvaluator(case, net, EvalConfig(mode="mcs", n_mcs=n_mcs),
+    report = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=n_mcs),
                            entropy).evaluate(net.with_capacities(caps)).report
     _, drawn = first_valid_reference(case, net, entropy, n_mcs, caps)
     np.testing.assert_array_equal(report.samples_drawn, drawn)
@@ -235,7 +255,7 @@ def test_samples_drawn_counts_redraws_up_to_each_accepted_state():
 def test_sizing_sees_the_mean_of_the_monthly_congestion_rows():
     case = mcs_toy_case()
     net = toy_net(case).with_capacities([30.0] * 4)
-    evaluator = PlanEvaluator(case, net, EvalConfig(mode="mcs", n_mcs=40),
+    evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=40),
                               [6, 1])
     ev = evaluator.evaluate(net)
     monthly = ev.report.congestion_probability
@@ -267,7 +287,7 @@ def test_slot_budget_bounds_every_draw_including_island_rejections(
                       [gen(1, 80.0), gen(2, 60.0)], min_online=1)
     net = toy_net(case)
     evaluator = PlanEvaluator(
-        case, net, EvalConfig(mode="mcs", n_mcs=1, max_resamples=30), [5, 1])
+        case, net, PlanSettings(mode="mcs", n_mcs=1, max_resamples=30), [5, 1])
     outcomes = count_draws(monkeypatch)
     with pytest.raises(ResampleBudgetError, match="slot 0 of month 1"):
         evaluator.evaluate(net.with_capacities([0.0] * 4))
@@ -283,7 +303,7 @@ def test_slot_budget_checks_its_last_draw():
     tight = net.with_capacities([5.0] * 4)
 
     def evaluator(budget):
-        return PlanEvaluator(case, net, EvalConfig(
+        return PlanEvaluator(case, net, PlanSettings(
             mode="mcs", n_mcs=1, max_resamples=budget), [3, 1])
 
     free = evaluator(1000)
@@ -301,7 +321,7 @@ def test_batch_rows_do_not_depend_on_how_they_are_split():
     whole batch gives for them, the single last row included."""
     case = load_case(BUNDLED)
     net = apply_plan(case, Chromosome.from_ints([1] * 14))
-    batch = PlanEvaluator(case, net, EvalConfig(mode="n1"), [1, 1]
+    batch = PlanEvaluator(case, net, PlanSettings(mode="n1"), [1, 1]
                           ).scenarios[0].batch
     rng = np.random.default_rng(0)
     for _ in range(3):

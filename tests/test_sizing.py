@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridtep.adequacy import line_overloads
-from gridtep.evaluation import CapacityEvaluation
+from gridtep.evaluation import CapacityEvaluation, PlanSettings
 from gridtep.network import ActiveNetwork
 from gridtep.rng import substream
 from gridtep.sizing import (
@@ -15,7 +15,6 @@ from gridtep.sizing import (
     STOP_ITERATION_CAP,
     STOP_MARGINAL,
     STOP_NO_CONGESTION,
-    SizingConfig,
     apply_hits,
     build_wheel,
     sizing_loop,
@@ -142,7 +141,7 @@ def one_update(ec, t_inv, delta_f=50.0):
         return priced(ec(total), t_inv(total), p)
 
     return sizing_loop(net, evaluate,
-                       SizingConfig(policy=POLICY_WEL, delta_f=delta_f),
+                       PlanSettings(policy=POLICY_WEL, delta_f=delta_f),
                        rng_entropy=3)
 
 
@@ -183,8 +182,8 @@ def uncongested_evaluator(net):
 
 def test_loop_stops_immediately_without_congestion():
     net = mixed_net()
-    trace = sizing_loop(net, uncongested_evaluator, SizingConfig(policy=POLICY_WEL),
-                        rng_entropy=0)
+    trace = sizing_loop(net, uncongested_evaluator,
+                        PlanSettings(policy=POLICY_WEL), rng_entropy=0)
     assert trace.stop_reason == STOP_NO_CONGESTION
     assert trace.iterations == 0
     assert trace.final_capacities == net.capacities
@@ -196,9 +195,10 @@ def test_loop_hits_iteration_cap_when_congestion_persists():
                       0.0, np.full(len(net.lines), 0.9))
 
     net = mixed_net()
-    trace = sizing_loop(net, stubborn,
-                        SizingConfig(policy=POLICY_WEL, max_iterations=3),
-                        rng_entropy=1)
+    trace = sizing_loop(
+        net, stubborn,
+        PlanSettings(policy=POLICY_WEL, max_sizing_iterations=3),
+        rng_entropy=1)
     assert trace.stop_reason == STOP_ITERATION_CAP
     assert trace.iterations == 3
 
@@ -214,7 +214,7 @@ def test_loop_stops_once_marginal_saving_fades():
 
     net = mixed_net()
     trace = sizing_loop(net, fading,
-                        SizingConfig(policy=POLICY_WEL, delta_f=100.0),
+                        PlanSettings(policy=POLICY_WEL, delta_f=100.0),
                         rng_entropy=2)
     assert trace.stop_reason == STOP_MARGINAL
     assert trace.iterations >= 2
@@ -232,8 +232,8 @@ def test_loop_records_replayable_steps():
                       np.full(len(net.lines), p))
 
     net = mixed_net()
-    a = sizing_loop(net, congested_once, SizingConfig(policy=POLICY_WEL),
+    a = sizing_loop(net, congested_once, PlanSettings(policy=POLICY_WEL),
                     rng_entropy=42)
-    b = sizing_loop(net, congested_once, SizingConfig(policy=POLICY_WEL),
+    b = sizing_loop(net, congested_once, PlanSettings(policy=POLICY_WEL),
                     rng_entropy=42)
     assert a == b
