@@ -71,11 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_adq.add_argument("--mode", choices=MODES, default=PlanSettings.mode)
     p_adq.add_argument("--seed", type=int, default=0)
     p_adq.add_argument("--mcs-iters", type=int, default=PlanSettings.n_mcs)
-    p_adq.add_argument("--plan", default=None,
-                       help="candidate bits as a 0/1 string (default: none built)")
-    p_adq.add_argument("--plan-file", default=None,
-                       help="plan.json whose best plan (bits and sized "
-                            "capacities) is assessed")
+    plan_source = p_adq.add_mutually_exclusive_group()
+    plan_source.add_argument(
+        "--plan", default=None,
+        help="candidate bits as a 0/1 string (default: none built)")
+    plan_source.add_argument(
+        "--plan-file", default=None,
+        help="plan.json whose best plan (bits and sized capacities) is assessed")
     p_adq.add_argument("--out", default=None,
                        help="directory for adequacy.csv (default: print only)")
     p_adq.set_defaults(func=cmd_adequacy)
@@ -171,19 +173,36 @@ def cmd_validate(args) -> int:
 
 
 def _plan_bits(args, case) -> tuple[Chromosome, tuple[float, ...] | None]:
+    """The assessed plan's bits, and its sized capacities when it comes
+    from a plan file."""
     n = len(case.candidate_lines)
-    if args.plan_file is not None:
-        data = json.loads(Path(args.plan_file).read_text())
-        best = data["result"]["best"]
-        bits = Chromosome.from_ints(best["bits"])
-        return bits, tuple(best["capacities_mw"])
     if args.plan is not None:
         text = args.plan.strip()
         if len(text) != n or any(c not in "01" for c in text):
             raise GridTepError(
                 f"--plan must be a {n}-character string of 0s and 1s")
         return Chromosome.from_ints(int(c) for c in text), None
-    return Chromosome.from_ints([0] * n), None
+    if args.plan_file is None:
+        return Chromosome.from_ints([0] * n), None
+    try:
+        best = json.loads(Path(args.plan_file).read_text())["result"]["best"]
+        raw_bits = list(best["bits"])
+        capacities = tuple(float(c) for c in best["capacities_mw"])
+    except OSError as exc:
+        raise GridTepError(f"cannot read plan file: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise GridTepError(
+            f"{args.plan_file} is not a readable plan.json: {exc!r}") from exc
+    if len(raw_bits) != n or any(b not in (0, 1) for b in raw_bits):
+        raise GridTepError(
+            f"plan file bits must be {n} 0s and 1s, one per candidate line")
+    bits = Chromosome.from_ints(raw_bits)
+    n_lines = len(case.existing_lines) + sum(bits.bits)
+    if len(capacities) != n_lines:
+        raise GridTepError(
+            f"plan file has {len(capacities)} capacities for the plan's "
+            f"{n_lines} lines (an infeasible plan has none)")
+    return bits, capacities
 
 
 def cmd_adequacy(args) -> int:

@@ -70,12 +70,45 @@ def slack_connected(net: ActiveNetwork, lines_out: frozenset[int]) -> np.ndarray
     return live
 
 
-def _solve_live(
-    net: ActiveNetwork,
-    p: np.ndarray,
-    live_bus: np.ndarray,
-    live_line: np.ndarray,
+def solve(net: ActiveNetwork, injections) -> FlowSolution:
+    """Solve the DC load flow on the fully in-service network.
+
+    Raises UnbalancedInjectionsError when the injections do not sum to
+    zero and NetworkDisconnectedError when any bus is unreachable from
+    the slack bus.
+    """
+    if not slack_connected(net, frozenset()).all():
+        raise NetworkDisconnectedError(
+            "network is disconnected: some bus is unreachable from the slack bus")
+    return solve_with_outages(net, injections, frozenset())
+
+
+def solve_with_outages(
+    net: ActiveNetwork, injections, lines_out: frozenset[int]
 ) -> FlowSolution:
+    """Solve with the given lines removed.
+
+    Out-of-service lines carry zero flow. Buses cut off from the slack
+    component are tolerated only when their injections are zero (their
+    flows and angles are exactly zero); a disconnected bus with nonzero
+    injection raises NetworkDisconnectedError.
+    """
+    p = np.asarray(injections, dtype=float)
+    if p.shape != (net.n_buses,):
+        raise ValueError(
+            f"injections must have shape ({net.n_buses},), got {p.shape}")
+    total = float(p.sum())
+    if abs(total) > BALANCE_TOL:
+        raise UnbalancedInjectionsError(
+            f"injections sum to {total:.6g} MW, expected 0")
+
+    live_bus = slack_connected(net, lines_out)
+    if np.any(np.abs(p[~live_bus]) > BALANCE_TOL):
+        raise NetworkDisconnectedError(
+            "bus with nonzero injection is disconnected from the slack bus")
+    in_service = np.array([ln.id not in lines_out for ln in net.lines])
+    live_line = in_service & live_bus[net.from_idx] & live_bus[net.to_idx]
+
     n = net.n_buses
     b = np.zeros((n, n))
     i = net.from_idx[live_line]
@@ -111,58 +144,6 @@ def _solve_live(
     flows = np.zeros(len(net.lines))
     flows[live_line] = (angles[i] - angles[j]) * w
     return FlowSolution(angles=angles, flows=flows, injections=p.copy())
-
-
-def solve(net: ActiveNetwork, injections) -> FlowSolution:
-    """Solve the DC load flow on the fully in-service network.
-
-    Raises UnbalancedInjectionsError when the injections do not sum to
-    zero and NetworkDisconnectedError when any bus is unreachable from
-    the slack bus.
-    """
-    p = np.asarray(injections, dtype=float)
-    if p.shape != (net.n_buses,):
-        raise ValueError(
-            f"injections must have shape ({net.n_buses},), got {p.shape}")
-    total = float(p.sum())
-    if abs(total) > BALANCE_TOL:
-        raise UnbalancedInjectionsError(
-            f"injections sum to {total:.6g} MW, expected 0")
-
-    if not slack_connected(net, frozenset()).all():
-        raise NetworkDisconnectedError(
-            "network is disconnected: some bus is unreachable from the slack bus")
-    live_line = np.ones(len(net.lines), dtype=bool)
-    live_bus = np.ones(net.n_buses, dtype=bool)
-    return _solve_live(net, p, live_bus, live_line)
-
-
-def solve_with_outages(
-    net: ActiveNetwork, injections, lines_out: frozenset[int]
-) -> FlowSolution:
-    """Solve with the given lines removed.
-
-    Out-of-service lines carry zero flow. Buses cut off from the slack
-    component are tolerated only when their injections are zero (their
-    flows and angles are exactly zero); a disconnected bus with nonzero
-    injection raises NetworkDisconnectedError.
-    """
-    p = np.asarray(injections, dtype=float)
-    if p.shape != (net.n_buses,):
-        raise ValueError(
-            f"injections must have shape ({net.n_buses},), got {p.shape}")
-    total = float(p.sum())
-    if abs(total) > BALANCE_TOL:
-        raise UnbalancedInjectionsError(
-            f"injections sum to {total:.6g} MW, expected 0")
-
-    live_bus = slack_connected(net, lines_out)
-    if np.any(np.abs(p[~live_bus]) > BALANCE_TOL):
-        raise NetworkDisconnectedError(
-            "bus with nonzero injection is disconnected from the slack bus")
-    in_service = np.array([ln.id not in lines_out for ln in net.lines])
-    live_line = in_service & live_bus[net.from_idx] & live_bus[net.to_idx]
-    return _solve_live(net, p, live_bus, live_line)
 
 
 def flow_residual(net: ActiveNetwork, sol: FlowSolution) -> float:

@@ -10,9 +10,11 @@ and turned into concrete network topologies by applying a build plan
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from functools import cache, cached_property
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -27,7 +29,7 @@ MONTHS = tuple(range(1, 13))
 @dataclass(frozen=True)
 class Bus:
     id: int
-    base_demand: float = 0.0
+    base_demand: float
     is_slack: bool = False
 
 
@@ -313,128 +315,81 @@ def validate_case(case: NetworkCase) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # JSON I/O
 
-def _require(obj, key, path, expected=None):
-    if key not in obj:
-        raise CaseValidationError([(f"{path}.{key}" if path else key, "missing field")])
-    value = obj[key]
-    if expected is not None and not isinstance(value, expected):
-        names = expected if isinstance(expected, tuple) else (expected,)
-        raise CaseValidationError([
-            (f"{path}.{key}" if path else key,
-             f"expected {'/'.join(t.__name__ for t in names)}")
-        ])
-    return value
+# Fields of NetworkCase that a case file keeps under "options".
+_OPTIONS = ("min_online_generators",)
+
+# Field name -> type of a case dataclass (annotations are strings here).
+_field_types = cache(get_type_hints)
+
+
+def _read(tp, value, path):
+    """``value`` from parsed JSON as the field type ``tp``: a case
+    dataclass, ``tuple[T, ...]``, int, float, bool or str. Raises
+    CaseValidationError naming ``path`` at the first malformed value."""
+    if tp is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise CaseValidationError([(path, "expected int/float")])
+        # False for NaN, infinities and integers beyond the float range.
+        if not abs(value) <= sys.float_info.max:
+            raise CaseValidationError([(path, "must be finite")])
+        return float(value)
+    if tp in (int, bool, str):
+        # JSON true/false parse to bool, a subclass of int.
+        if not isinstance(value, tp) or (tp is int and isinstance(value, bool)):
+            raise CaseValidationError([(path, f"expected {tp.__name__}")])
+        return value
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise CaseValidationError([(path, "expected list")])
+        return tuple(_read(get_args(tp)[0], v, f"{path}[{i}]")
+                     for i, v in enumerate(value))
+    return tp(**_read_fields(tp, value, path, fields(tp)))
+
+
+def _read_fields(cls, obj, path, wanted):
+    """Keyword arguments for the fields ``wanted`` of dataclass ``cls``,
+    read from the JSON object ``obj``. A field with a default may be
+    omitted; unknown keys are ignored."""
+    if not isinstance(obj, dict):
+        raise CaseValidationError([(path, "expected dict")])
+    hints = _field_types(cls)
+    kwargs = {}
+    for f in wanted:
+        key_path = f"{path}.{f.name}" if path else f.name
+        if f.name in obj:
+            kwargs[f.name] = _read(hints[f.name], obj[f.name], key_path)
+        elif f.default is MISSING:
+            raise CaseValidationError([(key_path, "missing field")])
+    return kwargs
 
 
 def case_from_dict(data: dict) -> NetworkCase:
     """Build a NetworkCase from parsed JSON, validating all invariants."""
-    buses = tuple(
-        Bus(
-            id=int(_require(b, "id", f"buses[{i}]", int)),
-            base_demand=float(_require(b, "base_demand", f"buses[{i}]", (int, float))),
-            is_slack=bool(b.get("is_slack", False)),
-        )
-        for i, b in enumerate(_require(data, "buses", "", list))
-    )
-    lines = tuple(
-        LineSpec(
-            id=int(_require(ln, "id", f"lines[{i}]", int)),
-            from_bus=int(_require(ln, "from_bus", f"lines[{i}]", int)),
-            to_bus=int(_require(ln, "to_bus", f"lines[{i}]", int)),
-            length_km=float(_require(ln, "length_km", f"lines[{i}]", (int, float))),
-            reactance=float(_require(ln, "reactance", f"lines[{i}]", (int, float))),
-            forced_outage_rate=float(
-                _require(ln, "forced_outage_rate", f"lines[{i}]", (int, float))),
-            status=str(_require(ln, "status", f"lines[{i}]", str)),
-            base_capacity_mw=float(
-                _require(ln, "base_capacity_mw", f"lines[{i}]", (int, float))),
-        )
-        for i, ln in enumerate(_require(data, "lines", "", list))
-    )
-    generators = tuple(
-        GeneratorSpec(
-            bus=int(_require(g, "bus", f"generators[{i}]", int)),
-            capacity_mw=float(_require(g, "capacity_mw", f"generators[{i}]", (int, float))),
-            forced_outage_rate=float(
-                _require(g, "forced_outage_rate", f"generators[{i}]", (int, float))),
-            capital_cost=float(_require(g, "capital_cost", f"generators[{i}]", (int, float))),
-            operating_cost=float(
-                _require(g, "operating_cost", f"generators[{i}]", (int, float))),
-            revenue_loss_rate=float(
-                _require(g, "revenue_loss_rate", f"generators[{i}]", (int, float))),
-            is_new=bool(g.get("is_new", False)),
-        )
-        for i, g in enumerate(_require(data, "generators", "", list))
-    )
-    ldc_obj = _require(data, "ldc", "", dict)
-    ldc = LoadDurationCurve(
-        monthly_multipliers=tuple(
-            float(v) for v in _require(ldc_obj, "monthly_multipliers", "ldc", list))
-    )
-    c = _require(data, "costs", "", dict)
-    costs = CostParameters(
-        c_edns=tuple(float(v) for v in _require(c, "c_edns", "costs", list)),
-        c_egns=tuple(float(v) for v in _require(c, "c_egns", "costs", list)),
-        c_ewl=tuple(float(v) for v in _require(c, "c_ewl", "costs", list)),
-        c_t2=float(_require(c, "c_t2", "costs", (int, float))),
-        hours_per_month=float(c.get("hours_per_month", 730.0)),
-    )
-    options = data.get("options", {})
-    case = NetworkCase(
-        buses=buses,
-        lines=lines,
-        generators=generators,
-        ldc=ldc,
-        costs=costs,
-        min_online_generators=int(options.get("min_online_generators", 2)),
-    )
+    top = [f for f in fields(NetworkCase) if f.name not in _OPTIONS]
+    options = [f for f in fields(NetworkCase) if f.name in _OPTIONS]
+    kwargs = _read_fields(NetworkCase, data, "", top)
+    kwargs |= _read_fields(NetworkCase, data.get("options", {}), "options",
+                           options)
+    case = NetworkCase(**kwargs)
     failures = validate_case(case)
     if failures:
         raise CaseValidationError(failures)
     return case
 
 
+def _write(value):
+    """A case dataclass as JSON data: records become dicts, tuples lists."""
+    if isinstance(value, tuple):
+        return [_write(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: _write(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
 def case_to_dict(case: NetworkCase) -> dict:
-    return {
-        "buses": [
-            {"id": b.id, "base_demand": b.base_demand, "is_slack": b.is_slack}
-            for b in case.buses
-        ],
-        "lines": [
-            {
-                "id": ln.id,
-                "from_bus": ln.from_bus,
-                "to_bus": ln.to_bus,
-                "length_km": ln.length_km,
-                "reactance": ln.reactance,
-                "forced_outage_rate": ln.forced_outage_rate,
-                "status": ln.status,
-                "base_capacity_mw": ln.base_capacity_mw,
-            }
-            for ln in case.lines
-        ],
-        "generators": [
-            {
-                "bus": g.bus,
-                "capacity_mw": g.capacity_mw,
-                "forced_outage_rate": g.forced_outage_rate,
-                "capital_cost": g.capital_cost,
-                "operating_cost": g.operating_cost,
-                "revenue_loss_rate": g.revenue_loss_rate,
-                "is_new": g.is_new,
-            }
-            for g in case.generators
-        ],
-        "ldc": {"monthly_multipliers": list(case.ldc.monthly_multipliers)},
-        "costs": {
-            "c_edns": list(case.costs.c_edns),
-            "c_egns": list(case.costs.c_egns),
-            "c_ewl": list(case.costs.c_ewl),
-            "c_t2": case.costs.c_t2,
-            "hours_per_month": case.costs.hours_per_month,
-        },
-        "options": {"min_online_generators": case.min_online_generators},
-    }
+    data = _write(case)
+    data["options"] = {name: data.pop(name) for name in _OPTIONS}
+    return data
 
 
 def load_case(path) -> NetworkCase:
@@ -447,7 +402,7 @@ def load_case(path) -> NetworkCase:
         raise CaseParseError(f"cannot read case file {p}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise CaseParseError(f"case file {p} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CaseParseError(f"case file {p} must contain a JSON object")

@@ -137,6 +137,42 @@ def test_adequacy_accepts_plan_file(toy_case_path, tmp_path, capsys):
     assert "month" in capsys.readouterr().out
 
 
+# A plan.json holding only what `adequacy --plan-file` reads: the best
+# plan's bits and sized capacities. ga_toy_case has 5 existing lines and 6
+# candidates.
+def _plan_json(bits, capacities):
+    return json.dumps({"result": {"best": {"bits": bits,
+                                           "capacities_mw": capacities}}})
+
+
+@pytest.mark.parametrize("plan_text, extra", [
+    (None, []),  # no such file
+    ("{not json", []),
+    (_plan_json([1, 0], [100.0] * 6), []),  # 2 bits for 6 candidates
+    (_plan_json("000000", [100.0] * 11), []),  # a string is not bits
+    (_plan_json([1] + [0] * 5, [100.0] * 5), []),  # 5 capacities, 6 lines
+    (_plan_json([0] * 6, []), []),  # an infeasible plan's plan.json
+    (_plan_json([0] * 6, [100.0] * 5), ["--plan", "000000"]),
+], ids=["missing", "not-json", "bit-count", "bit-string", "capacity-count",
+        "infeasible", "with-plan"])
+def test_bad_plan_file_is_one_error_line_and_exit_2(
+        plan_text, extra, toy_case_path, tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    if plan_text is not None:
+        plan.write_text(plan_text)
+    try:
+        code = main(["adequacy", "--case", str(toy_case_path), "--mode", "n1",
+                     "--plan-file", str(plan), *extra])
+    except SystemExit as exc:  # argparse rejects the flag combination
+        code = exc.code
+    assert code == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [ln for ln in captured.err.splitlines() if "error: " in ln]
+    assert len(errors) == 1 and captured.err.endswith(errors[0] + "\n")
+
+
 # Small study flags first; argparse keeps the last value of a repeated flag.
 QUICK_PLAN = ["plan", "--mode", "n1", "--generations", "1", "--pop-size", "2"]
 

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gridtep.cli import EXIT_VALIDATION, main
 from gridtep.errors import CaseParseError, CaseValidationError
 from gridtep.network import (
     CANDIDATE,
@@ -17,6 +19,7 @@ from gridtep.network import (
     case_from_dict,
     case_to_dict,
     load_case,
+    save_case,
     scenario_demand,
     validate_case,
 )
@@ -81,6 +84,109 @@ def test_case_from_dict_reports_missing_field():
     with pytest.raises(CaseValidationError) as err:
         case_from_dict(data)
     assert any(path == "lines[0].reactance" for path, _ in err.value.failures)
+
+
+def test_save_case_reproduces_the_bundled_file(tmp_path):
+    out = tmp_path / "case.json"
+    save_case(load_case(BUNDLED), out)
+    assert json.loads(out.read_text()) == json.loads(BUNDLED.read_text())
+
+
+@st.composite
+def valid_cases(draw):
+    """Random valid cases: an existing path through every bus, extra
+    existing or candidate lines, and generators that each cover peak
+    demand. Float fields sometimes draw integers."""
+    n = draw(st.integers(2, 6))
+    number = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 1000))
+    rate = st.floats(0.0, 0.99)
+    demands = draw(st.lists(st.one_of(st.floats(0.0, 500.0), st.integers(0, 500)),
+                            min_size=n, max_size=n))
+    multipliers = draw(st.lists(st.floats(0.01, 1.0), min_size=12, max_size=12))
+    ends = [(k, k + 1, EXISTING) for k in range(1, n)]
+    for _ in range(draw(st.integers(0, 4))):
+        f, t = draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                             unique=True))
+        ends.append((f, t, draw(st.sampled_from([EXISTING, CANDIDATE]))))
+    lines = [line(i + 1, f, t, x=draw(number), cap=draw(number),
+                  for_=draw(rate), length=draw(number), status=status)
+             for i, (f, t, status) in enumerate(ends)]
+    peak = max(multipliers) * sum(demands)
+    gens = [gen(draw(st.integers(1, n)), peak + draw(number), cost=draw(number),
+                for_=draw(rate), capital=draw(number), rl=draw(number),
+                is_new=draw(st.booleans()))
+            for _ in range(draw(st.integers(1, 3)))]
+    return build_case(demands, lines, gens, multipliers=multipliers,
+                      min_online=draw(st.integers(1, 3)),
+                      c_edns=draw(number), c_t2=draw(number))
+
+
+@settings(max_examples=50, deadline=None)
+@given(valid_cases())
+def test_case_json_round_trip_on_random_cases(case):
+    assert validate_case(case) == []
+    assert case_from_dict(json.loads(json.dumps(case_to_dict(case)))) == case
+
+
+DELETE = object()
+
+
+# Malformed values in the bundled case: (JSON path, new value or DELETE,
+# the failure's field path, its message).
+MALFORMED = [
+    (("costs", "c_edns", 3), "x", "costs.c_edns[3]", "expected int/float"),
+    (("ldc", "monthly_multipliers", 5), None, "ldc.monthly_multipliers[5]",
+     "expected int/float"),
+    (("buses", 2), 3, "buses[2]", "expected dict"),
+    (("costs", "hours_per_month"), "730h", "costs.hours_per_month",
+     "expected int/float"),
+    (("options",), "fast", "options", "expected dict"),
+    (("options",), [2], "options", "expected dict"),
+    (("buses", 0, "id"), True, "buses[0].id", "expected int"),
+    (("generators", 0, "capacity_mw"), float("inf"),
+     "generators[0].capacity_mw", "must be finite"),
+    (("buses", 1, "base_demand"), float("nan"), "buses[1].base_demand",
+     "must be finite"),
+    (("lines", 0, "reactance"), "0.02", "lines[0].reactance",
+     "expected int/float"),
+    (("lines",), {}, "lines", "expected list"),
+    (("buses", 0, "id"), 1.5, "buses[0].id", "expected int"),
+    (("costs", "c_t2"), DELETE, "costs.c_t2", "missing field"),
+    (("buses", 3, "base_demand"), DELETE, "buses[3].base_demand",
+     "missing field"),
+    (("buses", 0, "is_slack"), "yes", "buses[0].is_slack", "expected bool"),
+    (("options", "min_online_generators"), 2.5,
+     "options.min_online_generators", "expected int"),
+    (("lines", 3, "status"), 1, "lines[3].status", "expected str"),
+    (("lines", 0, "length_km"), 10**400, "lines[0].length_km",
+     "must be finite"),
+]
+
+
+@pytest.mark.parametrize("keys, value, path, message", MALFORMED,
+                         ids=[p for _, _, p, _ in MALFORMED])
+def test_malformed_value_fails_by_its_path(keys, value, path, message,
+                                           tmp_path, capsys):
+    """A malformed value is one validation failure naming its field, from
+    the library and from `gridtep validate` (exit 1, no traceback)."""
+    data = json.loads(BUNDLED.read_text())
+    *parents, last = keys
+    target = data
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    with pytest.raises(CaseValidationError) as err:
+        case_from_dict(data)
+    assert err.value.failures == [(path, message)]
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["validate", "--case", str(bad)]) == EXIT_VALIDATION
+    fails = [ln for ln in capsys.readouterr().out.splitlines() if "FAIL" in ln]
+    assert fails == [f"{path}: FAIL - {message}"]
 
 
 def test_load_case_rejects_malformed_json(tmp_path):
