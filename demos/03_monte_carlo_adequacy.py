@@ -69,9 +69,10 @@ def main() -> None:
         print(f"  line {ln.id} ({ln.from_bus}->{ln.to_bus},"
               f" rating {net.capacities[k]:5.1f} MW): P_con = {pooled[k]:.3f}")
 
-    print(f"\nexpected cost of this plan: {ev.ec / 1000:.2f} M$/yr"
-          f" (EDNS {ev.edns_k / 1000:.2f}, EGNS {ev.egns_k / 1000:.2f},"
-          f" EWL {ev.ewl_k / 1000:.2f})")
+    money = ev.breakdown.in_millions()
+    print(f"\nexpected cost of this plan: {money['ec']:.2f} M$/yr"
+          f" (EDNS {money['edns_cost']:.2f}, EGNS {money['egns_cost']:.2f},"
+          f" EWL {money['ewl_cost']:.2f})")
     print("high P_con at 5 MW ratings is the signal the capacity-sizing"
           " loop consumes (see demo 04)")
 

@@ -23,7 +23,6 @@ from .network import Chromosome, apply_plan, load_case
 from .contingency import is_islanded
 from .planner import GaConfig, run
 from .report import (
-    RunManifest,
     plan_payload,
     write_adequacy_csv,
     write_history_csv,
@@ -92,6 +91,16 @@ def _load(path: str):
         return None
 
 
+def _out_dir(path) -> Path:
+    """The output directory, created if need be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise GridTepError(f"cannot use --out {path}: {exc}") from exc
+    return out
+
+
 def cmd_plan(args) -> int:
     try:
         settings = PlanSettings(
@@ -112,15 +121,16 @@ def cmd_plan(args) -> int:
     case = _load(args.case)
     if case is None:
         return EXIT_VALIDATION
-    started = time.perf_counter()
     try:
+        out = _out_dir(args.out)
+        started = time.perf_counter()
         result = run(case, ga, settings)
     except GridTepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     wall = time.perf_counter() - started
 
-    manifest = RunManifest(
+    manifest = dict(
         command="plan",
         case_path=str(args.case),
         mode=args.mode,
@@ -134,8 +144,6 @@ def cmd_plan(args) -> int:
         tool_version=__version__,
         wall_time_s=wall,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_plan_json(out / "plan.json", plan_payload(manifest, result))
     write_report_csv(out / "report.csv", case, result)
     write_history_csv(out / "history.csv", result.history)
@@ -208,6 +216,8 @@ def _plan_bits(args, case) -> tuple[Chromosome, tuple[float, ...] | None]:
 def cmd_adequacy(args) -> int:
     try:
         settings = PlanSettings(mode=args.mode, n_mcs=args.mcs_iters)
+        if not args.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed!r}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -222,6 +232,7 @@ def cmd_adequacy(args) -> int:
         if is_islanded(case, net, frozenset(), frozenset()):
             raise GridTepError(
                 "plan leaves a demand bus or generator bus disconnected")
+        out = None if args.out is None else _out_dir(args.out)
         evaluator = PlanEvaluator(
             case, net, settings,
             chromosome_entropy(args.seed, chromosome.bits),
@@ -238,9 +249,7 @@ def cmd_adequacy(args) -> int:
               f"{report.egns[m]:<10.4f}  {report.ewl[m]:<10.4f}")
     print(f"mean   {report.edns.mean():<10.4f}  "
           f"{report.egns.mean():<10.4f}  {report.ewl.mean():<10.4f}")
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         write_adequacy_csv(out / "adequacy.csv", report)
         print(f"wrote {out / 'adequacy.csv'}")
     return EXIT_OK

@@ -17,7 +17,7 @@ Everything is kept in k$ internally; reports convert to M$.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,15 +40,7 @@ class CostBreakdown:
     j: float
 
     def in_millions(self) -> dict[str, float]:
-        return {
-            "edns_cost": self.edns_cost / 1000.0,
-            "egns_cost": self.egns_cost / 1000.0,
-            "ewl_cost": self.ewl_cost / 1000.0,
-            "ec": self.ec / 1000.0,
-            "t_inv": self.t_inv / 1000.0,
-            "g_inv": self.g_inv / 1000.0,
-            "j": self.j / 1000.0,
-        }
+        return {k: v / 1000.0 for k, v in asdict(self).items()}
 
 
 def _check_12(name: str, values) -> np.ndarray:

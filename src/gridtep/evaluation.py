@@ -44,7 +44,8 @@ import numpy as np
 
 from .adequacy import ExpectationReport, line_overloads, nodal_balance
 from .contingency import OutageState, enumerate_deterministic, sample_state
-from .costs import edns_cost, egns_cost, ewl_cost, transmission_investment
+from .costs import (CostBreakdown, edns_cost, egns_cost, ewl_cost,
+                    generation_investment, objective, transmission_investment)
 from .dispatch import bus_generation, merit_order_dispatch, injections_from_dispatch
 from .dcflow import solve_with_outages
 from .errors import GridTepError, ResampleBudgetError
@@ -200,28 +201,18 @@ class BatchEvaluation:
             for f in ("valid", "dns", "gns", "wheeling", "congested", "ego")))
 
     def weighted(self, w: np.ndarray, samples_used: int,
-                 samples_drawn: int) -> "ScenarioResult":
-        """Expectations over the states with per-row weights ``w``."""
-        return ScenarioResult(
-            edns=float(w @ self.dns),
-            egns=float(w @ self.gns),
-            ewl=float(w @ self.wheeling),
-            ego=w @ self.ego,
-            congestion_probability=w @ self.congested,
-            samples_used=samples_used,
-            samples_drawn=samples_drawn,
-        )
-
-
-@dataclass(frozen=True)
-class ScenarioResult:
-    edns: float
-    egns: float
-    ewl: float
-    ego: np.ndarray  # per generator
-    congestion_probability: np.ndarray  # per line
-    samples_used: int
-    samples_drawn: int
+                 samples_drawn: int) -> dict:
+        """One scenario's ``ExpectationReport`` entries: expectations over
+        the states with per-row weights ``w``."""
+        return {
+            "edns": float(w @ self.dns),
+            "egns": float(w @ self.gns),
+            "ewl": float(w @ self.wheeling),
+            "ego": w @ self.ego,
+            "congestion_probability": w @ self.congested,
+            "samples_used": samples_used,
+            "samples_drawn": samples_drawn,
+        }
 
 
 @dataclass(frozen=True)
@@ -229,11 +220,7 @@ class CapacityEvaluation:
     """Everything one capacity assignment costs and suffers."""
 
     report: ExpectationReport  # 12 monthly rows
-    edns_k: float  # k$
-    egns_k: float
-    ewl_k: float
-    ec: float
-    t_inv: float
+    breakdown: CostBreakdown  # k$; J = EC + T_inv + G_inv
     congestion_probability: np.ndarray  # per line, mean over the 12 months
 
 
@@ -283,7 +270,7 @@ class _McsScenario:
         self.chains[slot].append((row, self.draws[slot]))
         return row
 
-    def result(self, capacities: np.ndarray) -> ScenarioResult:
+    def result(self, capacities: np.ndarray) -> dict:
         for slot in range(self.n_slots):
             if not self.chains[slot]:
                 self._extend(slot)
@@ -342,7 +329,7 @@ class _DeterministicScenario:
                                              base_schedule),
             )
 
-    def result(self, capacities: np.ndarray) -> ScenarioResult:
+    def result(self, capacities: np.ndarray) -> dict:
         ev = self.batch.evaluate(capacities)
         w = np.where(ev.valid, self.weights, 0.0)
         total = w.sum()
@@ -388,9 +375,9 @@ def base_schedules(case: NetworkCase) -> list[tuple[float, ...]]:
 class PlanEvaluator:
     """Prices capacity assignments for one fixed topology.
 
-    Evaluations are cached by capacity tuple, so the sizing loop's final
-    pass and the cost rollup afterwards share work. All randomness flows
-    from the entropy key, making evaluations replayable.
+    All randomness flows from the entropy key, making evaluations
+    replayable. G_inv does not depend on the line plan; it is computed
+    once, from the base schedules the scenarios share.
     """
 
     def __init__(
@@ -403,7 +390,7 @@ class PlanEvaluator:
         self.case = case
         self.net = net
         self.base_schedules = base_schedules(case)
-        self._cache: dict[tuple[float, ...], CapacityEvaluation] = {}
+        self.g_inv = generation_investment(case, self.base_schedules)
 
         if settings.mode == MODE_MCS:
             self.scenarios = [
@@ -423,29 +410,21 @@ class PlanEvaluator:
     def evaluate(self, net: ActiveNetwork) -> CapacityEvaluation:
         if net.line_ids != self.net.line_ids:
             raise ValueError("evaluator is bound to a different topology")
-        key = net.capacities
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        caps = np.asarray(key, dtype=float)
+        caps = np.asarray(net.capacities, dtype=float)
         results = [sc.result(caps) for sc in self.scenarios]
         if len(results) == 1:  # n1/n2: the peak month stands in for all 12
             results *= 12
         report = ExpectationReport(**{
-            f.name: np.array([getattr(r, f.name) for r in results])
-            for f in fields(ScenarioResult)})
-        edns_k = edns_cost(report.edns, self.case.costs)
-        egns_k = egns_cost(report.egns, report.ego, self.case.costs,
-                           self.case.generators)
-        ewl_k = ewl_cost(report.ewl, self.case.costs)
-        evaluation = CapacityEvaluation(
+            f.name: np.array([r[f.name] for r in results])
+            for f in fields(ExpectationReport)})
+        costs, generators = self.case.costs, self.case.generators
+        return CapacityEvaluation(
             report=report,
-            edns_k=edns_k,
-            egns_k=egns_k,
-            ewl_k=ewl_k,
-            ec=edns_k + egns_k + ewl_k,
-            t_inv=transmission_investment(net, self.case.costs),
+            breakdown=objective(
+                edns_cost(report.edns, costs),
+                egns_cost(report.egns, report.ego, costs, generators),
+                ewl_cost(report.ewl, costs),
+                transmission_investment(net, costs),
+                self.g_inv),
             congestion_probability=report.congestion_probability.mean(axis=0),
         )
-        self._cache[key] = evaluation
-        return evaluation

@@ -259,7 +259,8 @@ def validate_case(case: NetworkCase) -> list[tuple[str, str]]:
         _check(f, g.capacity_mw > 0, f"{p}.capacity_mw", "must be > 0")
         _check(f, 0 <= g.forced_outage_rate < 1, f"{p}.forced_outage_rate",
                "must be in [0, 1)")
-        _check(f, g.operating_cost >= 0, f"{p}.operating_cost", "must be >= 0")
+        for name in ("capital_cost", "operating_cost", "revenue_loss_rate"):
+            _check(f, getattr(g, name) >= 0, f"{p}.{name}", "must be >= 0")
 
     m = case.ldc.monthly_multipliers
     if _check(f, len(m) == 12, "ldc.monthly_multipliers",

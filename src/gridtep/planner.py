@@ -45,6 +45,8 @@ class GaConfig:
         if not self.generations >= 0:
             raise ValueError(
                 f"generations must be >= 0, got {self.generations!r}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,10 @@ class PlanResult:
 INFEASIBLE_SENTINEL = math.inf
 
 
-def _infeasible_record(chromosome: Chromosome, g_inv: float,
+def _infeasible_record(case: NetworkCase, chromosome: Chromosome,
                        reason: str) -> FitnessRecord:
     # inf propagates through the breakdown so j = ec + t_inv + g_inv holds.
+    g_inv = generation_investment(case, base_schedules(case))
     return FitnessRecord(
         chromosome=chromosome,
         feasible=False,
@@ -97,52 +100,43 @@ def _infeasible_record(chromosome: Chromosome, g_inv: float,
     )
 
 
-def case_generation_investment(case: NetworkCase) -> float:
-    """G_inv in k$; independent of the line plan, computed once per case."""
-    return generation_investment(case, base_schedules(case))
-
-
 def evaluate_chromosome(
     case: NetworkCase,
     chromosome: Chromosome,
     settings: PlanSettings,
     seed: int,
-    g_inv: float | None = None,
 ) -> FitnessRecord:
     """Full pricing of one build plan: sizing loop plus cost rollup.
 
     A plan that islands, or whose pricing raises a GridTepError, comes back
     infeasible with the reason.
     """
-    if g_inv is None:
-        g_inv = case_generation_investment(case)
     net = apply_plan(case, chromosome)
     if is_islanded(case, net, frozenset(), frozenset()):
         return _infeasible_record(
-            chromosome, g_inv,
+            case, chromosome,
             "intact network strands a demand bus or a generator")
     try:
-        return _priced_record(case, chromosome, net, settings, seed, g_inv)
+        return _priced_record(case, chromosome, net, settings, seed)
     except GridTepError as exc:
-        return _infeasible_record(chromosome, g_inv,
+        return _infeasible_record(case, chromosome,
                                   f"{type(exc).__name__}: {exc}")
 
 
 def _priced_record(case: NetworkCase, chromosome: Chromosome,
-                   net: ActiveNetwork, settings: PlanSettings, seed: int,
-                   g_inv: float) -> FitnessRecord:
+                   net: ActiveNetwork, settings: PlanSettings,
+                   seed: int) -> FitnessRecord:
     entropy = chromosome_entropy(seed, chromosome.bits)
     evaluator = PlanEvaluator(case, net, settings, entropy)
     trace = sizing_loop(net, evaluator.evaluate, settings, entropy)
     final_net = net.with_capacities(trace.final_capacities)
-    ev = evaluator.evaluate(final_net)
-    breakdown = objective(ev.edns_k, ev.egns_k, ev.ewl_k, ev.t_inv, g_inv)
+    ev = trace.final_evaluation
     return FitnessRecord(
         chromosome=chromosome,
         feasible=True,
         line_ids=final_net.line_ids,
         capacities=final_net.capacities,
-        breakdown=breakdown,
+        breakdown=ev.breakdown,
         report=ev.report,
         sizing=SizingSummary(
             iterations=trace.iterations,
@@ -164,14 +158,13 @@ def run(
 ) -> PlanResult:
     """Evolve build plans toward minimum J and return the best found."""
     n_bits = len(case.candidate_lines)
-    g_inv = case_generation_investment(case)
     memo: dict[tuple[bool, ...], FitnessRecord] = {}
 
     def priced(bits: tuple[bool, ...]) -> FitnessRecord:
         rec = memo.get(bits)
         if rec is None:
             rec = evaluate_chromosome(case, Chromosome(bits), settings,
-                                      ga.seed, g_inv)
+                                      ga.seed)
             memo[bits] = rec
         return rec
 

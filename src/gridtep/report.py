@@ -1,4 +1,4 @@
-"""Result artifacts: the run manifest, plan.json, and the CSV tables.
+"""Result artifacts: plan.json and the CSV tables.
 
 plan.json is the machine-readable record of a run (manifest plus full
 result); report.csv lays the sized lines and the cost summary out in a
@@ -11,30 +11,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from .adequacy import ExpectationReport
 from .network import NetworkCase
 from .planner import FitnessRecord, PlanResult
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run bit-for-bit (plus wall time)."""
-
-    command: str
-    case_path: str
-    mode: str
-    policy: str
-    seed: int
-    mcs_iters: int
-    generations: int
-    pop_size: int
-    delta_f: float
-    congestion_threshold: float
-    tool_version: str
-    wall_time_s: float
 
 
 def _report_dict(report: ExpectationReport | None) -> dict | None:
@@ -66,9 +48,11 @@ def _record_dict(rec: FitnessRecord) -> dict:
     }
 
 
-def plan_payload(manifest: RunManifest, result: PlanResult) -> dict:
+def plan_payload(manifest: dict, result: PlanResult) -> dict:
+    """plan.json's content: ``manifest`` holds everything needed to
+    reproduce the run bit-for-bit (plus wall time)."""
     return {
-        "manifest": asdict(manifest),
+        "manifest": manifest,
         "result": {
             "mode": result.mode,
             "policy": result.policy,

@@ -15,7 +15,7 @@ Policies: "nl" (new lines) may only resize candidate lines; "wel"
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -63,6 +63,8 @@ class SizingStep:
 class SizingTrace:
     steps: tuple[SizingStep, ...]
     stop_reason: str
+    # The evaluation of the last step's capacities, as ``evaluate`` gave it.
+    final_evaluation: CapacityEvaluation = field(compare=False)
 
     @property
     def final_capacities(self) -> tuple[float, ...]:
@@ -121,19 +123,21 @@ def sizing_loop(
     """Drive the capacity-update loop for one topology.
 
     ``evaluate`` prices a capacity assignment, as
-    ``PlanEvaluator.evaluate`` does; the loop reads its expected cost
-    ``ec``, transmission investment ``t_inv`` and per-line congestion
-    probabilities. ``settings`` gives the policy, the congestion
-    threshold, the step ``delta_f`` and the iteration cap. The spin RNG
-    is derived from ``rng_entropy`` and the iteration index, so traces
-    replay exactly for a fixed seed.
+    ``PlanEvaluator.evaluate`` does; the loop reads the expected cost
+    ``ec`` and transmission investment ``t_inv`` of its breakdown and the
+    per-line congestion probabilities. It prices no capacity vector
+    twice, since every update adds at least one hit of ``delta_f`` > 0
+    MW, and the trace keeps the last evaluation. ``settings`` gives the
+    policy, the congestion threshold, the step ``delta_f`` and the
+    iteration cap. The spin RNG is derived from ``rng_entropy`` and the
+    iteration index, so traces replay exactly for a fixed seed.
     """
     ev = evaluate(net)
     steps = [SizingStep(
         iteration=0,
         capacities=net.capacities,
-        expected_cost=ev.ec,
-        transmission_investment=ev.t_inv,
+        expected_cost=ev.breakdown.ec,
+        transmission_investment=ev.breakdown.t_inv,
         eligible=(),
         hits=(),
         mec=None,
@@ -145,25 +149,25 @@ def sizing_loop(
         wheel = build_wheel(net, ev.congestion_probability, settings.policy,
                             settings.congestion_threshold)
         if not wheel.line_ids:
-            return SizingTrace(steps=tuple(steps), stop_reason=STOP_NO_CONGESTION)
+            return SizingTrace(tuple(steps), STOP_NO_CONGESTION, ev)
         if iteration >= settings.max_sizing_iterations:
-            return SizingTrace(steps=tuple(steps), stop_reason=STOP_ITERATION_CAP)
+            return SizingTrace(tuple(steps), STOP_ITERATION_CAP, ev)
 
         iteration += 1
         rng = substream(rng_entropy, DOMAIN_SPIN, iteration)
         hits = wheel.spin(rng, n_spins=len(wheel.line_ids))
         added_mw = sum(hits.values()) * settings.delta_f
-        prev = ev
+        prev = ev.breakdown
         net = apply_hits(net, hits, settings.delta_f)
         ev = evaluate(net)
 
-        mec = (ev.ec - prev.ec) / added_mw
-        mi = (ev.t_inv - prev.t_inv) / added_mw
+        mec = (ev.breakdown.ec - prev.ec) / added_mw
+        mi = (ev.breakdown.t_inv - prev.t_inv) / added_mw
         steps.append(SizingStep(
             iteration=iteration,
             capacities=net.capacities,
-            expected_cost=ev.ec,
-            transmission_investment=ev.t_inv,
+            expected_cost=ev.breakdown.ec,
+            transmission_investment=ev.breakdown.t_inv,
             eligible=wheel.line_ids,
             hits=tuple(sorted(hits.items())),
             mec=mec,
@@ -173,4 +177,4 @@ def sizing_loop(
         # first update and stop once extra MW cost at least as much in
         # investment as they recover in expected cost.
         if iteration >= 2 and abs(mec) <= mi:
-            return SizingTrace(steps=tuple(steps), stop_reason=STOP_MARGINAL)
+            return SizingTrace(tuple(steps), STOP_MARGINAL, ev)

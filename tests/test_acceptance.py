@@ -295,7 +295,7 @@ def test_criterion_10_upgrading_existing_lines_is_directionally_cheaper(
     for name, (evaluator, trace, final_net) in (
             ("wel", bundled_wel_run), ("nl", bundled_nl_run)):
         ev = evaluator.evaluate(final_net)
-        js[name] = ev.ec + ev.t_inv + g_inv
+        js[name] = ev.breakdown.ec + ev.breakdown.t_inv + g_inv
     ok = js["wel"] <= js["nl"]
     check(10, ok,
           f"fixed seed, all-candidates plan: J(WEL) = {js['wel'] / 1000:.2f} "

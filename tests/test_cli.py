@@ -187,6 +187,8 @@ QUICK_PLAN = ["plan", "--mode", "n1", "--generations", "1", "--pop-size", "2"]
     (QUICK_PLAN + ["--pop-size", "1"], "population_size"),
     (QUICK_PLAN + ["--generations", "-1"], "generations"),
     (["adequacy", "--mode", "mcs", "--mcs-iters", "0"], "n_mcs"),
+    (QUICK_PLAN + ["--seed", "-1"], "seed"),
+    (["adequacy", "--plan", "111111", "--seed", "-1"], "seed"),
 ])
 def test_out_of_range_setting_is_one_error_line_and_exit_2(
         argv, field, toy_case_path, tmp_path, capsys):
@@ -200,6 +202,29 @@ def test_out_of_range_setting_is_one_error_line_and_exit_2(
     assert captured.err.startswith(f"error: {field} must be ")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    QUICK_PLAN,
+    ["adequacy", "--mode", "n1", "--plan", "111111"],
+], ids=["plan", "adequacy"])
+def test_out_that_names_a_file_is_one_error_line_and_exit_2(
+        argv, toy_case_path, monkeypatch, capsys):
+    """An --out that cannot be a directory fails before anything is
+    priced: one `error:` line naming it, exit 2, the file untouched."""
+    def unpriced(*args):
+        raise AssertionError("priced before --out was checked")
+
+    monkeypatch.setattr(cli, "run", unpriced)
+    monkeypatch.setattr(cli.PlanEvaluator, "evaluate", unpriced)
+    code = main([*argv, "--case", str(toy_case_path),
+                 "--out", str(toy_case_path)])
+    assert code == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot use --out {toy_case_path}")
+    assert captured.err.count("\n") == 1
+    assert toy_case_path.is_file()
 
 
 def test_cli_defaults_are_the_library_defaults(toy_case_path, monkeypatch):

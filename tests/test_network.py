@@ -131,8 +131,8 @@ def test_case_json_round_trip_on_random_cases(case):
 DELETE = object()
 
 
-# Malformed values in the bundled case: (JSON path, new value or DELETE,
-# the failure's field path, its message).
+# Malformed or out-of-range values in the bundled case: (JSON path, new
+# value or DELETE, the failure's field path, its message).
 MALFORMED = [
     (("costs", "c_edns", 3), "x", "costs.c_edns[3]", "expected int/float"),
     (("ldc", "monthly_multipliers", 5), None, "ldc.monthly_multipliers[5]",
@@ -160,6 +160,10 @@ MALFORMED = [
     (("lines", 3, "status"), 1, "lines[3].status", "expected str"),
     (("lines", 0, "length_km"), 10**400, "lines[0].length_km",
      "must be finite"),
+    (("generators", 0, "capital_cost"), -5, "generators[0].capital_cost",
+     "must be >= 0"),
+    (("generators", 0, "revenue_loss_rate"), -1,
+     "generators[0].revenue_loss_rate", "must be >= 0"),
 ]
 
 

@@ -12,15 +12,16 @@ from hypothesis import given, strategies as st
 
 from gridtep import planner
 from gridtep.adequacy import ExpectationReport
+from gridtep.costs import generation_investment
+from gridtep.evaluation import base_schedules
 from gridtep.network import Chromosome, load_case
 from gridtep.planner import (
     GaConfig,
     PlanSettings,
-    case_generation_investment,
     evaluate_chromosome,
     run,
 )
-from gridtep.report import RunManifest, plan_payload
+from gridtep.report import plan_payload
 
 from _toys import build_case, ga_toy_case, gen, line, mcs_toy_case
 
@@ -37,7 +38,8 @@ def test_plan_that_strands_a_generator_is_infeasible():
     assert not rec.feasible
     assert math.isinf(rec.j)
     # G_inv survives so J still decomposes as EC + T_inv + G_inv.
-    assert rec.breakdown.g_inv == case_generation_investment(case)
+    assert rec.breakdown.g_inv == generation_investment(
+        case, base_schedules(case))
     assert "strands" in rec.infeasible_reason
 
 
@@ -71,7 +73,7 @@ def test_plan_whose_pricing_raises_is_infeasible_and_the_search_goes_on(
         assert math.isinf(rec.j)
         assert rec.infeasible_reason.startswith("ResampleBudgetError: ")
 
-    manifest = RunManifest(
+    manifest = dict(
         command="plan", case_path="ring.json", mode="mcs", policy="nl",
         seed=1, mcs_iters=10, generations=2, pop_size=4, delta_f=5.0,
         congestion_threshold=0.1, tool_version="test", wall_time_s=0.0)

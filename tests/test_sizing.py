@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridtep.adequacy import line_overloads
-from gridtep.evaluation import CapacityEvaluation, PlanSettings
-from gridtep.network import ActiveNetwork
+from gridtep.adequacy import ExpectationReport, line_overloads
+from gridtep.costs import objective
+from gridtep.evaluation import CapacityEvaluation, PlanEvaluator, PlanSettings
+from gridtep.network import ActiveNetwork, Chromosome, apply_plan
 from gridtep.rng import substream
 from gridtep.sizing import (
     POLICY_NL,
@@ -21,7 +25,7 @@ from gridtep.sizing import (
     updatable_mask,
 )
 
-from _toys import bare_net, line
+from _toys import bare_net, line, mcs_toy_case
 
 
 def mixed_net():
@@ -124,7 +128,7 @@ def test_single_segment_takes_every_spin():
 def priced(ec, t_inv, congestion_probability):
     """A stand-in for PlanEvaluator.evaluate's result, as sizing reads it."""
     return CapacityEvaluation(
-        report=None, edns_k=ec, egns_k=0.0, ewl_k=0.0, ec=ec, t_inv=t_inv,
+        report=None, breakdown=objective(ec, 0.0, 0.0, t_inv, 0.0),
         congestion_probability=np.asarray(congestion_probability, float))
 
 
@@ -237,3 +241,57 @@ def test_loop_records_replayable_steps():
     b = sizing_loop(net, congested_once, PlanSettings(policy=POLICY_WEL),
                     rng_entropy=42)
     assert a == b
+
+
+def sizing_toy():
+    """The toy MCS case with line 3 a built candidate, every line at half
+    its rating: congested enough to grow under both policies."""
+    toy = mcs_toy_case()
+    case = dataclasses.replace(toy, lines=tuple(
+        dataclasses.replace(ln, status="candidate") if ln.id == 3 else ln
+        for ln in toy.lines))
+    net = apply_plan(case, Chromosome.from_ints([1]))
+    return case, net.with_capacities([c / 2 for c in net.capacities])
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       delta_f=st.sampled_from([1.0, 2.5, 7.0]))
+def test_sizing_prices_each_capacity_vector_once(seed, delta_f):
+    """Nothing caches evaluations, so the loop must not need one: it
+    prices every capacity vector once, total capacity strictly grows, and
+    the trace's last evaluation is what pricing its final capacities
+    gives. Re-pricing them on the same evaluator gives it bit for bit; a
+    fresh evaluator stacks its states in another order, so its weighted
+    sums may differ in the last bits."""
+    case, net = sizing_toy()
+    entropy = [seed, 1]
+    for policy in (POLICY_NL, POLICY_WEL):
+        config = PlanSettings(mode="mcs", policy=policy, n_mcs=10,
+                              delta_f=delta_f, max_sizing_iterations=25)
+        evaluator = PlanEvaluator(case, net, config, entropy)
+        priced = []
+
+        def evaluate(net):
+            priced.append(net.capacities)
+            return evaluator.evaluate(net)
+
+        trace = sizing_loop(net, evaluate, config, entropy)
+        assert len(set(priced)) == len(priced) == trace.iterations + 1
+        totals = [sum(caps) for caps in priced]
+        assert all(b > a for a, b in zip(totals, totals[1:]))
+
+        final = net.with_capacities(trace.final_capacities)
+        got = trace.final_evaluation
+        again = evaluator.evaluate(final)
+        fresh = PlanEvaluator(case, net, config, entropy).evaluate(final)
+        assert got.breakdown == again.breakdown
+        np.testing.assert_allclose(dataclasses.astuple(fresh.breakdown),
+                                   dataclasses.astuple(got.breakdown),
+                                   rtol=1e-12)
+        for field in dataclasses.fields(ExpectationReport):
+            a, b, c = (getattr(ev.report, field.name)
+                       for ev in (got, again, fresh))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
+                field.name
+            np.testing.assert_allclose(c, a, rtol=1e-12, atol=1e-12)
