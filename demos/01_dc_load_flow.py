@@ -41,8 +41,7 @@ def build_ring() -> ActiveNetwork:
                  base_capacity_mw=100.0)
         for i, f, t, x in data
     )
-    return ActiveNetwork(buses=buses, lines=lines,
-                         capacities=(100.0,) * 4, slack_bus=1)
+    return ActiveNetwork(buses=buses, lines=lines)
 
 
 def main() -> None:

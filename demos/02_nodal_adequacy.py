@@ -50,8 +50,7 @@ def build_corridor() -> ActiveNetwork:
                  forced_outage_rate=0.02, status="existing",
                  base_capacity_mw=20.0),
     )
-    return ActiveNetwork(buses=buses, lines=lines, capacities=(50.0, 20.0),
-                         slack_bus=1)
+    return ActiveNetwork(buses=buses, lines=lines)
 
 
 def main() -> None:
@@ -61,13 +60,13 @@ def main() -> None:
 
     sol = solve(net, generation - demand)
     print("two parallel lines, 90 MW to move, ratings 50 and 20 MW")
-    for ln, f in zip(net.lines, sol.flows):
-        cap = net.capacity_of(ln.id)
+    ratings = net.base_capacities
+    for ln, f, cap in zip(net.lines, sol.flows, ratings):
         state = "OVER" if abs(f) > cap else "ok"
         print(f"  line {ln.id} (x={ln.reactance}): flow {f:6.2f} MW,"
               f" rating {cap:5.1f} MW  [{state}]")
 
-    balance = nodal_balance(net, sol.flows, demand, generation)
+    balance = nodal_balance(net, sol.flows, demand, generation, ratings)
     print("\nper-bus adequacy balance:")
     for k, b in enumerate(net.buses):
         print(f"  bus {b.id}: DIFF {balance.diff[k]:7.2f}  ->"
@@ -77,7 +76,7 @@ def main() -> None:
           " generation matches demand)")
 
     print(f"  state passes the validity screen: {bool(balance.valid)}")
-    _, wl = line_overloads(sol.flows, net.capacity_array)
+    _, wl = line_overloads(sol.flows, ratings)
     print(f"  wheeling loss (total overload) = {wl:.2f} MW")
 
     # Growing the weak line's rating converts unserved demand back into

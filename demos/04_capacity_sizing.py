@@ -63,10 +63,9 @@ def main() -> None:
     print(f"\nstopped: {trace.stop_reason} after {trace.iterations}"
           " iterations")
 
-    final = net.with_capacities(trace.final_capacities)
     grown = [
         (ln, before, after)
-        for ln, before, after in zip(net.lines, net.capacities,
+        for ln, before, after in zip(net.lines, net.base_capacities,
                                      trace.final_capacities)
         if after > before
     ]
@@ -75,7 +74,7 @@ def main() -> None:
         print(f"  line {ln.id:>2} ({ln.from_bus}->{ln.to_bus}, {ln.status}):"
               f" {before:6.1f} -> {after:6.1f} MW")
 
-    p_con = evaluator.evaluate(final).congestion_probability
+    p_con = trace.final_evaluation.congestion_probability
     print(f"\nmax P_con after sizing: {p_con.max():.3f}"
           " (was driven below the 0.1 threshold)")
 

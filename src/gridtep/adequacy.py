@@ -50,14 +50,12 @@ def nodal_diff(
     flows: np.ndarray,
     demand: np.ndarray,
     generation: np.ndarray,
-    capacities: np.ndarray | None = None,
+    capacities: np.ndarray,
 ) -> np.ndarray:
     """Step (a): per-bus DIFF from unconstrained DC flows, with each
-    line's deliverable power truncated at its rating (the network's own
-    ratings unless ``capacities`` is given)."""
-    caps = net.capacity_array if capacities is None else capacities
+    line's deliverable power truncated at its rating in ``capacities``."""
     flows = np.asarray(flows, dtype=float)
-    delivered = np.minimum(np.abs(flows), caps)
+    delivered = np.minimum(np.abs(flows), capacities)
     pos = np.where(flows >= 0, delivered, 0.0)
     neg = np.where(flows < 0, delivered, 0.0)
     a_from, a_to = net.incidence
@@ -102,7 +100,7 @@ def nodal_balance(
     flows: np.ndarray,
     demand: np.ndarray,
     generation: np.ndarray,
-    capacities: np.ndarray | None = None,
+    capacities: np.ndarray,
 ) -> NodalBalance:
     """Steps (a) and (b): DIFF, DNS, GNS and the validity screen."""
     return balance_from_diffs(

@@ -227,8 +227,6 @@ def cmd_adequacy(args) -> int:
     try:
         chromosome, capacities = _plan_bits(args, case)
         net = apply_plan(case, chromosome)
-        if capacities is not None:
-            net = net.with_capacities(capacities)
         if is_islanded(case, net, frozenset(), frozenset()):
             raise GridTepError(
                 "plan leaves a demand bus or generator bus disconnected")
@@ -237,7 +235,8 @@ def cmd_adequacy(args) -> int:
             case, net, settings,
             chromosome_entropy(args.seed, chromosome.bits),
         )
-        ev = evaluator.evaluate(net)
+        ev = evaluator.evaluate(
+            net.base_capacities if capacities is None else capacities)
     except GridTepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -7,8 +7,7 @@ Two sources of outage states share one representation:
   the minimum number of generators online are rejected and redrawn, up
   to a resample budget.
 * Deterministic enumeration — every single (N-1) or pair (N-2) outage
-  over lines and generators, with the same feasibility screen;
-  surviving states carry equal weights that sum to one.
+  over lines and generators, with the same feasibility screen.
 
 A state islands the network when any demand bus, or any bus hosting an
 online generator, is cut off from the slack bus. Buses with neither
@@ -24,20 +23,19 @@ from operator import lt
 
 import numpy as np
 
-# is_islanded reads the union-find through slack_connected's memo and no
-# longer calls connected_components itself. The name stays importable from
-# here because perfbench/tracer.py rebinds contingency.connected_components.
-from .dcflow import connected_components  # noqa: F401
 from .dcflow import slack_connected
 from .errors import ResampleBudgetError
 from .network import ActiveNetwork, NetworkCase
+# is_islanded reads the union-find through slack_connected's memo and no
+# longer calls connected_components itself. The name stays importable from
+# here because perfbench/tracer.py rebinds contingency.connected_components.
+from .network import connected_components  # noqa: F401
 
 
 @dataclass(frozen=True)
 class OutageState:
     lines_out: frozenset[int]  # line ids
     gens_out: frozenset[int]  # fleet indices
-    weight: float = 1.0
     # Element-wise draws sample_state made to reach this state, rejected
     # infeasible ones included. Bookkeeping only: not part of equality.
     draws: int = field(default=1, compare=False)
@@ -113,7 +111,7 @@ def enumerate_deterministic(
 
     Order 1 lists every single line or generator outage; order 2 lists
     every unordered pair of element outages. The intact state is never
-    included. Feasible states get equal weights summing to one.
+    included.
     """
     if order not in (1, 2):
         raise ValueError(f"contingency order must be 1 or 2, got {order}")
@@ -132,15 +130,8 @@ def enumerate_deterministic(
             for (l1, g1), (l2, g2) in combinations(elements, 2)
         ]
 
-    feasible = [
+    return [
         OutageState(lines_out=lo, gens_out=go)
         for lo, go in combos
         if _feasible(case, net, lo, go)
-    ]
-    if not feasible:
-        return []
-    w = 1.0 / len(feasible)
-    return [
-        OutageState(lines_out=s.lines_out, gens_out=s.gens_out, weight=w)
-        for s in feasible
     ]

@@ -99,9 +99,11 @@ def outage_compensation_factor(forced_outage_rate: float) -> float:
 
 def transmission_investment(
     net: ActiveNetwork,
+    capacities,
     costs: CostParameters,
 ) -> float:
-    """Line investment for a sized network, in k$.
+    """Line investment for a topology at the given ratings (one per line,
+    in line order), in k$.
 
     Capital: new lines pay the full-rating rate times length; existing
     lines pay only for capacity added beyond their base rating, at the
@@ -110,8 +112,7 @@ def transmission_investment(
     """
     capital = 0.0
     operating = 0.0
-    for pos, ln in enumerate(net.lines):
-        cap = net.capacities[pos]
+    for ln, cap in zip(net.lines, capacities, strict=True):
         if ln.status == CANDIDATE:
             capital += line_capital_rate(cap) * ln.length_km
         else:

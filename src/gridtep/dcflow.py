@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NetworkDisconnectedError, UnbalancedInjectionsError
-from .network import ActiveNetwork
+from .network import ActiveNetwork, connected_components
 
 BALANCE_TOL = 1e-6
 
@@ -28,27 +28,6 @@ class FlowSolution:
     angles: np.ndarray  # radians, slack pinned to 0
     flows: np.ndarray  # MW, one per line, signed from->to
     injections: np.ndarray  # MW, the solved-for injections
-
-
-def connected_components(
-    net: ActiveNetwork, line_in_service: np.ndarray | None = None
-) -> np.ndarray:
-    """Component label per bus index, over the in-service lines."""
-    parent = np.arange(net.n_buses)
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for pos in range(len(net.lines)):
-        if line_in_service is not None and not line_in_service[pos]:
-            continue
-        ra, rb = find(int(net.from_idx[pos])), find(int(net.to_idx[pos]))
-        if ra != rb:
-            parent[ra] = rb
-    return np.array([find(k) for k in range(net.n_buses)])
 
 
 def slack_connected(net: ActiveNetwork, lines_out: frozenset[int]) -> np.ndarray:

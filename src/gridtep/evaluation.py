@@ -1,11 +1,11 @@
 """Plan evaluation engine.
 
-Prices one topology (an applied build plan) under changing line
-capacities. The expensive work per outage state — merit dispatch and the
-DC solve — does not depend on capacities, so it is computed once per
-distinct state and cached; each capacity assignment then only re-runs
-the cheap truncation arithmetic, vectorized across all distinct states
-of a scenario.
+A ``PlanEvaluator`` is bound to one topology (an applied build plan) and
+prices rating vectors for it, one rating per line. The expensive work
+per outage state — merit dispatch and the DC solve — does not depend on
+ratings, so it is computed once per distinct state and cached; each
+rating vector then only re-runs the cheap truncation arithmetic,
+vectorized across all distinct states of a scenario.
 
 Monte Carlo mode gives each (scenario, slot) its own RNG substream and
 keeps the chain of states the slot has drawn from it. A month's slot
@@ -18,7 +18,7 @@ evaluates every stored row once. Slots whose chain holds no valid state
 are then resolved in rounds: a round draws one more state from each
 pending slot's stream, in slot order, and evaluates only the rows that
 round added. The cost is
-linear in the draws, validity redraws included. ``max_resamples`` bounds
+linear in the draws, validity redraws included. ``MAX_RESAMPLES`` bounds
 every element-wise draw of a slot, island rejections included. A month's
 ``samples_drawn`` sums, over slots, the element-wise draws up to and
 including the slot's accepted state, so it does not depend on which
@@ -64,21 +64,21 @@ POLICY_NL = "nl"  # sizing may resize candidate lines only
 POLICY_WEL = "wel"  # sizing may resize every line
 POLICIES = (POLICY_NL, POLICY_WEL)
 
+MAX_RESAMPLES = 1000  # element-wise draws per Monte Carlo slot
+
 
 @dataclass(frozen=True)
 class PlanSettings:
     """How a plan is priced: the contingency mode, the sizing policy and
-    their knobs. ``PlanEvaluator`` reads the mode, ``n_mcs`` and
-    ``max_resamples``; ``sizing_loop`` reads the rest. Out-of-range values
-    raise ValueError here, so neither has to check them."""
+    their knobs. ``PlanEvaluator`` reads the mode and ``n_mcs``;
+    ``sizing_loop`` reads the rest. Out-of-range values raise ValueError
+    here, so neither has to check them."""
 
     mode: str = MODE_MCS  # mcs | n1 | n2
     policy: str = POLICY_NL  # nl | wel
     n_mcs: int = 1000  # Monte Carlo samples per month
     delta_f: float = 5.0  # MW added per roulette hit
     congestion_threshold: float = 0.1  # P_con must strictly exceed this
-    max_sizing_iterations: int = 200
-    max_resamples: int = 1000  # element-wise draws per Monte Carlo slot
 
     def __post_init__(self):
         # Each check is a comparison that NaN fails, so NaN is rejected.
@@ -89,8 +89,6 @@ class PlanSettings:
             ("n_mcs", ">= 1", self.n_mcs >= 1),
             ("delta_f", "finite and > 0", 0 < self.delta_f < math.inf),
             ("congestion_threshold", ">= 0", self.congestion_threshold >= 0),
-            ("max_resamples", ">= 1", self.max_resamples >= 1),
-            ("max_sizing_iterations", ">= 0", self.max_sizing_iterations >= 0),
         ):
             if not ok:
                 raise ValueError(
@@ -217,7 +215,7 @@ class BatchEvaluation:
 
 @dataclass(frozen=True)
 class CapacityEvaluation:
-    """Everything one capacity assignment costs and suffers."""
+    """Everything one rating vector costs and suffers."""
 
     report: ExpectationReport  # 12 monthly rows
     breakdown: CostBreakdown  # k$; J = EC + T_inv + G_inv
@@ -227,14 +225,12 @@ class CapacityEvaluation:
 class _McsScenario:
     """Lazy per-slot sampler for one scenario month."""
 
-    def __init__(self, case, net, month, entropy, n_slots, max_resamples,
-                 base_schedule):
+    def __init__(self, case, net, month, entropy, n_slots, base_schedule):
         self.case = case
         self.net = net
         self.month = month
         self.entropy = entropy
         self.n_slots = n_slots
-        self.max_resamples = max_resamples
         self.base_schedule = base_schedule
         self.batch = ScenarioBatch(net, len(case.generators))
         # Per slot: (row, element-wise draws of the slot so far) per state.
@@ -252,11 +248,11 @@ class _McsScenario:
     def _budget_error(self, slot: int) -> ResampleBudgetError:
         return ResampleBudgetError(
             f"slot {slot} of month {self.month}: no valid sample within "
-            f"{self.max_resamples} draws")
+            f"{MAX_RESAMPLES} draws")
 
     def _extend(self, slot: int) -> int:
         """Draw the slot's next state within what is left of its budget."""
-        left = self.max_resamples - self.draws[slot]
+        left = MAX_RESAMPLES - self.draws[slot]
         try:
             state = sample_state(self.case, self.net, self._rng(slot), left)
         except ResampleBudgetError as exc:
@@ -301,7 +297,7 @@ class _McsScenario:
                 if valid[row]:
                     rows[slot] = row
                     drawn += self.draws[slot]
-                elif self.draws[slot] >= self.max_resamples:
+                elif self.draws[slot] >= MAX_RESAMPLES:
                     raise self._budget_error(slot)
                 else:
                     still.append(slot)
@@ -321,7 +317,7 @@ class _DeterministicScenario:
         self.demand = scenario_demand(case, month)
         self.batch = ScenarioBatch(net, len(case.generators))
         states = enumerate_deterministic(case, net, order)
-        self.weights = np.array([s.weight for s in states])
+        self.n_states = len(states)
         for state in states:
             self.batch.row_for(
                 (state.lines_out, state.gens_out),
@@ -331,14 +327,14 @@ class _DeterministicScenario:
 
     def result(self, capacities: np.ndarray) -> dict:
         ev = self.batch.evaluate(capacities)
-        w = np.where(ev.valid, self.weights, 0.0)
+        w = ev.valid / self.n_states
         total = w.sum()
         if not total > 0:
             raise GridTepError(
                 f"mode {self.mode}, month {self.month}: none of the "
-                f"{len(self.weights)} enumerated states passes the validity "
+                f"{self.n_states} enumerated states passes the validity "
                 "screen at these ratings")
-        return ev.weighted(w / total, int(ev.valid.sum()), len(self.weights))
+        return ev.weighted(w / total, int(ev.valid.sum()), self.n_states)
 
 
 def build_record(
@@ -373,7 +369,7 @@ def base_schedules(case: NetworkCase) -> list[tuple[float, ...]]:
 
 
 class PlanEvaluator:
-    """Prices capacity assignments for one fixed topology.
+    """Prices rating vectors for one fixed topology.
 
     All randomness flows from the entropy key, making evaluations
     replayable. G_inv does not depend on the line plan; it is computed
@@ -395,7 +391,6 @@ class PlanEvaluator:
         if settings.mode == MODE_MCS:
             self.scenarios = [
                 _McsScenario(case, net, m, entropy, settings.n_mcs,
-                             settings.max_resamples,
                              self.base_schedules[m - 1])
                 for m in MONTHS
             ]
@@ -407,10 +402,14 @@ class PlanEvaluator:
                                        self.base_schedules[peak - 1])
             ]
 
-    def evaluate(self, net: ActiveNetwork) -> CapacityEvaluation:
-        if net.line_ids != self.net.line_ids:
-            raise ValueError("evaluator is bound to a different topology")
-        caps = np.asarray(net.capacities, dtype=float)
+    def evaluate(self, capacities) -> CapacityEvaluation:
+        """Price one rating vector: a rating per line of the topology, in
+        line order."""
+        caps = np.asarray(capacities, dtype=float)
+        if caps.shape != (len(self.net.lines),):
+            raise ValueError(
+                f"expected {len(self.net.lines)} ratings, one per line, got "
+                f"shape {caps.shape}")
         results = [sc.result(caps) for sc in self.scenarios]
         if len(results) == 1:  # n1/n2: the peak month stands in for all 12
             results *= 12
@@ -424,7 +423,7 @@ class PlanEvaluator:
                 edns_cost(report.edns, costs),
                 egns_cost(report.egns, report.ego, costs, generators),
                 ewl_cost(report.ewl, costs),
-                transmission_investment(net, costs),
+                transmission_investment(self.net, capacities, costs),
                 self.g_inv),
             congestion_probability=report.congestion_probability.mean(axis=0),
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache, cached_property
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -84,10 +84,6 @@ class NetworkCase:
     min_online_generators: int = 2
 
     @cached_property
-    def slack_bus(self) -> int:
-        return next(b.id for b in self.buses if b.is_slack)
-
-    @cached_property
     def bus_index(self) -> dict[int, int]:
         return {b.id: i for i, b in enumerate(self.buses)}
 
@@ -126,21 +122,24 @@ class Chromosome:
 
 @dataclass(frozen=True)
 class ActiveNetwork:
-    """A concrete topology: all existing lines plus the selected candidates.
+    """The topology of a built plan: the case's buses, every existing line
+    and the candidates the plan builds.
 
-    ``capacities`` holds each line's current rating in the same order as
-    ``lines``. Instances are immutable; capacity updates produce a new
-    network via :meth:`with_capacities`.
+    Line ratings are not part of it. They are a vector aligned with
+    ``lines``: sizing grows one from ``base_capacities`` and
+    ``PlanEvaluator.evaluate`` prices it.
     """
 
     buses: tuple[Bus, ...]
     lines: tuple[LineSpec, ...]
-    capacities: tuple[float, ...]
-    slack_bus: int
 
-    def __post_init__(self):
-        if len(self.capacities) != len(self.lines):
-            raise ValueError("capacities length must match lines length")
+    @cached_property
+    def slack_bus(self) -> int:
+        return next(b.id for b in self.buses if b.is_slack)
+
+    @cached_property
+    def base_capacities(self) -> tuple[float, ...]:
+        return tuple(ln.base_capacity_mw for ln in self.lines)
 
     @cached_property
     def bus_index(self) -> dict[int, int]:
@@ -182,12 +181,6 @@ class ActiveNetwork:
         return a
 
     @cached_property
-    def capacity_array(self) -> np.ndarray:
-        a = np.array(self.capacities, dtype=float)
-        a.flags.writeable = False
-        return a
-
-    @cached_property
     def line_ids(self) -> tuple[int, ...]:
         return tuple(ln.id for ln in self.lines)
 
@@ -202,15 +195,29 @@ class ActiveNetwork:
     @cached_property
     def slack_connected_memo(self) -> dict[frozenset[int], np.ndarray]:
         """Per-instance memo of :func:`gridtep.dcflow.slack_connected`:
-        outage set (line ids) -> bus mask. Networks built by
-        :meth:`with_capacities` start with an empty one."""
+        outage set (line ids) -> bus mask."""
         return {}
 
-    def with_capacities(self, capacities) -> "ActiveNetwork":
-        return replace(self, capacities=tuple(float(c) for c in capacities))
 
-    def capacity_of(self, line_id: int) -> float:
-        return self.capacities[self.line_pos[line_id]]
+def connected_components(
+    net: ActiveNetwork, line_in_service: np.ndarray | None = None
+) -> np.ndarray:
+    """Component label per bus index, over the in-service lines."""
+    parent = np.arange(net.n_buses)
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for pos in range(len(net.lines)):
+        if line_in_service is not None and not line_in_service[pos]:
+            continue
+        ra, rb = find(int(net.from_idx[pos])), find(int(net.to_idx[pos]))
+        if ra != rb:
+            parent[ra] = rb
+    return np.array([find(k) for k in range(net.n_buses)])
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +289,16 @@ def validate_case(case: NetworkCase) -> list[tuple[str, str]]:
            "must be >= 1")
 
     # Existing lines must form one connected component (new-generator buses
-    # may be line-less until candidates are built).
-    touched = set()
-    for ln in case.existing_lines:
-        touched.add(ln.from_bus)
-        touched.add(ln.to_bus)
-    if touched:
-        parent = {b: b for b in touched}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for ln in case.existing_lines:
-            ra, rb = find(ln.from_bus), find(ln.to_bus)
-            if ra != rb:
-                parent[ra] = rb
-        roots = {find(b) for b in touched}
-        _check(f, len(roots) == 1, "lines",
+    # may be line-less until candidates are built). An unknown endpoint,
+    # reported above, stands in as a bus of its own. A line's two ends
+    # share a component, so its from ends name every component touched.
+    unknown = {b for ln in case.existing_lines
+               for b in (ln.from_bus, ln.to_bus)} - id_set
+    grid = ActiveNetwork((*case.buses, *(Bus(b, 0.0) for b in unknown)),
+                         case.existing_lines)
+    if grid.lines:
+        touched = set(connected_components(grid)[grid.from_idx])
+        _check(f, len(touched) == 1, "lines",
                "existing lines must form a single connected component")
 
     total_capacity = sum(g.capacity_mw for g in case.generators)
@@ -419,7 +416,7 @@ def save_case(case: NetworkCase, path) -> None:
 
 def apply_plan(case: NetworkCase, chromosome: Chromosome) -> ActiveNetwork:
     """Topology for one build plan: every existing line plus the candidate
-    lines whose bit is set, each starting at its base capacity."""
+    lines whose bit is set."""
     candidates = case.candidate_lines
     if len(chromosome.bits) != len(candidates):
         raise ValueError(
@@ -427,12 +424,7 @@ def apply_plan(case: NetworkCase, chromosome: Chromosome) -> ActiveNetwork:
             f"candidate count {len(candidates)}")
     lines = list(case.existing_lines)
     lines += [ln for bit, ln in zip(chromosome.bits, candidates) if bit]
-    return ActiveNetwork(
-        buses=case.buses,
-        lines=tuple(lines),
-        capacities=tuple(ln.base_capacity_mw for ln in lines),
-        slack_bus=case.slack_bus,
-    )
+    return ActiveNetwork(buses=case.buses, lines=tuple(lines))
 
 
 def scenario_demand(case: NetworkCase, month: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Each chromosome (one bit per candidate line) is priced by applying the
 plan, growing line capacities through the roulette sizing loop, and
-rolling the final network up into the objective J = EC + T_inv + G_inv.
+rolling the final ratings up into the objective J = EC + T_inv + G_inv.
 Evaluations are memoized per bit pattern and fully determined by
 (case, chromosome, mode, seed). Plans whose intact topology strands a
 demand bus or a generator, and plans whose pricing raises a GridTepError
@@ -129,19 +129,18 @@ def _priced_record(case: NetworkCase, chromosome: Chromosome,
     entropy = chromosome_entropy(seed, chromosome.bits)
     evaluator = PlanEvaluator(case, net, settings, entropy)
     trace = sizing_loop(net, evaluator.evaluate, settings, entropy)
-    final_net = net.with_capacities(trace.final_capacities)
     ev = trace.final_evaluation
     return FitnessRecord(
         chromosome=chromosome,
         feasible=True,
-        line_ids=final_net.line_ids,
-        capacities=final_net.capacities,
+        line_ids=net.line_ids,
+        capacities=trace.final_capacities,
         breakdown=ev.breakdown,
         report=ev.report,
         sizing=SizingSummary(
             iterations=trace.iterations,
             stop_reason=trace.stop_reason,
-            final_total_capacity=float(sum(final_net.capacities)),
+            final_total_capacity=float(sum(trace.final_capacities)),
         ),
     )
 

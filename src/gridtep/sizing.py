@@ -29,6 +29,8 @@ STOP_NO_CONGESTION = "no_congestion"
 STOP_MARGINAL = "marginal_cost_floor"
 STOP_ITERATION_CAP = "iteration_cap"
 
+MAX_SIZING_ITERATIONS = 200
+
 
 @dataclass(frozen=True)
 class RouletteWheel:
@@ -105,37 +107,41 @@ def build_wheel(
 
 
 def apply_hits(
-    net: ActiveNetwork, hits: dict[int, int], delta_f: float
-) -> ActiveNetwork:
-    """New network with each hit line grown by hits * delta_f MW."""
-    caps = list(net.capacities)
+    net: ActiveNetwork, capacities: tuple[float, ...], hits: dict[int, int],
+    delta_f: float,
+) -> tuple[float, ...]:
+    """``capacities`` with each hit line grown by hits * delta_f MW."""
+    caps = list(capacities)
     for lid, m in hits.items():
         caps[net.line_pos[lid]] += m * delta_f
-    return net.with_capacities(caps)
+    return tuple(caps)
 
 
 def sizing_loop(
     net: ActiveNetwork,
-    evaluate: Callable[[ActiveNetwork], CapacityEvaluation],
+    evaluate: Callable[[tuple[float, ...]], CapacityEvaluation],
     settings: PlanSettings,
     rng_entropy,
 ) -> SizingTrace:
-    """Drive the capacity-update loop for one topology.
+    """Drive the capacity-update loop for one topology, growing its line
+    ratings from ``net.base_capacities``.
 
-    ``evaluate`` prices a capacity assignment, as
+    ``evaluate`` prices a rating vector, as
     ``PlanEvaluator.evaluate`` does; the loop reads the expected cost
     ``ec`` and transmission investment ``t_inv`` of its breakdown and the
     per-line congestion probabilities. It prices no capacity vector
     twice, since every update adds at least one hit of ``delta_f`` > 0
     MW, and the trace keeps the last evaluation. ``settings`` gives the
-    policy, the congestion threshold, the step ``delta_f`` and the
-    iteration cap. The spin RNG is derived from ``rng_entropy`` and the
-    iteration index, so traces replay exactly for a fixed seed.
+    policy, the congestion threshold and the step ``delta_f``; at most
+    ``MAX_SIZING_ITERATIONS`` updates are made. The spin RNG is derived
+    from ``rng_entropy`` and the iteration index, so traces replay
+    exactly for a fixed seed.
     """
-    ev = evaluate(net)
+    capacities = net.base_capacities
+    ev = evaluate(capacities)
     steps = [SizingStep(
         iteration=0,
-        capacities=net.capacities,
+        capacities=capacities,
         expected_cost=ev.breakdown.ec,
         transmission_investment=ev.breakdown.t_inv,
         eligible=(),
@@ -150,7 +156,7 @@ def sizing_loop(
                             settings.congestion_threshold)
         if not wheel.line_ids:
             return SizingTrace(tuple(steps), STOP_NO_CONGESTION, ev)
-        if iteration >= settings.max_sizing_iterations:
+        if iteration >= MAX_SIZING_ITERATIONS:
             return SizingTrace(tuple(steps), STOP_ITERATION_CAP, ev)
 
         iteration += 1
@@ -158,14 +164,14 @@ def sizing_loop(
         hits = wheel.spin(rng, n_spins=len(wheel.line_ids))
         added_mw = sum(hits.values()) * settings.delta_f
         prev = ev.breakdown
-        net = apply_hits(net, hits, settings.delta_f)
-        ev = evaluate(net)
+        capacities = apply_hits(net, capacities, hits, settings.delta_f)
+        ev = evaluate(capacities)
 
         mec = (ev.breakdown.ec - prev.ec) / added_mw
         mi = (ev.breakdown.t_inv - prev.t_inv) / added_mw
         steps.append(SizingStep(
             iteration=iteration,
-            capacities=net.capacities,
+            capacities=capacities,
             expected_cost=ev.breakdown.ec,
             transmission_investment=ev.breakdown.t_inv,
             eligible=wheel.line_ids,

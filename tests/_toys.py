@@ -59,13 +59,13 @@ def bare_net(n_buses, edges, *, slack=1, caps=None) -> ActiveNetwork:
     """ActiveNetwork straight from (from, to, reactance) triples."""
     buses = tuple(Bus(id=k + 1, base_demand=0.0, is_slack=(k + 1 == slack))
                   for k in range(n_buses))
-    lines = tuple(
-        line(i + 1, f, t, x=x) for i, (f, t, x) in enumerate(edges)
-    )
     if caps is None:
-        caps = tuple(100.0 for _ in lines)
-    return ActiveNetwork(buses=buses, lines=lines,
-                         capacities=tuple(caps), slack_bus=slack)
+        caps = [100.0] * len(edges)
+    lines = tuple(
+        line(i + 1, f, t, x=x, cap=c)
+        for i, ((f, t, x), c) in enumerate(zip(edges, caps, strict=True))
+    )
+    return ActiveNetwork(buses=buses, lines=lines)
 
 
 def random_connected_net(rng: np.random.Generator, max_buses=8) -> ActiveNetwork:

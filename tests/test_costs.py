@@ -95,10 +95,8 @@ def test_new_line_pays_full_rating():
     net = ActiveNetwork(
         buses=base.buses,
         lines=(line(1, 1, 2, length=40.0, status="candidate", for_=0.5),),
-        capacities=(100.0,),
-        slack_bus=1,
     )
-    assert transmission_investment(net, params(c_t2=0.0)) == 1407.6
+    assert transmission_investment(net, (100.0,), params(c_t2=0.0)) == 1407.6
 
 
 def test_existing_line_pays_only_its_increment():
@@ -109,10 +107,10 @@ def test_existing_line_pays_only_its_increment():
         line(1, 1, 2, length=10.0, status="existing", cap=100.0, for_=0.5),
         line(2, 2, 3, length=10.0, status="existing", cap=100.0, for_=0.5),
     )
-    net = ActiveNetwork(buses=base.buses, lines=lines,
-                        capacities=(120.0, 100.0), slack_bus=1)
+    net = ActiveNetwork(buses=base.buses, lines=lines)
     expected = line_capital_rate(20.0) * 10.0
-    assert transmission_investment(net, params(c_t2=0.0)) == expected
+    assert transmission_investment(net, (120.0, 100.0),
+                                   params(c_t2=0.0)) == expected
 
 
 def test_operating_charge_scales_with_rating_and_outage_factor():
@@ -121,12 +119,11 @@ def test_operating_charge_scales_with_rating_and_outage_factor():
         buses=base.buses,
         lines=(line(1, 1, 2, length=10.0, status="existing", cap=50.0,
                     for_=0.1),),
-        capacities=(50.0,),
-        slack_bus=1,
     )
     p = params(c_t2=0.002)
-    operating_only = transmission_investment(net, p) - transmission_investment(
-        net, params(c_t2=0.0))
+    caps = net.base_capacities
+    operating_only = transmission_investment(net, caps, p) \
+        - transmission_investment(net, caps, params(c_t2=0.0))
     assert operating_only == pytest.approx(0.002 * 10.0 * 50.0 * 9.0)
 
 

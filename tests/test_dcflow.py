@@ -142,8 +142,9 @@ def test_connected_components_partition():
 
 def test_outage_solves_do_not_share_connectivity_between_networks():
     """Two networks with the same line ids but different endpoints, and a
-    re-rated copy of one, each solve every outage set exactly as a freshly
-    built network does, however many outage sets the others solved first."""
+    third with one's topology at other ratings, each solve every outage set
+    exactly as a freshly built network does, however many outage sets the
+    others solved first."""
     ring = [(1, 2, 0.1), (2, 3, 0.2), (3, 4, 0.1), (4, 1, 0.4)]
     chorded = [(1, 3, 0.1), (3, 2, 0.2), (2, 4, 0.1), (4, 1, 0.4)]
     p = [30.0, -20.0, 0.0, -10.0]  # bus 3 is a zero-injection transit bus
@@ -155,7 +156,7 @@ def test_outage_solves_do_not_share_connectivity_between_networks():
             return "disconnected"
 
     a, b = bare_net(4, ring), bare_net(4, chorded)
-    rerated = a.with_capacities([5.0] * 4)
+    rerated = bare_net(4, ring, caps=[5.0] * 4)
     outage_sets = [frozenset(c) for k in range(3)
                    for c in itertools.combinations(range(1, 5), k)]
     for lines_out in outage_sets:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridtep import contingency
+from gridtep import contingency, evaluation
 from gridtep.contingency import enumerate_deterministic, sample_state
 from gridtep.errors import GridTepError, ResampleBudgetError
 from gridtep.evaluation import (
@@ -17,7 +17,6 @@ from gridtep.evaluation import (
 )
 from gridtep.network import (
     MONTHS,
-    ActiveNetwork,
     Chromosome,
     apply_plan,
     load_case,
@@ -37,28 +36,30 @@ def test_mcs_evaluation_is_deterministic_per_entropy():
     case = mcs_toy_case()
     net = toy_net(case)
     config = PlanSettings(mode="mcs", n_mcs=200)
-    a = PlanEvaluator(case, net, config, entropy=[7, 1]).evaluate(net)
-    b = PlanEvaluator(case, net, config, entropy=[7, 1]).evaluate(net)
+    caps = net.base_capacities
+    a = PlanEvaluator(case, net, config, entropy=[7, 1]).evaluate(caps)
+    b = PlanEvaluator(case, net, config, entropy=[7, 1]).evaluate(caps)
     np.testing.assert_array_equal(a.report.edns, b.report.edns)
     np.testing.assert_array_equal(a.report.congestion_probability,
                                   b.report.congestion_probability)
     assert a.breakdown.ec == b.breakdown.ec
 
-    c = PlanEvaluator(case, net, config, entropy=[8, 1]).evaluate(net)
+    c = PlanEvaluator(case, net, config, entropy=[8, 1]).evaluate(caps)
     assert not np.array_equal(a.report.edns, c.report.edns)
 
 
-def test_evaluator_rejects_foreign_topology():
+@pytest.mark.parametrize("ratings", [[], [50.0], [50.0] * 3, [50.0] * 5,
+                                     [[50.0] * 4]])
+def test_evaluator_rejects_a_rating_vector_of_the_wrong_shape(ratings):
+    """One rating per line, or ValueError: a single rating must not
+    broadcast over every line."""
     case = mcs_toy_case()
     net = toy_net(case)
-    other = apply_plan(case, Chromosome.from_ints([]))
-    trimmed = ActiveNetwork(buses=other.buses, lines=other.lines[:3],
-                            capacities=other.capacities[:3],
-                            slack_bus=other.slack_bus)
     evaluator = PlanEvaluator(case, net, PlanSettings(mode="n1"),
                               entropy=[1, 1])
-    with pytest.raises(ValueError):
-        evaluator.evaluate(trimmed)
+    with pytest.raises(ValueError, match="one per line"):
+        evaluator.evaluate(ratings)
+    evaluator.evaluate([50.0] * 4)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -70,8 +71,6 @@ def test_evaluator_rejects_foreign_topology():
     ("delta_f", float("nan")),
     ("congestion_threshold", -0.1),
     ("congestion_threshold", float("nan")),
-    ("max_resamples", 0),
-    ("max_sizing_iterations", -1),
 ])
 def test_plan_settings_reject_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -86,12 +85,12 @@ def test_deterministic_mode_matches_manual_state_weighting():
     net = toy_net(case)
     evaluator = PlanEvaluator(case, net, PlanSettings(mode="n1"),
                               entropy=[1, 1])
-    result = evaluator.evaluate(net)
+    caps = np.asarray(net.base_capacities)
+    result = evaluator.evaluate(caps)
 
     peak = case.ldc.peak_month()
     demand = scenario_demand(case, peak)
     schedule = base_schedules(case)[peak - 1]
-    caps = np.asarray(net.capacities)
     kept_dns = []
     for state in enumerate_deterministic(case, net, 1):
         rec = build_record(case, net, demand, state, schedule)
@@ -116,8 +115,8 @@ def test_deterministic_mode_raises_when_no_state_passes_the_screen():
     net = toy_net(case)
     evaluator = PlanEvaluator(case, net, PlanSettings(mode="n1"), [1, 1])
     with pytest.raises(GridTepError, match="mode n1, month 1"):
-        evaluator.evaluate(net.with_capacities([1.0] * 4))
-    priced = evaluator.evaluate(net.with_capacities([5.0] * 4))
+        evaluator.evaluate([1.0] * 4)
+    priced = evaluator.evaluate([5.0] * 4)
     assert priced.report.edns[0] == 90.0
     assert priced.report.samples_used[0] == 1
 
@@ -126,7 +125,7 @@ def test_deterministic_mode_replicates_peak_month():
     case = mcs_toy_case()
     net = toy_net(case)
     result = PlanEvaluator(case, net, PlanSettings(mode="n2"), entropy=[1, 1]
-                           ).evaluate(net)
+                           ).evaluate(net.base_capacities)
     assert np.ptp(result.report.edns) == 0.0
     assert np.ptp(result.report.ewl) == 0.0
 
@@ -134,17 +133,16 @@ def test_deterministic_mode_replicates_peak_month():
 def test_generous_ratings_remove_all_shortfalls():
     case = mcs_toy_case()
     net = toy_net(case)
-    big = net.with_capacities([1e9] * len(net.lines))
-    evaluator = PlanEvaluator(case, big, PlanSettings(mode="n1"),
+    evaluator = PlanEvaluator(case, net, PlanSettings(mode="n1"),
                               entropy=[1, 1])
-    result = evaluator.evaluate(big)
+    result = evaluator.evaluate([1e9] * len(net.lines))
     # Line outages redistribute flow but nothing is truncated, so the only
     # remaining shortfalls come from generator-outage deficits.
     assert np.all(result.report.ewl == 0.0)
     assert np.all(result.report.congestion_probability == 0.0)
 
     gens_only = [
-        s for s in enumerate_deterministic(case, big, 1) if s.gens_out
+        s for s in enumerate_deterministic(case, net, 1) if s.gens_out
     ]
     peak = case.ldc.peak_month()
     demand_total = scenario_demand(case, peak).sum()
@@ -156,7 +154,7 @@ def test_generous_ratings_remove_all_shortfalls():
             if k not in state.gens_out
         )
         deficits.append(max(0.0, demand_total - online))
-    n_states = len(list(enumerate_deterministic(case, big, 1)))
+    n_states = len(list(enumerate_deterministic(case, net, 1)))
     expected = sum(deficits) / n_states
     np.testing.assert_allclose(result.report.edns[0], expected)
 
@@ -218,7 +216,7 @@ def test_mcs_chain_takes_first_valid_state_of_each_slot_stream(vectors, seed,
         evaluator = PlanEvaluator(case, net, config, entropy)
         for k in sequence:
             caps = np.array(vectors[k])
-            report = evaluator.evaluate(net.with_capacities(caps)).report
+            report = evaluator.evaluate(caps).report
             got = np.column_stack([report.edns, report.egns, report.ewl])
             want, drawn = first_valid_reference(case, net, entropy, n_mcs,
                                                 caps)
@@ -235,7 +233,7 @@ def test_samples_drawn_counts_redraws_up_to_each_accepted_state():
     caps = np.full(4, 5.0)
     n_mcs, entropy = 20, [4, 1]
     report = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=n_mcs),
-                           entropy).evaluate(net.with_capacities(caps)).report
+                           entropy).evaluate(caps).report
     _, drawn = first_valid_reference(case, net, entropy, n_mcs, caps)
     np.testing.assert_array_equal(report.samples_drawn, drawn)
     np.testing.assert_array_equal(report.samples_used, n_mcs)
@@ -244,10 +242,10 @@ def test_samples_drawn_counts_redraws_up_to_each_accepted_state():
 
 def test_sizing_sees_the_mean_of_the_monthly_congestion_rows():
     case = mcs_toy_case()
-    net = toy_net(case).with_capacities([30.0] * 4)
+    net = toy_net(case)
     evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=40),
                               [6, 1])
-    ev = evaluator.evaluate(net)
+    ev = evaluator.evaluate([30.0] * 4)
     monthly = ev.report.congestion_probability
     assert not np.array_equal(monthly.max(axis=0), monthly.mean(axis=0))
     np.testing.assert_array_equal(ev.congestion_probability,
@@ -270,40 +268,43 @@ def count_draws(monkeypatch):
 def test_slot_budget_bounds_every_draw_including_island_rejections(
         monkeypatch):
     """With every state invalid at zero ratings, one slot stops after
-    exactly max_resamples element-wise draws, island rejections counted."""
+    exactly MAX_RESAMPLES element-wise draws, island rejections counted."""
     lines = [line(1, 1, 2, for_=0.4), line(2, 2, 3, for_=0.4),
              line(3, 3, 4, for_=0.4), line(4, 4, 1, for_=0.4)]
     case = build_case([0, 0, 60, 40], lines,
                       [gen(1, 80.0), gen(2, 60.0)], min_online=1)
     net = toy_net(case)
+    monkeypatch.setattr(evaluation, "MAX_RESAMPLES", 30)
     evaluator = PlanEvaluator(
-        case, net, PlanSettings(mode="mcs", n_mcs=1, max_resamples=30), [5, 1])
+        case, net, PlanSettings(mode="mcs", n_mcs=1), [5, 1])
     outcomes = count_draws(monkeypatch)
     with pytest.raises(ResampleBudgetError, match="slot 0 of month 1"):
-        evaluator.evaluate(net.with_capacities([0.0] * 4))
+        evaluator.evaluate([0.0] * 4)
     assert len(outcomes) == 30
     assert True in outcomes and False in outcomes  # both screens rejected
 
 
-def test_slot_budget_checks_its_last_draw():
+def test_slot_budget_checks_its_last_draw(monkeypatch):
     """A slot whose first valid state is the last draw its budget allows
     is priced; one draw less raises."""
     case = mcs_toy_case()
     net = toy_net(case)
-    tight = net.with_capacities([5.0] * 4)
+    tight = [5.0] * 4
 
-    def evaluator(budget):
-        return PlanEvaluator(case, net, PlanSettings(
-            mode="mcs", n_mcs=1, max_resamples=budget), [3, 1])
+    def evaluator():
+        return PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=1),
+                             [3, 1])
 
-    free = evaluator(1000)
+    free = evaluator()
     expected = free.evaluate(tight)
     needed = max(sc.draws[0] for sc in free.scenarios)
     assert needed > 1
-    got = evaluator(needed).evaluate(tight)
+    monkeypatch.setattr(evaluation, "MAX_RESAMPLES", needed)
+    got = evaluator().evaluate(tight)
     np.testing.assert_array_equal(got.report.edns, expected.report.edns)
+    monkeypatch.setattr(evaluation, "MAX_RESAMPLES", needed - 1)
     with pytest.raises(ResampleBudgetError):
-        evaluator(needed - 1).evaluate(tight)
+        evaluator().evaluate(tight)
 
 
 def test_batch_rows_do_not_depend_on_how_they_are_split():

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridtep.cli import EXIT_VALIDATION, main
 from gridtep.errors import CaseParseError, CaseValidationError
 from gridtep.network import (
     CANDIDATE,
     EXISTING,
+    ActiveNetwork,
     Chromosome,
     apply_plan,
     case_from_dict,
@@ -76,6 +78,58 @@ def test_validation_rejects_split_existing_network():
     )
     paths = [p for p, _ in validate_case(case)]
     assert "lines" in paths
+
+
+SPLIT = ("lines", "existing lines must form a single connected component")
+
+
+def bfs_components(edges) -> int:
+    """Connected components among the endpoints of ``edges``."""
+    adjacent: dict[int, set[int]] = {}
+    for a, b in edges:
+        adjacent.setdefault(a, set()).add(b)
+        adjacent.setdefault(b, set()).add(a)
+    unseen, count = set(adjacent), 0
+    while unseen:
+        count += 1
+        queue = [unseen.pop()]
+        while queue:
+            for b in adjacent[queue.pop()] & unseen:
+                unseen.remove(b)
+                queue.append(b)
+    return count
+
+
+# Bus ids run 1..n_buses; endpoints up to 8 may name unknown buses.
+EDGES = st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8),
+                           st.booleans()), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_buses=st.integers(2, 6), slack=st.integers(1, 6), edges=EDGES)
+@example(n_buses=3, slack=1, edges=[(1, 2, True), (2, 3, True)])
+@example(n_buses=4, slack=2, edges=[(1, 2, True), (3, 4, True)])
+@example(n_buses=4, slack=1, edges=[(1, 2, True), (7, 8, True)])
+@example(n_buses=4, slack=1, edges=[(7, 8, True), (3, 4, False)])
+@example(n_buses=3, slack=3, edges=[])
+def test_split_is_reported_exactly_when_a_bfs_finds_two_components(
+        n_buses, slack, edges):
+    """validate_case reports a split grid exactly when the endpoints of
+    the existing lines, unknown bus ids included, form more than one
+    component; buses without lines do not count. An ActiveNetwork's slack
+    is the bus flagged is_slack."""
+    slack = min(slack, n_buses)
+    lines = [line(k + 1, a, b, status=EXISTING if existing else CANDIDATE)
+             for k, (a, b, existing) in enumerate(edges)]
+    case = build_case([0] * n_buses, lines, [gen(1, 10.0), gen(1, 10.0)])
+    buses = tuple(dataclasses.replace(b, is_slack=b.id == slack)
+                  for b in case.buses)
+    case = dataclasses.replace(case, buses=buses)
+
+    existing = [(a, b) for a, b, is_existing in edges if is_existing]
+    assert (SPLIT in validate_case(case)) == (bfs_components(existing) > 1)
+    assert ActiveNetwork(buses, case.existing_lines).slack_bus == slack
+    assert ActiveNetwork(buses, ()).slack_bus == slack
 
 
 def test_case_from_dict_reports_missing_field():
@@ -211,7 +265,8 @@ def test_apply_plan_selects_candidates():
     statuses = [ln.status for ln in net.lines]
     assert statuses.count(EXISTING) == 7
     assert statuses.count(CANDIDATE) == 2
-    assert net.capacities == tuple(ln.base_capacity_mw for ln in net.lines)
+    assert net.base_capacities == tuple(ln.base_capacity_mw
+                                        for ln in net.lines)
 
 
 def test_apply_plan_rejects_wrong_length():
@@ -231,11 +286,3 @@ def test_scenario_demand_scales_by_month():
     np.testing.assert_allclose(scenario_demand(case, 1), [0, 50, 30])
     with pytest.raises(ValueError):
         scenario_demand(case, 13)
-
-
-def test_with_capacities_preserves_topology():
-    case = load_case(BUNDLED)
-    net = apply_plan(case, Chromosome.from_ints([0] * 14))
-    grown = net.with_capacities([c + 5 for c in net.capacities])
-    assert grown.line_ids == net.line_ids
-    assert grown.capacities == tuple(c + 5 for c in net.capacities)

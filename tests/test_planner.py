@@ -10,7 +10,7 @@ import hypothesis
 import pytest
 from hypothesis import given, strategies as st
 
-from gridtep import planner
+from gridtep import evaluation, planner
 from gridtep.adequacy import ExpectationReport
 from gridtep.costs import generation_investment
 from gridtep.evaluation import base_schedules
@@ -55,7 +55,8 @@ def test_plan_whose_pricing_raises_is_infeasible_and_the_search_goes_on(
              line(6, 2, 4, for_=0.4, status="candidate")]
     case = build_case([0, 0, 60, 40], lines, [gen(1, 80.0), gen(2, 60.0)],
                       min_online=1)
-    settings = PlanSettings(mode="mcs", n_mcs=10, max_resamples=1)
+    settings = PlanSettings(mode="mcs", n_mcs=10)
+    monkeypatch.setattr(evaluation, "MAX_RESAMPLES", 1)
     records = []
     real = planner.evaluate_chromosome
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridtep import sizing
 from gridtep.adequacy import ExpectationReport, line_overloads
 from gridtep.costs import objective
 from gridtep.evaluation import CapacityEvaluation, PlanEvaluator, PlanSettings
@@ -34,10 +35,9 @@ def mixed_net():
     lines = (
         line(1, 1, 2, x=0.1, status="existing"),
         line(2, 2, 3, x=0.1, status="existing"),
-        line(3, 1, 3, x=0.1, status="candidate"),
+        line(3, 1, 3, x=0.1, cap=5.0, status="candidate"),
     )
-    return ActiveNetwork(buses=base.buses, lines=lines,
-                         capacities=(100.0, 100.0, 5.0), slack_bus=1)
+    return ActiveNetwork(buses=base.buses, lines=lines)
 
 
 def test_congestion_probability_counts_runs():
@@ -94,16 +94,16 @@ def test_spin_rounds_conserve_hits_and_update_exactly():
         rng = substream(2024, 7, round_id)
         p = np.round(rng.uniform(0, 1, size=3), 3)
         wheel = build_wheel(net, p, POLICY_WEL, 0.1)
-        before = net.capacities
+        before = net.base_capacities
         hits = wheel.spin(rng, n_spins=len(wheel.line_ids))
-        updated = apply_hits(net, hits, delta_f)
+        updated = apply_hits(net, before, hits, delta_f)
         assert sum(hits.values()) == len(wheel.line_ids)
         assert set(hits) <= set(wheel.line_ids)
         for pos, ln in enumerate(net.lines):
             expected = before[pos] + hits.get(ln.id, 0) * delta_f
-            assert updated.capacities[pos] == expected
+            assert updated[pos] == expected
             if p[pos] <= 0.1:
-                assert updated.capacities[pos] == before[pos]
+                assert updated[pos] == before[pos]
 
 
 def test_equal_segments_split_spins_evenly():
@@ -121,8 +121,8 @@ def test_single_segment_takes_every_spin():
     wheel = build_wheel(net, np.array([0.0, 0.0, 0.9]), POLICY_WEL, 0.1)
     hits = wheel.spin(substream(1, 1), n_spins=len(wheel.line_ids))
     assert hits == {3: 1}
-    grown = apply_hits(net, {3: 4}, 5.0)
-    assert grown.capacities[2] == net.capacities[2] + 20.0
+    grown = apply_hits(net, net.base_capacities, {3: 4}, 5.0)
+    assert grown[2] == net.base_capacities[2] + 20.0
 
 
 def priced(ec, t_inv, congestion_probability):
@@ -137,10 +137,10 @@ def one_update(ec, t_inv, delta_f=50.0):
     it has grown once by delta_f; ``ec`` and ``t_inv`` map the total
     capacity to the priced figures."""
     net = mixed_net()
-    start = sum(net.capacities)
+    start = sum(net.base_capacities)
 
-    def evaluate(net):
-        total = sum(net.capacities)
+    def evaluate(capacities):
+        total = sum(capacities)
         p = [0.0, 0.0, 0.9 if total == start else 0.0]
         return priced(ec(total), t_inv(total), p)
 
@@ -180,8 +180,8 @@ def test_marginal_quantities_needs_movement():
                        - first.transmission_investment) / added
 
 
-def uncongested_evaluator(net):
-    return priced(10.0, 1.0, np.zeros(len(net.lines)))
+def uncongested_evaluator(capacities):
+    return priced(10.0, 1.0, np.zeros(len(capacities)))
 
 
 def test_loop_stops_immediately_without_congestion():
@@ -190,19 +190,18 @@ def test_loop_stops_immediately_without_congestion():
                         PlanSettings(policy=POLICY_WEL), rng_entropy=0)
     assert trace.stop_reason == STOP_NO_CONGESTION
     assert trace.iterations == 0
-    assert trace.final_capacities == net.capacities
+    assert trace.final_capacities == net.base_capacities
 
 
-def test_loop_hits_iteration_cap_when_congestion_persists():
-    def stubborn(net):
-        return priced(sum(net.capacities) * -1.0,  # keeps MEC very negative
-                      0.0, np.full(len(net.lines), 0.9))
+def test_loop_hits_iteration_cap_when_congestion_persists(monkeypatch):
+    def stubborn(capacities):
+        return priced(sum(capacities) * -1.0,  # keeps MEC very negative
+                      0.0, np.full(len(capacities), 0.9))
 
+    monkeypatch.setattr(sizing, "MAX_SIZING_ITERATIONS", 3)
     net = mixed_net()
-    trace = sizing_loop(
-        net, stubborn,
-        PlanSettings(policy=POLICY_WEL, max_sizing_iterations=3),
-        rng_entropy=1)
+    trace = sizing_loop(net, stubborn, PlanSettings(policy=POLICY_WEL),
+                        rng_entropy=1)
     assert trace.stop_reason == STOP_ITERATION_CAP
     assert trace.iterations == 3
 
@@ -211,10 +210,10 @@ def test_loop_stops_once_marginal_saving_fades():
     """EC falls a steep 1 k$/MW until enough capacity exists, then goes
     flat; the loop keeps spinning through the steep phase and stops at the
     marginal crossing, never before the second iteration."""
-    def fading(net):
-        total = sum(net.capacities)
+    def fading(capacities):
+        total = sum(capacities)
         return priced(max(0.0, 1000.0 - total), 0.01 * total,
-                      np.full(len(net.lines), 0.5))
+                      np.full(len(capacities), 0.5))
 
     net = mixed_net()
     trace = sizing_loop(net, fading,
@@ -229,11 +228,11 @@ def test_loop_stops_once_marginal_saving_fades():
 
 
 def test_loop_records_replayable_steps():
-    def congested_once(net):
-        total = sum(net.capacities)
+    def congested_once(capacities):
+        total = sum(capacities)
         p = 0.9 if total < 250 else 0.0
         return priced(500.0 - total, 0.1 * total,
-                      np.full(len(net.lines), p))
+                      np.full(len(capacities), p))
 
     net = mixed_net()
     a = sizing_loop(net, congested_once, PlanSettings(policy=POLICY_WEL),
@@ -244,14 +243,15 @@ def test_loop_records_replayable_steps():
 
 
 def sizing_toy():
-    """The toy MCS case with line 3 a built candidate, every line at half
-    its rating: congested enough to grow under both policies."""
+    """The toy MCS case with line 3 a built candidate, every line's base
+    rating halved: congested enough to grow under both policies."""
     toy = mcs_toy_case()
     case = dataclasses.replace(toy, lines=tuple(
-        dataclasses.replace(ln, status="candidate") if ln.id == 3 else ln
+        dataclasses.replace(
+            ln, base_capacity_mw=ln.base_capacity_mw / 2,
+            status="candidate" if ln.id == 3 else ln.status)
         for ln in toy.lines))
-    net = apply_plan(case, Chromosome.from_ints([1]))
-    return case, net.with_capacities([c / 2 for c in net.capacities])
+    return case, apply_plan(case, Chromosome.from_ints([1]))
 
 
 @settings(max_examples=5, deadline=None)
@@ -268,20 +268,20 @@ def test_sizing_prices_each_capacity_vector_once(seed, delta_f):
     entropy = [seed, 1]
     for policy in (POLICY_NL, POLICY_WEL):
         config = PlanSettings(mode="mcs", policy=policy, n_mcs=10,
-                              delta_f=delta_f, max_sizing_iterations=25)
+                              delta_f=delta_f)
         evaluator = PlanEvaluator(case, net, config, entropy)
         priced = []
 
-        def evaluate(net):
-            priced.append(net.capacities)
-            return evaluator.evaluate(net)
+        def evaluate(capacities):
+            priced.append(capacities)
+            return evaluator.evaluate(capacities)
 
         trace = sizing_loop(net, evaluate, config, entropy)
         assert len(set(priced)) == len(priced) == trace.iterations + 1
         totals = [sum(caps) for caps in priced]
         assert all(b > a for a, b in zip(totals, totals[1:]))
 
-        final = net.with_capacities(trace.final_capacities)
+        final = trace.final_capacities
         got = trace.final_evaluation
         again = evaluator.evaluate(final)
         fresh = PlanEvaluator(case, net, config, entropy).evaluate(final)
