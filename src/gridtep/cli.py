@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -210,6 +211,9 @@ def _plan_bits(args, case) -> tuple[Chromosome, tuple[float, ...] | None]:
         raise GridTepError(
             f"plan file has {len(capacities)} capacities for the plan's "
             f"{n_lines} lines (an infeasible plan has none)")
+    if not all(0 <= c < math.inf for c in capacities):
+        raise GridTepError(
+            "plan file capacities must be finite and >= 0 MW")
     return bits, capacities
 
 

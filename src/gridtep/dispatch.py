@@ -69,17 +69,6 @@ def merit_order_dispatch(
     )
 
 
-def injections_from_dispatch(
-    case: NetworkCase, result: DispatchResult
-) -> np.ndarray:
-    """Net per-bus injection vector (generation minus served demand)."""
-    inj = -result.served_demand.astype(float).copy()
-    for k, mw in enumerate(result.schedule):
-        if mw:
-            inj[case.bus_index[case.generators[k].bus]] += mw
-    return inj
-
-
 def bus_generation(case: NetworkCase, schedule: tuple[float, ...]) -> np.ndarray:
     """Aggregate a fleet schedule into per-bus generation totals."""
     g = np.zeros(len(case.buses))

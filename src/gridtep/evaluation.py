@@ -46,7 +46,7 @@ from .adequacy import ExpectationReport, line_overloads, nodal_balance
 from .contingency import OutageState, enumerate_deterministic, sample_state
 from .costs import (CostBreakdown, edns_cost, egns_cost, ewl_cost,
                     generation_investment, objective, transmission_investment)
-from .dispatch import bus_generation, merit_order_dispatch, injections_from_dispatch
+from .dispatch import bus_generation, merit_order_dispatch
 from .dcflow import solve_with_outages
 from .errors import GridTepError, ResampleBudgetError
 from .network import MONTHS, ActiveNetwork, NetworkCase, scenario_demand
@@ -346,15 +346,16 @@ def build_record(
 ) -> StateRecord:
     """Dispatch and solve one outage state (capacity-independent)."""
     dispatch = merit_order_dispatch(case, demand, offline=state.gens_out)
-    injections = injections_from_dispatch(case, dispatch)
-    sol = solve_with_outages(net, injections, state.lines_out)
+    generation = bus_generation(case, dispatch.schedule)
+    sol = solve_with_outages(net, generation - dispatch.served_demand,
+                             state.lines_out)
     ego = np.zeros(len(case.generators))
     for k in state.gens_out:
         ego[k] = base_schedule[k]
     return StateRecord(
         flows=sol.flows,
         demand=dispatch.served_demand,
-        generation=bus_generation(case, dispatch.schedule),
+        generation=generation,
         deficit=dispatch.deficit,
         ego=ego,
     )

@@ -185,10 +185,6 @@ class ActiveNetwork:
         return tuple(ln.id for ln in self.lines)
 
     @cached_property
-    def line_pos(self) -> dict[int, int]:
-        return {ln.id: i for i, ln in enumerate(self.lines)}
-
-    @cached_property
     def line_outage_rates(self) -> tuple[float, ...]:
         return tuple(ln.forced_outage_rate for ln in self.lines)
 

@@ -59,13 +59,16 @@ class SizingSummary:
 @dataclass(frozen=True)
 class FitnessRecord:
     chromosome: Chromosome
-    feasible: bool
     line_ids: tuple[int, ...]  # active lines, existing first
     capacities: tuple[float, ...]  # final ratings, aligned with line_ids
     breakdown: CostBreakdown
     report: ExpectationReport | None
     sizing: SizingSummary | None
     infeasible_reason: str | None = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.infeasible_reason is None
 
     @property
     def j(self) -> float:
@@ -89,7 +92,6 @@ def _infeasible_record(case: NetworkCase, chromosome: Chromosome,
     g_inv = generation_investment(case, base_schedules(case))
     return FitnessRecord(
         chromosome=chromosome,
-        feasible=False,
         line_ids=(),
         capacities=(),
         breakdown=objective(INFEASIBLE_SENTINEL, 0.0, 0.0,
@@ -132,7 +134,6 @@ def _priced_record(case: NetworkCase, chromosome: Chromosome,
     ev = trace.final_evaluation
     return FitnessRecord(
         chromosome=chromosome,
-        feasible=True,
         line_ids=net.line_ids,
         capacities=trace.final_capacities,
         breakdown=ev.breakdown,
@@ -167,11 +168,6 @@ def run(
             memo[bits] = rec
         return rec
 
-    if n_bits == 0:
-        rec = priced(())
-        return PlanResult(best=rec, history=(rec.j,) * (ga.generations + 1),
-                          mode=settings.mode, policy=settings.policy)
-
     rng = substream([ga.seed, 0], DOMAIN_GA)
 
     population = [
@@ -194,7 +190,7 @@ def run(
                 child = tuple(a if m else b for a, b, m in zip(p1, p2, mix))
             else:
                 child = p1
-            flips = rng.random(n_bits) < 1.0 / n_bits
+            flips = rng.random(n_bits) < 1.0 / max(n_bits, 1)
             child = tuple(b ^ f for b, f in zip(child, flips))
             next_pop.append(child)
         population = next_pop

@@ -1,13 +1,14 @@
 """Roulette-wheel line capacity sizing.
 
 Capacities grow iteratively: lines whose congestion probability exceeds
-a threshold (and that the upgrade policy allows to change) enter a
-roulette wheel weighted by those probabilities. The wheel is spun once
-per eligible line; each hit adds one capacity step to the selected
-line. The loop re-evaluates expected cost and transmission investment
-after every update and stops when nothing is congested enough to enter
-the wheel, when the marginal expected-cost saving no longer beats the
-marginal investment, or at an iteration cap.
+a threshold (and that the upgrade policy allows to change) get segments
+of a roulette wheel sized by those probabilities. ``spin`` spins the
+wheel once per eligible line; each hit adds one capacity step to the
+selected line. The loop works on line positions throughout and
+re-evaluates expected cost and transmission investment after every
+update. It stops when nothing is congested enough to enter the wheel,
+when the marginal expected-cost saving no longer beats the marginal
+investment, or at an iteration cap.
 
 Policies: "nl" (new lines) may only resize candidate lines; "wel"
 (with existing lines) may resize any line.
@@ -20,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .evaluation import (POLICY_NL, POLICY_WEL, CapacityEvaluation,
-                         PlanSettings)
+from .evaluation import POLICY_WEL, CapacityEvaluation, PlanSettings
 from .network import CANDIDATE, ActiveNetwork
 from .rng import DOMAIN_SPIN, substream
 
@@ -32,21 +32,12 @@ STOP_ITERATION_CAP = "iteration_cap"
 MAX_SIZING_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class RouletteWheel:
-    line_ids: tuple[int, ...]
-    probabilities: np.ndarray  # normalized congestion probabilities
-
-    def spin(self, rng: np.random.Generator, n_spins: int) -> dict[int, int]:
-        """Spin n times; return hit counts per line id (zeros omitted)."""
-        if n_spins <= 0 or not self.line_ids:
-            return {}
-        picks = rng.choice(len(self.line_ids), size=n_spins, p=self.probabilities)
-        counts: dict[int, int] = {}
-        for k in picks:
-            lid = self.line_ids[int(k)]
-            counts[lid] = counts.get(lid, 0) + 1
-        return counts
+def spin(rng: np.random.Generator, weights: np.ndarray,
+         n_spins: int) -> np.ndarray:
+    """Spin a wheel with one segment per weight, sized in proportion to
+    it, ``n_spins`` times; return the hits of each segment."""
+    picks = rng.choice(len(weights), size=n_spins, p=weights / weights.sum())
+    return np.bincount(picks, minlength=len(weights))
 
 
 @dataclass(frozen=True)
@@ -77,46 +68,6 @@ class SizingTrace:
         return len(self.steps) - 1
 
 
-def updatable_mask(net: ActiveNetwork, policy: str) -> np.ndarray:
-    """Per-line flag: may this policy change the line's capacity?"""
-    if policy == POLICY_WEL:
-        return np.ones(len(net.lines), dtype=bool)
-    if policy == POLICY_NL:
-        return np.array([ln.status == CANDIDATE for ln in net.lines], dtype=bool)
-    raise ValueError(f"unknown policy {policy!r}")
-
-
-def build_wheel(
-    net: ActiveNetwork,
-    congestion_probability: np.ndarray,
-    policy: str,
-    threshold: float,
-) -> RouletteWheel:
-    """Wheel over lines whose congestion probability strictly exceeds the
-    threshold and that the policy may resize."""
-    p = np.asarray(congestion_probability, dtype=float)
-    mask = (p > threshold) & updatable_mask(net, policy)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return RouletteWheel(line_ids=(), probabilities=np.empty(0))
-    weights = p[idx]
-    return RouletteWheel(
-        line_ids=tuple(net.lines[int(k)].id for k in idx),
-        probabilities=weights / weights.sum(),
-    )
-
-
-def apply_hits(
-    net: ActiveNetwork, capacities: tuple[float, ...], hits: dict[int, int],
-    delta_f: float,
-) -> tuple[float, ...]:
-    """``capacities`` with each hit line grown by hits * delta_f MW."""
-    caps = list(capacities)
-    for lid, m in hits.items():
-        caps[net.line_pos[lid]] += m * delta_f
-    return tuple(caps)
-
-
 def sizing_loop(
     net: ActiveNetwork,
     evaluate: Callable[[tuple[float, ...]], CapacityEvaluation],
@@ -137,6 +88,10 @@ def sizing_loop(
     from ``rng_entropy`` and the iteration index, so traces replay
     exactly for a fixed seed.
     """
+    resizable = np.array([settings.policy == POLICY_WEL
+                          or ln.status == CANDIDATE for ln in net.lines],
+                         dtype=bool)
+    caps = np.array(net.base_capacities, dtype=float)
     capacities = net.base_capacities
     ev = evaluate(capacities)
     steps = [SizingStep(
@@ -152,30 +107,34 @@ def sizing_loop(
 
     iteration = 0
     while True:
-        wheel = build_wheel(net, ev.congestion_probability, settings.policy,
-                            settings.congestion_threshold)
-        if not wheel.line_ids:
+        p = ev.congestion_probability
+        eligible = np.flatnonzero((p > settings.congestion_threshold)
+                                  & resizable)
+        if eligible.size == 0:
             return SizingTrace(tuple(steps), STOP_NO_CONGESTION, ev)
         if iteration >= MAX_SIZING_ITERATIONS:
             return SizingTrace(tuple(steps), STOP_ITERATION_CAP, ev)
 
         iteration += 1
         rng = substream(rng_entropy, DOMAIN_SPIN, iteration)
-        hits = wheel.spin(rng, n_spins=len(wheel.line_ids))
-        added_mw = sum(hits.values()) * settings.delta_f
+        hits = spin(rng, p[eligible], n_spins=eligible.size)
+        added_mw = eligible.size * settings.delta_f
         prev = ev.breakdown
-        capacities = apply_hits(net, capacities, hits, settings.delta_f)
+        caps[eligible] += hits * settings.delta_f
+        capacities = tuple(caps.tolist())
         ev = evaluate(capacities)
 
         mec = (ev.breakdown.ec - prev.ec) / added_mw
         mi = (ev.breakdown.t_inv - prev.t_inv) / added_mw
+        ids = [net.line_ids[k] for k in eligible]
         steps.append(SizingStep(
             iteration=iteration,
             capacities=capacities,
             expected_cost=ev.breakdown.ec,
             transmission_investment=ev.breakdown.t_inv,
-            eligible=wheel.line_ids,
-            hits=tuple(sorted(hits.items())),
+            eligible=tuple(ids),
+            hits=tuple(sorted((lid, int(m)) for lid, m in zip(ids, hits)
+                              if m)),
             mec=mec,
             mi=mi,
         ))

@@ -19,16 +19,12 @@ from gridtep.cli import EXIT_OK, main
 from gridtep.contingency import is_islanded
 from gridtep.costs import line_capital_rate
 from gridtep.dcflow import flow_residual, solve
-from gridtep.evaluation import PlanEvaluator, PlanSettings, base_schedules
+from gridtep.evaluation import (POLICY_WEL, PlanEvaluator, PlanSettings,
+                                base_schedules)
 from gridtep.network import Chromosome, apply_plan, load_case, scenario_demand
 from gridtep.planner import GaConfig, evaluate_chromosome, run
-from gridtep.rng import chromosome_entropy, substream
-from gridtep.sizing import (
-    POLICY_WEL,
-    apply_hits,
-    build_wheel,
-    sizing_loop,
-)
+from gridtep.rng import chromosome_entropy
+from gridtep.sizing import sizing_loop
 
 from _criteria import record
 from _toys import (
@@ -41,6 +37,7 @@ from _toys import (
 )
 
 from test_network import BUNDLED
+from test_sizing import seeded_updates
 
 
 def check(number, ok, text):
@@ -225,24 +222,13 @@ def test_criterion_06_mcs_matches_exhaustive_oracle():
           f"EWL gap {gaps[2]:.4f} <= {3 * se[2]:.4f} (3 SE)")
 
 
-def test_criterion_07_roulette_conservation():
+def test_criterion_07_roulette_conservation(monkeypatch):
+    """500 sizing updates on a 4-line ring whose stub evaluator draws
+    seeded congestion probabilities at every call."""
     net = bare_net(4, [(1, 2, 0.1), (2, 3, 0.1), (3, 4, 0.1), (4, 1, 0.1)])
-    ok = True
-    for round_id in range(500):
-        rng = substream(707, 3, round_id)
-        p = rng.uniform(0, 1, size=4)
-        wheel = build_wheel(net, p, POLICY_WEL, 0.1)
-        if not wheel.line_ids:
-            continue
-        before = net.base_capacities
-        hits = wheel.spin(rng, n_spins=len(wheel.line_ids))
-        updated = apply_hits(net, before, hits, 5.0)
-        ok = ok and sum(hits.values()) == len(wheel.line_ids)
-        for pos, ln in enumerate(net.lines):
-            expected = before[pos] + hits.get(ln.id, 0) * 5.0
-            ok = ok and updated[pos] == expected
-            if p[pos] <= 0.1:
-                ok = ok and updated[pos] == before[pos]
+    settings = PlanSettings(policy=POLICY_WEL, delta_f=5.0,
+                            congestion_threshold=0.1)
+    ok = seeded_updates(net, settings, 707, monkeypatch, n_updates=500)
     check(7, ok, "500 seeded spin rounds: sum m_j = N, F_j updates exact, "
                  "lines at P_con <= 0.1 untouched")
 

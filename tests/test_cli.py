@@ -153,8 +153,14 @@ def _plan_json(bits, capacities):
     (_plan_json([1] + [0] * 5, [100.0] * 5), []),  # 5 capacities, 6 lines
     (_plan_json([0] * 6, []), []),  # an infeasible plan's plan.json
     (_plan_json([0] * 6, [100.0] * 5), ["--plan", "000000"]),
+    # Line order is existing first, so the sixth rating is candidate 6's.
+    (_plan_json([1] + [0] * 5, [100.0] * 5 + [-5.0]), []),
+    (_plan_json([1] + [0] * 5, [-5.0] + [100.0] * 5), []),
+    (_plan_json([1] + [0] * 5, [float("nan")] + [100.0] * 5), []),
+    (_plan_json([1] + [0] * 5, [float("inf")] + [100.0] * 5), []),
 ], ids=["missing", "not-json", "bit-count", "bit-string", "capacity-count",
-        "infeasible", "with-plan"])
+        "infeasible", "with-plan", "negative-candidate", "negative-existing",
+        "nan", "infinite"])
 def test_bad_plan_file_is_one_error_line_and_exit_2(
         plan_text, extra, toy_case_path, tmp_path, capsys):
     plan = tmp_path / "plan.json"

@@ -9,7 +9,6 @@ import numpy as np
 from gridtep.contingency import OutageState
 from gridtep.dispatch import (
     bus_generation,
-    injections_from_dispatch,
     merit_order,
     merit_order_dispatch,
 )
@@ -102,7 +101,7 @@ def test_injections_balance_to_zero():
     for offline in (frozenset(), frozenset([0]), frozenset([1])):
         result = merit_order_dispatch(case, np.array([0.0, 0.0, 120.0]),
                                       offline=offline)
-        inj = injections_from_dispatch(case, result)
+        inj = bus_generation(case, result.schedule) - result.served_demand
         np.testing.assert_allclose(inj.sum(), 0.0, atol=1e-9)
 
 

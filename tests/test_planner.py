@@ -179,6 +179,22 @@ def test_history_tracks_best_so_far():
     assert result.history[-1] == result.best.j
 
 
+def test_ga_without_candidate_lines_returns_the_empty_plan():
+    """With no candidate line the chromosome is empty: the GA loop still
+    runs every generation, prices the one plan there is, and every
+    history entry is its J."""
+    toy = ga_toy_case()
+    case = dataclasses.replace(toy, lines=toy.existing_lines)
+    ga = GaConfig(population_size=3, generations=4, seed=1)
+    result = run(case, ga, N1)
+    assert result.best.chromosome == Chromosome(())
+    assert result.best.feasible
+    assert result.history == (result.best.j,) * (ga.generations + 1)
+    alone = evaluate_chromosome(case, Chromosome(()), N1, ga.seed)
+    assert (result.best.j, result.best.capacities) == \
+        (alone.j, alone.capacities)
+
+
 def test_ga_is_reproducible():
     case = ga_toy_case()
     ga = GaConfig(population_size=4, generations=3, seed=9)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -11,19 +12,16 @@ from hypothesis import given, settings, strategies as st
 from gridtep import sizing
 from gridtep.adequacy import ExpectationReport, line_overloads
 from gridtep.costs import objective
-from gridtep.evaluation import CapacityEvaluation, PlanEvaluator, PlanSettings
+from gridtep.evaluation import (POLICY_NL, POLICY_WEL, CapacityEvaluation,
+                                PlanEvaluator, PlanSettings)
 from gridtep.network import ActiveNetwork, Chromosome, apply_plan
 from gridtep.rng import substream
 from gridtep.sizing import (
-    POLICY_NL,
-    POLICY_WEL,
     STOP_ITERATION_CAP,
     STOP_MARGINAL,
     STOP_NO_CONGESTION,
-    apply_hits,
-    build_wheel,
     sizing_loop,
-    updatable_mask,
+    spin,
 )
 
 from _toys import bare_net, line, mcs_toy_case
@@ -54,82 +52,160 @@ def test_congestion_probability_counts_runs():
     assert (equal @ congested)[0] == pytest.approx(0.25)
 
 
-def test_policies_differ_on_existing_lines():
-    net = mixed_net()
-    np.testing.assert_array_equal(updatable_mask(net, POLICY_WEL),
-                                  [True, True, True])
-    np.testing.assert_array_equal(updatable_mask(net, POLICY_NL),
-                                  [False, False, True])
-    with pytest.raises(ValueError):
-        updatable_mask(net, "other")
-
-
-def test_wheel_normalizes_eligible_probabilities():
-    net = mixed_net()
-    wheel = build_wheel(net, np.array([0.2, 0.2, 0.0]), POLICY_WEL, 0.1)
-    assert wheel.line_ids == (1, 2)
-    np.testing.assert_allclose(wheel.probabilities, [0.5, 0.5])
-
-
-def test_wheel_threshold_is_strict():
-    """P_con at exactly the threshold stays out of the wheel."""
-    net = mixed_net()
-    wheel = build_wheel(net, np.array([0.3, 0.1, 0.05]), POLICY_WEL, 0.1)
-    assert wheel.line_ids == (1,)
-    np.testing.assert_allclose(wheel.probabilities, [1.0])
-
-
-def test_wheel_respects_policy():
-    net = mixed_net()
-    wheel = build_wheel(net, np.array([0.9, 0.9, 0.9]), POLICY_NL, 0.1)
-    assert wheel.line_ids == (3,)
-
-
-def test_spin_rounds_conserve_hits_and_update_exactly():
-    """Over 500 seeded rounds: total hits equal spins, each updated rating
-    equals its prior plus hits * step, and ineligible lines never move."""
-    net = mixed_net()
-    delta_f = 5.0
-    for round_id in range(500):
-        rng = substream(2024, 7, round_id)
-        p = np.round(rng.uniform(0, 1, size=3), 3)
-        wheel = build_wheel(net, p, POLICY_WEL, 0.1)
-        before = net.base_capacities
-        hits = wheel.spin(rng, n_spins=len(wheel.line_ids))
-        updated = apply_hits(net, before, hits, delta_f)
-        assert sum(hits.values()) == len(wheel.line_ids)
-        assert set(hits) <= set(wheel.line_ids)
-        for pos, ln in enumerate(net.lines):
-            expected = before[pos] + hits.get(ln.id, 0) * delta_f
-            assert updated[pos] == expected
-            if p[pos] <= 0.1:
-                assert updated[pos] == before[pos]
-
-
-def test_equal_segments_split_spins_evenly():
-    net = mixed_net()
-    wheel = build_wheel(net, np.array([0.4, 0.4, 0.0]), POLICY_WEL, 0.1)
-    rng = substream(5, 2)
-    hits = wheel.spin(rng, n_spins=100_000)
-    share = hits[1] / 100_000
-    sigma = (0.5 * 0.5 / 100_000) ** 0.5
-    assert abs(share - 0.5) <= 3 * sigma
-
-
-def test_single_segment_takes_every_spin():
-    net = mixed_net()
-    wheel = build_wheel(net, np.array([0.0, 0.0, 0.9]), POLICY_WEL, 0.1)
-    hits = wheel.spin(substream(1, 1), n_spins=len(wheel.line_ids))
-    assert hits == {3: 1}
-    grown = apply_hits(net, net.base_capacities, {3: 4}, 5.0)
-    assert grown[2] == net.base_capacities[2] + 20.0
-
-
 def priced(ec, t_inv, congestion_probability):
     """A stand-in for PlanEvaluator.evaluate's result, as sizing reads it."""
     return CapacityEvaluation(
         report=None, breakdown=objective(ec, 0.0, 0.0, t_inv, 0.0),
         congestion_probability=np.asarray(congestion_probability, float))
+
+
+def first_update(p, policy=POLICY_WEL):
+    """The first sizing update on ``mixed_net`` when the start ratings
+    congest with probabilities ``p`` and any grown ratings do not congest
+    at all."""
+    net = mixed_net()
+    start = net.base_capacities
+
+    def evaluate(capacities):
+        congested = capacities == start
+        return priced(10.0, 1.0, p if congested else np.zeros(len(p)))
+
+    trace = sizing_loop(net, evaluate, PlanSettings(policy=policy),
+                        rng_entropy=4)
+    assert trace.stop_reason == STOP_NO_CONGESTION
+    return trace.steps[1]
+
+
+def test_wheel_normalizes_eligible_probabilities():
+    """``spin`` hands the wheel's normalised weights to ``rng.choice`` and
+    counts the picks per segment."""
+    weights = np.array([0.2, 0.6, 0.2])
+    hits = spin(substream(9, 1), weights, n_spins=1000)
+    picks = substream(9, 1).choice(3, size=1000, p=[0.2, 0.6, 0.2])
+    np.testing.assert_array_equal(hits, np.bincount(picks, minlength=3))
+    # Scaling every weight leaves the wheel, and so the hits, unchanged.
+    np.testing.assert_array_equal(
+        spin(substream(9, 1), weights * 7.5, n_spins=1000), hits)
+    # A segment that no pick lands on still gets its zero count.
+    np.testing.assert_array_equal(
+        spin(substream(9, 1), np.array([1.0, 0.0]), n_spins=4), [4, 0])
+
+
+def test_wheel_threshold_is_strict():
+    """P_con at exactly the threshold stays off the wheel."""
+    step = first_update(np.array([0.3, 0.1, 0.05]))
+    assert step.eligible == (1,)
+    assert step.hits == ((1, 1),)
+
+
+def test_policies_differ_on_existing_lines():
+    """With every line congested, WEL puts every line on the wheel and NL
+    only the candidate line 3."""
+    congested = np.full(3, 0.9)
+    assert first_update(congested, POLICY_WEL).eligible == (1, 2, 3)
+    assert first_update(congested, POLICY_NL).eligible == (3,)
+
+
+def test_wheel_respects_policy(monkeypatch):
+    """Under NL, existing lines never move however congested they stay:
+    only the candidate line is eligible, wins spins and grows."""
+    def stubborn(capacities):
+        return priced(-sum(capacities), 0.0, np.full(3, 0.9))
+
+    monkeypatch.setattr(sizing, "MAX_SIZING_ITERATIONS", 20)
+    net = mixed_net()
+    trace = sizing_loop(net, stubborn, PlanSettings(policy=POLICY_NL),
+                        rng_entropy=6)
+    assert trace.iterations == 20
+    for step in trace.steps[1:]:
+        assert step.eligible == (3,) and step.hits == ((3, 1),)
+        assert step.capacities[:2] == net.base_capacities[:2]
+    assert trace.final_capacities[2] == net.base_capacities[2] + 20 * 5.0
+
+
+def seeded_congestion(seed, loop, n_lines, decimals=None):
+    """A stub evaluator whose k-th call draws every line's congestion
+    probability from ``substream(seed, loop, k)``, optionally rounded to
+    ``decimals``. EC falls 1 $ per MW and T_inv stays 0, so the marginal
+    rule never stops the loop. The draws are kept in ``evaluate.drawn``,
+    in call order."""
+    def evaluate(capacities):
+        rng = substream(seed, loop, len(evaluate.drawn))
+        p = rng.uniform(0, 1, size=n_lines)
+        if decimals is not None:
+            p = np.round(p, decimals)
+        evaluate.drawn.append(p)
+        return priced(-sum(capacities), 0.0, p)
+
+    evaluate.drawn = []
+    return evaluate
+
+
+def updates_are_exact(net, trace, drawn, settings):
+    """Each update of ``trace`` spins once per eligible line and grows each
+    rating by its hits times ``delta_f`` exactly; the eligible lines are
+    those the policy may resize whose drawn P_con strictly exceeds the
+    threshold, and no other line moves."""
+    may_resize = [settings.policy == POLICY_WEL or ln.status == "candidate"
+                  for ln in net.lines]
+    ok = True
+    for prev, step, p in zip(trace.steps, trace.steps[1:], drawn):
+        expect = tuple(ln.id for ln, pk, r in zip(net.lines, p, may_resize)
+                       if r and pk > settings.congestion_threshold)
+        hits = dict(step.hits)
+        ok = ok and step.eligible == expect
+        ok = ok and sum(hits.values()) == len(step.eligible)
+        ok = ok and set(hits) <= set(step.eligible)
+        ok = ok and all(m > 0 for m in hits.values())
+        ok = ok and list(hits) == sorted(hits)
+        for pos, ln in enumerate(net.lines):
+            added = hits.get(ln.id, 0) * settings.delta_f
+            ok = ok and step.capacities[pos] == prev.capacities[pos] + added
+    return ok
+
+
+def seeded_updates(net, settings, seed, monkeypatch, n_updates=500,
+                   decimals=None):
+    """Drive ``sizing_loop`` on ``net`` with ``seeded_congestion`` stubs,
+    one loop after another, for exactly ``n_updates`` updates in all;
+    return whether ``updates_are_exact`` held for every loop."""
+    ok, done = True, 0
+    for loop in itertools.count():
+        monkeypatch.setattr(sizing, "MAX_SIZING_ITERATIONS", n_updates - done)
+        evaluate = seeded_congestion(seed, loop, len(net.lines), decimals)
+        trace = sizing_loop(net, evaluate, settings, rng_entropy=[seed, loop])
+        ok = ok and updates_are_exact(net, trace, evaluate.drawn, settings)
+        done += trace.iterations
+        if done == n_updates:
+            return ok
+
+
+def test_spin_rounds_conserve_hits_and_update_exactly(monkeypatch):
+    """Over 500 seeded updates per policy, with P_con rounded to 3 decimals
+    so that a draw can sit exactly on the threshold: total hits equal
+    spins, each updated rating equals its prior plus hits * step, and
+    lines off the wheel never move."""
+    for policy in (POLICY_NL, POLICY_WEL):
+        settings = PlanSettings(policy=policy, delta_f=5.0)
+        assert seeded_updates(mixed_net(), settings, 2024, monkeypatch,
+                              decimals=3)
+
+
+def test_equal_segments_split_spins_evenly():
+    hits = spin(substream(5, 2), np.array([0.4, 0.4]), n_spins=100_000)
+    assert hits.sum() == 100_000
+    share = hits[0] / 100_000
+    sigma = (0.5 * 0.5 / 100_000) ** 0.5
+    assert abs(share - 0.5) <= 3 * sigma
+
+
+def test_single_segment_takes_every_spin():
+    np.testing.assert_array_equal(
+        spin(substream(1, 1), np.array([0.9]), n_spins=4), [4])
+    step = first_update(np.array([0.0, 0.0, 0.9]))
+    assert step.eligible == (3,) and step.hits == ((3, 1),)
+    base = mixed_net().base_capacities
+    assert step.capacities == base[:2] + (base[2] + 5.0,)
 
 
 def one_update(ec, t_inv, delta_f=50.0):
