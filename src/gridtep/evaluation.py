@@ -10,19 +10,18 @@ vectorized across all distinct states of a scenario.
 Monte Carlo mode gives each (scenario, slot) its own RNG substream and
 keeps the chain of states the slot has drawn from it. A month's slot
 streams are seeded together, in one vectorized pass (``substreams``),
-the first time the month is priced; each is the stream ``substream``
-gives that slot. A slot's sample at a capacity vector is the first state
-of its chain that passes the validity screen, so estimates across sizing
+when the evaluator is built; each is the stream ``substream`` gives that
+slot. A slot's sample at a capacity vector is the first state of its
+chain that passes the validity screen, so estimates across sizing
 iterations share common random numbers. Each capacity vector first
 evaluates every stored row once. Slots whose chain holds no valid state
 are then resolved in rounds: a round draws one more state from each
 pending slot's stream, in slot order, and evaluates only the rows that
-round added. The cost is
-linear in the draws, validity redraws included. ``MAX_RESAMPLES`` bounds
-every element-wise draw of a slot, island rejections included. A month's
-``samples_drawn`` sums, over slots, the element-wise draws up to and
-including the slot's accepted state, so it does not depend on which
-capacity vectors were priced before.
+round added. The cost is linear in the draws, validity redraws included.
+``MAX_RESAMPLES`` bounds every element-wise draw of a slot, island
+rejections included. A month's ``samples_drawn`` sums, over slots, the
+element-wise draws up to and including the slot's accepted state, so it
+does not depend on which capacity vectors were priced before.
 
 Deterministic modes (N-1 / N-2) run the enumerated states of the peak
 month with equal weights; states invalid at the current capacities are
@@ -50,10 +49,9 @@ from .dispatch import bus_generation, merit_order_dispatch
 from .dcflow import solve_with_outages
 from .errors import GridTepError, ResampleBudgetError
 from .network import MONTHS, ActiveNetwork, NetworkCase, scenario_demand
-from .rng import DOMAIN_MCS, substreams
-# Unused here since slots are seeded by substreams; it stays importable
-# because perfbench/tracer.py rebinds evaluation.substream.
-from .rng import substream  # noqa: F401
+# substream is unused here; it stays importable because
+# perfbench/tracer.py rebinds evaluation.substream.
+from .rng import DOMAIN_MCS, substream, substreams  # noqa: F401
 
 MODE_MCS = "mcs"
 MODE_N1 = "n1"
@@ -65,6 +63,11 @@ POLICY_WEL = "wel"  # sizing may resize every line
 POLICIES = (POLICY_NL, POLICY_WEL)
 
 MAX_RESAMPLES = 1000  # element-wise draws per Monte Carlo slot
+
+
+def is_integer(value) -> bool:
+    """An int or numpy integer; as in case files, a bool is not a number."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,8 @@ class PlanSettings:
             ("mode", f"one of {', '.join(MODES)}", self.mode in MODES),
             ("policy", f"one of {', '.join(POLICIES)}",
              self.policy in POLICIES),
-            ("n_mcs", ">= 1", self.n_mcs >= 1),
+            ("n_mcs", "an integer >= 1",
+             is_integer(self.n_mcs) and self.n_mcs >= 1),
             ("delta_f", "finite and > 0", 0 < self.delta_f < math.inf),
             ("congestion_threshold", ">= 0", self.congestion_threshold >= 0),
         ):
@@ -107,15 +111,19 @@ class StateRecord:
 
 
 class ScenarioBatch:
-    """Distinct outage states of one scenario, stacked for vector math.
+    """Distinct outage states of one scenario month, stacked for vector math.
 
     Rows are append-only: a state keeps its row for the batch's lifetime,
     and the stacked arrays grow in place, so earlier rows are never
     copied per append.
     """
 
-    def __init__(self, net: ActiveNetwork, n_generators: int):
+    def __init__(self, case: NetworkCase, net: ActiveNetwork, month: int,
+                 base_schedule: tuple[float, ...]):
+        self.case = case
         self.net = net
+        self.demand = scenario_demand(case, month)
+        self.base_schedule = base_schedule
         self.key_row: dict[tuple[frozenset[int], frozenset[int]], int] = {}
         self._n = 0
         n_lines, n_buses = len(net.lines), net.n_buses
@@ -124,16 +132,18 @@ class ScenarioBatch:
         self._demand = np.zeros((0, n_buses))
         self._gen = np.zeros((0, n_buses))
         self._deficit = np.zeros(0)
-        self._ego = np.zeros((0, n_generators))
+        self._ego = np.zeros((0, len(case.generators)))
 
     def __len__(self) -> int:
         return self._n
 
-    def row_for(self, key, build) -> int:
-        """Row index of the state, computing its record on first sight."""
+    def row(self, state: OutageState) -> int:
+        """Row index of the state, dispatched and solved on first sight."""
+        key = (state.lines_out, state.gens_out)
         row = self.key_row.get(key)
         if row is None:
-            row = self._append(build())
+            row = self._append(build_record(self.case, self.net, self.demand,
+                                            state, self.base_schedule))
             self.key_row[key] = row
         return row
 
@@ -223,48 +233,29 @@ class CapacityEvaluation:
 
 
 class _McsScenario:
-    """Lazy per-slot sampler for one scenario month."""
+    """Per-slot sampler for one scenario month."""
 
-    def __init__(self, case, net, month, entropy, n_slots, base_schedule):
-        self.case = case
-        self.net = net
+    def __init__(self, batch, month, entropy, n_slots):
+        self.batch = batch
         self.month = month
-        self.entropy = entropy
         self.n_slots = n_slots
-        self.base_schedule = base_schedule
-        self.batch = ScenarioBatch(net, len(case.generators))
+        self.rngs = substreams(entropy, (DOMAIN_MCS, month), n_slots)
         # Per slot: (row, element-wise draws of the slot so far) per state.
         self.chains: list[list[tuple[int, int]]] = [[] for _ in range(n_slots)]
-        self.draws = [0] * n_slots  # element-wise draws per slot, all kinds
-        self._rngs: list[np.random.Generator] | None = None
-        self.demand = scenario_demand(case, month)
 
-    def _rng(self, slot: int) -> np.random.Generator:
-        if self._rngs is None:
-            self._rngs = substreams(self.entropy, (DOMAIN_MCS, self.month),
-                                    self.n_slots)
-        return self._rngs[slot]
-
-    def _budget_error(self, slot: int) -> ResampleBudgetError:
-        return ResampleBudgetError(
-            f"slot {slot} of month {self.month}: no valid sample within "
-            f"{MAX_RESAMPLES} draws")
-
-    def _extend(self, slot: int) -> int:
+    def _extend(self, slot: int) -> tuple[int, int]:
         """Draw the slot's next state within what is left of its budget."""
-        left = MAX_RESAMPLES - self.draws[slot]
+        chain = self.chains[slot]
+        drawn = chain[-1][1] if chain else 0
         try:
-            state = sample_state(self.case, self.net, self._rng(slot), left)
+            state = sample_state(self.batch.case, self.batch.net,
+                                 self.rngs[slot], MAX_RESAMPLES - drawn)
         except ResampleBudgetError as exc:
-            raise self._budget_error(slot) from exc
-        self.draws[slot] += state.draws
-        row = self.batch.row_for(
-            (state.lines_out, state.gens_out),
-            lambda: build_record(self.case, self.net, self.demand, state,
-                                 self.base_schedule),
-        )
-        self.chains[slot].append((row, self.draws[slot]))
-        return row
+            raise ResampleBudgetError(
+                f"slot {slot} of month {self.month}: no valid sample within "
+                f"{MAX_RESAMPLES} draws") from exc
+        chain.append((self.batch.row(state), drawn + state.draws))
+        return chain[-1]
 
     def result(self, capacities: np.ndarray) -> dict:
         for slot in range(self.n_slots):
@@ -293,12 +284,10 @@ class _McsScenario:
                 parts.append(self.batch.evaluate(capacities, start))
                 valid = np.concatenate([valid, parts[-1].valid])
             still = []
-            for slot, row in zip(pending, added):
+            for slot, (row, draws) in zip(pending, added):
                 if valid[row]:
                     rows[slot] = row
-                    drawn += self.draws[slot]
-                elif self.draws[slot] >= MAX_RESAMPLES:
-                    raise self._budget_error(slot)
+                    drawn += draws
                 else:
                     still.append(slot)
             pending = still
@@ -311,19 +300,14 @@ class _McsScenario:
 class _DeterministicScenario:
     """Enumerated equal-weight states for one scenario month."""
 
-    def __init__(self, case, net, mode, month, order, base_schedule):
+    def __init__(self, batch, mode, month, order):
+        self.batch = batch
         self.mode = mode
         self.month = month
-        self.demand = scenario_demand(case, month)
-        self.batch = ScenarioBatch(net, len(case.generators))
-        states = enumerate_deterministic(case, net, order)
+        states = enumerate_deterministic(batch.case, batch.net, order)
         self.n_states = len(states)
         for state in states:
-            self.batch.row_for(
-                (state.lines_out, state.gens_out),
-                lambda s=state: build_record(case, net, self.demand, s,
-                                             base_schedule),
-            )
+            batch.row(state)
 
     def result(self, capacities: np.ndarray) -> dict:
         ev = self.batch.evaluate(capacities)
@@ -391,16 +375,19 @@ class PlanEvaluator:
 
         if settings.mode == MODE_MCS:
             self.scenarios = [
-                _McsScenario(case, net, m, entropy, settings.n_mcs,
-                             self.base_schedules[m - 1])
+                _McsScenario(
+                    ScenarioBatch(case, net, m, self.base_schedules[m - 1]),
+                    m, entropy, settings.n_mcs)
                 for m in MONTHS
             ]
         else:
             peak = case.ldc.peak_month()
             order = 1 if settings.mode == MODE_N1 else 2
             self.scenarios = [
-                _DeterministicScenario(case, net, settings.mode, peak, order,
-                                       self.base_schedules[peak - 1])
+                _DeterministicScenario(
+                    ScenarioBatch(case, net, peak,
+                                  self.base_schedules[peak - 1]),
+                    settings.mode, peak, order)
             ]
 
     def evaluate(self, capacities) -> CapacityEvaluation:

@@ -22,7 +22,8 @@ from .adequacy import ExpectationReport
 from .contingency import is_islanded
 from .costs import CostBreakdown, generation_investment, objective
 from .errors import GridTepError
-from .evaluation import PlanEvaluator, PlanSettings, base_schedules
+from .evaluation import (PlanEvaluator, PlanSettings, base_schedules,
+                         is_integer)
 from .network import ActiveNetwork, Chromosome, NetworkCase, apply_plan
 from .rng import DOMAIN_GA, chromosome_entropy, substream
 from .sizing import sizing_loop
@@ -39,14 +40,12 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.population_size >= 2:
-            raise ValueError(
-                f"population_size must be >= 2, got {self.population_size!r}")
-        if not self.generations >= 0:
-            raise ValueError(
-                f"generations must be >= 0, got {self.generations!r}")
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        for name, least in (("population_size", 2), ("generations", 0),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= least):
+                raise ValueError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,11 @@ def plan_payload(manifest: dict, result: PlanResult) -> dict:
 
 
 def write_plan_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # RFC 8259 has no Infinity or NaN: non-finite numbers, such as an
+    # infeasible plan's costs, are written as null.
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    Path(path).write_text(json.dumps(strict, indent=2, sort_keys=True,
+                                     allow_nan=False) + "\n")
 
 
 CSV_HEADER = ["record", "id", "from_bus", "to_bus", "length_km", "status",

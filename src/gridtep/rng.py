@@ -8,18 +8,17 @@ in which order they are consumed. This is what makes runs reproducible
 bit-for-bit regardless of evaluation order.
 
 ``substream`` derives one stream through ``numpy.random.SeedSequence``.
-``substreams`` derives a run of streams that differ only in their last
-path element (the Monte Carlo slots of one month) in one vectorized pass:
-it reproduces numpy's SeedSequence hashing in uint32 array arithmetic,
-one column per stream, and seeds each PCG64 from its column. Its stream
-``k`` must draw exactly what ``substream(entropy, *path, k)`` draws; the
-tests hold it to that, bit for bit.
+``substreams`` derives a run of streams whose paths differ only in their
+last element (the Monte Carlo slots of one month) at once: NumPy's
+SeedSequence mixes the words they share, and gridtep runs only the hash
+steps of the stream index and of the seed words, on uint32 arrays with
+one column per stream. Stream ``k`` draws exactly what
+``substream(entropy, *path, k)`` draws, bit for bit; the tests check it.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import pairwise
 
 import numpy as np
 
@@ -46,9 +45,9 @@ _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 
 
@@ -70,33 +69,27 @@ def _words(value) -> list[int]:
     return [w for v in value for w in _words(v)]
 
 
-# The hash steps take a 32-bit word as a Python int or as a uint32 array;
-# masking keeps ints at 32 bits, and array arithmetic wraps by itself.
+def _steps(init: int, mult: int, first: int, n: int):
+    """The hash constants before and after ``n`` SeedSequence hash steps
+    from step ``first`` on, as two (n, 1) uint32 columns."""
+    h = np.array([init * pow(mult, t, 1 << 32) & _MASK32
+                  for t in range(first, first + n + 1)], dtype=np.uint32)
+    return h[:-1, None], h[1:, None]
 
-def _hash_constants(init: int, mult: int):
-    """SeedSequence's running hash constant: init, init * mult, ..."""
-    h = init
-    while True:
-        yield h
-        h = h * mult & _MASK32
+
+_STATE_STEPS = _steps(_INIT_B, _MULT_B, 0, 8)  # generate_state(4, uint64)
 
 
 def _hashmix(value, h, h_next):
-    """One hashmix step, given the hash constant before and after it."""
-    value = (value ^ h) * h_next & _MASK32
+    """One hashmix step, given the hash constant before and after it.
+    Every operand is uint32, so the arithmetic wraps by itself."""
+    value = (value ^ h) * h_next
     return value ^ value >> _XSHIFT
 
 
 def _mix(x, y):
-    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
     return r ^ r >> _XSHIFT
-
-
-def _next_constants(pairs, n: int):
-    """The next ``n`` (before, after) hash constant pairs, as two (n, 1)
-    uint32 columns."""
-    h, h_next = np.array([next(pairs) for _ in range(n)], dtype=np.uint32).T
-    return h[:, None], h_next[:, None]
 
 
 @cache
@@ -127,30 +120,17 @@ def substreams(entropy, path, count: int) -> list[np.random.Generator]:
     run += [0] * (_POOL_SIZE - len(run))  # SeedSequence pads when spawned
     shared = run + _words(path)
 
-    # SeedSequence.mix_entropy over shared + [k]. The shared words are
-    # hashed once, as ints; the stream index k comes last, so only its step
-    # runs per stream, with the pool as rows and one column per stream.
-    pairs = pairwise(_hash_constants(_INIT_A, _MULT_A))
-
-    def hashmix(value):
-        return _hashmix(value, *next(pairs))
-
-    pool = [hashmix(w) for w in shared[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in shared[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(w))
+    # SeedSequence.mix_entropy over shared + [k]: NumPy mixes the shared
+    # words, _POOL_SIZE hash steps each; only the steps of the last word, k,
+    # run here, with the pool as rows and one column per stream.
+    pool = np.random.SeedSequence(shared).pool[:, None]
     index = np.arange(count, dtype=np.uint32)
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None],
-                _hashmix(index, *_next_constants(pairs, _POOL_SIZE)))
+    steps = _steps(_INIT_A, _MULT_A, _POOL_SIZE * len(shared), _POOL_SIZE)
+    pool = _mix(pool, _hashmix(index, *steps))
 
     # generate_state(4, uint64): eight uint32 words cycling over the pool,
     # paired little-endian into uint64.
-    pairs = pairwise(_hash_constants(_INIT_B, _MULT_B))
-    state = _hashmix(np.tile(pool, (2, 1)), *_next_constants(pairs, 8))
+    state = _hashmix(np.tile(pool, (2, 1)), *_STATE_STEPS)
     seeds = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(
         np.uint64, copy=False)
 

@@ -66,6 +66,8 @@ def test_evaluator_rejects_a_rating_vector_of_the_wrong_shape(ratings):
     ("mode", "n3"),
     ("policy", "all"),
     ("n_mcs", 0),
+    ("n_mcs", 10.0),
+    ("n_mcs", True),
     ("delta_f", 0.0),
     ("delta_f", float("inf")),
     ("delta_f", float("nan")),
@@ -252,6 +254,34 @@ def test_sizing_sees_the_mean_of_the_monthly_congestion_rows():
                                   monthly.mean(axis=0))
 
 
+@pytest.mark.parametrize("mode", ["mcs", "n1"])
+def test_each_distinct_state_is_built_once_per_evaluator(monkeypatch, mode):
+    """Merit dispatch and the DC solve run once per distinct outage state
+    of a scenario, whatever rating vectors are priced: re-pricing builds
+    nothing. Under MCS each tighter vector draws new states."""
+    case = mcs_toy_case()
+    net = toy_net(case)
+    built = []
+    real = evaluation.build_record
+
+    def counted(*args):  # args[2] is the demand of the state's month
+        state = args[3]
+        built.append((id(args[2]), state.lines_out, state.gens_out))
+        return real(*args)
+
+    monkeypatch.setattr(evaluation, "build_record", counted)
+    evaluator = PlanEvaluator(case, net, PlanSettings(mode=mode, n_mcs=40),
+                              [4, 1])
+    vectors = [[60.0] * 4, [25.0] * 4, [5.0] * 4]
+    for caps in vectors:
+        evaluator.evaluate(caps)
+    assert len(set(built)) == len(built)
+    assert len(built) == sum(len(sc.batch) for sc in evaluator.scenarios)
+    before = len(built)
+    evaluator.evaluate(vectors[0])
+    assert len(built) == before
+
+
 def count_draws(monkeypatch):
     """Record the outcome of every element-wise draw's feasibility test."""
     outcomes = []
@@ -297,7 +327,7 @@ def test_slot_budget_checks_its_last_draw(monkeypatch):
 
     free = evaluator()
     expected = free.evaluate(tight)
-    needed = max(sc.draws[0] for sc in free.scenarios)
+    needed = max(sc.chains[0][-1][1] for sc in free.scenarios)
     assert needed > 1
     monkeypatch.setattr(evaluation, "MAX_RESAMPLES", needed)
     got = evaluator().evaluate(tight)

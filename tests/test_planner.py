@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 
 import hypothesis
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,11 +19,12 @@ from gridtep.evaluation import base_schedules
 from gridtep.network import Chromosome, load_case
 from gridtep.planner import (
     GaConfig,
+    PlanResult,
     PlanSettings,
     evaluate_chromosome,
     run,
 )
-from gridtep.report import plan_payload
+from gridtep.report import plan_payload, write_plan_json
 
 from _toys import build_case, ga_toy_case, gen, line, mcs_toy_case
 
@@ -80,6 +83,28 @@ def test_plan_whose_pricing_raises_is_infeasible_and_the_search_goes_on(
         congestion_threshold=0.1, tool_version="test", wall_time_s=0.0)
     best = plan_payload(manifest, result)["result"]["best"]
     assert best["infeasible_reason"] == result.best.infeasible_reason
+
+
+def test_plan_json_of_an_infeasible_best_is_strict_json(tmp_path):
+    """An infeasible plan's infinite costs are written as null, so parsers
+    that reject Infinity and NaN read plan.json."""
+    case = mcs_toy_case()
+    best = planner._infeasible_record(case, Chromosome(()), "stranded")
+    result = PlanResult(best=best, history=(best.j, best.j), mode="mcs",
+                        policy="nl")
+    path = tmp_path / "plan.json"
+    write_plan_json(path, plan_payload({"seed": 0}, result))
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    data = json.loads(path.read_text(), parse_constant=reject)
+    written = data["result"]["best"]
+    assert written["costs_kusd"]["j"] is None
+    assert written["costs_kusd"]["ec"] is None
+    assert written["costs_kusd"]["g_inv"] == best.breakdown.g_inv
+    assert data["result"]["history_j_kusd"] == [None, None]
+    assert written["infeasible_reason"] == "stranded"
 
 
 def test_n1_plan_whose_every_state_fails_the_screen_is_infeasible():
@@ -205,10 +230,22 @@ def test_ga_is_reproducible():
 
 
 def test_ga_config_validation():
-    with pytest.raises(ValueError):
-        GaConfig(population_size=1)
-    with pytest.raises(ValueError):
-        GaConfig(generations=-1)
+    for field, value in [
+        ("population_size", 1),
+        ("population_size", 2.0),
+        ("population_size", True),
+        ("generations", -1),
+        ("generations", 3.0),
+        ("generations", False),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", True),
+    ]:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            GaConfig(**{field: value})
+    ga = GaConfig(population_size=np.int64(4), generations=np.int32(0),
+                  seed=np.uint64(3))
+    assert (ga.population_size, ga.generations, ga.seed) == (4, 0, 3)
 
 
 def test_exhaustive_landscape_is_not_flat():
