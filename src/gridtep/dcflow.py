@@ -9,6 +9,12 @@ its reactance; positive flow runs from ``from_bus`` to ``to_bus``.
 Flows depend only on topology, reactances, and injections — never on
 line ratings — so one solve serves every capacity assignment of the same
 topology.
+
+``solve_rows`` solves a batch of outage states of one network at once, a
+row per state: one stacked susceptance assembly, and one stacked
+``np.linalg.solve`` per set of buses still tied to the slack. Each row
+gets the bits its own solve would, whichever rows share the call;
+``solve_with_outages`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -76,53 +82,128 @@ def solve_with_outages(
     if p.shape != (net.n_buses,):
         raise ValueError(
             f"injections must have shape ({net.n_buses},), got {p.shape}")
-    total = float(p.sum())
-    if abs(total) > BALANCE_TOL:
-        raise UnbalancedInjectionsError(
-            f"injections sum to {total:.6g} MW, expected 0")
+    sol = solve_rows(net, p[None], [lines_out])
+    return FlowSolution(angles=sol.angles[0], flows=sol.flows[0],
+                        injections=sol.injections[0])
 
-    live_bus = slack_connected(net, lines_out)
-    if np.any(np.abs(p[~live_bus]) > BALANCE_TOL):
+
+def solve_rows(net: ActiveNetwork, injections, outages) -> FlowSolution:
+    """Solve one or more outage states of one network at once.
+
+    Row s of ``injections`` (rows, buses) is solved with the lines of
+    ``outages[s]`` removed, as ``solve_with_outages`` solves it alone: its
+    angles and flows are the same bits whichever rows share the call.
+    ``outages`` is a sequence of line-id sets. The returned arrays gain a
+    leading row axis. When rows fail, the first failing row's error is
+    raised.
+    """
+    p = np.asarray(injections, dtype=float)
+    if p.shape != (len(outages), net.n_buses):
+        raise ValueError(
+            f"injections must have shape ({len(outages)}, {net.n_buses}), "
+            f"got {p.shape}")
+    try:
+        return _solve_rows(net, p, outages)
+    except (NetworkDisconnectedError, UnbalancedInjectionsError):
+        if len(p) == 1:
+            raise
+    # Solved one at a time, in order, the first failing row raises.
+    sols = [_solve_rows(net, p[s:s + 1], outages[s:s + 1])
+            for s in range(len(p))]
+    return FlowSolution(*(np.concatenate([getattr(sol, f) for sol in sols])
+                          for f in ("angles", "flows", "injections")))
+
+
+def _solve_rows(net: ActiveNetwork, p: np.ndarray, outages) -> FlowSolution:
+    totals = p.sum(axis=1)
+    unbalanced = np.abs(totals) > BALANCE_TOL
+    if unbalanced.any():
+        raise UnbalancedInjectionsError(
+            f"injections sum to {float(totals[unbalanced.argmax()]):.6g} MW, "
+            "expected 0")
+    live_bus = np.array([slack_connected(net, lines_out)
+                         for lines_out in outages])
+    size = np.abs(p)
+    if not live_bus.all() and ((size > BALANCE_TOL) & ~live_bus).any():
         raise NetworkDisconnectedError(
             "bus with nonzero injection is disconnected from the slack bus")
-    in_service = np.array([ln.id not in lines_out for ln in net.lines])
-    live_line = in_service & live_bus[net.from_idx] & live_bus[net.to_idx]
+    live_line = live_bus[:, net.from_idx] & live_bus[:, net.to_idx]
+    position = net.line_position
+    for s, lines_out in enumerate(outages):
+        for line_id in lines_out:
+            if line_id in position:
+                live_line[s, position[line_id]] = False
+    b = _susceptance_matrices(net, live_line)
+    # A row's residual is judged against its largest injection.
+    tol = 1e-6 * size.max(axis=1, initial=1.0)
 
-    n = net.n_buses
-    b = np.zeros((n, n))
-    i = net.from_idx[live_line]
-    j = net.to_idx[live_line]
-    w = net.susceptance[live_line]
-    np.add.at(b, (i, i), w)
-    np.add.at(b, (j, j), w)
-    np.add.at(b, (i, j), -w)
-    np.add.at(b, (j, i), -w)
+    # Rows solve for their buses still tied to the slack, slack excluded.
+    keep = live_bus
+    keep[:, net.bus_index[net.slack_bus]] = False
+    if len(keep) == 1 or (keep[1:] == keep[0]).all():
+        angles = _angles(b, p, tol, keep[0].nonzero()[0])
+    else:
+        groups: dict[bytes, list[int]] = {}
+        for s, mask in enumerate(keep):
+            groups.setdefault(mask.tobytes(), []).append(s)
+        angles = np.zeros_like(p)
+        for rows in groups.values():
+            angles[rows] = _angles(b[rows], p[rows], tol[rows],
+                                   keep[rows[0]].nonzero()[0])
+    flows = np.zeros(live_line.shape)
+    np.multiply(angles[:, net.from_idx] - angles[:, net.to_idx],
+                net.susceptance, out=flows, where=live_line)
+    return FlowSolution(angles=angles, flows=flows, injections=p.copy())
 
-    slack = net.bus_index[net.slack_bus]
-    keep = live_bus.copy()
-    keep[slack] = False
-    b_red = b[np.ix_(keep, keep)]
+
+def _susceptance_matrices(net: ActiveNetwork, live_line: np.ndarray
+                          ) -> np.ndarray:
+    """Susceptance Laplacian per row, over the row's live lines.
+
+    ``bincount`` adds its terms in order: each row's from-bus diagonal
+    terms, line by line, then the to-bus diagonal terms, then the two
+    off-diagonal ones. So each entry sums its lines in line order, as four
+    ``np.add.at`` passes over one row would, whatever the other rows. A
+    dead line adds a signed zero, which changes no partial sum: each
+    starts at +0.0, and a round-to-nearest sum is -0.0 only when both
+    addends are.
+    """
+    rows, n2 = len(live_line), net.n_buses * net.n_buses
+    offsets = np.arange(0, rows * n2, n2)[:, None]
+    cells = net.laplacian_cells[:, None, :] + offsets
+    terms = net.laplacian_terms[:, None, :] * live_line
+    b = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=rows * n2)
+    return b.reshape(rows, net.n_buses, net.n_buses)
+
+
+def _angles(b: np.ndarray, p: np.ndarray, tol: np.ndarray,
+            buses: np.ndarray) -> np.ndarray:
+    """Bus angles of rows that all solve for ``buses``; zero elsewhere.
+
+    One stacked ``np.linalg.solve`` runs LAPACK's one-right-hand-side solve
+    on each row, as for a single vector, so a row's bits do not depend on
+    the stack.
+    """
+    angles = np.zeros(p.shape)
+    if not buses.size:
+        return angles
+    b_red = b[:, buses[:, None], buses]
+    # The right-hand side is passed as (rows, m, 1): NumPy >= 2.0 would
+    # read a 2-D one as a single matrix, not as a stack of vectors.
+    p_red = p[:, buses, None]
     try:
-        theta_red = np.linalg.solve(b_red, p[keep])
+        theta = np.linalg.solve(b_red, p_red)
     except np.linalg.LinAlgError as exc:
         raise NetworkDisconnectedError(
             "network is disconnected: reduced susceptance matrix is singular"
         ) from exc
     # A factorization can succeed on a near-singular system; trust the
-    # residual, not the factorization.
-    if not np.all(np.isfinite(theta_red)) or (
-        theta_red.size
-        and np.max(np.abs(b_red @ theta_red - p[keep]))
-        > 1e-6 * max(1.0, float(np.max(np.abs(p))))
-    ):
+    # residual, not the factorization. A non-finite angle fails it too.
+    if not (np.abs(b_red @ theta - p_red) <= tol[:, None, None]).all():
         raise NetworkDisconnectedError(
             "network is disconnected: load flow residual did not converge")
-
-    angles = np.zeros(n)
-    angles[keep] = theta_red
-    flows = np.zeros(len(net.lines))
-    flows[live_line] = (angles[i] - angles[j]) * w
-    return FlowSolution(angles=angles, flows=flows, injections=p.copy())
+    angles[:, buses] = theta[:, :, 0]
+    return angles
 
 
 def flow_residual(net: ActiveNetwork, sol: FlowSolution) -> float:

@@ -7,6 +7,13 @@ ratings, so it is computed once per distinct state and cached; each
 rating vector then only re-runs the cheap truncation arithmetic,
 vectorized across all distinct states of a scenario.
 
+A scenario builds its new states in batches (``build_records``): all
+enumerated states at once, or every slot's first draw, or one redraw
+round's draws. Merit dispatch depends only on the month and the
+generator-outage set, so a scenario's batch runs it once per distinct
+``gens_out`` and keeps the result. One call to ``dcflow.solve_rows``
+then solves every new state, each with the bits a one-state solve gives.
+
 Monte Carlo mode gives each (scenario, slot) its own RNG substream and
 keeps the chain of states the slot has drawn from it. A month's slot
 streams are seeded together, in one vectorized pass (``substreams``),
@@ -46,7 +53,9 @@ from .contingency import OutageState, enumerate_deterministic, sample_state
 from .costs import (CostBreakdown, edns_cost, egns_cost, ewl_cost,
                     generation_investment, objective, transmission_investment)
 from .dispatch import bus_generation, merit_order_dispatch
-from .dcflow import solve_with_outages
+# solve_with_outages is unused here; it stays importable because
+# perfbench/tracer.py rebinds evaluation.solve_with_outages.
+from .dcflow import solve_rows, solve_with_outages  # noqa: F401
 from .errors import GridTepError, ResampleBudgetError
 from .network import MONTHS, ActiveNetwork, NetworkCase, scenario_demand
 # substream is unused here; it stays importable because
@@ -101,7 +110,9 @@ class PlanSettings:
 
 @dataclass(frozen=True)
 class StateRecord:
-    """Capacity-independent facts about one dispatched, solved state."""
+    """Capacity-independent facts about one dispatched, solved state, or
+    about a batch of them: ``build_records`` adds a leading row axis to
+    every field."""
 
     flows: np.ndarray  # per line, unconstrained DC flows
     demand: np.ndarray  # per bus, served demand entering the balance
@@ -125,6 +136,8 @@ class ScenarioBatch:
         self.demand = scenario_demand(case, month)
         self.base_schedule = base_schedule
         self.key_row: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+        # gens_out -> the month's dispatch with those units out.
+        self._dispatched: dict[frozenset[int], tuple] = {}
         self._n = 0
         n_lines, n_buses = len(net.lines), net.n_buses
         # Row storage with spare capacity; rows [0, _n) are live.
@@ -137,31 +150,41 @@ class ScenarioBatch:
     def __len__(self) -> int:
         return self._n
 
-    def row(self, state: OutageState) -> int:
-        """Row index of the state, dispatched and solved on first sight."""
-        key = (state.lines_out, state.gens_out)
-        row = self.key_row.get(key)
-        if row is None:
-            row = self._append(build_record(self.case, self.net, self.demand,
-                                            state, self.base_schedule))
-            self.key_row[key] = row
-        return row
+    def rows(self, states: list[OutageState]) -> list[int]:
+        """Row index of each state. States not seen before are dispatched
+        and solved in one batch, and take rows in order of first
+        appearance."""
+        key_row = self.key_row
+        new: dict[tuple[frozenset[int], frozenset[int]], OutageState] = {}
+        for state in states:
+            key = (state.lines_out, state.gens_out)
+            if key not in key_row:
+                new.setdefault(key, state)
+        if new:
+            start = self._append(build_records(
+                self.case, self.net, self.demand, list(new.values()),
+                self.base_schedule, self._dispatched))
+            key_row.update(zip(new, range(start, self._n)))
+        return [key_row[(state.lines_out, state.gens_out)]
+                for state in states]
 
-    def _append(self, rec: StateRecord) -> int:
-        row = self._n
-        if row == len(self._deficit):
-            size = max(16, 2 * row)
+    def _append(self, recs: StateRecord) -> int:
+        """Append a batch of records; returns the first one's row."""
+        start = self._n
+        end = start + len(recs.deficit)
+        if end > len(self._deficit):
+            size = max(16, 2 * len(self._deficit), end)
             self._flows, self._demand, self._gen, self._deficit, self._ego = (
                 np.resize(a, (size, *a.shape[1:])) for a in
                 (self._flows, self._demand, self._gen, self._deficit,
                  self._ego))
-        self._flows[row] = rec.flows
-        self._demand[row] = rec.demand
-        self._gen[row] = rec.generation
-        self._deficit[row] = rec.deficit
-        self._ego[row] = rec.ego
-        self._n = row + 1
-        return row
+        self._flows[start:end] = recs.flows
+        self._demand[start:end] = recs.demand
+        self._gen[start:end] = recs.generation
+        self._deficit[start:end] = recs.deficit
+        self._ego[start:end] = recs.ego
+        self._n = end
+        return start
 
     def evaluate(self, capacities: np.ndarray, start: int = 0
                  ) -> "BatchEvaluation":
@@ -243,24 +266,36 @@ class _McsScenario:
         # Per slot: (row, element-wise draws of the slot so far) per state.
         self.chains: list[list[tuple[int, int]]] = [[] for _ in range(n_slots)]
 
-    def _extend(self, slot: int) -> tuple[int, int]:
-        """Draw the slot's next state within what is left of its budget."""
-        chain = self.chains[slot]
-        drawn = chain[-1][1] if chain else 0
-        try:
-            state = sample_state(self.batch.case, self.batch.net,
-                                 self.rngs[slot], MAX_RESAMPLES - drawn)
-        except ResampleBudgetError as exc:
+    def _extend(self, slots) -> list[tuple[int, int]]:
+        """Draw the next state of each slot, in slot order, within what is
+        left of the slot's budget, and add the new states to the batch in
+        one call. Returns each slot's new (row, draws) entry."""
+        batch, states, drawn, exhausted = self.batch, [], [], None
+        for slot in slots:
+            chain = self.chains[slot]
+            drawn.append(chain[-1][1] if chain else 0)
+            try:
+                states.append(sample_state(batch.case, batch.net,
+                                           self.rngs[slot],
+                                           MAX_RESAMPLES - drawn[-1]))
+            except ResampleBudgetError as exc:
+                exhausted = exc
+                break
+        # The states drawn before an exhausted slot are built first: one of
+        # them failing to solve is the error a slot-by-slot build meets.
+        for slot, row, before, state in zip(slots, batch.rows(states), drawn,
+                                             states):
+            self.chains[slot].append((row, before + state.draws))
+        if exhausted is not None:
             raise ResampleBudgetError(
-                f"slot {slot} of month {self.month}: no valid sample within "
-                f"{MAX_RESAMPLES} draws") from exc
-        chain.append((self.batch.row(state), drawn + state.draws))
-        return chain[-1]
+                f"slot {slots[len(states)]} of month {self.month}: no valid "
+                f"sample within {MAX_RESAMPLES} draws") from exhausted
+        return [self.chains[slot][-1] for slot in slots]
 
     def result(self, capacities: np.ndarray) -> dict:
-        for slot in range(self.n_slots):
-            if not self.chains[slot]:
-                self._extend(slot)
+        if not self.chains[-1]:  # the first call draws every slot's state
+            self._extend([slot for slot, chain in enumerate(self.chains)
+                          if not chain])
         parts = [self.batch.evaluate(capacities)]
         valid = parts[0].valid
         rows = np.empty(self.n_slots, dtype=np.intp)
@@ -279,7 +314,7 @@ class _McsScenario:
         # their own streams; only the rows a round adds are evaluated.
         while pending:
             start = len(self.batch)
-            added = [self._extend(slot) for slot in pending]
+            added = self._extend(pending)
             if len(self.batch) > start:
                 parts.append(self.batch.evaluate(capacities, start))
                 valid = np.concatenate([valid, parts[-1].valid])
@@ -306,8 +341,7 @@ class _DeterministicScenario:
         self.month = month
         states = enumerate_deterministic(batch.case, batch.net, order)
         self.n_states = len(states)
-        for state in states:
-            batch.row(state)
+        batch.rows(states)
 
     def result(self, capacities: np.ndarray) -> dict:
         ev = self.batch.evaluate(capacities)
@@ -328,21 +362,48 @@ def build_record(
     state: OutageState,
     base_schedule: tuple[float, ...],
 ) -> StateRecord:
-    """Dispatch and solve one outage state (capacity-independent)."""
-    dispatch = merit_order_dispatch(case, demand, offline=state.gens_out)
-    generation = bus_generation(case, dispatch.schedule)
-    sol = solve_with_outages(net, generation - dispatch.served_demand,
-                             state.lines_out)
-    ego = np.zeros(len(case.generators))
-    for k in state.gens_out:
-        ego[k] = base_schedule[k]
-    return StateRecord(
-        flows=sol.flows,
-        demand=dispatch.served_demand,
-        generation=generation,
-        deficit=dispatch.deficit,
-        ego=ego,
-    )
+    """Dispatch and solve one outage state (capacity-independent): a
+    one-row ``build_records``."""
+    rec = build_records(case, net, demand, [state], base_schedule, {})
+    return StateRecord(flows=rec.flows[0], demand=rec.demand[0],
+                       generation=rec.generation[0],
+                       deficit=float(rec.deficit[0]), ego=rec.ego[0])
+
+
+def build_records(
+    case: NetworkCase,
+    net: ActiveNetwork,
+    demand: np.ndarray,
+    states: list[OutageState],
+    base_schedule: tuple[float, ...],
+    dispatched: dict,
+) -> StateRecord:
+    """Dispatch and solve a non-empty batch of outage states, a row each.
+
+    Merit dispatch runs once per distinct generator-outage set:
+    ``dispatched`` maps ``gens_out`` to the dispatch of this demand and
+    base schedule, and keeps the new ones for later calls. The DC flows
+    come from one ``solve_rows`` call.
+    """
+    parts = []
+    for state in states:
+        part = dispatched.get(state.gens_out)
+        if part is None:
+            dispatch = merit_order_dispatch(case, demand,
+                                            offline=state.gens_out)
+            ego = np.zeros(len(case.generators))
+            for k in state.gens_out:
+                ego[k] = base_schedule[k]
+            part = dispatched[state.gens_out] = (
+                dispatch.served_demand,
+                bus_generation(case, dispatch.schedule),
+                dispatch.deficit, ego)
+        parts.append(part)
+    served, generation, deficit, ego = (np.array(col) for col in zip(*parts))
+    sol = solve_rows(net, generation - served,
+                     [state.lines_out for state in states])
+    return StateRecord(flows=sol.flows, demand=served, generation=generation,
+                       deficit=deficit, ego=ego)
 
 
 def base_schedules(case: NetworkCase) -> list[tuple[float, ...]]:

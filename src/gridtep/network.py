@@ -185,6 +185,29 @@ class ActiveNetwork:
         return tuple(ln.id for ln in self.lines)
 
     @cached_property
+    def line_position(self) -> dict[int, int]:
+        """Line id -> position in ``lines``."""
+        return {ln.id: k for k, ln in enumerate(self.lines)}
+
+    @cached_property
+    def laplacian_cells(self) -> np.ndarray:
+        """(4, lines) flat index into a bus-by-bus matrix of each line's
+        susceptance terms: from-bus and to-bus diagonal, from-to and to-from
+        off-diagonal."""
+        i, j, n = self.from_idx, self.to_idx, self.n_buses
+        a = np.stack([i * n + i, j * n + j, i * n + j, j * n + i])
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def laplacian_terms(self) -> np.ndarray:
+        """(4, lines) values matching ``laplacian_cells``."""
+        w = self.susceptance
+        a = np.stack([w, w, -w, -w])
+        a.flags.writeable = False
+        return a
+
+    @cached_property
     def line_outage_rates(self) -> tuple[float, ...]:
         return tuple(ln.forced_outage_rate for ln in self.lines)
 
@@ -199,7 +222,7 @@ def connected_components(
     net: ActiveNetwork, line_in_service: np.ndarray | None = None
 ) -> np.ndarray:
     """Component label per bus index, over the in-service lines."""
-    parent = np.arange(net.n_buses)
+    parent = list(range(net.n_buses))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -207,10 +230,11 @@ def connected_components(
             a = parent[a]
         return a
 
-    for pos in range(len(net.lines)):
-        if line_in_service is not None and not line_in_service[pos]:
-            continue
-        ra, rb = find(int(net.from_idx[pos])), find(int(net.to_idx[pos]))
+    i, j = net.from_idx, net.to_idx
+    if line_in_service is not None:
+        i, j = i[line_in_service], j[line_in_service]
+    for a, b in zip(i.tolist(), j.tolist()):
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
     return np.array([find(k) for k in range(net.n_buses)])

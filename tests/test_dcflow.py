@@ -6,11 +6,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridtep.dcflow import (
     connected_components,
     flow_residual,
+    slack_connected,
     solve,
+    solve_rows,
     solve_with_outages,
 )
 from gridtep.errors import NetworkDisconnectedError, UnbalancedInjectionsError
@@ -164,3 +167,122 @@ def test_outage_solves_do_not_share_connectivity_between_networks():
             assert outcome(net, lines_out) == outcome(bare_net(4, edges),
                                                       lines_out)
     assert len({outcome(a, s) == outcome(b, s) for s in outage_sets}) == 2
+
+
+def per_state_reference(net, p, lines_out):
+    """(angles, flows) by the per-state algorithm: a dense B summed with
+    four ``np.add.at`` passes in line order, and one 1-D ``np.linalg.solve``
+    on the buses tied to the slack."""
+    live_bus = slack_connected(net, lines_out)
+    in_service = np.array([ln.id not in lines_out for ln in net.lines])
+    live_line = in_service & live_bus[net.from_idx] & live_bus[net.to_idx]
+    i, j = net.from_idx[live_line], net.to_idx[live_line]
+    w = net.susceptance[live_line]
+    b = np.zeros((net.n_buses, net.n_buses))
+    np.add.at(b, (i, i), w)
+    np.add.at(b, (j, j), w)
+    np.add.at(b, (i, j), -w)
+    np.add.at(b, (j, i), -w)
+    keep = live_bus.copy()
+    keep[net.bus_index[net.slack_bus]] = False
+    angles = np.zeros(net.n_buses)
+    angles[keep] = np.linalg.solve(b[np.ix_(keep, keep)], p[keep])
+    flows = np.zeros(len(net.lines))
+    flows[live_line] = (angles[i] - angles[j]) * w
+    return angles, flows
+
+
+def random_rows(rng, net, n_rows):
+    """Outage sets of 0-3 lines, and balanced injections that are zero on
+    every bus the set cuts off from the slack."""
+    outages, injections = [], []
+    for _ in range(n_rows):
+        k = int(rng.integers(0, min(3, len(net.lines)) + 1))
+        lines_out = frozenset(
+            int(x) for x in rng.choice(net.line_ids, size=k, replace=False))
+        live = slack_connected(net, lines_out)
+        p = np.where(live, rng.uniform(-100, 100, size=net.n_buses), 0.0)
+        p[live] -= p[live].mean()
+        outages.append(lines_out)
+        injections.append(p)
+    return np.array(injections), outages
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 8))
+def test_stacked_rows_are_the_per_state_solves_bit_for_bit(seed, n_rows):
+    """Every row of one stacked solve, stranded zero-injection buses
+    included, has the angles and flows of its one-row solve and of the
+    per-state algorithm, to the bit."""
+    rng = np.random.default_rng(seed)
+    net = random_connected_net(rng)
+    p, outages = random_rows(rng, net, n_rows)
+    sol = solve_rows(net, p, outages)
+    for s, lines_out in enumerate(outages):
+        one = solve_with_outages(net, p[s], lines_out)
+        angles, flows = per_state_reference(net, p[s], lines_out)
+        for got in (sol.angles[s], one.angles):
+            assert np.array_equal(got, angles)
+        for got in (sol.flows[s], one.flows):
+            assert np.array_equal(got, flows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(2, 8),
+       data=st.data())
+def test_splitting_a_batch_changes_no_row(seed, n_rows, data):
+    rng = np.random.default_rng(seed)
+    net = random_connected_net(rng)
+    p, outages = random_rows(rng, net, n_rows)
+    cut = data.draw(st.integers(1, n_rows - 1))
+    whole = solve_rows(net, p, outages)
+    head = solve_rows(net, p[:cut], outages[:cut])
+    tail = solve_rows(net, p[cut:], outages[cut:])
+    for field in ("angles", "flows"):
+        assert np.array_equal(getattr(whole, field), np.concatenate(
+            [getattr(head, field), getattr(tail, field)]))
+
+
+def test_stacked_solve_with_a_dangling_bus_in_some_rows():
+    """Rows that strand a zero-injection bus solve for fewer buses than
+    the others in the same call; each keeps its one-row bits."""
+    net = bare_net(4, [(1, 2, 0.1), (2, 3, 0.2), (3, 1, 0.3), (3, 4, 0.1)])
+    p = np.array([[50.0, -20.0, -30.0, 0.0], [50.0, -20.0, -10.0, -20.0],
+                  [40.0, -40.0, 0.0, 0.0]])
+    outages = [frozenset([4]), frozenset(), frozenset([2, 4])]
+    sol = solve_rows(net, p, outages)
+    assert sol.angles[0, 3] == sol.flows[0, 3] == 0.0
+    for s, lines_out in enumerate(outages):
+        one = solve_with_outages(net, p[s], lines_out)
+        assert np.array_equal(sol.angles[s], one.angles)
+        assert np.array_equal(sol.flows[s], one.flows)
+
+
+def test_stacked_solve_raises_the_first_failing_rows_error():
+    """A row with an unbalanced or a stranded injection fails the batch
+    with the error type and message its one-row solve raises; of two
+    failing rows, the first one's error wins."""
+    net = bare_net(3, [(1, 2, 0.1), (2, 3, 0.2)])
+    good = [40.0, -40.0, 0.0]
+    unbalanced = [50.0, -49.0, 0.0]
+    stranded = [40.0, -10.0, -30.0]
+    cut = frozenset([2])
+
+    def failure(call):
+        with pytest.raises((NetworkDisconnectedError,
+                            UnbalancedInjectionsError)) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    for bad, lines_out in ((unbalanced, frozenset()), (stranded, cut)):
+        alone = failure(lambda: solve_with_outages(net, bad, lines_out))
+        for rows, outages in (
+                ([bad], [lines_out]),
+                ([good, bad, good], [cut, lines_out, frozenset()])):
+            assert failure(lambda: solve_rows(net, rows, outages)) == alone
+    first = failure(lambda: solve_with_outages(net, stranded, cut))
+    assert first != failure(lambda: solve_with_outages(net, unbalanced,
+                                                       frozenset()))
+    assert failure(lambda: solve_rows(
+        net, [good, stranded, unbalanced],
+        [frozenset(), cut, frozenset()])) == first

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridtep import contingency, evaluation
-from gridtep.contingency import enumerate_deterministic, sample_state
-from gridtep.errors import GridTepError, ResampleBudgetError
+from gridtep.contingency import (OutageState, enumerate_deterministic,
+                                 sample_state)
+from gridtep.errors import (GridTepError, NetworkDisconnectedError,
+                            ResampleBudgetError)
 from gridtep.evaluation import (
     PlanEvaluator,
     PlanSettings,
@@ -262,14 +264,14 @@ def test_each_distinct_state_is_built_once_per_evaluator(monkeypatch, mode):
     case = mcs_toy_case()
     net = toy_net(case)
     built = []
-    real = evaluation.build_record
+    real = evaluation.build_records
 
-    def counted(*args):  # args[2] is the demand of the state's month
-        state = args[3]
-        built.append((id(args[2]), state.lines_out, state.gens_out))
+    def counted(*args):  # args[2] is the month's demand, args[3] the states
+        built.extend((id(args[2]), state.lines_out, state.gens_out)
+                     for state in args[3])
         return real(*args)
 
-    monkeypatch.setattr(evaluation, "build_record", counted)
+    monkeypatch.setattr(evaluation, "build_records", counted)
     evaluator = PlanEvaluator(case, net, PlanSettings(mode=mode, n_mcs=40),
                               [4, 1])
     vectors = [[60.0] * 4, [25.0] * 4, [5.0] * 4]
@@ -280,6 +282,44 @@ def test_each_distinct_state_is_built_once_per_evaluator(monkeypatch, mode):
     before = len(built)
     evaluator.evaluate(vectors[0])
     assert len(built) == before
+
+
+@pytest.mark.parametrize("stranded_slot, exhausted_slot, error", [
+    (1, 3, NetworkDisconnectedError),
+    (3, 1, ResampleBudgetError),
+    (None, 2, ResampleBudgetError),
+])
+def test_mcs_batch_raises_the_error_a_slot_by_slot_build_meets(
+        monkeypatch, stranded_slot, exhausted_slot, error):
+    """A month's first draws are built in one batch. When a slot's draw
+    exhausts its budget, a state drawn for an earlier slot that fails to
+    solve still raises first, as it would have been built first;
+    otherwise the budget error names the exhausted slot."""
+    case = mcs_toy_case()
+    net = toy_net(case)
+    intact = OutageState(frozenset(), frozenset())
+    # Lines 2 and 3 out cut bus 3, and its 60 MW of demand, off the slack.
+    stranding = OutageState(frozenset([2, 3]), frozenset())
+    slots = iter(range(5))
+
+    def draw(case, net, rng, max_draws):
+        slot = next(slots)
+        if slot == exhausted_slot:
+            raise ResampleBudgetError("exhausted")
+        return stranding if slot == stranded_slot else intact
+
+    monkeypatch.setattr(evaluation, "sample_state", draw)
+    evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=5),
+                              [4, 1])
+    with pytest.raises(error) as info:
+        evaluator.evaluate(net.base_capacities)
+    if error is ResampleBudgetError:
+        assert str(info.value) == (
+            f"slot {exhausted_slot} of month 1: no valid sample within "
+            f"{evaluation.MAX_RESAMPLES} draws")
+    else:
+        assert str(info.value) == (
+            "bus with nonzero injection is disconnected from the slack bus")
 
 
 def count_draws(monkeypatch):
