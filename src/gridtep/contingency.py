@@ -23,7 +23,7 @@ from operator import lt
 
 import numpy as np
 
-from .dcflow import slack_connected
+from .dcflow import fill_slack_connected, slack_connected
 from .errors import ResampleBudgetError
 from .network import ActiveNetwork, NetworkCase
 # is_islanded reads the union-find through slack_connected's memo and no
@@ -130,6 +130,7 @@ def enumerate_deterministic(
             for (l1, g1), (l2, g2) in combinations(elements, 2)
         ]
 
+    fill_slack_connected(net, [lo for lo, _ in combos])
     return [
         OutageState(lines_out=lo, gens_out=go)
         for lo, go in combos

@@ -55,6 +55,41 @@ def slack_connected(net: ActiveNetwork, lines_out: frozenset[int]) -> np.ndarray
     return live
 
 
+def fill_slack_connected(net: ActiveNetwork, outages) -> None:
+    """Fill ``slack_connected``'s memo for every listed outage set (line
+    ids) not yet in it, in one vectorized pass.
+
+    The outage sets are stacked as rows of in-service line masks, and
+    reachability from the slack bus spreads over each row's lines one hop
+    per step, for at most n_buses - 1 steps; memory grows with sets times
+    lines. The masks are the union-find's, and read-only likewise.
+    """
+    memo = net.slack_connected_memo
+    new = [lines_out for lines_out in dict.fromkeys(outages)
+           if lines_out not in memo]
+    if not new:
+        return
+    in_service = np.ones((len(new), len(net.lines)), dtype=bool)
+    position = net.line_position
+    for s, lines_out in enumerate(new):
+        for line_id in lines_out:
+            if line_id in position:
+                in_service[s, position[line_id]] = False
+    a_from, a_to = net.incidence
+    ends = a_from + a_to  # lines x buses: each line's two ends
+    reach = np.zeros((len(new), net.n_buses), dtype=bool)
+    reach[:, net.bus_index[net.slack_bus]] = True
+    for _ in range(net.n_buses - 1):
+        # An in-service line with a reached end reaches its other end.
+        carried = (reach @ ends.T > 0) & in_service
+        grown = reach | (carried @ ends > 0)
+        if (grown == reach).all():
+            break
+        reach = grown
+    reach.flags.writeable = False
+    memo.update(zip(new, reach))
+
+
 def solve(net: ActiveNetwork, injections) -> FlowSolution:
     """Solve the DC load flow on the fully in-service network.
 

@@ -8,23 +8,32 @@ rating vector then only re-runs the cheap truncation arithmetic,
 vectorized across all distinct states of a scenario.
 
 A scenario builds its new states in batches (``build_records``): all
-enumerated states at once, or every slot's first draw, or one redraw
+enumerated states at once, or one month's first draws, or one redraw
 round's draws. Merit dispatch depends only on the month and the
 generator-outage set, so a scenario's batch runs it once per distinct
-``gens_out`` and keeps the result. One call to ``dcflow.solve_rows``
-then solves every new state, each with the bits a one-state solve gives.
+(month, ``gens_out``) and keeps the result. One call to
+``dcflow.solve_rows`` then solves every new state, each with the bits a
+one-state solve gives.
 
-Monte Carlo mode gives each (scenario, slot) its own RNG substream and
-keeps the chain of states the slot has drawn from it. A month's slot
-streams are seeded together, in one vectorized pass (``substreams``),
-when the evaluator is built; each is the stream ``substream`` gives that
-slot. A slot's sample at a capacity vector is the first state of its
-chain that passes the validity screen, so estimates across sizing
-iterations share common random numbers. Each capacity vector first
-evaluates every stored row once. Slots whose chain holds no valid state
-are then resolved in rounds: a round draws one more state from each
-pending slot's stream, in slot order, and evaluates only the rows that
-round added. The cost is linear in the draws, validity redraws included.
+Monte Carlo mode prices the 12 months together, from one batch whose rows
+are keyed by (month, lines out, generators out). Each (month, slot) has
+its own RNG substream and keeps the chain of states the slot has drawn
+from it; a month's slot streams are seeded together, in one vectorized
+pass (``substreams``), when the evaluator is built, and each is the
+stream ``substream`` gives that slot. A slot's sample at a capacity
+vector is the first state of its chain that passes the validity screen,
+so estimates across sizing iterations share common random numbers. The
+first capacity vector draws every slot's first state, one month's build
+at a time. Each capacity vector then evaluates every stored row in one
+kernel call. Slots whose chain holds no valid state are resolved in
+rounds: a round draws one more state from each pending slot's stream,
+every month's slots in slot order, month after month, builds them in one
+call and evaluates only the rows that round added. The cost is linear in
+the draws, validity redraws included. A kernel row's figures do not
+depend on which rows share its call, and each month's expectations
+reduce over that month's rows alone, in the order it first drew them,
+so every figure is the one a month-by-month pricing gives; so is the
+error raised when a month cannot be priced (``_McsScenario.result``).
 ``MAX_RESAMPLES`` bounds every element-wise draw of a slot, island
 rejections included. A month's ``samples_drawn`` sums, over slots, the
 element-wise draws up to and including the slot's accepted state, so it
@@ -72,6 +81,7 @@ POLICY_WEL = "wel"  # sizing may resize every line
 POLICIES = (POLICY_NL, POLICY_WEL)
 
 MAX_RESAMPLES = 1000  # element-wise draws per Monte Carlo slot
+KERNEL_ROWS = 128  # rows per adequacy-kernel pass, see ScenarioBatch.evaluate
 
 
 def is_integer(value) -> bool:
@@ -122,22 +132,29 @@ class StateRecord:
 
 
 class ScenarioBatch:
-    """Distinct outage states of one scenario month, stacked for vector math.
+    """Distinct outage states of one or more scenario months, stacked for
+    vector math.
 
-    Rows are append-only: a state keeps its row for the batch's lifetime,
-    and the stacked arrays grow in place, so earlier rows are never
-    copied per append.
+    A row is keyed by (month, lines out, generators out). Rows are
+    append-only: a state keeps its row for the batch's lifetime, and the
+    stacked arrays grow in place, so earlier rows are never copied per
+    append. ``month_rows`` lists each month's rows in the order they were
+    added.
     """
 
-    def __init__(self, case: NetworkCase, net: ActiveNetwork, month: int,
-                 base_schedule: tuple[float, ...]):
+    def __init__(self, case: NetworkCase, net: ActiveNetwork,
+                 schedules: dict[int, tuple[float, ...]]):
+        """``schedules`` maps each month the batch holds to its base
+        (intact-fleet) schedule."""
         self.case = case
         self.net = net
-        self.demand = scenario_demand(case, month)
-        self.base_schedule = base_schedule
-        self.key_row: dict[tuple[frozenset[int], frozenset[int]], int] = {}
-        # gens_out -> the month's dispatch with those units out.
-        self._dispatched: dict[frozenset[int], tuple] = {}
+        self.months = {m: (scenario_demand(case, m), schedule)
+                       for m, schedule in schedules.items()}
+        self.key_row: dict[tuple[int, frozenset[int], frozenset[int]],
+                           int] = {}
+        self.month_rows: dict[int, list[int]] = {m: [] for m in self.months}
+        # (month, gens_out) -> the month's dispatch with those units out.
+        self._dispatched: dict[tuple[int, frozenset[int]], tuple] = {}
         self._n = 0
         n_lines, n_buses = len(net.lines), net.n_buses
         # Row storage with spare capacity; rows [0, _n) are live.
@@ -150,23 +167,19 @@ class ScenarioBatch:
     def __len__(self) -> int:
         return self._n
 
-    def rows(self, states: list[OutageState]) -> list[int]:
-        """Row index of each state. States not seen before are dispatched
-        and solved in one batch, and take rows in order of first
-        appearance."""
+    def rows(self, keys) -> list[int]:
+        """Row index of each (month, lines_out, gens_out) key. Keys not
+        seen before are dispatched and solved in one batch, and take rows
+        in order of first appearance."""
         key_row = self.key_row
-        new: dict[tuple[frozenset[int], frozenset[int]], OutageState] = {}
-        for state in states:
-            key = (state.lines_out, state.gens_out)
-            if key not in key_row:
-                new.setdefault(key, state)
+        new = [key for key in dict.fromkeys(keys) if key not in key_row]
         if new:
             start = self._append(build_records(
-                self.case, self.net, self.demand, list(new.values()),
-                self.base_schedule, self._dispatched))
-            key_row.update(zip(new, range(start, self._n)))
-        return [key_row[(state.lines_out, state.gens_out)]
-                for state in states]
+                self.case, self.net, new, self.months, self._dispatched))
+            for row, key in enumerate(new, start):
+                key_row[key] = row
+                self.month_rows[key[0]].append(row)
+        return [key_row[key] for key in keys]
 
     def _append(self, recs: StateRecord) -> int:
         """Append a batch of records; returns the first one's row."""
@@ -189,27 +202,37 @@ class ScenarioBatch:
     def evaluate(self, capacities: np.ndarray, start: int = 0
                  ) -> "BatchEvaluation":
         """Capacity-dependent quantities for every state from row ``start``
-        on, at once, through the adequacy kernel.
+        on, through the adequacy kernel.
 
         A one-row matrix product takes numpy's matrix-vector path, which
         rounds differently from the matrix-matrix one; evaluating at least
         two rows keeps each row's figures independent of how rows are
-        split into calls.
+        split into calls. The kernel runs over consecutive parts of at
+        least ``KERNEL_ROWS`` rows, or over all of them when there are
+        fewer, so its temporaries stay small however many rows a year
+        holds.
         """
         lo = max(0, min(start, self._n - 2))
-        rows = slice(lo, self._n)
+        n_parts = max(1, (self._n - lo) // KERNEL_ROWS)
+        bounds = [lo + k * (self._n - lo) // n_parts
+                  for k in range(n_parts + 1)]
+        return BatchEvaluation.concat([
+            self._kernel(capacities, slice(a, b))
+            for a, b in zip(bounds, bounds[1:])]).take(slice(start - lo, None))
+
+    def _kernel(self, capacities: np.ndarray, rows: slice
+                ) -> "BatchEvaluation":
         flows = self._flows[rows]
         balance = nodal_balance(self.net, flows, self._demand[rows],
                                 self._gen[rows], capacities)
         congested, wheeling = line_overloads(flows, capacities)
-        skip = start - lo
         return BatchEvaluation(
-            valid=balance.valid[skip:],
-            dns=(balance.total_dns + self._deficit[rows])[skip:],
-            gns=balance.total_gns[skip:],
-            wheeling=wheeling[skip:],
-            congested=congested[skip:],
-            ego=self._ego[rows][skip:],
+            valid=balance.valid,
+            dns=balance.total_dns + self._deficit[rows],
+            gns=balance.total_gns,
+            wheeling=wheeling,
+            congested=congested,
+            ego=self._ego[rows],
         )
 
 
@@ -228,8 +251,13 @@ class BatchEvaluation:
         if len(parts) == 1:
             return parts[0]
         return BatchEvaluation(*(
-            np.concatenate([getattr(p, f) for p in parts])
-            for f in ("valid", "dns", "gns", "wheeling", "congested", "ego")))
+            np.concatenate([getattr(p, f.name) for p in parts])
+            for f in fields(BatchEvaluation)))
+
+    def take(self, rows) -> "BatchEvaluation":
+        """The given rows, in the given order."""
+        return BatchEvaluation(*(getattr(self, f.name)[rows]
+                                 for f in fields(BatchEvaluation)))
 
     def weighted(self, w: np.ndarray, samples_used: int,
                  samples_drawn: int) -> dict:
@@ -256,84 +284,140 @@ class CapacityEvaluation:
 
 
 class _McsScenario:
-    """Per-slot sampler for one scenario month."""
+    """Per-slot sampler for the 12 scenario months, priced together."""
 
-    def __init__(self, batch, month, entropy, n_slots):
+    def __init__(self, batch, entropy, n_slots):
         self.batch = batch
-        self.month = month
         self.n_slots = n_slots
-        self.rngs = substreams(entropy, (DOMAIN_MCS, month), n_slots)
-        # Per slot: (row, element-wise draws of the slot so far) per state.
-        self.chains: list[list[tuple[int, int]]] = [[] for _ in range(n_slots)]
+        self.rngs = [substreams(entropy, (DOMAIN_MCS, m), n_slots)
+                     for m in MONTHS]
+        # Per month, per slot: (row, element-wise draws of the slot so far)
+        # per state.
+        self.chains: list[list[list[tuple[int, int]]]] = [
+            [[] for _ in range(n_slots)] for _ in MONTHS]
 
-    def _extend(self, slots) -> list[tuple[int, int]]:
-        """Draw the next state of each slot, in slot order, within what is
-        left of the slot's budget, and add the new states to the batch in
-        one call. Returns each slot's new (row, draws) entry."""
-        batch, states, drawn, exhausted = self.batch, [], [], None
-        for slot in slots:
-            chain = self.chains[slot]
+    def _extend(self, pending):
+        """Draw the next state of each pending (month, slot), in that
+        order, within what is left of the slot's budget, and add the new
+        states to the batch in one call; each slot's chain gains its new
+        (row, draws) entry.
+
+        Returns None, or (month, error) for the lowest month that failed:
+        the error a month-by-month build meets. The chains of the months
+        below it are extended all the same.
+        """
+        batch, keys, drawn, failure = self.batch, [], [], None
+        for month, slot in pending:
+            chain = self.chains[month - 1][slot]
             drawn.append(chain[-1][1] if chain else 0)
             try:
-                states.append(sample_state(batch.case, batch.net,
-                                           self.rngs[slot],
-                                           MAX_RESAMPLES - drawn[-1]))
+                state = sample_state(batch.case, batch.net,
+                                     self.rngs[month - 1][slot],
+                                     MAX_RESAMPLES - drawn[-1])
             except ResampleBudgetError as exc:
-                exhausted = exc
+                error = ResampleBudgetError(
+                    f"slot {slot} of month {month}: no valid sample within "
+                    f"{MAX_RESAMPLES} draws")
+                error.__cause__ = exc
+                failure = month, error
                 break
+            keys.append((month, state.lines_out, state.gens_out))
+            drawn[-1] += state.draws
         # The states drawn before an exhausted slot are built first: one of
-        # them failing to solve is the error a slot-by-slot build meets.
-        for slot, row, before, state in zip(slots, batch.rows(states), drawn,
-                                             states):
-            self.chains[slot].append((row, before + state.draws))
-        if exhausted is not None:
-            raise ResampleBudgetError(
-                f"slot {slots[len(states)]} of month {self.month}: no valid "
-                f"sample within {MAX_RESAMPLES} draws") from exhausted
-        return [self.chains[slot][-1] for slot in slots]
-
-    def result(self, capacities: np.ndarray) -> dict:
-        if not self.chains[-1]:  # the first call draws every slot's state
-            self._extend([slot for slot, chain in enumerate(self.chains)
-                          if not chain])
-        parts = [self.batch.evaluate(capacities)]
-        valid = parts[0].valid
-        rows = np.empty(self.n_slots, dtype=np.intp)
-        drawn = 0
-        pending = []
-        for slot, chain in enumerate(self.chains):
-            for row, draws in chain:
-                if valid[row]:
-                    rows[slot] = row
-                    drawn += draws
+        # them failing to solve is the error a slot-by-slot build meets. A
+        # failing batch is rebuilt a month at a time to find the lowest
+        # month whose states fail.
+        try:
+            rows = batch.rows(keys)
+        except GridTepError:
+            rows = []
+            for month in dict.fromkeys(key[0] for key in keys):
+                try:
+                    rows += batch.rows([key for key in keys
+                                        if key[0] == month])
+                except GridTepError as exc:
+                    failure = month, exc
                     break
-            else:
-                pending.append(slot)
+        for (month, slot), row, draws in zip(pending, rows, drawn):
+            self.chains[month - 1][slot].append((row, draws))
+        return failure
+
+    def result(self, capacities: np.ndarray) -> list[dict]:
+        """The 12 months' ``ExpectationReport`` entries at these ratings.
+
+        Months are independent, so when some fail, the months above the
+        lowest failure are dropped, the ones below it are finished, and the
+        lowest failing month's error is raised: the one a month-by-month
+        pricing meets first.
+        """
+        failure = None
+        for month in MONTHS:  # the first call draws every slot's state
+            chains = self.chains[month - 1]
+            if not chains[-1]:
+                failure = self._extend([(month, slot) for slot, chain
+                                        in enumerate(chains) if not chain])
+                if failure is not None:
+                    break
+        batch = self.batch
+        parts = [batch.evaluate(capacities)]
+        valid = parts[0].valid.tolist()
+        rows = np.empty((len(MONTHS), self.n_slots), dtype=np.intp)
+        drawn = [0] * len(MONTHS)
+        pending = []
+        # A failed month, and the months above it, are not priced.
+        months = MONTHS if failure is None else MONTHS[:failure[0] - 1]
+        for month in months:
+            for slot, chain in enumerate(self.chains[month - 1]):
+                for row, draws in chain:
+                    if valid[row]:
+                        rows[month - 1, slot] = row
+                        drawn[month - 1] += draws
+                        break
+                else:
+                    pending.append((month, slot))
 
         # Slots with no valid state yet draw one more each per round, from
-        # their own streams; only the rows a round adds are evaluated.
+        # their own streams, all months together; only the rows a round
+        # adds are evaluated.
         while pending:
-            start = len(self.batch)
-            added = self._extend(pending)
-            if len(self.batch) > start:
-                parts.append(self.batch.evaluate(capacities, start))
-                valid = np.concatenate([valid, parts[-1].valid])
+            start = len(batch)
+            failure = self._extend(pending) or failure
+            if len(batch) > start:
+                parts.append(batch.evaluate(capacities, start))
+                valid += parts[-1].valid.tolist()
             still = []
-            for slot, (row, draws) in zip(pending, added):
+            for month, slot in pending:
+                if failure is not None and month >= failure[0]:
+                    continue
+                row, draws = self.chains[month - 1][slot][-1]
                 if valid[row]:
-                    rows[slot] = row
-                    drawn += draws
+                    rows[month - 1, slot] = row
+                    drawn[month - 1] += draws
                 else:
-                    still.append(slot)
+                    still.append((month, slot))
             pending = still
+        if failure is not None:
+            raise failure[1]
 
-        counts = np.bincount(rows, minlength=len(self.batch)).astype(float)
-        return BatchEvaluation.concat(parts).weighted(
-            counts / self.n_slots, self.n_slots, drawn)
+        # Each month's expectations reduce over its own rows, in the order
+        # it first drew them: the rows are put in that order once, and each
+        # month reads its span.
+        order = np.concatenate(list(batch.month_rows.values()))
+        ev = BatchEvaluation.concat(parts).take(order)
+        w = np.bincount(rows.ravel(), minlength=len(batch))[order]
+        w = w / self.n_slots
+        results, start = [], 0
+        for month, own in batch.month_rows.items():
+            span = slice(start, start + len(own))
+            results.append(ev.take(span).weighted(w[span], self.n_slots,
+                                                  drawn[month - 1]))
+            start = span.stop
+        return results
 
 
 class _DeterministicScenario:
-    """Enumerated equal-weight states for one scenario month."""
+    """Enumerated equal-weight states of the peak month, which stands in
+    for all 12."""
 
     def __init__(self, batch, mode, month, order):
         self.batch = batch
@@ -341,9 +425,10 @@ class _DeterministicScenario:
         self.month = month
         states = enumerate_deterministic(batch.case, batch.net, order)
         self.n_states = len(states)
-        batch.rows(states)
+        batch.rows([(month, state.lines_out, state.gens_out)
+                    for state in states])
 
-    def result(self, capacities: np.ndarray) -> dict:
+    def result(self, capacities: np.ndarray) -> list[dict]:
         ev = self.batch.evaluate(capacities)
         w = ev.valid / self.n_states
         total = w.sum()
@@ -352,7 +437,8 @@ class _DeterministicScenario:
                 f"mode {self.mode}, month {self.month}: none of the "
                 f"{self.n_states} enumerated states passes the validity "
                 "screen at these ratings")
-        return ev.weighted(w / total, int(ev.valid.sum()), self.n_states)
+        return [ev.weighted(w / total, int(ev.valid.sum()),
+                            self.n_states)] * len(MONTHS)
 
 
 def build_record(
@@ -364,7 +450,8 @@ def build_record(
 ) -> StateRecord:
     """Dispatch and solve one outage state (capacity-independent): a
     one-row ``build_records``."""
-    rec = build_records(case, net, demand, [state], base_schedule, {})
+    rec = build_records(case, net, [(0, state.lines_out, state.gens_out)],
+                        {0: (demand, base_schedule)}, {})
     return StateRecord(flows=rec.flows[0], demand=rec.demand[0],
                        generation=rec.generation[0],
                        deficit=float(rec.deficit[0]), ego=rec.ego[0])
@@ -373,35 +460,35 @@ def build_record(
 def build_records(
     case: NetworkCase,
     net: ActiveNetwork,
-    demand: np.ndarray,
-    states: list[OutageState],
-    base_schedule: tuple[float, ...],
+    keys: list[tuple[int, frozenset[int], frozenset[int]]],
+    months: dict[int, tuple[np.ndarray, tuple[float, ...]]],
     dispatched: dict,
 ) -> StateRecord:
     """Dispatch and solve a non-empty batch of outage states, a row each.
 
-    Merit dispatch runs once per distinct generator-outage set:
-    ``dispatched`` maps ``gens_out`` to the dispatch of this demand and
-    base schedule, and keeps the new ones for later calls. The DC flows
-    come from one ``solve_rows`` call.
+    Row k is the state ``keys[k] = (month, lines_out, gens_out)``, and
+    ``months`` maps each month to its demand vector and base schedule.
+    Merit dispatch runs once per distinct (month, gens_out): ``dispatched``
+    maps it to that dispatch, and keeps the new ones for later calls. The
+    DC flows come from one ``solve_rows`` call.
     """
     parts = []
-    for state in states:
-        part = dispatched.get(state.gens_out)
+    for month, _, gens_out in keys:
+        part = dispatched.get((month, gens_out))
         if part is None:
-            dispatch = merit_order_dispatch(case, demand,
-                                            offline=state.gens_out)
+            demand, base_schedule = months[month]
+            dispatch = merit_order_dispatch(case, demand, offline=gens_out)
             ego = np.zeros(len(case.generators))
-            for k in state.gens_out:
+            for k in gens_out:
                 ego[k] = base_schedule[k]
-            part = dispatched[state.gens_out] = (
+            part = dispatched[month, gens_out] = (
                 dispatch.served_demand,
                 bus_generation(case, dispatch.schedule),
                 dispatch.deficit, ego)
         parts.append(part)
     served, generation, deficit, ego = (np.array(col) for col in zip(*parts))
     sol = solve_rows(net, generation - served,
-                     [state.lines_out for state in states])
+                     [lines_out for _, lines_out, _ in keys])
     return StateRecord(flows=sol.flows, demand=served, generation=generation,
                        deficit=deficit, ego=ego)
 
@@ -435,21 +522,17 @@ class PlanEvaluator:
         self.g_inv = generation_investment(case, self.base_schedules)
 
         if settings.mode == MODE_MCS:
-            self.scenarios = [
-                _McsScenario(
-                    ScenarioBatch(case, net, m, self.base_schedules[m - 1]),
-                    m, entropy, settings.n_mcs)
-                for m in MONTHS
-            ]
+            self.scenario = _McsScenario(
+                ScenarioBatch(case, net,
+                              dict(zip(MONTHS, self.base_schedules))),
+                entropy, settings.n_mcs)
         else:
             peak = case.ldc.peak_month()
             order = 1 if settings.mode == MODE_N1 else 2
-            self.scenarios = [
-                _DeterministicScenario(
-                    ScenarioBatch(case, net, peak,
-                                  self.base_schedules[peak - 1]),
-                    settings.mode, peak, order)
-            ]
+            batch = ScenarioBatch(case, net,
+                                  {peak: self.base_schedules[peak - 1]})
+            self.scenario = _DeterministicScenario(batch, settings.mode,
+                                                   peak, order)
 
     def evaluate(self, capacities) -> CapacityEvaluation:
         """Price one rating vector: a rating per line of the topology, in
@@ -459,9 +542,7 @@ class PlanEvaluator:
             raise ValueError(
                 f"expected {len(self.net.lines)} ratings, one per line, got "
                 f"shape {caps.shape}")
-        results = [sc.result(caps) for sc in self.scenarios]
-        if len(results) == 1:  # n1/n2: the peak month stands in for all 12
-            results *= 12
+        results = self.scenario.result(caps)
         report = ExpectationReport(**{
             f.name: np.array([r[f.name] for r in results])
             for f in fields(ExpectationReport)})

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridtep.dcflow import (
     connected_components,
+    fill_slack_connected,
     flow_residual,
     slack_connected,
     solve,
@@ -141,6 +142,32 @@ def test_connected_components_partition():
     split = connected_components(net, np.array([True, False, True]))
     assert split[0] == split[1]
     assert split[1] != split[2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_sets=st.integers(1, 8))
+def test_batched_slack_reachability_is_the_union_find_mask(seed, n_sets):
+    """The masks fill_slack_connected memoizes for outage sets of 0-3
+    lines, parallel lines included, are the buses connected_components
+    puts in the slack bus's component; they are read-only, and
+    slack_connected returns them."""
+    rng = np.random.default_rng(seed)
+    net = random_connected_net(rng)
+    outages = []
+    for _ in range(n_sets):
+        k = int(rng.integers(0, min(3, len(net.lines)) + 1))
+        outages.append(frozenset(
+            int(x) for x in rng.choice(net.line_ids, size=k, replace=False)))
+    fill_slack_connected(net, outages)
+    slack = net.bus_index[net.slack_bus]
+    for lines_out in outages:
+        live = net.slack_connected_memo[lines_out]
+        comp = connected_components(
+            net, np.array([ln.id not in lines_out for ln in net.lines]))
+        assert live.dtype == bool
+        assert np.array_equal(live, comp == comp[slack])
+        assert not live.flags.writeable
+        assert slack_connected(net, lines_out) is live
 
 
 def test_outage_solves_do_not_share_connectivity_between_networks():

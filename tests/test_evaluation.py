@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridtep import contingency, evaluation
+from gridtep.adequacy import ExpectationReport
 from gridtep.contingency import (OutageState, enumerate_deterministic,
                                  sample_state)
 from gridtep.errors import (GridTepError, NetworkDisconnectedError,
                             ResampleBudgetError)
 from gridtep.evaluation import (
+    BatchEvaluation,
     PlanEvaluator,
     PlanSettings,
+    ScenarioBatch,
     base_schedules,
     build_record,
 )
@@ -24,7 +29,7 @@ from gridtep.network import (
     load_case,
     scenario_demand,
 )
-from gridtep.rng import DOMAIN_MCS, substream
+from gridtep.rng import DOMAIN_MCS, substream, substreams
 
 from _toys import adequacy_reference, build_case, gen, line, mcs_toy_case
 from test_network import BUNDLED
@@ -229,6 +234,113 @@ def test_mcs_chain_takes_first_valid_state_of_each_slot_stream(vectors, seed,
             np.testing.assert_array_equal(report.samples_drawn, drawn)
 
 
+def month_by_month(case, net, entropy, n_mcs):
+    """The reference: Monte Carlo pricing month by month. Each month has
+    its own batch, slot streams and chains, and is resolved alone: its
+    stored rows in one kernel call, then one redraw round after another,
+    each evaluating only the rows it added. Returns a function that prices
+    a rating vector into ``ExpectationReport`` fields."""
+    schedules = base_schedules(case)
+    months = [(month, ScenarioBatch(case, net, {month: schedules[month - 1]}),
+               substreams(entropy, (DOMAIN_MCS, month), n_mcs),
+               [[] for _ in range(n_mcs)]) for month in MONTHS]
+
+    def extend(month, batch, rngs, chains, slots):
+        drawn = []
+        for slot in slots:
+            before = chains[slot][-1][1] if chains[slot] else 0
+            drawn.append((slot, sample_state(
+                case, net, rngs[slot], evaluation.MAX_RESAMPLES - before),
+                before))
+        rows = batch.rows([(month, state.lines_out, state.gens_out)
+                           for _, state, _ in drawn])
+        for (slot, state, before), row in zip(drawn, rows):
+            chains[slot].append((row, before + state.draws))
+
+    def price(caps):
+        results = []
+        for month, batch, rngs, chains in months:
+            if not chains[-1]:
+                extend(month, batch, rngs, chains, range(n_mcs))
+            # A month with a single distinct state went through a one-row
+            # kernel call, whose matrix-vector product rounds differently;
+            # the year-wide call never makes one.
+            assert len(batch) > 1
+            parts = [batch.evaluate(caps)]
+            valid = parts[0].valid
+            rows = np.empty(n_mcs, dtype=np.intp)
+            drawn = 0
+            pending = []
+            for slot, chain in enumerate(chains):
+                for row, draws in chain:
+                    if valid[row]:
+                        rows[slot] = row
+                        drawn += draws
+                        break
+                else:
+                    pending.append(slot)
+            while pending:
+                start = len(batch)
+                extend(month, batch, rngs, chains, pending)
+                if len(batch) > start:
+                    parts.append(batch.evaluate(caps, start))
+                    valid = np.concatenate([valid, parts[-1].valid])
+                still = []
+                for slot in pending:
+                    row, draws = chains[slot][-1]
+                    if valid[row]:
+                        rows[slot] = row
+                        drawn += draws
+                    else:
+                        still.append(slot)
+                pending = still
+            counts = np.bincount(rows, minlength=len(batch)).astype(float)
+            results.append(BatchEvaluation.concat(parts).weighted(
+                counts / n_mcs, n_mcs, drawn))
+        return {name: np.array([r[name] for r in results])
+                for name in results[0]}
+
+    return price
+
+
+@pytest.mark.parametrize("kernel_rows", [evaluation.KERNEL_ROWS, 2])
+@pytest.mark.parametrize("which", ["toy", "bundled"])
+def test_months_priced_together_are_the_month_by_month_figures_bit_for_bit(
+        monkeypatch, which, kernel_rows):
+    """Pricing the 12 months from one batch, with one kernel call for the
+    stored rows and one build and one kernel call per redraw round of all
+    months, gives every report field to the bit, rating vector after
+    rating vector, tight ones that force redraws included, however many
+    rows each kernel pass takes."""
+    if which == "toy":
+        case = mcs_toy_case()
+        net = toy_net(case)
+        vectors = [[60.0] * 4, [25.0] * 4, [5.0] * 4, [60.0] * 4]
+        n_mcs = 20
+    else:
+        case = load_case(BUNDLED)
+        net = apply_plan(case, Chromosome.from_ints([1, 0] * 7))
+        base = np.asarray(net.base_capacities)
+        vectors = [base, 0.4 * base, np.full(len(base), 300.0),
+                   np.full(len(base), 15.0), base]
+        n_mcs = 15
+    for entropy in ([3, 1], [11, 2]):
+        evaluator = PlanEvaluator(case, net,
+                                  PlanSettings(mode="mcs", n_mcs=n_mcs),
+                                  entropy)
+        reference = month_by_month(case, net, entropy, n_mcs)
+        for caps in vectors:
+            with monkeypatch.context() as patch:
+                patch.setattr(evaluation, "KERNEL_ROWS", kernel_rows)
+                report = evaluator.evaluate(caps).report
+            want = reference(np.asarray(caps, dtype=float))
+            for field in fields(ExpectationReport):
+                assert np.array_equal(getattr(report, field.name),
+                                      want[field.name]), field.name
+        assert any(len(chain) > 1 for chains in evaluator.scenario.chains
+                   for chain in chains)  # some slot was redrawn
+
+
 def test_samples_drawn_counts_redraws_up_to_each_accepted_state():
     """At 5 MW the validity screen rejects most states; each month reports
     the draws its slots made up to their accepted states, not n_mcs."""
@@ -266,9 +378,8 @@ def test_each_distinct_state_is_built_once_per_evaluator(monkeypatch, mode):
     built = []
     real = evaluation.build_records
 
-    def counted(*args):  # args[2] is the month's demand, args[3] the states
-        built.extend((id(args[2]), state.lines_out, state.gens_out)
-                     for state in args[3])
+    def counted(*args):  # args[2] holds the (month, lines, gens out) keys
+        built.extend(args[2])
         return real(*args)
 
     monkeypatch.setattr(evaluation, "build_records", counted)
@@ -278,59 +389,104 @@ def test_each_distinct_state_is_built_once_per_evaluator(monkeypatch, mode):
     for caps in vectors:
         evaluator.evaluate(caps)
     assert len(set(built)) == len(built)
-    assert len(built) == sum(len(sc.batch) for sc in evaluator.scenarios)
+    assert len(built) == len(evaluator.scenario.batch)
     before = len(built)
     evaluator.evaluate(vectors[0])
     assert len(built) == before
 
 
-@pytest.mark.parametrize("stranded_slot, exhausted_slot, error", [
-    (1, 3, NetworkDisconnectedError),
-    (3, 1, ResampleBudgetError),
-    (None, 2, ResampleBudgetError),
+STRANDED = "bus with nonzero injection is disconnected from the slack bus"
+
+
+def budget(slot, month):
+    return (f"slot {slot} of month {month}: no valid sample within "
+            f"{evaluation.MAX_RESAMPLES} draws")
+
+
+# Per (month, slot), the outcome of the slot's k-th draw is the script's
+# k-th character: "." a state invalid at the toy case's base ratings (the
+# intact one), "s" a state that cuts bus 3 and its 60 MW of demand off the
+# slack (lines 2 and 3 out), "x" an exhausted budget. Past its script, or
+# without one, a slot draws a valid state (line 1 out).
+@pytest.mark.parametrize("script, error, message", [
+    # One month: its first draws are built in one batch.
+    pytest.param({(1, 1): "s", (1, 3): "x"}, NetworkDisconnectedError,
+                 STRANDED, id="1-3-NetworkDisconnectedError"),
+    pytest.param({(1, 3): "s", (1, 1): "x"}, ResampleBudgetError,
+                 budget(1, 1), id="3-1-ResampleBudgetError"),
+    pytest.param({(1, 2): "x"}, ResampleBudgetError, budget(2, 1),
+                 id="None-2-ResampleBudgetError"),
+    # Month 2 fails in redraw round 1, month 1 in round 3: month 1 wins.
+    pytest.param({(1, 0): "...x", (2, 1): ".x"}, ResampleBudgetError,
+                 budget(0, 1), id="m1-exhausted-r3-m2-exhausted-r1"),
+    pytest.param({(1, 0): "...x", (2, 1): ".s"}, ResampleBudgetError,
+                 budget(0, 1), id="m1-exhausted-r3-m2-stranded-r1"),
+    pytest.param({(1, 4): "..s", (2, 1): ".x"}, NetworkDisconnectedError,
+                 STRANDED, id="m1-stranded-r2-m2-exhausted-r1"),
+    # Month 2 fails in its first draws, month 1 in round 2.
+    pytest.param({(1, 0): "..x", (2, 0): "s"}, ResampleBudgetError,
+                 budget(0, 1), id="m1-exhausted-r2-m2-stranded-first"),
+    # Month 1 prices; month 2 fails before month 3 would.
+    pytest.param({(1, 0): "..", (2, 2): "..x", (3, 0): "x"},
+                 ResampleBudgetError, budget(2, 2),
+                 id="m2-exhausted-r2-m3-exhausted-first"),
+    pytest.param({(2, 1): "x", (3, 0): "s"}, ResampleBudgetError,
+                 budget(1, 2), id="m2-exhausted-first-m3-stranded-first"),
+    pytest.param({(2, 3): "..s", (2, 4): "..x", (4, 1): "x"},
+                 NetworkDisconnectedError, STRANDED,
+                 id="m2-stranded-before-exhausted-r2-m4-exhausted-first"),
 ])
 def test_mcs_batch_raises_the_error_a_slot_by_slot_build_meets(
-        monkeypatch, stranded_slot, exhausted_slot, error):
-    """A month's first draws are built in one batch. When a slot's draw
-    exhausts its budget, a state drawn for an earlier slot that fails to
-    solve still raises first, as it would have been built first;
-    otherwise the budget error names the exhausted slot."""
+        monkeypatch, script, error, message):
+    """States are built in batches: a month's first draws, then each
+    redraw round of all months together. The error raised is the one a
+    month-by-month, slot-by-slot build meets first: the lowest failing
+    month's; within a month, a state drawn for an earlier slot that fails
+    to solve beats a later slot's exhausted budget."""
     case = mcs_toy_case()
     net = toy_net(case)
-    intact = OutageState(frozenset(), frozenset())
-    # Lines 2 and 3 out cut bus 3, and its 60 MW of demand, off the slack.
-    stranding = OutageState(frozenset([2, 3]), frozenset())
-    slots = iter(range(5))
-
-    def draw(case, net, rng, max_draws):
-        slot = next(slots)
-        if slot == exhausted_slot:
-            raise ResampleBudgetError("exhausted")
-        return stranding if slot == stranded_slot else intact
-
-    monkeypatch.setattr(evaluation, "sample_state", draw)
+    states = {".": OutageState(frozenset(), frozenset()),
+              "s": OutageState(frozenset([2, 3]), frozenset()),
+              "v": OutageState(frozenset([1]), frozenset())}
     evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=5),
                               [4, 1])
+    where = {id(rng): (month, slot)
+             for month, rngs in zip(MONTHS, evaluator.scenario.rngs)
+             for slot, rng in enumerate(rngs)}
+    made = {}
+
+    def draw(case, net, rng, max_draws):
+        key = where[id(rng)]
+        k = made[key] = made.get(key, -1) + 1
+        outcome = script.get(key, "")[k:k + 1] or "v"
+        if outcome == "x":
+            raise ResampleBudgetError("exhausted")
+        return states[outcome]
+
+    monkeypatch.setattr(evaluation, "sample_state", draw)
     with pytest.raises(error) as info:
         evaluator.evaluate(net.base_capacities)
-    if error is ResampleBudgetError:
-        assert str(info.value) == (
-            f"slot {exhausted_slot} of month 1: no valid sample within "
-            f"{evaluation.MAX_RESAMPLES} draws")
-    else:
-        assert str(info.value) == (
-            "bus with nonzero injection is disconnected from the slack bus")
+    assert str(info.value) == message
 
 
-def count_draws(monkeypatch):
-    """Record the outcome of every element-wise draw's feasibility test."""
+def count_draws(monkeypatch, stream):
+    """Record the outcome of every element-wise draw's feasibility test
+    made from the given RNG stream."""
     outcomes = []
-    real = contingency._feasible
+    real_sample, real_feasible = evaluation.sample_state, contingency._feasible
+    drawing = [None]  # the stream sample_state is drawing from
+
+    def sample(case, net, rng, max_draws):
+        drawing[0] = rng
+        return real_sample(case, net, rng, max_draws)
 
     def counted(*args):
-        outcomes.append(real(*args))
-        return outcomes[-1]
+        feasible = real_feasible(*args)
+        if drawing[0] is stream:
+            outcomes.append(feasible)
+        return feasible
 
+    monkeypatch.setattr(evaluation, "sample_state", sample)
     monkeypatch.setattr(contingency, "_feasible", counted)
     return outcomes
 
@@ -347,7 +503,8 @@ def test_slot_budget_bounds_every_draw_including_island_rejections(
     monkeypatch.setattr(evaluation, "MAX_RESAMPLES", 30)
     evaluator = PlanEvaluator(
         case, net, PlanSettings(mode="mcs", n_mcs=1), [5, 1])
-    outcomes = count_draws(monkeypatch)
+    # Months are priced together: count month 1's slot 0 only.
+    outcomes = count_draws(monkeypatch, evaluator.scenario.rngs[0][0])
     with pytest.raises(ResampleBudgetError, match="slot 0 of month 1"):
         evaluator.evaluate([0.0] * 4)
     assert len(outcomes) == 30
@@ -367,7 +524,7 @@ def test_slot_budget_checks_its_last_draw(monkeypatch):
 
     free = evaluator()
     expected = free.evaluate(tight)
-    needed = max(sc.chains[0][-1][1] for sc in free.scenarios)
+    needed = max(chains[0][-1][1] for chains in free.scenario.chains)
     assert needed > 1
     monkeypatch.setattr(evaluation, "MAX_RESAMPLES", needed)
     got = evaluator().evaluate(tight)
@@ -383,7 +540,7 @@ def test_batch_rows_do_not_depend_on_how_they_are_split():
     case = load_case(BUNDLED)
     net = apply_plan(case, Chromosome.from_ints([1] * 14))
     batch = PlanEvaluator(case, net, PlanSettings(mode="n1"), [1, 1]
-                          ).scenarios[0].batch
+                          ).scenario.batch
     rng = np.random.default_rng(0)
     for _ in range(3):
         caps = rng.uniform(1.0, 300.0, len(net.lines))
