@@ -26,9 +26,9 @@ import numpy as np
 from .dcflow import fill_slack_connected, slack_connected
 from .errors import ResampleBudgetError
 from .network import ActiveNetwork, NetworkCase
-# is_islanded reads the union-find through slack_connected's memo and no
-# longer calls connected_components itself. The name stays importable from
-# here because perfbench/tracer.py rebinds contingency.connected_components.
+# Unused here: is_islanded reads slack_connected's memo, which enumeration
+# fills by the batched pass. The name stays importable only because
+# perfbench/tracer.py rebinds contingency.connected_components.
 from .network import connected_components  # noqa: F401
 
 

@@ -36,6 +36,17 @@ class FlowSolution:
     injections: np.ndarray  # MW, the solved-for injections
 
 
+def _in_service(net: ActiveNetwork, outages) -> np.ndarray:
+    """Bool (sets, lines): False where a line is in the set's outages."""
+    in_service = np.ones((len(outages), len(net.lines)), dtype=bool)
+    position = net.line_position
+    for s, lines_out in enumerate(outages):
+        for line_id in lines_out:
+            if line_id in position:
+                in_service[s, position[line_id]] = False
+    return in_service
+
+
 def slack_connected(net: ActiveNetwork, lines_out: frozenset[int]) -> np.ndarray:
     """Bool per bus: True where the bus still reaches the slack bus once
     the given lines are removed.
@@ -47,8 +58,7 @@ def slack_connected(net: ActiveNetwork, lines_out: frozenset[int]) -> np.ndarray
     memo = net.slack_connected_memo
     live = memo.get(lines_out)
     if live is None:
-        in_service = np.array([ln.id not in lines_out for ln in net.lines])
-        comp = connected_components(net, in_service)
+        comp = connected_components(net, _in_service(net, [lines_out])[0])
         live = comp == comp[net.bus_index[net.slack_bus]]
         live.flags.writeable = False
         memo[lines_out] = live
@@ -69,12 +79,7 @@ def fill_slack_connected(net: ActiveNetwork, outages) -> None:
            if lines_out not in memo]
     if not new:
         return
-    in_service = np.ones((len(new), len(net.lines)), dtype=bool)
-    position = net.line_position
-    for s, lines_out in enumerate(new):
-        for line_id in lines_out:
-            if line_id in position:
-                in_service[s, position[line_id]] = False
+    in_service = _in_service(net, new)
     a_from, a_to = net.incidence
     ends = a_from + a_to  # lines x buses: each line's two ends
     reach = np.zeros((len(new), net.n_buses), dtype=bool)
@@ -162,12 +167,8 @@ def _solve_rows(net: ActiveNetwork, p: np.ndarray, outages) -> FlowSolution:
     if not live_bus.all() and ((size > BALANCE_TOL) & ~live_bus).any():
         raise NetworkDisconnectedError(
             "bus with nonzero injection is disconnected from the slack bus")
-    live_line = live_bus[:, net.from_idx] & live_bus[:, net.to_idx]
-    position = net.line_position
-    for s, lines_out in enumerate(outages):
-        for line_id in lines_out:
-            if line_id in position:
-                live_line[s, position[line_id]] = False
+    live_line = (live_bus[:, net.from_idx] & live_bus[:, net.to_idx]
+                 & _in_service(net, outages))
     b = _susceptance_matrices(net, live_line)
     # A row's residual is judged against its largest injection.
     tol = 1e-6 * size.max(axis=1, initial=1.0)

@@ -7,13 +7,12 @@ ratings, so it is computed once per distinct state and cached; each
 rating vector then only re-runs the cheap truncation arithmetic,
 vectorized across all distinct states of a scenario.
 
-A scenario builds its new states in batches (``build_records``): all
-enumerated states at once, or one month's first draws, or one redraw
-round's draws. Merit dispatch depends only on the month and the
-generator-outage set, so a scenario's batch runs it once per distinct
-(month, ``gens_out``) and keeps the result. One call to
-``dcflow.solve_rows`` then solves every new state, each with the bits a
-one-state solve gives.
+A scenario builds its new states together: its enumerated states, or
+one redraw round's draws of all months. Merit dispatch depends only on
+the month and the generator-outage set, so a scenario's batch runs it
+once per distinct (month, ``gens_out``) and keeps the result.
+``dcflow.solve_rows`` then solves the new states, ``KERNEL_ROWS`` at a
+time (``build_records``), each with the bits a one-state solve gives.
 
 Monte Carlo mode prices the 12 months together, from one batch whose rows
 are keyed by (month, lines out, generators out). Each (month, slot) has
@@ -22,18 +21,18 @@ from it; a month's slot streams are seeded together, in one vectorized
 pass (``substreams``), when the evaluator is built, and each is the
 stream ``substream`` gives that slot. A slot's sample at a capacity
 vector is the first state of its chain that passes the validity screen,
-so estimates across sizing iterations share common random numbers. The
-first capacity vector draws every slot's first state, one month's build
-at a time. Each capacity vector then evaluates every stored row in one
-kernel call. Slots whose chain holds no valid state are resolved in
+so estimates across sizing iterations share common random numbers. Each
+capacity vector evaluates every stored row in one kernel call. Slots
+whose chain holds no valid state, or no state yet, are resolved in
 rounds: a round draws one more state from each pending slot's stream,
-every month's slots in slot order, month after month, builds them in one
-call and evaluates only the rows that round added. The cost is linear in
-the draws, validity redraws included. A kernel row's figures do not
-depend on which rows share its call, and each month's expectations
-reduce over that month's rows alone, in the order it first drew them,
-so every figure is the one a month-by-month pricing gives; so is the
-error raised when a month cannot be priced (``_McsScenario.result``).
+every month's slots in slot order, month after month, builds them
+together and evaluates only the rows that round added; the first
+capacity vector's round 0 draws every slot's first state. The cost is
+linear in the draws, validity redraws included. A kernel row's figures
+do not depend on which rows share its call, and each month's
+expectations reduce over that month's rows alone, in the order it first
+drew them, so every figure is the one a month-by-month pricing gives; so
+is the error raised when a month cannot be priced (``_McsScenario.result``).
 ``MAX_RESAMPLES`` bounds every element-wise draw of a slot, island
 rejections included. A month's ``samples_drawn`` sums, over slots, the
 element-wise draws up to and including the slot's accepted state, so it
@@ -81,7 +80,8 @@ POLICY_WEL = "wel"  # sizing may resize every line
 POLICIES = (POLICY_NL, POLICY_WEL)
 
 MAX_RESAMPLES = 1000  # element-wise draws per Monte Carlo slot
-KERNEL_ROWS = 128  # rows per adequacy-kernel pass, see ScenarioBatch.evaluate
+# Rows per adequacy-kernel pass (at least) and per build (at most).
+KERNEL_ROWS = 128
 
 
 def is_integer(value) -> bool:
@@ -169,14 +169,16 @@ class ScenarioBatch:
 
     def rows(self, keys) -> list[int]:
         """Row index of each (month, lines_out, gens_out) key. Keys not
-        seen before are dispatched and solved in one batch, and take rows
-        in order of first appearance."""
+        seen before take rows in order of first appearance; they are
+        dispatched and solved in batches of at most ``KERNEL_ROWS``, so a
+        build's temporaries stay small however many keys a round holds."""
         key_row = self.key_row
         new = [key for key in dict.fromkeys(keys) if key not in key_row]
-        if new:
+        for lo in range(0, len(new), KERNEL_ROWS):
+            part = new[lo:lo + KERNEL_ROWS]
             start = self._append(build_records(
-                self.case, self.net, new, self.months, self._dispatched))
-            for row, key in enumerate(new, start):
+                self.case, self.net, part, self.months, self._dispatched))
+            for row, key in enumerate(part, start):
                 key_row[key] = row
                 self.month_rows[key[0]].append(row)
         return [key_row[key] for key in keys]
@@ -307,6 +309,7 @@ class _McsScenario:
         below it are extended all the same.
         """
         batch, keys, drawn, failure = self.batch, [], [], None
+        seen = {}  # one key per distinct state: duplicates keep no frozensets
         for month, slot in pending:
             chain = self.chains[month - 1][slot]
             drawn.append(chain[-1][1] if chain else 0)
@@ -321,7 +324,8 @@ class _McsScenario:
                 error.__cause__ = exc
                 failure = month, error
                 break
-            keys.append((month, state.lines_out, state.gens_out))
+            key = month, state.lines_out, state.gens_out
+            keys.append(seen.setdefault(key, key))
             drawn[-1] += state.draws
         # The states drawn before an exhausted slot are built first: one of
         # them failing to solve is the error a slot-by-slot build meets. A
@@ -345,28 +349,20 @@ class _McsScenario:
     def result(self, capacities: np.ndarray) -> list[dict]:
         """The 12 months' ``ExpectationReport`` entries at these ratings.
 
+        A slot with no valid state yet, or no state at all, is pending; a
+        redraw round draws its next state, so its first draw is round 0.
         Months are independent, so when some fail, the months above the
         lowest failure are dropped, the ones below it are finished, and the
         lowest failing month's error is raised: the one a month-by-month
         pricing meets first.
         """
-        failure = None
-        for month in MONTHS:  # the first call draws every slot's state
-            chains = self.chains[month - 1]
-            if not chains[-1]:
-                failure = self._extend([(month, slot) for slot, chain
-                                        in enumerate(chains) if not chain])
-                if failure is not None:
-                    break
         batch = self.batch
-        parts = [batch.evaluate(capacities)]
-        valid = parts[0].valid.tolist()
+        parts = [batch.evaluate(capacities)] if len(batch) else []
+        valid = parts[0].valid.tolist() if parts else []
         rows = np.empty((len(MONTHS), self.n_slots), dtype=np.intp)
         drawn = [0] * len(MONTHS)
-        pending = []
-        # A failed month, and the months above it, are not priced.
-        months = MONTHS if failure is None else MONTHS[:failure[0] - 1]
-        for month in months:
+        pending, failure = [], None
+        for month in MONTHS:
             for slot, chain in enumerate(self.chains[month - 1]):
                 for row, draws in chain:
                     if valid[row]:
@@ -376,9 +372,9 @@ class _McsScenario:
                 else:
                     pending.append((month, slot))
 
-        # Slots with no valid state yet draw one more each per round, from
-        # their own streams, all months together; only the rows a round
-        # adds are evaluated.
+        # Pending slots draw one more state each per round, from their own
+        # streams, all months together; only the rows a round adds are
+        # evaluated.
         while pending:
             start = len(batch)
             failure = self._extend(pending) or failure

@@ -11,7 +11,7 @@ from gridtep import cli
 from gridtep.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from gridtep.errors import GridTepError
 from gridtep.evaluation import PlanSettings
-from gridtep.network import case_to_dict, save_case
+from gridtep.network import case_to_dict, load_case, save_case
 
 from _toys import build_case, ga_toy_case, gen, line
 
@@ -123,6 +123,23 @@ def test_adequacy_rejects_islanding_plan(capsys):
     code = main(["adequacy", "--case", str(BUNDLED), "--mode", "n1"])
     assert code == EXIT_RUNTIME
     assert "disconnected" in capsys.readouterr().err
+
+
+def test_adequacy_on_a_case_without_existing_lines_is_one_error_line(
+        tmp_path, capsys):
+    """With every line a candidate, the default (no-build) plan has no
+    lines at all: it is refused as islanding, exit 2, no traceback."""
+    data = case_to_dict(load_case(BUNDLED))
+    for ln in data["lines"]:
+        ln["status"] = "candidate"
+    path = tmp_path / "no-lines.json"
+    path.write_text(json.dumps(data))
+    code = main(["adequacy", "--case", str(path), "--mcs-iters", "5"])
+    assert code == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    errors = [ln for ln in captured.err.splitlines() if "error: " in ln]
+    assert len(errors) == 1 and "disconnected" in errors[0]
 
 
 def test_adequacy_accepts_plan_file(toy_case_path, tmp_path, capsys):

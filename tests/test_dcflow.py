@@ -144,6 +144,17 @@ def test_connected_components_partition():
     assert split[1] != split[2]
 
 
+def test_without_lines_only_the_slack_bus_reaches_the_slack():
+    """Buses and no lines: the in-service mask is empty, and the
+    union-find and the batched pass both leave the slack bus alone."""
+    only_slack = [False, True, False]
+    assert slack_connected(bare_net(3, [], slack=2),
+                           frozenset()).tolist() == only_slack
+    net = bare_net(3, [], slack=2)
+    fill_slack_connected(net, [frozenset()])
+    assert net.slack_connected_memo[frozenset()].tolist() == only_slack
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_sets=st.integers(1, 8))
 def test_batched_slack_reachability_is_the_union_find_mask(seed, n_sets):

@@ -309,9 +309,11 @@ def test_months_priced_together_are_the_month_by_month_figures_bit_for_bit(
         monkeypatch, which, kernel_rows):
     """Pricing the 12 months from one batch, with one kernel call for the
     stored rows and one build and one kernel call per redraw round of all
-    months, gives every report field to the bit, rating vector after
-    rating vector, tight ones that force redraws included, however many
-    rows each kernel pass takes."""
+    months, first draws included, gives every report field to the bit,
+    rating vector after rating vector, tight ones that force redraws
+    included, however many rows each kernel pass and each build takes:
+    ``KERNEL_ROWS`` bounds both, so at 2 every build is split into pairs
+    of states."""
     if which == "toy":
         case = mcs_toy_case()
         net = toy_net(case)
@@ -375,11 +377,12 @@ def test_each_distinct_state_is_built_once_per_evaluator(monkeypatch, mode):
     nothing. Under MCS each tighter vector draws new states."""
     case = mcs_toy_case()
     net = toy_net(case)
-    built = []
+    built, months = [], []  # every key built; the months of each build
     real = evaluation.build_records
 
     def counted(*args):  # args[2] holds the (month, lines, gens out) keys
         built.extend(args[2])
+        months.append({key[0] for key in args[2]})
         return real(*args)
 
     monkeypatch.setattr(evaluation, "build_records", counted)
@@ -390,6 +393,8 @@ def test_each_distinct_state_is_built_once_per_evaluator(monkeypatch, mode):
         evaluator.evaluate(caps)
     assert len(set(built)) == len(built)
     assert len(built) == len(evaluator.scenario.batch)
+    if mode == "mcs":  # first draws are one redraw round of all months
+        assert months[0] == set(MONTHS)
     before = len(built)
     evaluator.evaluate(vectors[0])
     assert len(built) == before
@@ -438,8 +443,8 @@ def budget(slot, month):
 ])
 def test_mcs_batch_raises_the_error_a_slot_by_slot_build_meets(
         monkeypatch, script, error, message):
-    """States are built in batches: a month's first draws, then each
-    redraw round of all months together. The error raised is the one a
+    """States are built in batches, one per redraw round of all months
+    together, first draws (round 0) included. The error raised is the one a
     month-by-month, slot-by-slot build meets first: the lowest failing
     month's; within a month, a state drawn for an earlier slot that fails
     to solve beats a later slot's exhausted budget."""

@@ -46,6 +46,19 @@ def test_plan_that_strands_a_generator_is_infeasible():
     assert "strands" in rec.infeasible_reason
 
 
+def test_empty_plan_of_a_case_without_existing_lines_is_infeasible():
+    """With every line a candidate, the all-zero chromosome builds a
+    network with no lines: it is recorded as islanded, not raised."""
+    case = load_case(BUNDLED)
+    case = dataclasses.replace(case, lines=tuple(
+        dataclasses.replace(ln, status="candidate") for ln in case.lines))
+    rec = evaluate_chromosome(
+        case, Chromosome.from_ints([0] * len(case.candidate_lines)), N1,
+        seed=0)
+    assert not rec.feasible
+    assert "strands" in rec.infeasible_reason
+
+
 def test_plan_whose_pricing_raises_is_infeasible_and_the_search_goes_on(
         monkeypatch):
     """On a ring whose elements fail 40 % of the time, one draw per slot
