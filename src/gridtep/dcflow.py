@@ -134,27 +134,15 @@ def solve_rows(net: ActiveNetwork, injections, outages) -> FlowSolution:
     ``outages[s]`` removed, as ``solve_with_outages`` solves it alone: its
     angles and flows are the same bits whichever rows share the call.
     ``outages`` is a sequence of line-id sets. The returned arrays gain a
-    leading row axis. When rows fail, the first failing row's error is
-    raised.
+    leading row axis. Each check runs over the whole batch, and the first
+    that fails raises: balance, then stranded injections, then each group
+    of rows' solve and residual.
     """
     p = np.asarray(injections, dtype=float)
     if p.shape != (len(outages), net.n_buses):
         raise ValueError(
             f"injections must have shape ({len(outages)}, {net.n_buses}), "
             f"got {p.shape}")
-    try:
-        return _solve_rows(net, p, outages)
-    except (NetworkDisconnectedError, UnbalancedInjectionsError):
-        if len(p) == 1:
-            raise
-    # Solved one at a time, in order, the first failing row raises.
-    sols = [_solve_rows(net, p[s:s + 1], outages[s:s + 1])
-            for s in range(len(p))]
-    return FlowSolution(*(np.concatenate([getattr(sol, f) for sol in sols])
-                          for f in ("angles", "flows", "injections")))
-
-
-def _solve_rows(net: ActiveNetwork, p: np.ndarray, outages) -> FlowSolution:
     totals = p.sum(axis=1)
     unbalanced = np.abs(totals) > BALANCE_TOL
     if unbalanced.any():

@@ -31,8 +31,9 @@ capacity vector's round 0 draws every slot's first state. The cost is
 linear in the draws, validity redraws included. A kernel row's figures
 do not depend on which rows share its call, and each month's
 expectations reduce over that month's rows alone, in the order it first
-drew them, so every figure is the one a month-by-month pricing gives; so
-is the error raised when a month cannot be priced (``_McsScenario.result``).
+drew them, so every figure is the one a month-by-month pricing gives.
+When a slot's budget runs out, or a round's states fail to build, the
+round's first error is raised (``_McsScenario._extend``).
 ``MAX_RESAMPLES`` bounds every element-wise draw of a slot, island
 rejections included. A month's ``samples_drawn`` sums, over slots, the
 element-wise draws up to and including the slot's accepted state, so it
@@ -299,101 +300,78 @@ class _McsScenario:
             [[] for _ in range(n_slots)] for _ in MONTHS]
 
     def _extend(self, pending):
-        """Draw the next state of each pending (month, slot), in that
-        order, within what is left of the slot's budget, and add the new
-        states to the batch in one call; each slot's chain gains its new
-        (row, draws) entry.
+        """Draw the next state of each pending slot, month by month and
+        slot by slot, within what is left of the slot's budget, and add the
+        new states to the batch in one call; each slot's chain gains its
+        new (row, draws) entry. ``pending`` holds a slot list per month.
 
-        Returns None, or (month, error) for the lowest month that failed:
-        the error a month-by-month build meets. The chains of the months
-        below it are extended all the same.
+        The first slot whose budget runs out raises before any of the
+        round's states is built; an error building them propagates.
         """
-        batch, keys, drawn, failure = self.batch, [], [], None
+        batch, keys, drawn = self.batch, [], []
         seen = {}  # one key per distinct state: duplicates keep no frozensets
-        for month, slot in pending:
-            chain = self.chains[month - 1][slot]
-            drawn.append(chain[-1][1] if chain else 0)
-            try:
-                state = sample_state(batch.case, batch.net,
-                                     self.rngs[month - 1][slot],
-                                     MAX_RESAMPLES - drawn[-1])
-            except ResampleBudgetError as exc:
-                error = ResampleBudgetError(
-                    f"slot {slot} of month {month}: no valid sample within "
-                    f"{MAX_RESAMPLES} draws")
-                error.__cause__ = exc
-                failure = month, error
-                break
-            key = month, state.lines_out, state.gens_out
-            keys.append(seen.setdefault(key, key))
-            drawn[-1] += state.draws
-        # The states drawn before an exhausted slot are built first: one of
-        # them failing to solve is the error a slot-by-slot build meets. A
-        # failing batch is rebuilt a month at a time to find the lowest
-        # month whose states fail.
-        try:
-            rows = batch.rows(keys)
-        except GridTepError:
-            rows = []
-            for month in dict.fromkeys(key[0] for key in keys):
+        for month, chains, rngs, slots in zip(MONTHS, self.chains, self.rngs,
+                                              pending):
+            for slot in slots:
+                chain = chains[slot]
+                draws = chain[-1][1] if chain else 0
                 try:
-                    rows += batch.rows([key for key in keys
-                                        if key[0] == month])
-                except GridTepError as exc:
-                    failure = month, exc
-                    break
-        for (month, slot), row, draws in zip(pending, rows, drawn):
-            self.chains[month - 1][slot].append((row, draws))
-        return failure
+                    state = sample_state(batch.case, batch.net, rngs[slot],
+                                         MAX_RESAMPLES - draws)
+                except ResampleBudgetError as exc:
+                    raise ResampleBudgetError(
+                        f"slot {slot} of month {month}: no valid sample "
+                        f"within {MAX_RESAMPLES} draws") from exc
+                key = month, state.lines_out, state.gens_out
+                keys.append(seen.setdefault(key, key))
+                drawn.append(draws + state.draws)
+        grown = (chains[slot] for chains, slots in zip(self.chains, pending)
+                 for slot in slots)
+        for chain, row, draws in zip(grown, batch.rows(keys), drawn):
+            chain.append((row, draws))
 
     def result(self, capacities: np.ndarray) -> list[dict]:
         """The 12 months' ``ExpectationReport`` entries at these ratings.
 
         A slot with no valid state yet, or no state at all, is pending; a
         redraw round draws its next state, so its first draw is round 0.
-        Months are independent, so when some fail, the months above the
-        lowest failure are dropped, the ones below it are finished, and the
-        lowest failing month's error is raised: the one a month-by-month
-        pricing meets first.
+        A round's first error is raised (``_extend``).
         """
         batch = self.batch
         parts = [batch.evaluate(capacities)] if len(batch) else []
         valid = parts[0].valid.tolist() if parts else []
         rows = np.empty((len(MONTHS), self.n_slots), dtype=np.intp)
         drawn = [0] * len(MONTHS)
-        pending, failure = [], None
-        for month in MONTHS:
-            for slot, chain in enumerate(self.chains[month - 1]):
+        pending = [[] for _ in MONTHS]  # per month, its pending slots
+        for m, chains in enumerate(self.chains):
+            for slot, chain in enumerate(chains):
                 for row, draws in chain:
                     if valid[row]:
-                        rows[month - 1, slot] = row
-                        drawn[month - 1] += draws
+                        rows[m, slot] = row
+                        drawn[m] += draws
                         break
                 else:
-                    pending.append((month, slot))
+                    pending[m].append(slot)
 
         # Pending slots draw one more state each per round, from their own
         # streams, all months together; only the rows a round adds are
         # evaluated.
-        while pending:
+        while any(pending):
             start = len(batch)
-            failure = self._extend(pending) or failure
+            self._extend(pending)
             if len(batch) > start:
                 parts.append(batch.evaluate(capacities, start))
                 valid += parts[-1].valid.tolist()
-            still = []
-            for month, slot in pending:
-                if failure is not None and month >= failure[0]:
-                    continue
-                row, draws = self.chains[month - 1][slot][-1]
-                if valid[row]:
-                    rows[month - 1, slot] = row
-                    drawn[month - 1] += draws
-                else:
-                    still.append((month, slot))
-            pending = still
-        if failure is not None:
-            raise failure[1]
+            for m, chains in enumerate(self.chains):
+                still = []
+                for slot in pending[m]:
+                    row, draws = chains[slot][-1]
+                    if valid[row]:
+                        rows[m, slot] = row
+                        drawn[m] += draws
+                    else:
+                        still.append(slot)
+                pending[m] = still
 
         # Each month's expectations reduce over its own rows, in the order
         # it first drew them: the rows are put in that order once, and each
@@ -532,12 +510,18 @@ class PlanEvaluator:
 
     def evaluate(self, capacities) -> CapacityEvaluation:
         """Price one rating vector: a rating per line of the topology, in
-        line order."""
+        line order, each finite and >= 0 MW (else ValueError)."""
         caps = np.asarray(capacities, dtype=float)
         if caps.shape != (len(self.net.lines),):
             raise ValueError(
                 f"expected {len(self.net.lines)} ratings, one per line, got "
                 f"shape {caps.shape}")
+        bad = ~((caps >= 0) & (caps < math.inf))  # NaN fails both
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(
+                f"ratings must be finite and >= 0 MW, got {float(caps[k])!r} "
+                f"for line {self.net.lines[k].id}")
         results = self.scenario.result(caps)
         report = ExpectationReport(**{
             f.name: np.array([r[f.name] for r in results])

@@ -297,14 +297,19 @@ def test_stacked_solve_with_a_dangling_bus_in_some_rows():
 
 
 def test_stacked_solve_raises_the_first_failing_rows_error():
-    """A row with an unbalanced or a stranded injection fails the batch
-    with the error type and message its one-row solve raises; of two
-    failing rows, the first one's error wins."""
+    """A one-row call raises what ``solve_with_outages`` raises. A batch
+    runs each check over all its rows, balance before stranded
+    injections, so the first failing check's error wins, whichever row
+    fails it."""
     net = bare_net(3, [(1, 2, 0.1), (2, 3, 0.2)])
     good = [40.0, -40.0, 0.0]
     unbalanced = [50.0, -49.0, 0.0]
     stranded = [40.0, -10.0, -30.0]
     cut = frozenset([2])
+    unbalanced_error = (UnbalancedInjectionsError,
+                        "injections sum to 1 MW, expected 0")
+    stranded_error = (NetworkDisconnectedError, "bus with nonzero injection "
+                      "is disconnected from the slack bus")
 
     def failure(call):
         with pytest.raises((NetworkDisconnectedError,
@@ -312,15 +317,14 @@ def test_stacked_solve_raises_the_first_failing_rows_error():
             call()
         return type(info.value), str(info.value)
 
-    for bad, lines_out in ((unbalanced, frozenset()), (stranded, cut)):
-        alone = failure(lambda: solve_with_outages(net, bad, lines_out))
+    for bad, lines_out, error in ((unbalanced, frozenset(), unbalanced_error),
+                                  (stranded, cut, stranded_error)):
+        assert failure(
+            lambda: solve_with_outages(net, bad, lines_out)) == error
         for rows, outages in (
                 ([bad], [lines_out]),
                 ([good, bad, good], [cut, lines_out, frozenset()])):
-            assert failure(lambda: solve_rows(net, rows, outages)) == alone
-    first = failure(lambda: solve_with_outages(net, stranded, cut))
-    assert first != failure(lambda: solve_with_outages(net, unbalanced,
-                                                       frozenset()))
+            assert failure(lambda: solve_rows(net, rows, outages)) == error
     assert failure(lambda: solve_rows(
         net, [good, stranded, unbalanced],
-        [frozenset(), cut, frozenset()])) == first
+        [frozenset(), cut, frozenset()])) == unbalanced_error

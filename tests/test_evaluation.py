@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -67,6 +69,25 @@ def test_evaluator_rejects_a_rating_vector_of_the_wrong_shape(ratings):
     with pytest.raises(ValueError, match="one per line"):
         evaluator.evaluate(ratings)
     evaluator.evaluate([50.0] * 4)
+
+
+@pytest.mark.parametrize("mode", ["mcs", "n1"])
+@pytest.mark.parametrize("rating", [math.nan, math.inf, -1.0])
+def test_evaluator_rejects_unusable_ratings_before_any_draw(mode, rating):
+    """A NaN, infinite or negative rating is a ValueError naming the line,
+    raised before Monte Carlo draws a state: NaN would price to J = NaN,
+    inf to J = inf, and a negative rating would spend every slot's
+    budget."""
+    case = mcs_toy_case()
+    net = toy_net(case)
+    evaluator = PlanEvaluator(case, net, PlanSettings(mode=mode, n_mcs=5),
+                              entropy=[1, 1])
+    with pytest.raises(ValueError) as info:
+        evaluator.evaluate([50.0, 40.0, rating, 0.0])
+    assert str(info.value) == (
+        f"ratings must be finite and >= 0 MW, got {rating!r} for line 3")
+    if mode == "mcs":
+        assert len(evaluator.scenario.batch) == 0
 
 
 @pytest.mark.parametrize("field, value", [
@@ -412,42 +433,47 @@ def budget(slot, month):
 # k-th character: "." a state invalid at the toy case's base ratings (the
 # intact one), "s" a state that cuts bus 3 and its 60 MW of demand off the
 # slack (lines 2 and 3 out), "x" an exhausted budget. Past its script, or
-# without one, a slot draws a valid state (line 1 out).
-@pytest.mark.parametrize("script, error, message", [
-    # One month: its first draws are built in one batch.
-    pytest.param({(1, 1): "s", (1, 3): "x"}, NetworkDisconnectedError,
-                 STRANDED, id="1-3-NetworkDisconnectedError"),
+# without one, a slot draws a valid state (line 1 out). A round draws
+# month 1's slot 0 first whenever it is pending, so its draws count the
+# rounds it took part in.
+@pytest.mark.parametrize("script, error, message, first_slot_draws", [
+    # Round 0: an exhausted budget beats a stranded state drawn before it.
+    pytest.param({(1, 1): "s", (1, 3): "x"}, ResampleBudgetError,
+                 budget(3, 1), 1, id="1-3-ResampleBudgetError"),
     pytest.param({(1, 3): "s", (1, 1): "x"}, ResampleBudgetError,
-                 budget(1, 1), id="3-1-ResampleBudgetError"),
-    pytest.param({(1, 2): "x"}, ResampleBudgetError, budget(2, 1),
+                 budget(1, 1), 1, id="3-1-ResampleBudgetError"),
+    pytest.param({(1, 2): "x"}, ResampleBudgetError, budget(2, 1), 1,
                  id="None-2-ResampleBudgetError"),
-    # Month 2 fails in redraw round 1, month 1 in round 3: month 1 wins.
+    # Month 2 fails in redraw round 1, before month 1 would in round 3.
     pytest.param({(1, 0): "...x", (2, 1): ".x"}, ResampleBudgetError,
-                 budget(0, 1), id="m1-exhausted-r3-m2-exhausted-r1"),
-    pytest.param({(1, 0): "...x", (2, 1): ".s"}, ResampleBudgetError,
-                 budget(0, 1), id="m1-exhausted-r3-m2-stranded-r1"),
-    pytest.param({(1, 4): "..s", (2, 1): ".x"}, NetworkDisconnectedError,
-                 STRANDED, id="m1-stranded-r2-m2-exhausted-r1"),
-    # Month 2 fails in its first draws, month 1 in round 2.
-    pytest.param({(1, 0): "..x", (2, 0): "s"}, ResampleBudgetError,
-                 budget(0, 1), id="m1-exhausted-r2-m2-stranded-first"),
-    # Month 1 prices; month 2 fails before month 3 would.
+                 budget(1, 2), 2, id="m1-exhausted-r3-m2-exhausted-r1"),
+    pytest.param({(1, 0): "...x", (2, 1): ".s"}, NetworkDisconnectedError,
+                 STRANDED, 2, id="m1-exhausted-r3-m2-stranded-r1"),
+    pytest.param({(1, 4): "..s", (2, 1): ".x"}, ResampleBudgetError,
+                 budget(1, 2), 1, id="m1-stranded-r2-m2-exhausted-r1"),
+    # Month 2 fails in round 0, month 1 would in round 2.
+    pytest.param({(1, 0): "..x", (2, 0): "s"}, NetworkDisconnectedError,
+                 STRANDED, 1, id="m1-exhausted-r2-m2-stranded-first"),
+    # Month 3 fails in round 0, month 2 would in round 2.
     pytest.param({(1, 0): "..", (2, 2): "..x", (3, 0): "x"},
-                 ResampleBudgetError, budget(2, 2),
+                 ResampleBudgetError, budget(0, 3), 1,
                  id="m2-exhausted-r2-m3-exhausted-first"),
     pytest.param({(2, 1): "x", (3, 0): "s"}, ResampleBudgetError,
-                 budget(1, 2), id="m2-exhausted-first-m3-stranded-first"),
+                 budget(1, 2), 1, id="m2-exhausted-first-m3-stranded-first"),
     pytest.param({(2, 3): "..s", (2, 4): "..x", (4, 1): "x"},
-                 NetworkDisconnectedError, STRANDED,
+                 ResampleBudgetError, budget(1, 4), 1,
                  id="m2-stranded-before-exhausted-r2-m4-exhausted-first"),
+    # Month 2 fails in round 1: month 1, still pending, draws no more.
+    pytest.param({(1, 0): "....", (2, 1): ".x"}, ResampleBudgetError,
+                 budget(1, 2), 2, id="m1-pending-m2-exhausted-r1"),
 ])
 def test_mcs_batch_raises_the_error_a_slot_by_slot_build_meets(
-        monkeypatch, script, error, message):
+        monkeypatch, script, error, message, first_slot_draws):
     """States are built in batches, one per redraw round of all months
-    together, first draws (round 0) included. The error raised is the one a
-    month-by-month, slot-by-slot build meets first: the lowest failing
-    month's; within a month, a state drawn for an earlier slot that fails
-    to solve beats a later slot's exhausted budget."""
+    together, first draws (round 0) included. A round raises the first
+    error it meets: the first slot, month by month and slot by slot, whose
+    budget runs out, before any of the round's states is built; else the
+    error building them. No round is drawn after it."""
     case = mcs_toy_case()
     net = toy_net(case)
     states = {".": OutageState(frozenset(), frozenset()),
@@ -472,12 +498,13 @@ def test_mcs_batch_raises_the_error_a_slot_by_slot_build_meets(
     with pytest.raises(error) as info:
         evaluator.evaluate(net.base_capacities)
     assert str(info.value) == message
+    assert made[1, 0] + 1 == first_slot_draws
 
 
-def count_draws(monkeypatch, stream):
-    """Record the outcome of every element-wise draw's feasibility test
-    made from the given RNG stream."""
-    outcomes = []
+def count_draws(monkeypatch):
+    """Record the outcome of every element-wise draw's feasibility test,
+    per RNG stream: a dict from the stream's id to its outcomes."""
+    outcomes = {}
     real_sample, real_feasible = evaluation.sample_state, contingency._feasible
     drawing = [None]  # the stream sample_state is drawing from
 
@@ -487,8 +514,7 @@ def count_draws(monkeypatch, stream):
 
     def counted(*args):
         feasible = real_feasible(*args)
-        if drawing[0] is stream:
-            outcomes.append(feasible)
+        outcomes.setdefault(id(drawing[0]), []).append(feasible)
         return feasible
 
     monkeypatch.setattr(evaluation, "sample_state", sample)
@@ -498,8 +524,9 @@ def count_draws(monkeypatch, stream):
 
 def test_slot_budget_bounds_every_draw_including_island_rejections(
         monkeypatch):
-    """With every state invalid at zero ratings, one slot stops after
-    exactly MAX_RESAMPLES element-wise draws, island rejections counted."""
+    """With every state invalid at zero ratings, the slot that raises
+    stops after exactly MAX_RESAMPLES element-wise draws, island
+    rejections counted."""
     lines = [line(1, 1, 2, for_=0.4), line(2, 2, 3, for_=0.4),
              line(3, 3, 4, for_=0.4), line(4, 4, 1, for_=0.4)]
     case = build_case([0, 0, 60, 40], lines,
@@ -508,12 +535,15 @@ def test_slot_budget_bounds_every_draw_including_island_rejections(
     monkeypatch.setattr(evaluation, "MAX_RESAMPLES", 30)
     evaluator = PlanEvaluator(
         case, net, PlanSettings(mode="mcs", n_mcs=1), [5, 1])
-    # Months are priced together: count month 1's slot 0 only.
-    outcomes = count_draws(monkeypatch, evaluator.scenario.rngs[0][0])
-    with pytest.raises(ResampleBudgetError, match="slot 0 of month 1"):
+    outcomes = count_draws(monkeypatch)
+    with pytest.raises(ResampleBudgetError) as info:
         evaluator.evaluate([0.0] * 4)
-    assert len(outcomes) == 30
-    assert True in outcomes and False in outcomes  # both screens rejected
+    slot, month = map(int, re.match(r"slot (\d+) of month (\d+): ",
+                                    str(info.value)).groups())
+    assert str(info.value) == budget(slot, month)
+    named = outcomes[id(evaluator.scenario.rngs[month - 1][slot])]
+    assert len(named) == 30
+    assert True in named and False in named  # both screens rejected
 
 
 def test_slot_budget_checks_its_last_draw(monkeypatch):
