@@ -5,7 +5,9 @@ Two sources of outage states share one representation:
 * Monte Carlo sampling — each line and generator is drawn out with its
   forced outage rate. States that island the network or leave fewer than
   the minimum number of generators online are rejected and redrawn, up
-  to a resample budget.
+  to a resample budget. ``RoundSampler`` draws many slot streams at once:
+  one uniform row per stream, packed into an outage code, each distinct
+  code screened once per sampler, and only the rejected rows redrawn.
 * Deterministic enumeration — every single (N-1) or pair (N-2) outage
   over lines and generators, with the same feasibility screen.
 
@@ -19,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, compress
-from operator import lt
 
 import numpy as np
 
 from .dcflow import fill_slack_connected, slack_connected
 from .errors import ResampleBudgetError
 from .network import ActiveNetwork, NetworkCase
+from .rng import Streams
 # Unused here: is_islanded reads slack_connected's memo, which enumeration
 # fills by the batched pass. The name stays importable only because
 # perfbench/tracer.py rebinds contingency.connected_components.
@@ -73,35 +75,100 @@ def _feasible(
     return not is_islanded(case, net, lines_out, gens_out)
 
 
+class RoundSampler:
+    """Feasible outage states drawn from many PCG64 streams at once.
+
+    A draw is one uniform per line, then one per generator, from the
+    stream: an element is out when its uniform is below its forced outage
+    rate. A drawn row is packed into an outage code, bytes of one bit per
+    element, so any number of elements fits; each distinct code is turned
+    into its (lines out, generators out) sets and screened once, and the
+    answer is kept for every later draw.
+    """
+
+    def __init__(self, case: NetworkCase, net: ActiveNetwork,
+                 streams: Streams):
+        self.case = case
+        self.net = net
+        self.streams = streams
+        self.rates = np.array(net.line_outage_rates
+                              + case.generator_outage_rates)
+        # outage code -> (lines_out, gens_out), or None when infeasible
+        self._screened: dict[bytes, tuple | None] = {}
+
+    def draw(self, index: np.ndarray, budgets: np.ndarray, part: int):
+        """Draw one feasible state from each stream ``index`` lists (no
+        stream twice), redrawing only the rejected rows, within each
+        stream's budget of element-wise draws.
+
+        Returns ``(states, draws, exhausted)``: per position, the state's
+        (lines_out, gens_out) and the draws made, the accepted one
+        included; and the first position whose budget ran out, or None.
+        Positions after it are left unresolved: a slot-by-slot sampler
+        would stop there. ``part`` bounds the streams per kernel pass.
+        """
+        states = [None] * len(index)
+        draws = np.zeros(len(index), dtype=np.int64)
+        spent = np.flatnonzero(budgets <= 0)
+        exhausted = int(spent[0]) if len(spent) else len(index)
+        todo = np.arange(exhausted)
+        n, width = len(self.rates), (len(self.rates) + 7) // 8
+        while len(todo):
+            out = self.streams.random(index[todo], n, part) < self.rates
+            draws[todo] += 1
+            codes = np.packbits(out, axis=1).tobytes()
+            rejected = []
+            for k, pos in enumerate(todo.tolist()):
+                code = codes[k * width:(k + 1) * width]
+                try:
+                    state = self._screened[code]
+                except KeyError:
+                    state = self._screened[code] = self._screen(out[k])
+                if state is None:
+                    rejected.append(k)
+                else:
+                    states[pos] = state
+            todo = todo[rejected]
+            spent = todo[draws[todo] >= budgets[todo]]
+            if len(spent):
+                exhausted = int(spent[0])
+                todo = todo[todo < exhausted]
+        return states, draws, None if exhausted == len(index) else exhausted
+
+    def _screen(self, out: np.ndarray) -> tuple | None:
+        n_lines = len(self.net.line_ids)
+        lines_out = frozenset(compress(self.net.line_ids,
+                                       out[:n_lines].tolist()))
+        gens_out = frozenset(compress(range(len(out) - n_lines),
+                                      out[n_lines:].tolist()))
+        if _feasible(self.case, self.net, lines_out, gens_out):
+            return lines_out, gens_out
+        return None
+
+
 def sample_state(
     case: NetworkCase,
     net: ActiveNetwork,
     rng: np.random.Generator,
     max_draws: int = 1000,
 ) -> OutageState:
-    """Draw one feasible outage state.
+    """Draw one feasible outage state from a PCG64 Generator: a
+    ``RoundSampler`` of its one stream, which the Generator then goes on
+    from.
 
-    Each element goes out when its uniform draw falls below its forced
-    outage rate. Infeasible draws (islanding / too few units online) are
-    rejected and redrawn; the returned state's ``draws`` counts them all.
-    Finding no feasible state within ``max_draws`` draws raises
-    ResampleBudgetError.
+    Infeasible draws (islanding / too few units online) are rejected and
+    redrawn; the returned state's ``draws`` counts them all. Finding no
+    feasible state within ``max_draws`` draws raises ResampleBudgetError.
     """
-    line_ids, line_rates = net.line_ids, net.line_outage_rates
-    gen_rates = case.generator_outage_rates
-    n_lines = len(line_ids)
-    for draw in range(1, max_draws + 1):
-        # One call gives the same uniforms as one for the lines followed
-        # by one for the generators.
-        u = rng.random(n_lines + len(gen_rates)).tolist()
-        lines_out = frozenset(compress(line_ids, map(lt, u, line_rates)))
-        gens_out = frozenset(compress(
-            range(len(gen_rates)), map(lt, u[n_lines:], gen_rates)))
-        if _feasible(case, net, lines_out, gens_out):
-            return OutageState(lines_out=lines_out, gens_out=gens_out,
-                               draws=draw)
-    raise ResampleBudgetError(
-        f"no feasible outage state within {max_draws} draws")
+    streams = Streams.of(rng)
+    (state,), (draws,), exhausted = RoundSampler(case, net, streams).draw(
+        np.zeros(1, dtype=np.intp), np.array([max_draws]), 1)
+    streams.store(rng)
+    if exhausted is not None:
+        raise ResampleBudgetError(
+            f"no feasible outage state within {max_draws} draws")
+    return OutageState(lines_out=state[0], gens_out=state[1],
+                       draws=int(draws))
 
 
 def enumerate_deterministic(

@@ -17,18 +17,21 @@ time (``build_records``), each with the bits a one-state solve gives.
 Monte Carlo mode prices the 12 months together, from one batch whose rows
 are keyed by (month, lines out, generators out). Each (month, slot) has
 its own RNG substream and keeps the chain of states the slot has drawn
-from it; a month's slot streams are seeded together, in one vectorized
-pass (``substreams``), when the evaluator is built, and each is the
-stream ``substream`` gives that slot. A slot's sample at a capacity
-vector is the first state of its chain that passes the validity screen,
-so estimates across sizing iterations share common random numbers. Each
-capacity vector evaluates every stored row in one kernel call. Slots
-whose chain holds no valid state, or no state yet, are resolved in
-rounds: a round draws one more state from each pending slot's stream,
-every month's slots in slot order, month after month, builds them
-together and evaluates only the rows that round added; the first
-capacity vector's round 0 draws every slot's first state. The cost is
-linear in the draws, validity redraws included. A kernel row's figures
+from it. The 12 months' slot streams are seeded together, in one
+vectorized pass (``substreams``), when the evaluator is built, and each
+draws what the stream ``substream`` gives that slot draws. They are held
+as one array of PCG64 states, and a ``contingency.RoundSampler`` draws a
+round's pending slots as arrays: one uniform row per slot, each distinct
+outage screened once per evaluator, and only the rejected rows redrawn.
+A slot's sample at a capacity vector is the first state of its chain
+that passes the validity screen, so estimates across sizing iterations
+share common random numbers. Each capacity vector evaluates every stored
+row in one kernel call. Slots whose chain holds no valid state, or no
+state yet, are resolved in rounds: a round draws one more state from
+each pending slot's stream, builds the states together, every month's
+slots in slot order, month after month, and evaluates only the rows that
+round added; the first capacity vector's round 0 draws every slot's
+first state. The cost is linear in the draws, validity redraws included. A kernel row's figures
 do not depend on which rows share its call, and each month's
 expectations reduce over that month's rows alone, in the order it first
 drew them, so every figure is the one a month-by-month pricing gives.
@@ -58,7 +61,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .adequacy import ExpectationReport, line_overloads, nodal_balance
-from .contingency import OutageState, enumerate_deterministic, sample_state
+from .contingency import OutageState, RoundSampler, enumerate_deterministic
+# sample_state is unused here; it stays importable because
+# perfbench/tracer.py rebinds evaluation.sample_state.
+from .contingency import sample_state  # noqa: F401
 from .costs import (CostBreakdown, edns_cost, egns_cost, ewl_cost,
                     generation_investment, objective, transmission_investment)
 from .dispatch import bus_generation, merit_order_dispatch
@@ -81,7 +87,8 @@ POLICY_WEL = "wel"  # sizing may resize every line
 POLICIES = (POLICY_NL, POLICY_WEL)
 
 MAX_RESAMPLES = 1000  # element-wise draws per Monte Carlo slot
-# Rows per adequacy-kernel pass (at least) and per build (at most).
+# Rows per adequacy-kernel pass (at least), and per build and slot
+# streams per sampling pass (at most).
 KERNEL_ROWS = 128
 
 
@@ -292,43 +299,43 @@ class _McsScenario:
     def __init__(self, batch, entropy, n_slots):
         self.batch = batch
         self.n_slots = n_slots
-        self.rngs = [substreams(entropy, (DOMAIN_MCS, m), n_slots)
-                     for m in MONTHS]
+        # Stream (month - 1) * n_slots + slot is the (month, slot) stream.
+        self.sampler = RoundSampler(batch.case, batch.net, substreams(
+            entropy, (DOMAIN_MCS,), np.repeat(MONTHS, n_slots),
+            np.tile(np.arange(n_slots), len(MONTHS))))
         # Per month, per slot: (row, element-wise draws of the slot so far)
         # per state.
         self.chains: list[list[list[tuple[int, int]]]] = [
             [[] for _ in range(n_slots)] for _ in MONTHS]
 
     def _extend(self, pending):
-        """Draw the next state of each pending slot, month by month and
-        slot by slot, within what is left of the slot's budget, and add the
-        new states to the batch in one call; each slot's chain gains its
+        """Draw the next state of each pending slot, within what is left
+        of the slot's budget, and add the new states to the batch in one
+        call, month by month and slot by slot; each slot's chain gains its
         new (row, draws) entry. ``pending`` holds a slot list per month.
 
-        The first slot whose budget runs out raises before any of the
-        round's states is built; an error building them propagates.
+        The first slot, in that order, whose budget runs out raises before
+        any of the round's states is built; an error building them
+        propagates.
         """
-        batch, keys, drawn = self.batch, [], []
-        seen = {}  # one key per distinct state: duplicates keep no frozensets
-        for month, chains, rngs, slots in zip(MONTHS, self.chains, self.rngs,
-                                              pending):
-            for slot in slots:
-                chain = chains[slot]
-                draws = chain[-1][1] if chain else 0
-                try:
-                    state = sample_state(batch.case, batch.net, rngs[slot],
-                                         MAX_RESAMPLES - draws)
-                except ResampleBudgetError as exc:
-                    raise ResampleBudgetError(
-                        f"slot {slot} of month {month}: no valid sample "
-                        f"within {MAX_RESAMPLES} draws") from exc
-                key = month, state.lines_out, state.gens_out
-                keys.append(seen.setdefault(key, key))
-                drawn.append(draws + state.draws)
-        grown = (chains[slot] for chains, slots in zip(self.chains, pending)
-                 for slot in slots)
-        for chain, row, draws in zip(grown, batch.rows(keys), drawn):
-            chain.append((row, draws))
+        grown = [(month, slot, self.chains[month - 1][slot])
+                 for month, slots in zip(MONTHS, pending) for slot in slots]
+        index = np.array([(month - 1) * self.n_slots + slot
+                          for month, slot, _ in grown], dtype=np.intp)
+        before = np.array([chain[-1][1] if chain else 0
+                           for _, _, chain in grown], dtype=np.int64)
+        states, draws, exhausted = self.sampler.draw(
+            index, MAX_RESAMPLES - before, KERNEL_ROWS)
+        if exhausted is not None:
+            month, slot, _ = grown[exhausted]
+            raise ResampleBudgetError(
+                f"slot {slot} of month {month}: no valid sample within "
+                f"{MAX_RESAMPLES} draws")
+        rows = self.batch.rows([(month, *state) for (month, _, _), state
+                                in zip(grown, states)])
+        for (_, _, chain), row, drawn in zip(grown, rows,
+                                              (before + draws).tolist()):
+            chain.append((row, drawn))
 
     def result(self, capacities: np.ndarray) -> list[dict]:
         """The 12 months' ``ExpectationReport`` entries at these ratings.

@@ -1,19 +1,23 @@
 """Counter-based random stream derivation.
 
-Every stochastic component draws from a Generator derived from one master
+Every stochastic component draws from a stream derived from one master
 seed plus a structured integer path (for example ``(scenario, slot)``).
 Streams with different paths are statistically independent, and the draw
 sequence of a given path never depends on how many other streams exist or
 in which order they are consumed. This is what makes runs reproducible
 bit-for-bit regardless of evaluation order.
 
-``substream`` derives one stream through ``numpy.random.SeedSequence``.
-``substreams`` derives a run of streams whose paths differ only in their
-last element (the Monte Carlo slots of one month) at once: NumPy's
-SeedSequence mixes the words they share, and gridtep runs only the hash
-steps of the stream index and of the seed words, on uint32 arrays with
-one column per stream. Stream ``k`` draws exactly what
-``substream(entropy, *path, k)`` draws, bit for bit; the tests check it.
+``substream`` derives one stream through ``numpy.random.SeedSequence``
+and returns its Generator. ``substreams`` derives many streams whose
+paths share a prefix at once, as a ``Streams`` kernel: NumPy's
+SeedSequence mixes the words they share, once, and gridtep runs the hash
+steps of the remaining path words and of the seed words on uint32 arrays
+with one column per stream, then seeds PCG64 (NumPy's default bit
+generator) on uint64 words. PCG64 is a 128-bit linear congruential
+generator, so ``Streams.random`` draws the next ``n`` uniforms of any
+subset of streams by jump-ahead, a fixed number of array operations per
+call. Stream ``k`` draws exactly what ``substream(entropy, *path, *words)``
+draws, bit for bit; the tests check it.
 """
 
 from __future__ import annotations
@@ -92,50 +96,143 @@ def _mix(x, y):
     return r ^ r >> _XSHIFT
 
 
-@cache
-def _seed_type():
-    # numpy.random is imported here, not with gridtep: loading a case
-    # should not pay for it.
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeededState(ISeedSequence):
-        """Hands PCG64 the four uint64 seed words it asks SeedSequence
-        for, computed by ``substreams``."""
-
-        __slots__ = ("state",)
-
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    return SeededState
-
-
-def substreams(entropy, path, count: int) -> list[np.random.Generator]:
-    """``count`` Generators; the ``k``-th draws exactly what
-    ``substream(entropy, *path, k)`` draws."""
+def substreams(entropy, path, *columns) -> "Streams":
+    """One stream per position of the equal-length ``columns`` of uint32
+    path words: stream ``k`` draws exactly what
+    ``substream(entropy, *path, *(c[k] for c in columns))`` draws."""
     run = _words(entropy)
     run += [0] * (_POOL_SIZE - len(run))  # SeedSequence pads when spawned
     shared = run + _words(path)
 
-    # SeedSequence.mix_entropy over shared + [k]: NumPy mixes the shared
-    # words, _POOL_SIZE hash steps each; only the steps of the last word, k,
-    # run here, with the pool as rows and one column per stream.
+    # SeedSequence.mix_entropy over shared + the column words: NumPy mixes
+    # the shared words, _POOL_SIZE hash steps each; the steps of each
+    # column's word run here, with the pool as rows and one column per
+    # stream.
     pool = np.random.SeedSequence(shared).pool[:, None]
-    index = np.arange(count, dtype=np.uint32)
-    steps = _steps(_INIT_A, _MULT_A, _POOL_SIZE * len(shared), _POOL_SIZE)
-    pool = _mix(pool, _hashmix(index, *steps))
+    for t, column in enumerate(columns, len(shared)):
+        words = np.asarray(column, dtype=np.uint32)
+        steps = _steps(_INIT_A, _MULT_A, _POOL_SIZE * t, _POOL_SIZE)
+        pool = _mix(pool, _hashmix(words, *steps))
 
     # generate_state(4, uint64): eight uint32 words cycling over the pool,
     # paired little-endian into uint64.
     state = _hashmix(np.tile(pool, (2, 1)), *_STATE_STEPS)
-    seeds = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(
-        np.uint64, copy=False)
+    seed = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(
+        np.uint64, copy=False).T
 
-    seeded, pcg64, generator = _seed_type(), np.random.PCG64, np.random.Generator
-    return [generator(pcg64(seeded(s))) for s in seeds]
+    # PCG64's seeding (pcg64_set_seed), high word first: inc = seq << 1 | 1
+    # and state = (inc + initial state) * multiplier + inc.
+    inc_hi = seed[2] << _U1 | seed[3] >> _U63
+    inc_lo = seed[3] << _U1 | _U1
+    lo = inc_lo + seed[1]
+    hi = inc_hi + seed[0] + (lo < inc_lo)
+    inc = np.stack([inc_hi, inc_lo])
+    state = _jump(_jumps(1), (hi[:, None], lo[:, None]), inc[:, :, None])
+    return Streams(np.stack([words[:, 0] for words in state]), inc)
+
+
+# PCG64 (numpy/random/src/pcg64): a 128-bit LCG, state' = M * state + inc,
+# whose output is the XSL-RR of the new state. A 128-bit number is held
+# as its high and low uint64 words. Every operand is uint64, so the
+# arithmetic wraps mod 2**64 by itself; under NumPy 1.x, uint64 combined
+# with a signed integer array would become float64.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# 0-d arrays: a NumPy scalar operand costs more per call.
+_U1, _U11, _U32, _U58, _U63, _U64, _LOW32 = (
+    np.array(k, dtype=np.uint64) for k in (1, 11, 32, 58, 63, 64, _MASK32))
+
+
+@cache
+def _jumps(n: int) -> tuple[np.ndarray, ...]:
+    """Jump-ahead constants of 1 to ``n`` steps: step j maps a state s
+    to A_j * s + G_j * inc mod 2**128, with A_j = M**j and G_j the sum of
+    M**i for i < j. Returned as uint64 rows: A's high and low word and the
+    low word's two 32-bit halves, then the same for G."""
+    a, g, rows = 1, 0, []
+    for _ in range(n):
+        a, g = a * _PCG_MULT & _MASK128, (g * _PCG_MULT + 1) & _MASK128
+        rows.append([a >> 64, a & _MASK64, a & _MASK32, a >> 32 & _MASK32,
+                     g >> 64, g & _MASK64, g & _MASK32, g >> 32 & _MASK32])
+    return tuple(np.array(rows, dtype=np.uint64).reshape(n, 8).T)
+
+
+def _mulhi(c0, c1, s_lo):
+    """High word of the 128-bit product of the uint64 with 32-bit halves
+    ``c0``, ``c1`` and the uint64 ``s_lo``."""
+    s0, s1 = s_lo & _LOW32, s_lo >> _U32
+    p01, p10 = c0 * s1, c1 * s0
+    mid = (c0 * s0 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return c1 * s1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+
+
+def _jump(jumps, state, inc):
+    """The states 1 to n steps after ``state``, given ``_jumps(n)``: a
+    (high, low) pair of (streams, n) arrays from (streams, 1) columns."""
+    a_hi, a_lo, a0, a1, g_hi, g_lo, g0, g1 = jumps
+    (s_hi, s_lo), (i_hi, i_lo) = state, inc
+    t = a_lo * s_lo
+    lo = t + g_lo * i_lo
+    hi = _mulhi(a0, a1, s_lo)
+    hi += _mulhi(g0, g1, i_lo)
+    hi += a_lo * s_hi
+    hi += a_hi * s_lo
+    hi += g_lo * i_hi
+    hi += g_hi * i_lo
+    hi += lo < t  # the carry out of the low words
+    return hi, lo
+
+
+def _uniforms(hi, lo):
+    """PCG64's XSL-RR output of each state, as Generator.random makes a
+    double of it: its top 53 bits times 2**-53."""
+    word = hi ^ lo
+    turn = hi >> _U58
+    word = word >> turn | word << ((_U64 - turn) & _U63)
+    return (word >> _U11) * (1.0 / 9007199254740992.0)
+
+
+class Streams:
+    """PCG64 streams held as uint64 words, drawn as arrays.
+
+    ``state`` and ``inc`` are (2, streams) arrays: the high and the low
+    word of each stream's 128-bit state and increment.
+    """
+
+    def __init__(self, state: np.ndarray, inc: np.ndarray):
+        self.state = state
+        self.inc = inc
+
+    @classmethod
+    def of(cls, rng: np.random.Generator) -> "Streams":
+        """One stream: a PCG64 Generator's current state."""
+        words = rng.bit_generator.state["state"]
+        return cls(*(np.array([[words[k] >> 64], [words[k] & _MASK64]],
+                              dtype=np.uint64) for k in ("state", "inc")))
+
+    def store(self, rng: np.random.Generator) -> None:
+        """Set a PCG64 Generator to stream 0's state, so it goes on
+        drawing where this stream stopped."""
+        state = rng.bit_generator.state
+        hi, lo = (int(w) for w in self.state[:, 0])
+        state["state"]["state"] = hi << 64 | lo
+        rng.bit_generator.state = state
+
+    def random(self, index: np.ndarray, n: int, part: int) -> np.ndarray:
+        """The next ``n`` uniforms of each stream ``index`` lists (no
+        stream twice), one row per stream: what ``Generator.random(n)``
+        draws from it. Jumps run over parts of at most ``part`` streams,
+        so their temporaries stay small however many streams draw."""
+        jumps = _jumps(n)
+        out = np.empty((len(index), n))
+        for lo in range(0, len(index), part):
+            rows = index[lo:lo + part]
+            states = _jump(jumps, self.state[:, rows, None],
+                           self.inc[:, rows, None])
+            self.state[:, rows] = [words[:, -1] for words in states]
+            out[lo:lo + part] = _uniforms(*states)
+        return out
 
 
 def chromosome_entropy(seed: int, bits) -> list[int]:

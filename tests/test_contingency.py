@@ -6,16 +6,19 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gridtep import contingency
 from gridtep.contingency import (
     OutageState,
+    RoundSampler,
     enumerate_deterministic,
     is_islanded,
     sample_state,
 )
 from gridtep.errors import ResampleBudgetError
 from gridtep.network import Chromosome, apply_plan, load_case
-from gridtep.rng import substream
+from gridtep.rng import DOMAIN_MCS, substream, substreams
 
 from _toys import build_case, gen, line
 
@@ -141,6 +144,103 @@ def test_budget_exhaustion_raises():
     net = net_of(case)
     with pytest.raises(ResampleBudgetError):
         sample_state(case, net, substream(0, 1), max_draws=50)
+
+
+# Both cases' draws are often rejected, by the island screen and by the
+# minimum-online floor. The ring has 7 elements; the wide ring 40 lines
+# and 30 generators, more than one 64-bit word of outage code holds. Its
+# first 64 elements are seldom out and its last 6 often, so many of its
+# draws differ only past the 64th element.
+ROUND_CASES = {
+    "ring": build_case(
+        [0, 0, 60, 40],
+        [line(k, k, k % 4 + 1, for_=0.4) for k in range(1, 5)],
+        [gen(1, 80.0, for_=0.3), gen(2, 60.0, for_=0.3),
+         gen(4, 50.0, for_=0.3)],
+        min_online=2),
+    "wide": build_case(
+        [0, 10] * 20,
+        [line(k, k, k % 40 + 1, for_=0.01) for k in range(1, 41)],
+        [gen(k % 40 + 1, 30.0, for_=0.01 if k < 24 else 0.5)
+         for k in range(30)],
+        min_online=27),
+}
+
+
+def per_draw_reference(case, net, rngs, budgets):
+    """The round sampler the slow way: stream after stream, draw a row of
+    ``Generator.random`` uniforms and screen its state until one passes;
+    the first stream whose budget runs out ends the round. Returns the
+    states, the draws per stream drawn, the exhausted position or None,
+    and the rejections per screen."""
+    n_lines = len(net.lines)
+    rates = net.line_outage_rates + case.generator_outage_rates
+    states, draws, rejected = [], [], {"island": 0, "online": 0}
+    for rng, budget in zip(rngs, budgets):
+        for draw in range(1, budget + 1):
+            out = [u < r for u, r in zip(rng.random(len(rates)), rates)]
+            lines_out = frozenset(
+                ln.id for ln, o in zip(net.lines, out) if o)
+            gens_out = frozenset(
+                k for k, o in enumerate(out[n_lines:]) if o)
+            if contingency._feasible(case, net, lines_out, gens_out):
+                states.append((lines_out, gens_out))
+                draws.append(draw)
+                break
+            online = len(case.generators) - len(gens_out)
+            rejected["online" if online < case.min_online_generators
+                     else "island"] += 1
+        else:
+            draws.append(budget)
+            return states, draws, len(states), rejected
+    return states, draws, None, rejected
+
+
+@pytest.mark.parametrize("which", sorted(ROUND_CASES))
+def test_round_sampler_cases_reject_by_both_screens(which):
+    """The cases below reach both rejections, so the comparison covers
+    them."""
+    case = ROUND_CASES[which]
+    net = net_of(case)
+    rngs = [substream(2, DOMAIN_MCS, 1, slot) for slot in range(40)]
+    *_, rejected = per_draw_reference(case, net, rngs, [1000] * 40)
+    assert rejected["island"] > 0 and rejected["online"] > 0, rejected
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from(sorted(ROUND_CASES)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_round_sampler_matches_a_per_draw_reference(which, seed, data):
+    """Round after round on subsets of the (month, slot) streams, with
+    budgets of 0, 1 and a few draws, the round sampler gives each stream
+    the states and draw counts a per-draw loop gives, up to and including
+    the first stream whose budget runs out, which it names. A stream is
+    drawn only within its budget, so after a round the streams up to that
+    one go on where the reference's do."""
+    case = ROUND_CASES[which]
+    net = net_of(case)
+    n_slots = 4
+    streams = substreams(seed, (DOMAIN_MCS,), np.repeat([1, 2], n_slots),
+                         np.tile(np.arange(n_slots), 2))
+    rngs = [substream(seed, DOMAIN_MCS, month, slot)
+            for month in (1, 2) for slot in range(n_slots)]
+    sampler = RoundSampler(case, net, streams)
+    usable = list(range(len(rngs)))  # streams still in step with rngs
+    for _ in range(data.draw(st.integers(1, 4))):
+        index = sorted(data.draw(st.sets(st.sampled_from(usable),
+                                         min_size=1)))
+        budgets = data.draw(st.lists(
+            st.one_of(st.just(0), st.just(1), st.integers(2, 6)),
+            min_size=len(index), max_size=len(index)))
+        states, draws, exhausted = sampler.draw(
+            np.array(index), np.array(budgets), data.draw(st.integers(1, 5)))
+        want, want_draws, want_exhausted, _ = per_draw_reference(
+            case, net, [rngs[k] for k in index], budgets)
+        assert exhausted == want_exhausted
+        assert states[:len(want)] == want
+        assert draws[:len(want_draws)].tolist() == want_draws
+        if exhausted is not None:
+            usable = [k for k in usable if k not in index[exhausted + 1:]]
 
 
 def test_islanding_on_bundled_case():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import fields
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridtep import contingency, evaluation
 from gridtep.adequacy import ExpectationReport
-from gridtep.contingency import (OutageState, enumerate_deterministic,
-                                 sample_state)
+from gridtep.contingency import enumerate_deterministic, sample_state
 from gridtep.errors import (GridTepError, NetworkDisconnectedError,
                             ResampleBudgetError)
 from gridtep.evaluation import (
@@ -31,7 +31,7 @@ from gridtep.network import (
     load_case,
     scenario_demand,
 )
-from gridtep.rng import DOMAIN_MCS, substream, substreams
+from gridtep.rng import DOMAIN_MCS, substream
 
 from _toys import adequacy_reference, build_case, gen, line, mcs_toy_case
 from test_network import BUNDLED
@@ -263,7 +263,8 @@ def month_by_month(case, net, entropy, n_mcs):
     a rating vector into ``ExpectationReport`` fields."""
     schedules = base_schedules(case)
     months = [(month, ScenarioBatch(case, net, {month: schedules[month - 1]}),
-               substreams(entropy, (DOMAIN_MCS, month), n_mcs),
+               [substream(entropy, DOMAIN_MCS, month, slot)
+                for slot in range(n_mcs)],
                [[] for _ in range(n_mcs)]) for month in MONTHS]
 
     def extend(month, batch, rngs, chains, slots):
@@ -433,9 +434,11 @@ def budget(slot, month):
 # k-th character: "." a state invalid at the toy case's base ratings (the
 # intact one), "s" a state that cuts bus 3 and its 60 MW of demand off the
 # slack (lines 2 and 3 out), "x" an exhausted budget. Past its script, or
-# without one, a slot draws a valid state (line 1 out). A round draws
-# month 1's slot 0 first whenever it is pending, so its draws count the
-# rounds it took part in.
+# without one, a slot draws a valid state (line 1 out). The script stands
+# in for the round sampler, which a round hands its pending slots' flat
+# (month, slot) stream indices in order. A round draws month 1's slot 0
+# first whenever it is pending, so its draws count the rounds it took
+# part in.
 @pytest.mark.parametrize("script, error, message, first_slot_draws", [
     # Round 0: an exhausted budget beats a stranded state drawn before it.
     pytest.param({(1, 1): "s", (1, 3): "x"}, ResampleBudgetError,
@@ -476,49 +479,55 @@ def test_mcs_batch_raises_the_error_a_slot_by_slot_build_meets(
     error building them. No round is drawn after it."""
     case = mcs_toy_case()
     net = toy_net(case)
-    states = {".": OutageState(frozenset(), frozenset()),
-              "s": OutageState(frozenset([2, 3]), frozenset()),
-              "v": OutageState(frozenset([1]), frozenset())}
-    evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=5),
-                              [4, 1])
-    where = {id(rng): (month, slot)
-             for month, rngs in zip(MONTHS, evaluator.scenario.rngs)
-             for slot, rng in enumerate(rngs)}
+    states = {".": (frozenset(), frozenset()),
+              "s": (frozenset([2, 3]), frozenset()),
+              "v": (frozenset([1]), frozenset())}
+    n_mcs = 5
+    evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs",
+                                                      n_mcs=n_mcs), [4, 1])
     made = {}
 
-    def draw(case, net, rng, max_draws):
-        key = where[id(rng)]
-        k = made[key] = made.get(key, -1) + 1
-        outcome = script.get(key, "")[k:k + 1] or "v"
-        if outcome == "x":
-            raise ResampleBudgetError("exhausted")
-        return states[outcome]
+    def draw(index, budgets, part):
+        """The round sampler's contract: a state and its draws per
+        position, and the first position whose budget ran out, after
+        which nothing is drawn."""
+        drawn = []
+        for pos, flat in enumerate(index.tolist()):
+            key = flat // n_mcs + 1, flat % n_mcs
+            k = made[key] = made.get(key, -1) + 1
+            outcome = script.get(key, "")[k:k + 1] or "v"
+            if outcome == "x":
+                return drawn, np.ones(len(drawn), dtype=int), pos
+            drawn.append(states[outcome])
+        return drawn, np.ones(len(drawn), dtype=int), None
 
-    monkeypatch.setattr(evaluation, "sample_state", draw)
+    monkeypatch.setattr(evaluator.scenario.sampler, "draw", draw)
     with pytest.raises(error) as info:
         evaluator.evaluate(net.base_capacities)
     assert str(info.value) == message
     assert made[1, 0] + 1 == first_slot_draws
 
 
-def count_draws(monkeypatch):
-    """Record the outcome of every element-wise draw's feasibility test,
-    per RNG stream: a dict from the stream's id to its outcomes."""
+def count_draws(monkeypatch, evaluator):
+    """Record, per flat (month, slot) stream index of an MCS evaluator,
+    whether each element-wise draw's state passes the feasibility screen:
+    a dict from the index to its outcomes in draw order."""
+    sampler = evaluator.scenario.sampler
+    case, net = sampler.case, sampler.net
+    n_lines = len(net.line_ids)
     outcomes = {}
-    real_sample, real_feasible = evaluation.sample_state, contingency._feasible
-    drawing = [None]  # the stream sample_state is drawing from
+    real = sampler.streams.random
 
-    def sample(case, net, rng, max_draws):
-        drawing[0] = rng
-        return real_sample(case, net, rng, max_draws)
+    def random(index, n, part):
+        u = real(index, n, part)
+        for flat, out in zip(index.tolist(), (u < sampler.rates).tolist()):
+            lines_out = frozenset(compress(net.line_ids, out[:n_lines]))
+            gens_out = frozenset(compress(range(n - n_lines), out[n_lines:]))
+            outcomes.setdefault(flat, []).append(
+                contingency._feasible(case, net, lines_out, gens_out))
+        return u
 
-    def counted(*args):
-        feasible = real_feasible(*args)
-        outcomes.setdefault(id(drawing[0]), []).append(feasible)
-        return feasible
-
-    monkeypatch.setattr(evaluation, "sample_state", sample)
-    monkeypatch.setattr(contingency, "_feasible", counted)
+    monkeypatch.setattr(sampler.streams, "random", random)
     return outcomes
 
 
@@ -535,13 +544,13 @@ def test_slot_budget_bounds_every_draw_including_island_rejections(
     monkeypatch.setattr(evaluation, "MAX_RESAMPLES", 30)
     evaluator = PlanEvaluator(
         case, net, PlanSettings(mode="mcs", n_mcs=1), [5, 1])
-    outcomes = count_draws(monkeypatch)
+    outcomes = count_draws(monkeypatch, evaluator)
     with pytest.raises(ResampleBudgetError) as info:
         evaluator.evaluate([0.0] * 4)
     slot, month = map(int, re.match(r"slot (\d+) of month (\d+): ",
                                     str(info.value)).groups())
     assert str(info.value) == budget(slot, month)
-    named = outcomes[id(evaluator.scenario.rngs[month - 1][slot])]
+    named = outcomes[(month - 1) * evaluator.scenario.n_slots + slot]
     assert len(named) == 30
     assert True in named and False in named  # both screens rejected
 

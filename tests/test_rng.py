@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,22 +26,35 @@ PATH = st.lists(st.integers(0, 2**32 - 1), max_size=3)
 @given(entropy=ENTROPY, path=PATH, count=st.integers(0, 300), data=st.data())
 def test_bulk_streams_match_single_streams_bit_for_bit(entropy, path, count,
                                                        data):
-    streams = substreams(entropy, path, count)
-    assert len(streams) == count
+    """Stream k of substreams draws what substream(entropy, *path, k)
+    draws, over several calls in a row on random subsets of the streams,
+    1 to 70 uniforms each, whatever the kernel's part size. Some of the
+    path's words are passed as columns, as the Monte Carlo months are."""
+    cut = data.draw(st.integers(0, len(path)))
+    columns = [np.full(count, word) for word in path[cut:]]
+    streams = substreams(entropy, path[:cut], *columns, np.arange(count))
+    assert streams.state.shape == streams.inc.shape == (2, count)
     if count == 0:
         return
-    picks = {0, count - 1, *data.draw(st.lists(st.integers(0, count - 1),
-                                               max_size=3))}
-    for k in picks:
-        got = streams[k].random(64)
-        want = substream(entropy, *path, k).random(64)
-        assert got.tobytes() == want.tobytes(), k
+    singles = {}
+    first = [0, count - 1]
+    for _ in range(data.draw(st.integers(1, 4))):
+        picks = list(dict.fromkeys(first + data.draw(st.lists(
+            st.integers(0, count - 1), min_size=1, max_size=6))))
+        first = []
+        n = data.draw(st.integers(1, 70))
+        got = streams.random(np.array(picks), n,
+                             data.draw(st.integers(1, 8)))
+        assert got.shape == (len(picks), n)
+        for row, k in zip(got, picks):
+            rng = singles.setdefault(k, substream(entropy, *path, k))
+            assert row.tobytes() == rng.random(n).tobytes(), k
 
 
 @pytest.mark.parametrize("entropy", [-1, [3, -2], None])
 def test_bulk_streams_reject_negative_or_missing_entropy(entropy):
     with pytest.raises(ValueError):
-        substreams(entropy, (1,), 4)
+        substreams(entropy, (1,), np.arange(4))
 
 
 def test_loading_a_case_leaves_numpy_random_unimported():
