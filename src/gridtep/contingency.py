@@ -11,6 +11,10 @@ Two sources of outage states share one representation:
 * Deterministic enumeration — every single (N-1) or pair (N-2) outage
   over lines and generators, with the same feasibility screen.
 
+Both screen for islands after a batched reachability pass
+(``dcflow.fill_slack_connected``): enumeration over all its outage sets,
+sampling over each round's new ones.
+
 A state islands the network when any demand bus, or any bus hosting an
 online generator, is cut off from the slack bus. Buses with neither
 demand nor online generation may dangle; the load-flow treats them as
@@ -28,8 +32,8 @@ from .dcflow import fill_slack_connected, slack_connected
 from .errors import ResampleBudgetError
 from .network import ActiveNetwork, NetworkCase
 from .rng import Streams
-# Unused here: is_islanded reads slack_connected's memo, which enumeration
-# fills by the batched pass. The name stays importable only because
+# Unused here: no path reaches the union-find, as the batched pass fills
+# slack_connected's memo. The name stays importable only because
 # perfbench/tracer.py rebinds contingency.connected_components.
 from .network import connected_components  # noqa: F401
 
@@ -83,7 +87,8 @@ class RoundSampler:
     rate. A drawn row is packed into an outage code, bytes of one bit per
     element, so any number of elements fits; each distinct code is turned
     into its (lines out, generators out) sets and screened once, and the
-    answer is kept for every later draw.
+    answer is kept for every later draw: a round's new codes together,
+    after one ``fill_slack_connected`` pass over their line sets.
     """
 
     def __init__(self, case: NetworkCase, net: ActiveNetwork,
@@ -116,14 +121,13 @@ class RoundSampler:
         while len(todo):
             out = self.streams.random(index[todo], n, part) < self.rates
             draws[todo] += 1
-            codes = np.packbits(out, axis=1).tobytes()
+            packed = np.packbits(out, axis=1).tobytes()
+            codes = [packed[k * width:(k + 1) * width]
+                     for k in range(len(todo))]
+            self._screen(codes)
             rejected = []
-            for k, pos in enumerate(todo.tolist()):
-                code = codes[k * width:(k + 1) * width]
-                try:
-                    state = self._screened[code]
-                except KeyError:
-                    state = self._screened[code] = self._screen(out[k])
+            for k, (pos, code) in enumerate(zip(todo.tolist(), codes)):
+                state = self._screened[code]
                 if state is None:
                     rejected.append(k)
                 else:
@@ -135,15 +139,20 @@ class RoundSampler:
                 todo = todo[todo < exhausted]
         return states, draws, None if exhausted == len(index) else exhausted
 
-    def _screen(self, out: np.ndarray) -> tuple | None:
-        n_lines = len(self.net.line_ids)
-        lines_out = frozenset(compress(self.net.line_ids,
-                                       out[:n_lines].tolist()))
-        gens_out = frozenset(compress(range(len(out) - n_lines),
-                                      out[n_lines:].tolist()))
-        if _feasible(self.case, self.net, lines_out, gens_out):
-            return lines_out, gens_out
-        return None
+    def _screen(self, codes: list[bytes]) -> None:
+        """Screen each code not seen before once, and keep the answers."""
+        new = [code for code in dict.fromkeys(codes)
+               if code not in self._screened]
+        n, n_lines = len(self.rates), len(self.net.line_ids)
+        out = [np.unpackbits(np.frombuffer(code, dtype=np.uint8),
+                             count=n).tolist() for code in new]
+        sets = [(frozenset(compress(self.net.line_ids, row[:n_lines])),
+                 frozenset(compress(range(n - n_lines), row[n_lines:])))
+                for row in out]
+        fill_slack_connected(self.net, [lines_out for lines_out, _ in sets])
+        for code, state in zip(new, sets):
+            ok = _feasible(self.case, self.net, *state)
+            self._screened[code] = state if ok else None
 
 
 def sample_state(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NetworkDisconnectedError, UnbalancedInjectionsError
-from .network import ActiveNetwork, connected_components
+from .network import ActiveNetwork
 
 BALANCE_TOL = 1e-6
 
@@ -51,18 +51,15 @@ def slack_connected(net: ActiveNetwork, lines_out: frozenset[int]) -> np.ndarray
     """Bool per bus: True where the bus still reaches the slack bus once
     the given lines are removed.
 
-    Memoized on the network instance by outage set, so the union-find runs
+    Memoized on the network instance by outage set: a miss runs
+    ``fill_slack_connected`` on the one set, so reachability is computed
     once per distinct outage set however often the island screen and the
     load flow ask. The returned array is read-only.
     """
     memo = net.slack_connected_memo
-    live = memo.get(lines_out)
-    if live is None:
-        comp = connected_components(net, _in_service(net, [lines_out])[0])
-        live = comp == comp[net.bus_index[net.slack_bus]]
-        live.flags.writeable = False
-        memo[lines_out] = live
-    return live
+    if lines_out not in memo:
+        fill_slack_connected(net, [lines_out])
+    return memo[lines_out]
 
 
 def fill_slack_connected(net: ActiveNetwork, outages) -> None:
@@ -72,7 +69,7 @@ def fill_slack_connected(net: ActiveNetwork, outages) -> None:
     The outage sets are stacked as rows of in-service line masks, and
     reachability from the slack bus spreads over each row's lines one hop
     per step, for at most n_buses - 1 steps; memory grows with sets times
-    lines. The masks are the union-find's, and read-only likewise.
+    lines. The masks are read-only.
     """
     memo = net.slack_connected_memo
     new = [lines_out for lines_out in dict.fromkeys(outages)

@@ -16,22 +16,24 @@ time (``build_records``), each with the bits a one-state solve gives.
 
 Monte Carlo mode prices the 12 months together, from one batch whose rows
 are keyed by (month, lines out, generators out). Each (month, slot) has
-its own RNG substream and keeps the chain of states the slot has drawn
-from it. The 12 months' slot streams are seeded together, in one
-vectorized pass (``substreams``), when the evaluator is built, and each
-draws what the stream ``substream`` gives that slot draws. They are held
-as one array of PCG64 states, and a ``contingency.RoundSampler`` draws a
-round's pending slots as arrays: one uniform row per slot, each distinct
-outage screened once per evaluator, and only the rejected rows redrawn.
-A slot's sample at a capacity vector is the first state of its chain
+its own RNG substream: stream ``(month - 1) * n_slots + slot`` of one
+array of PCG64 states, seeded in one vectorized pass (``substreams``)
+when the evaluator is built, draws what ``substream`` gives that slot.
+A ``contingency.RoundSampler`` draws a round's pending streams as arrays:
+one uniform row per stream, the round's new outage codes screened
+together, each distinct one once per evaluator, and only the rejected
+rows redrawn. The scenario keeps each stream's draws so far, and every
+state drawn as a (stream, batch row, draws so far) entry, in draw order.
+A slot's sample at a capacity vector is the first state of its stream
 that passes the validity screen, so estimates across sizing iterations
 share common random numbers. Each capacity vector evaluates every stored
-row in one kernel call. Slots whose chain holds no valid state, or no
-state yet, are resolved in rounds: a round draws one more state from
-each pending slot's stream, builds the states together, every month's
-slots in slot order, month after month, and evaluates only the rows that
-round added; the first capacity vector's round 0 draws every slot's
-first state. The cost is linear in the draws, validity redraws included. A kernel row's figures
+row in one kernel call and finds each stream's first valid state with
+array operations. Streams with no valid state, or no state yet, are
+resolved in rounds: a round draws one more state from each pending
+stream, in ascending stream order (month by month, slot by slot), builds
+the states together and evaluates only the rows it added; the first
+capacity vector's round 0 draws every slot's first state. The cost is
+linear in the draws, validity redraws included. A kernel row's figures
 do not depend on which rows share its call, and each month's
 expectations reduce over that month's rows alone, in the order it first
 drew them, so every figure is the one a month-by-month pricing gives.
@@ -294,105 +296,90 @@ class CapacityEvaluation:
 
 
 class _McsScenario:
-    """Per-slot sampler for the 12 scenario months, priced together."""
+    """Monte Carlo slots of the 12 scenario months, priced together.
+
+    Slot ``slot`` of month ``month`` draws from stream ``(month - 1) *
+    n_slots + slot``. ``draws`` holds each stream's element-wise draws so
+    far, and ``states[:n_states]`` each drawn state as (stream, batch row,
+    draws so far), in draw order; spare rows follow, as in ScenarioBatch.
+    """
 
     def __init__(self, batch, entropy, n_slots):
         self.batch = batch
         self.n_slots = n_slots
-        # Stream (month - 1) * n_slots + slot is the (month, slot) stream.
         self.sampler = RoundSampler(batch.case, batch.net, substreams(
             entropy, (DOMAIN_MCS,), np.repeat(MONTHS, n_slots),
             np.tile(np.arange(n_slots), len(MONTHS))))
-        # Per month, per slot: (row, element-wise draws of the slot so far)
-        # per state.
-        self.chains: list[list[list[tuple[int, int]]]] = [
-            [[] for _ in range(n_slots)] for _ in MONTHS]
+        self.draws = np.zeros(len(MONTHS) * n_slots, dtype=np.int64)
+        self.states = np.zeros((0, 3), dtype=np.int64)
+        self.n_states = 0
 
     def _extend(self, pending):
-        """Draw the next state of each pending slot, within what is left
-        of the slot's budget, and add the new states to the batch in one
-        call, month by month and slot by slot; each slot's chain gains its
-        new (row, draws) entry. ``pending`` holds a slot list per month.
+        """Draw the next state of each pending stream, within what is left
+        of its budget, and add the new states to the batch in one call, in
+        stream order. Returns their rows and their streams' draws so far.
 
-        The first slot, in that order, whose budget runs out raises before
-        any of the round's states is built; an error building them
-        propagates.
+        The first pending stream whose budget runs out raises before any
+        of the round's states is built; an error building them propagates.
         """
-        grown = [(month, slot, self.chains[month - 1][slot])
-                 for month, slots in zip(MONTHS, pending) for slot in slots]
-        index = np.array([(month - 1) * self.n_slots + slot
-                          for month, slot, _ in grown], dtype=np.intp)
-        before = np.array([chain[-1][1] if chain else 0
-                           for _, _, chain in grown], dtype=np.int64)
         states, draws, exhausted = self.sampler.draw(
-            index, MAX_RESAMPLES - before, KERNEL_ROWS)
+            pending, MAX_RESAMPLES - self.draws[pending], KERNEL_ROWS)
         if exhausted is not None:
-            month, slot, _ = grown[exhausted]
+            month, slot = divmod(int(pending[exhausted]), self.n_slots)
             raise ResampleBudgetError(
-                f"slot {slot} of month {month}: no valid sample within "
+                f"slot {slot} of month {month + 1}: no valid sample within "
                 f"{MAX_RESAMPLES} draws")
-        rows = self.batch.rows([(month, *state) for (month, _, _), state
-                                in zip(grown, states)])
-        for (_, _, chain), row, drawn in zip(grown, rows,
-                                              (before + draws).tolist()):
-            chain.append((row, drawn))
+        months = (pending // self.n_slots + 1).tolist()
+        rows = self.batch.rows([(month, *state)
+                                for month, state in zip(months, states)])
+        self.draws[pending] += draws
+        new = np.column_stack([pending, rows, self.draws[pending]])
+        end = self.n_states + len(new)
+        if end > len(self.states):
+            self.states = np.resize(self.states, (max(16, 2 * end), 3))
+        self.states[self.n_states:end] = new
+        self.n_states = end
+        return new[:, 1], new[:, 2]
 
     def result(self, capacities: np.ndarray) -> list[dict]:
         """The 12 months' ``ExpectationReport`` entries at these ratings.
 
-        A slot with no valid state yet, or no state at all, is pending; a
-        redraw round draws its next state, so its first draw is round 0.
-        A round's first error is raised (``_extend``).
+        Streams with no valid state yet, or no state at all, are pending,
+        in ascending stream order; a redraw round draws each one's next
+        state, so a slot's first draw is round 0, and evaluates only the
+        rows it added. A round's first error is raised (``_extend``).
         """
         batch = self.batch
         parts = [batch.evaluate(capacities)] if len(batch) else []
-        valid = parts[0].valid.tolist() if parts else []
-        rows = np.empty((len(MONTHS), self.n_slots), dtype=np.intp)
-        drawn = [0] * len(MONTHS)
-        pending = [[] for _ in MONTHS]  # per month, its pending slots
-        for m, chains in enumerate(self.chains):
-            for slot, chain in enumerate(chains):
-                for row, draws in chain:
-                    if valid[row]:
-                        rows[m, slot] = row
-                        drawn[m] += draws
-                        break
-                else:
-                    pending[m].append(slot)
+        valid = parts[0].valid if parts else np.zeros(0, dtype=bool)
+        rows = np.full(len(self.draws), -1, dtype=np.intp)  # -1: pending
+        drawn = np.zeros(len(self.draws), dtype=np.int64)
+        stream, row, so_far = self.states[:self.n_states].T
+        ok = np.flatnonzero(valid[row])
+        found, first = np.unique(stream[ok], return_index=True)
+        rows[found], drawn[found] = row[ok[first]], so_far[ok[first]]
+        pending = np.flatnonzero(rows < 0)
 
-        # Pending slots draw one more state each per round, from their own
-        # streams, all months together; only the rows a round adds are
-        # evaluated.
-        while any(pending):
+        while len(pending):
             start = len(batch)
-            self._extend(pending)
+            new_rows, new_drawn = self._extend(pending)
             if len(batch) > start:
                 parts.append(batch.evaluate(capacities, start))
-                valid += parts[-1].valid.tolist()
-            for m, chains in enumerate(self.chains):
-                still = []
-                for slot in pending[m]:
-                    row, draws = chains[slot][-1]
-                    if valid[row]:
-                        rows[m, slot] = row
-                        drawn[m] += draws
-                    else:
-                        still.append(slot)
-                pending[m] = still
+                valid = np.concatenate([valid, parts[-1].valid])
+            rows[pending], drawn[pending] = new_rows, new_drawn
+            pending = pending[~valid[new_rows]]
 
         # Each month's expectations reduce over its own rows, in the order
-        # it first drew them: the rows are put in that order once, and each
-        # month reads its span.
-        order = np.concatenate(list(batch.month_rows.values()))
-        ev = BatchEvaluation.concat(parts).take(order)
-        w = np.bincount(rows.ravel(), minlength=len(batch))[order]
-        w = w / self.n_slots
-        results, start = [], 0
-        for month, own in batch.month_rows.items():
-            span = slice(start, start + len(own))
-            results.append(ev.take(span).weighted(w[span], self.n_slots,
-                                                  drawn[month - 1]))
-            start = span.stop
+        # it first drew them.
+        ev = BatchEvaluation.concat(parts)
+        w = np.bincount(rows, minlength=len(batch)) / self.n_slots
+        drawn = drawn.reshape(len(MONTHS), self.n_slots).sum(axis=1)
+        results = []
+        for own, month_drawn in zip(batch.month_rows.values(),
+                                    drawn.tolist()):
+            own = np.array(own)
+            results.append(ev.take(own).weighted(w[own], self.n_slots,
+                                                 month_drawn))
         return results
 
 

@@ -6,6 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from gridtep import contingency
 from gridtep.network import (
     ActiveNetwork,
     Bus,
@@ -98,6 +99,35 @@ def ring4_net() -> ActiveNetwork:
 # independent loop-equation (KCL + KVL) least-squares solution.
 RING4_INJECTIONS = (100.0, -30.0, -50.0, -20.0)
 RING4_FLOWS = (67.5, 37.5, -12.5, -32.5)
+
+
+def per_draw_reference(case, net, rngs, budgets):
+    """The round sampler the slow way: stream after stream, draw a row of
+    ``Generator.random`` uniforms and screen its state until one passes;
+    the first stream whose budget runs out ends the round. Returns the
+    states, the draws per stream drawn, the exhausted position or None,
+    and the rejections per screen."""
+    n_lines = len(net.lines)
+    rates = net.line_outage_rates + case.generator_outage_rates
+    states, draws, rejected = [], [], {"island": 0, "online": 0}
+    for rng, budget in zip(rngs, budgets):
+        for draw in range(1, budget + 1):
+            out = [u < r for u, r in zip(rng.random(len(rates)), rates)]
+            lines_out = frozenset(
+                ln.id for ln, o in zip(net.lines, out) if o)
+            gens_out = frozenset(
+                k for k, o in enumerate(out[n_lines:]) if o)
+            if contingency._feasible(case, net, lines_out, gens_out):
+                states.append((lines_out, gens_out))
+                draws.append(draw)
+                break
+            online = len(case.generators) - len(gens_out)
+            rejected["online" if online < case.min_online_generators
+                     else "island"] += 1
+        else:
+            draws.append(budget)
+            return states, draws, len(states), rejected
+    return states, draws, None, rejected
 
 
 def mcs_toy_case() -> NetworkCase:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridtep import contingency
 from gridtep.contingency import (
     OutageState,
     RoundSampler,
@@ -20,7 +19,7 @@ from gridtep.errors import ResampleBudgetError
 from gridtep.network import Chromosome, apply_plan, load_case
 from gridtep.rng import DOMAIN_MCS, substream, substreams
 
-from _toys import build_case, gen, line
+from _toys import build_case, gen, line, per_draw_reference
 
 from test_network import BUNDLED
 
@@ -165,35 +164,6 @@ ROUND_CASES = {
          for k in range(30)],
         min_online=27),
 }
-
-
-def per_draw_reference(case, net, rngs, budgets):
-    """The round sampler the slow way: stream after stream, draw a row of
-    ``Generator.random`` uniforms and screen its state until one passes;
-    the first stream whose budget runs out ends the round. Returns the
-    states, the draws per stream drawn, the exhausted position or None,
-    and the rejections per screen."""
-    n_lines = len(net.lines)
-    rates = net.line_outage_rates + case.generator_outage_rates
-    states, draws, rejected = [], [], {"island": 0, "online": 0}
-    for rng, budget in zip(rngs, budgets):
-        for draw in range(1, budget + 1):
-            out = [u < r for u, r in zip(rng.random(len(rates)), rates)]
-            lines_out = frozenset(
-                ln.id for ln, o in zip(net.lines, out) if o)
-            gens_out = frozenset(
-                k for k, o in enumerate(out[n_lines:]) if o)
-            if contingency._feasible(case, net, lines_out, gens_out):
-                states.append((lines_out, gens_out))
-                draws.append(draw)
-                break
-            online = len(case.generators) - len(gens_out)
-            rejected["online" if online < case.min_online_generators
-                     else "island"] += 1
-        else:
-            draws.append(budget)
-            return states, draws, len(states), rejected
-    return states, draws, None, rejected
 
 
 @pytest.mark.parametrize("which", sorted(ROUND_CASES))

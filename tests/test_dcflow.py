@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridtep.dcflow import (
-    connected_components,
     fill_slack_connected,
     flow_residual,
     slack_connected,
@@ -18,6 +17,7 @@ from gridtep.dcflow import (
     solve_with_outages,
 )
 from gridtep.errors import NetworkDisconnectedError, UnbalancedInjectionsError
+from gridtep.network import connected_components
 
 from _toys import (
     RING4_FLOWS,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import fields
@@ -11,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridtep import contingency, evaluation
+from gridtep import contingency, dcflow, evaluation, network
 from gridtep.adequacy import ExpectationReport
-from gridtep.contingency import enumerate_deterministic, sample_state
+from gridtep.contingency import OutageState, enumerate_deterministic
 from gridtep.errors import (GridTepError, NetworkDisconnectedError,
                             ResampleBudgetError)
 from gridtep.evaluation import (
@@ -33,7 +34,8 @@ from gridtep.network import (
 )
 from gridtep.rng import DOMAIN_MCS, substream
 
-from _toys import adequacy_reference, build_case, gen, line, mcs_toy_case
+from _toys import (adequacy_reference, build_case, gen, line, mcs_toy_case,
+                   per_draw_reference)
 from test_network import BUNDLED
 
 
@@ -191,9 +193,9 @@ def test_generous_ratings_remove_all_shortfalls():
 
 def first_valid_reference(case, net, entropy, n_mcs, caps):
     """Monthly (EDNS, EGNS, EWL) the slow way: replay each (month, slot)
-    substream through sample_state and average the first state of each
-    slot that is valid at ``caps``. Also returns each month's element-wise
-    draws up to and including those states."""
+    substream through the per-draw sampling loop and average the first
+    state of each slot that is valid at ``caps``. Also returns each
+    month's element-wise draws up to and including those states."""
     schedules = base_schedules(case)
     records = {}
     out = []
@@ -204,12 +206,14 @@ def first_valid_reference(case, net, entropy, n_mcs, caps):
         for slot in range(n_mcs):
             rng = substream(entropy, DOMAIN_MCS, month, slot)
             while True:
-                state = sample_state(case, net, rng)
-                drawn[month - 1] += state.draws
-                key = (month, state.lines_out, state.gens_out)
+                (state,), (draws,), _, _ = per_draw_reference(
+                    case, net, [rng], [evaluation.MAX_RESAMPLES])
+                drawn[month - 1] += draws
+                key = (month, *state)
                 if key not in records:
-                    records[key] = build_record(case, net, demand, state,
-                                                schedules[month - 1])
+                    records[key] = build_record(
+                        case, net, demand, OutageState(*state),
+                        schedules[month - 1])
                 rec = records[key]
                 ref = adequacy_reference(net, rec.flows, rec.demand,
                                          rec.generation, caps)
@@ -268,16 +272,15 @@ def month_by_month(case, net, entropy, n_mcs):
                [[] for _ in range(n_mcs)]) for month in MONTHS]
 
     def extend(month, batch, rngs, chains, slots):
-        drawn = []
-        for slot in slots:
-            before = chains[slot][-1][1] if chains[slot] else 0
-            drawn.append((slot, sample_state(
-                case, net, rngs[slot], evaluation.MAX_RESAMPLES - before),
-                before))
-        rows = batch.rows([(month, state.lines_out, state.gens_out)
-                           for _, state, _ in drawn])
-        for (slot, state, before), row in zip(drawn, rows):
-            chains[slot].append((row, before + state.draws))
+        before = [chains[slot][-1][1] if chains[slot] else 0
+                  for slot in slots]
+        states, draws, exhausted, _ = per_draw_reference(
+            case, net, [rngs[slot] for slot in slots],
+            [evaluation.MAX_RESAMPLES - b for b in before])
+        assert exhausted is None
+        rows = batch.rows([(month, *state) for state in states])
+        for slot, row, b, d in zip(slots, rows, before, draws):
+            chains[slot].append((row, b + d))
 
     def price(caps):
         results = []
@@ -361,8 +364,9 @@ def test_months_priced_together_are_the_month_by_month_figures_bit_for_bit(
             for field in fields(ExpectationReport):
                 assert np.array_equal(getattr(report, field.name),
                                       want[field.name]), field.name
-        assert any(len(chain) > 1 for chains in evaluator.scenario.chains
-                   for chain in chains)  # some slot was redrawn
+        scenario = evaluator.scenario
+        stream = scenario.states[:scenario.n_states, 0]
+        assert (np.bincount(stream) > 1).any()  # some slot was redrawn
 
 
 def test_samples_drawn_counts_redraws_up_to_each_accepted_state():
@@ -568,7 +572,7 @@ def test_slot_budget_checks_its_last_draw(monkeypatch):
 
     free = evaluator()
     expected = free.evaluate(tight)
-    needed = max(chains[0][-1][1] for chains in free.scenario.chains)
+    needed = int(free.scenario.draws.max())
     assert needed > 1
     monkeypatch.setattr(evaluation, "MAX_RESAMPLES", needed)
     got = evaluator().evaluate(tight)
@@ -576,6 +580,46 @@ def test_slot_budget_checks_its_last_draw(monkeypatch):
     monkeypatch.setattr(evaluation, "MAX_RESAMPLES", needed - 1)
     with pytest.raises(ResampleBudgetError):
         evaluator().evaluate(tight)
+
+
+def test_island_screens_never_reach_the_union_find(monkeypatch):
+    """Connectivity comes from the batched reachability pass alone: with
+    the union-find raising wherever the load flow could reach it,
+    slack_connected on fresh outage sets, and Monte Carlo pricing of the
+    toy case and of a bundled-case plan, redraws included, give the masks
+    and reports they give without it."""
+    toy, bundled = mcs_toy_case(), load_case(BUNDLED)
+
+    def run():
+        out = []
+        for case, net in ((toy, toy_net(toy)), (bundled, apply_plan(
+                bundled, Chromosome.from_ints([1, 0] * 7)))):
+            masks = [dcflow.slack_connected(net, frozenset(lines)).tolist()
+                     for k in range(4)
+                     for lines in itertools.combinations(net.line_ids, k)]
+            evaluator = PlanEvaluator(
+                case, net, PlanSettings(mode="mcs", n_mcs=15), [3, 1])
+            base = np.asarray(net.base_capacities)
+            reports = [evaluator.evaluate(caps).report
+                       for caps in (base, 0.4 * base)]
+            out.append((masks, reports))
+        return out
+
+    want = run()
+
+    def union_find(*args, **kwargs):
+        raise AssertionError("the union-find was called")
+
+    monkeypatch.setattr(network, "connected_components", union_find)
+    monkeypatch.setattr(dcflow, "connected_components", union_find,
+                        raising=False)
+    got = run()
+    for (want_masks, want_reports), (masks, reports) in zip(want, got):
+        assert masks == want_masks
+        for report, expected in zip(reports, want_reports):
+            for field in fields(ExpectationReport):
+                assert np.array_equal(getattr(report, field.name),
+                                      getattr(expected, field.name))
 
 
 def test_batch_rows_do_not_depend_on_how_they_are_split():
