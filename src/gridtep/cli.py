@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -37,7 +38,10 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each ``main`` call parses
+    with it, so no call leaves a parser in reference cycles."""
     parser = argparse.ArgumentParser(
         prog="gridtep",
         description="Probabilistic transmission expansion planning",

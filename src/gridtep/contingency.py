@@ -6,14 +6,18 @@ Two sources of outage states share one representation:
   forced outage rate. States that island the network or leave fewer than
   the minimum number of generators online are rejected and redrawn, up
   to a resample budget. ``RoundSampler`` draws many slot streams at once:
-  one uniform row per stream, packed into an outage code, each distinct
-  code screened once per sampler, and only the rejected rows redrawn.
+  one uniform row per stream, packed into an outage code. Each distinct
+  code gets an integer id once per sampler, and a draw hands back ids:
+  only a round's new codes are decoded into outage sets and screened,
+  and only the rejected rows are redrawn.
 * Deterministic enumeration — every single (N-1) or pair (N-2) outage
   over lines and generators, with the same feasibility screen.
 
-Both screen for islands after a batched reachability pass
-(``dcflow.fill_slack_connected``): enumeration over all its outage sets,
-sampling over each round's new ones.
+Both call one batched screen (``screen``): the minimum-online test and
+the island test as array operations over states, after one batched
+reachability pass (``dcflow.fill_slack_connected``) over their outage
+sets, all of them for enumeration and each round's new ones for
+sampling. ``is_islanded`` and ``_feasible`` are its one-state views.
 
 A state islands the network when any demand bus, or any bus hosting an
 online generator, is cut off from the slack bus. Buses with neither
@@ -28,7 +32,8 @@ from itertools import combinations, compress
 
 import numpy as np
 
-from .dcflow import fill_slack_connected, slack_connected
+from .dcflow import fill_slack_connected
+from .dispatch import units_out
 from .errors import ResampleBudgetError
 from .network import ActiveNetwork, NetworkCase
 from .rng import Streams
@@ -47,6 +52,35 @@ class OutageState:
     draws: int = field(default=1, compare=False)
 
 
+def screen(case: NetworkCase, net: ActiveNetwork, lines_out,
+           gens_out: np.ndarray) -> np.ndarray:
+    """Bool per outage state: True where it is feasible, i.e. it leaves at
+    least the minimum number of generators online and islands nothing.
+
+    State s has the line ids of ``lines_out[s]`` out and the units of row
+    s of the bool (states, generators) mask ``gens_out``. Both tests run
+    as array operations over the states, after one
+    ``fill_slack_connected`` pass over their line sets.
+    """
+    online = len(case.generators) - gens_out.sum(axis=1)
+    return ((online >= case.min_online_generators)
+            & ~_islanded(case, net, fill_slack_connected(net, lines_out),
+                         gens_out))
+
+
+def _islanded(case: NetworkCase, net: ActiveNetwork, live: np.ndarray,
+              gens_out: np.ndarray) -> np.ndarray:
+    """Bool per state: a demand bus, or the bus of a unit still online, is
+    outside the state's row of slack-connected bus masks ``live``."""
+    index = net.bus_index
+    demand = np.zeros(net.n_buses, dtype=bool)
+    demand[[index[b.id] for b in case.buses if b.base_demand > 0]] = True
+    gen_bus = np.array([index[g.bus] for g in case.generators], dtype=np.intp)
+    cut = ~live
+    return ((cut & demand).any(axis=1)
+            | (cut[:, gen_bus] & ~gens_out).any(axis=1))
+
+
 def is_islanded(
     case: NetworkCase,
     net: ActiveNetwork,
@@ -54,17 +88,10 @@ def is_islanded(
     gens_out: frozenset[int] = frozenset(),
 ) -> bool:
     """True when a demand bus or an online generator's bus loses its path
-    to the slack bus once the given lines are removed."""
-    live = slack_connected(net, lines_out)
-    if live.all():
-        return False
-    for b in case.buses:
-        if b.base_demand > 0 and not live[net.bus_index[b.id]]:
-            return True
-    for k, g in enumerate(case.generators):
-        if k not in gens_out and not live[net.bus_index[g.bus]]:
-            return True
-    return False
+    to the slack bus once the given lines are removed: the island test of
+    ``screen`` on one state."""
+    live = fill_slack_connected(net, [lines_out])
+    return bool(_islanded(case, net, live, units_out(case, [gens_out]))[0])
 
 
 def _feasible(
@@ -73,10 +100,18 @@ def _feasible(
     lines_out: frozenset[int],
     gens_out: frozenset[int],
 ) -> bool:
-    online = len(case.generators) - len(gens_out)
-    if online < case.min_online_generators:
-        return False
-    return not is_islanded(case, net, lines_out, gens_out)
+    """``screen`` on one state."""
+    return bool(screen(case, net, [lines_out], units_out(case, [gens_out]))[0])
+
+
+def _decode(net: ActiveNetwork, out: np.ndarray) -> list[tuple]:
+    """(lines out, generators out) id sets of each row of a bool (states,
+    lines + generators) outage mask, lines first in network order."""
+    n_lines = len(net.line_ids)
+    units = range(out.shape[1] - n_lines)
+    return [(frozenset(compress(net.line_ids, row[:n_lines])),
+             frozenset(compress(units, row[n_lines:])))
+            for row in out.tolist()]
 
 
 class RoundSampler:
@@ -85,10 +120,11 @@ class RoundSampler:
     A draw is one uniform per line, then one per generator, from the
     stream: an element is out when its uniform is below its forced outage
     rate. A drawn row is packed into an outage code, bytes of one bit per
-    element, so any number of elements fits; each distinct code is turned
-    into its (lines out, generators out) sets and screened once, and the
-    answer is kept for every later draw: a round's new codes together,
-    after one ``fill_slack_connected`` pass over their line sets.
+    element, so any number of elements fits. Each distinct code gets an
+    integer id, in ``states`` (its lines out and generators out) and
+    ``feasible``: a round's codes are told apart by one ``np.unique`` over
+    them, and only the codes not seen before are decoded and screened,
+    together (``screen``).
     """
 
     def __init__(self, case: NetworkCase, net: ActiveNetwork,
@@ -98,61 +134,60 @@ class RoundSampler:
         self.streams = streams
         self.rates = np.array(net.line_outage_rates
                               + case.generator_outage_rates)
-        # outage code -> (lines_out, gens_out), or None when infeasible
-        self._screened: dict[bytes, tuple | None] = {}
+        width = (len(self.rates) + 7) // 8
+        self._code = np.dtype((np.void, width))  # a packed row as one item
+        self._ids: dict[bytes, int] = {}  # outage code -> id
+        self.states: list[tuple[frozenset[int], frozenset[int]]] = []
+        self.feasible = np.zeros(0, dtype=bool)  # per id
 
     def draw(self, index: np.ndarray, budgets: np.ndarray, part: int):
         """Draw one feasible state from each stream ``index`` lists (no
         stream twice), redrawing only the rejected rows, within each
         stream's budget of element-wise draws.
 
-        Returns ``(states, draws, exhausted)``: per position, the state's
-        (lines_out, gens_out) and the draws made, the accepted one
-        included; and the first position whose budget ran out, or None.
-        Positions after it are left unresolved: a slot-by-slot sampler
-        would stop there. ``part`` bounds the streams per kernel pass.
+        Returns ``(ids, draws, exhausted)``: per position, the id of its
+        state and the draws made, the accepted one included; and the first
+        position whose budget ran out, or None. Positions from it on are
+        left unresolved: a slot-by-slot sampler would stop there. ``part``
+        bounds the streams per kernel pass.
         """
-        states = [None] * len(index)
+        ids = np.full(len(index), -1, dtype=np.intp)
         draws = np.zeros(len(index), dtype=np.int64)
         spent = np.flatnonzero(budgets <= 0)
         exhausted = int(spent[0]) if len(spent) else len(index)
         todo = np.arange(exhausted)
-        n, width = len(self.rates), (len(self.rates) + 7) // 8
         while len(todo):
-            out = self.streams.random(index[todo], n, part) < self.rates
+            out = self.streams.random(index[todo], len(self.rates),
+                                      part) < self.rates
             draws[todo] += 1
-            packed = np.packbits(out, axis=1).tobytes()
-            codes = [packed[k * width:(k + 1) * width]
-                     for k in range(len(todo))]
-            self._screen(codes)
-            rejected = []
-            for k, (pos, code) in enumerate(zip(todo.tolist(), codes)):
-                state = self._screened[code]
-                if state is None:
-                    rejected.append(k)
-                else:
-                    states[pos] = state
-            todo = todo[rejected]
+            ids[todo] = drawn = self._id(np.packbits(out, axis=1))
+            todo = todo[~self.feasible[drawn]]
             spent = todo[draws[todo] >= budgets[todo]]
             if len(spent):
                 exhausted = int(spent[0])
                 todo = todo[todo < exhausted]
-        return states, draws, None if exhausted == len(index) else exhausted
+        return ids, draws, None if exhausted == len(index) else exhausted
 
-    def _screen(self, codes: list[bytes]) -> None:
-        """Screen each code not seen before once, and keep the answers."""
-        new = [code for code in dict.fromkeys(codes)
-               if code not in self._screened]
-        n, n_lines = len(self.rates), len(self.net.line_ids)
-        out = [np.unpackbits(np.frombuffer(code, dtype=np.uint8),
-                             count=n).tolist() for code in new]
-        sets = [(frozenset(compress(self.net.line_ids, row[:n_lines])),
-                 frozenset(compress(range(n - n_lines), row[n_lines:])))
-                for row in out]
-        fill_slack_connected(self.net, [lines_out for lines_out, _ in sets])
-        for code, state in zip(new, sets):
-            ok = _feasible(self.case, self.net, *state)
-            self._screened[code] = state if ok else None
+    def _id(self, packed: np.ndarray) -> np.ndarray:
+        """The id of each packed outage code row; codes not seen before
+        are decoded, screened and given the next ids."""
+        codes, inverse = np.unique(packed.view(self._code).ravel(),
+                                   return_inverse=True)
+        ids = np.array([self._ids.get(code, -1) for code in codes.tolist()],
+                       dtype=np.intp)
+        new = np.flatnonzero(ids < 0)
+        if len(new):
+            fresh = codes[new]
+            out = np.unpackbits(fresh.view(np.uint8).reshape(len(new), -1),
+                                axis=1, count=len(self.rates)).astype(bool)
+            states = _decode(self.net, out)
+            ids[new] = np.arange(len(self.states), len(self.states) + len(new))
+            self._ids.update(zip(fresh.tolist(), ids[new].tolist()))
+            self.states += states
+            self.feasible = np.concatenate([self.feasible, screen(
+                self.case, self.net, [lines for lines, _ in states],
+                out[:, len(self.net.line_ids):])])
+        return ids[inverse.ravel()]
 
 
 def sample_state(
@@ -170,13 +205,15 @@ def sample_state(
     feasible state within ``max_draws`` draws raises ResampleBudgetError.
     """
     streams = Streams.of(rng)
-    (state,), (draws,), exhausted = RoundSampler(case, net, streams).draw(
+    sampler = RoundSampler(case, net, streams)
+    (state,), (draws,), exhausted = sampler.draw(
         np.zeros(1, dtype=np.intp), np.array([max_draws]), 1)
     streams.store(rng)
     if exhausted is not None:
         raise ResampleBudgetError(
             f"no feasible outage state within {max_draws} draws")
-    return OutageState(lines_out=state[0], gens_out=state[1],
+    lines_out, gens_out = sampler.states[state]
+    return OutageState(lines_out=lines_out, gens_out=gens_out,
                        draws=int(draws))
 
 
@@ -192,23 +229,13 @@ def enumerate_deterministic(
     if order not in (1, 2):
         raise ValueError(f"contingency order must be 1 or 2, got {order}")
 
-    elements: list[tuple[frozenset[int], frozenset[int]]] = []
-    for ln in net.lines:
-        elements.append((frozenset([ln.id]), frozenset()))
-    for k in range(len(case.generators)):
-        elements.append((frozenset(), frozenset([k])))
-
-    if order == 1:
-        combos = elements
-    else:
-        combos = [
-            (l1 | l2, g1 | g2)
-            for (l1, g1), (l2, g2) in combinations(elements, 2)
-        ]
-
-    fill_slack_connected(net, [lo for lo, _ in combos])
-    return [
-        OutageState(lines_out=lo, gens_out=go)
-        for lo, go in combos
-        if _feasible(case, net, lo, go)
-    ]
+    n_lines = len(net.lines)
+    n = n_lines + len(case.generators)
+    picks = np.array(list(combinations(range(n), order)),
+                     dtype=np.intp).reshape(-1, order)
+    out = np.zeros((len(picks), n), dtype=bool)
+    out[np.arange(len(picks))[:, None], picks] = True
+    states = _decode(net, out)
+    ok = screen(case, net, [lines for lines, _ in states], out[:, n_lines:])
+    return [OutageState(lines_out=lines, gens_out=gens)
+            for (lines, gens), keep in zip(states, ok.tolist()) if keep]

@@ -62,34 +62,36 @@ def slack_connected(net: ActiveNetwork, lines_out: frozenset[int]) -> np.ndarray
     return memo[lines_out]
 
 
-def fill_slack_connected(net: ActiveNetwork, outages) -> None:
-    """Fill ``slack_connected``'s memo for every listed outage set (line
-    ids) not yet in it, in one vectorized pass.
+def fill_slack_connected(net: ActiveNetwork, outages) -> np.ndarray:
+    """``slack_connected``'s masks of the listed outage sets (line ids),
+    stacked as (sets, buses): the sets not yet in its memo are filled in
+    one vectorized pass.
 
-    The outage sets are stacked as rows of in-service line masks, and
+    The new outage sets are stacked as rows of in-service line masks, and
     reachability from the slack bus spreads over each row's lines one hop
     per step, for at most n_buses - 1 steps; memory grows with sets times
-    lines. The masks are read-only.
+    lines. The memoized masks are read-only.
     """
     memo = net.slack_connected_memo
     new = [lines_out for lines_out in dict.fromkeys(outages)
            if lines_out not in memo]
-    if not new:
-        return
-    in_service = _in_service(net, new)
-    a_from, a_to = net.incidence
-    ends = a_from + a_to  # lines x buses: each line's two ends
-    reach = np.zeros((len(new), net.n_buses), dtype=bool)
-    reach[:, net.bus_index[net.slack_bus]] = True
-    for _ in range(net.n_buses - 1):
-        # An in-service line with a reached end reaches its other end.
-        carried = (reach @ ends.T > 0) & in_service
-        grown = reach | (carried @ ends > 0)
-        if (grown == reach).all():
-            break
-        reach = grown
-    reach.flags.writeable = False
-    memo.update(zip(new, reach))
+    if new:
+        in_service = _in_service(net, new)
+        a_from, a_to = net.incidence
+        ends = a_from + a_to  # lines x buses: each line's two ends
+        reach = np.zeros((len(new), net.n_buses), dtype=bool)
+        reach[:, net.bus_index[net.slack_bus]] = True
+        for _ in range(net.n_buses - 1):
+            # An in-service line with a reached end reaches its other end.
+            carried = (reach @ ends.T > 0) & in_service
+            grown = reach | (carried @ ends > 0)
+            if (grown == reach).all():
+                break
+            reach = grown
+        reach.flags.writeable = False
+        memo.update(zip(new, reach))
+    return np.array([memo[lines_out] for lines_out in outages],
+                    dtype=bool).reshape(len(outages), net.n_buses)
 
 
 def solve(net: ActiveNetwork, injections) -> FlowSolution:
@@ -146,8 +148,7 @@ def solve_rows(net: ActiveNetwork, injections, outages) -> FlowSolution:
         raise UnbalancedInjectionsError(
             f"injections sum to {float(totals[unbalanced.argmax()]):.6g} MW, "
             "expected 0")
-    live_bus = np.array([slack_connected(net, lines_out)
-                         for lines_out in outages])
+    live_bus = fill_slack_connected(net, outages)
     size = np.abs(p)
     if not live_bus.all() and ((size > BALANCE_TOL) & ~live_bus).any():
         raise NetworkDisconnectedError(

@@ -39,40 +39,59 @@ def merit_order_dispatch(
     demand: np.ndarray,
     offline: frozenset[int] = frozenset(),
 ) -> DispatchResult:
-    """Dispatch the online fleet against a per-bus demand vector."""
-    demand = np.asarray(demand, dtype=float)
-    total_demand = float(demand.sum())
+    """Dispatch the online fleet against a per-bus demand vector: a
+    one-row ``dispatch_rows``."""
+    schedule, served, deficit = dispatch_rows(
+        case, np.asarray(demand, dtype=float)[None],
+        units_out(case, [offline]))
+    return DispatchResult(schedule=tuple(schedule[0].tolist()),
+                          served_demand=served[0], deficit=float(deficit[0]))
 
-    schedule = [0.0] * len(case.generators)
-    remaining = total_demand
+
+def dispatch_rows(case: NetworkCase, demand: np.ndarray, offline: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merit dispatch of many rows at once: row r dispatches the units not
+    marked in row r of the bool (rows, generators) ``offline`` against the
+    per-bus demand row ``demand[r]``.
+
+    Returns (schedule, served demand, deficit) with a leading row axis.
+    The loop runs over the merit order, each step over all rows, with the
+    float operations a one-row dispatch makes, so every row gets the bits
+    it would get alone.
+    """
+    total = demand.sum(axis=1)
+    remaining = total.copy()
+    schedule = np.zeros(offline.shape)
     for k in merit_order(case):
-        if k in offline or remaining <= 0:
-            continue
-        take = min(case.generators[k].capacity_mw, remaining)
-        schedule[k] = take
-        remaining -= take
+        on = ~offline[:, k] & (remaining > 0)
+        take = np.minimum(case.generators[k].capacity_mw, remaining)
+        schedule[on, k] = take[on]
+        remaining = np.where(on, remaining - take, remaining)
 
-    if remaining > 1e-9:
-        # Online capacity short of demand: shed load proportionally so the
-        # network problem stays balanced; the deficit feeds the DNS tally.
-        deficit = remaining
-        served = demand * ((total_demand - deficit) / total_demand) \
-            if total_demand > 0 else demand.copy()
-    else:
-        deficit = 0.0
-        served = demand.copy()
-
-    return DispatchResult(
-        schedule=tuple(schedule),
-        served_demand=served,
-        deficit=deficit,
-    )
+    # Online capacity short of demand: shed load proportionally so the
+    # network problem stays balanced; the deficit feeds the DNS tally.
+    short = remaining > 1e-9
+    deficit = np.where(short, remaining, 0.0)
+    served = demand.copy()
+    shed = short & (total > 0)
+    served[shed] = demand[shed] * ((total[shed] - deficit[shed])
+                                   / total[shed])[:, None]
+    return schedule, served, deficit
 
 
-def bus_generation(case: NetworkCase, schedule: tuple[float, ...]) -> np.ndarray:
-    """Aggregate a fleet schedule into per-bus generation totals."""
-    g = np.zeros(len(case.buses))
-    for k, mw in enumerate(schedule):
-        if mw:
-            g[case.bus_index[case.generators[k].bus]] += mw
+def units_out(case: NetworkCase, sets) -> np.ndarray:
+    """Bool (rows, generators) mask of each listed set of fleet indices."""
+    mask = np.zeros((len(sets), len(case.generators)), dtype=bool)
+    for row, units in enumerate(sets):
+        mask[row, list(units)] = True
+    return mask
+
+
+def bus_generation(case: NetworkCase, schedule) -> np.ndarray:
+    """Aggregate a fleet schedule, or a (rows, generators) array of them,
+    into per-bus generation totals, unit after unit in fleet order."""
+    schedule = np.asarray(schedule, dtype=float)
+    g = np.zeros((*schedule.shape[:-1], len(case.buses)))
+    for k, unit in enumerate(case.generators):
+        g[..., case.bus_index[unit.bus]] += schedule[..., k]
     return g

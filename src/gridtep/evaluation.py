@@ -10,7 +10,8 @@ vectorized across all distinct states of a scenario.
 A scenario builds its new states together: its enumerated states, or
 one redraw round's draws of all months. Merit dispatch depends only on
 the month and the generator-outage set, so a scenario's batch runs it
-once per distinct (month, ``gens_out``) and keeps the result.
+once per distinct (month, ``gens_out``), a build's new ones in one
+``dispatch.dispatch_rows`` call, and keeps the result.
 ``dcflow.solve_rows`` then solves the new states, ``KERNEL_ROWS`` at a
 time (``build_records``), each with the bits a one-state solve gives.
 
@@ -20,10 +21,13 @@ its own RNG substream: stream ``(month - 1) * n_slots + slot`` of one
 array of PCG64 states, seeded in one vectorized pass (``substreams``)
 when the evaluator is built, draws what ``substream`` gives that slot.
 A ``contingency.RoundSampler`` draws a round's pending streams as arrays:
-one uniform row per stream, the round's new outage codes screened
-together, each distinct one once per evaluator, and only the rejected
-rows redrawn. The scenario keeps each stream's draws so far, and every
-state drawn as a (stream, batch row, draws so far) entry, in draw order.
+one uniform row per stream, and per row the integer id of its outage
+code, each distinct code decoded and screened once per evaluator, and
+only the rejected rows redrawn. A round's rows are keyed by (month, id)
+in an array of batch rows, so only the (month, id) pairs not built
+before become batch keys, in order of first appearance. The scenario
+keeps each stream's draws so far, and every state drawn as a (stream,
+batch row, draws so far) entry, in draw order.
 A slot's sample at a capacity vector is the first state of its stream
 that passes the validity screen, so estimates across sizing iterations
 share common random numbers. Each capacity vector evaluates every stored
@@ -69,7 +73,10 @@ from .contingency import OutageState, RoundSampler, enumerate_deterministic
 from .contingency import sample_state  # noqa: F401
 from .costs import (CostBreakdown, edns_cost, egns_cost, ewl_cost,
                     generation_investment, objective, transmission_investment)
-from .dispatch import bus_generation, merit_order_dispatch
+from .dispatch import bus_generation, dispatch_rows, units_out
+# merit_order_dispatch is unused here; it stays importable because
+# perfbench/tracer.py rebinds evaluation.merit_order_dispatch.
+from .dispatch import merit_order_dispatch  # noqa: F401
 # solve_with_outages is unused here; it stays importable because
 # perfbench/tracer.py rebinds evaluation.solve_with_outages.
 from .dcflow import solve_rows, solve_with_outages  # noqa: F401
@@ -90,8 +97,11 @@ POLICIES = (POLICY_NL, POLICY_WEL)
 
 MAX_RESAMPLES = 1000  # element-wise draws per Monte Carlo slot
 # Rows per adequacy-kernel pass (at least), and per build and slot
-# streams per sampling pass (at most).
-KERNEL_ROWS = 128
+# streams per sampling pass (at most). A pass costs some tens of NumPy
+# calls whatever its size, which outweighs per-row work now that rows
+# carry integer state ids, not Python keys. On the bundled case 256 runs
+# as fast as 512, whose temporaries add about 0.5 MB to a study's peak.
+KERNEL_ROWS = 256
 
 
 def is_integer(value) -> bool:
@@ -263,13 +273,13 @@ class BatchEvaluation:
         if len(parts) == 1:
             return parts[0]
         return BatchEvaluation(*(
-            np.concatenate([getattr(p, f.name) for p in parts])
-            for f in fields(BatchEvaluation)))
+            np.concatenate([getattr(p, name) for p in parts])
+            for name in _BATCH_FIELDS))
 
     def take(self, rows) -> "BatchEvaluation":
         """The given rows, in the given order."""
-        return BatchEvaluation(*(getattr(self, f.name)[rows]
-                                 for f in fields(BatchEvaluation)))
+        return BatchEvaluation(*(getattr(self, name)[rows]
+                                 for name in _BATCH_FIELDS))
 
     def weighted(self, w: np.ndarray, samples_used: int,
                  samples_drawn: int) -> dict:
@@ -284,6 +294,9 @@ class BatchEvaluation:
             "samples_used": samples_used,
             "samples_drawn": samples_drawn,
         }
+
+
+_BATCH_FIELDS = tuple(f.name for f in fields(BatchEvaluation))
 
 
 @dataclass(frozen=True)
@@ -313,6 +326,9 @@ class _McsScenario:
         self.draws = np.zeros(len(MONTHS) * n_slots, dtype=np.int64)
         self.states = np.zeros((0, 3), dtype=np.int64)
         self.n_states = 0
+        # Batch row of each (month - 1, sampler state id), -1 when unbuilt;
+        # grown with spare ids as the sampler meets new outage codes.
+        self.row_of = np.full((len(MONTHS), 0), -1, dtype=np.intp)
 
     def _extend(self, pending):
         """Draw the next state of each pending stream, within what is left
@@ -322,16 +338,30 @@ class _McsScenario:
         The first pending stream whose budget runs out raises before any
         of the round's states is built; an error building them propagates.
         """
-        states, draws, exhausted = self.sampler.draw(
+        sampler = self.sampler
+        ids, draws, exhausted = sampler.draw(
             pending, MAX_RESAMPLES - self.draws[pending], KERNEL_ROWS)
         if exhausted is not None:
             month, slot = divmod(int(pending[exhausted]), self.n_slots)
             raise ResampleBudgetError(
                 f"slot {slot} of month {month + 1}: no valid sample within "
                 f"{MAX_RESAMPLES} draws")
-        months = (pending // self.n_slots + 1).tolist()
-        rows = self.batch.rows([(month, *state)
-                                for month, state in zip(months, states)])
+        n_ids = len(sampler.states)
+        if n_ids > self.row_of.shape[1]:
+            self.row_of = np.pad(self.row_of, ((0, 0), (0, n_ids)),
+                                 constant_values=-1)
+        months = pending // self.n_slots
+        rows = self.row_of[months, ids]
+        unbuilt = np.flatnonzero(rows < 0)
+        if len(unbuilt):
+            # Each new (month, id) once, in order of first appearance.
+            _, first = np.unique(months[unbuilt] * n_ids + ids[unbuilt],
+                                 return_index=True)
+            new = unbuilt[np.sort(first)]
+            self.row_of[months[new], ids[new]] = self.batch.rows([
+                (month + 1, *sampler.states[i])
+                for month, i in zip(months[new].tolist(), ids[new].tolist())])
+            rows = self.row_of[months, ids]
         self.draws[pending] += draws
         new = np.column_stack([pending, rows, self.draws[pending]])
         end = self.n_states + len(new)
@@ -436,25 +466,27 @@ def build_records(
 
     Row k is the state ``keys[k] = (month, lines_out, gens_out)``, and
     ``months`` maps each month to its demand vector and base schedule.
-    Merit dispatch runs once per distinct (month, gens_out): ``dispatched``
-    maps it to that dispatch, and keeps the new ones for later calls. The
+    Merit dispatch runs once per distinct (month, gens_out), the ones not
+    yet in ``dispatched`` in one ``dispatch_rows`` call: ``dispatched``
+    maps each to its dispatch, and keeps the new ones for later calls. The
     DC flows come from one ``solve_rows`` call.
     """
-    parts = []
-    for month, _, gens_out in keys:
-        part = dispatched.get((month, gens_out))
-        if part is None:
-            demand, base_schedule = months[month]
-            dispatch = merit_order_dispatch(case, demand, offline=gens_out)
-            ego = np.zeros(len(case.generators))
-            for k in gens_out:
-                ego[k] = base_schedule[k]
-            part = dispatched[month, gens_out] = (
-                dispatch.served_demand,
-                bus_generation(case, dispatch.schedule),
-                dispatch.deficit, ego)
-        parts.append(part)
-    served, generation, deficit, ego = (np.array(col) for col in zip(*parts))
+    wanted = [(month, gens_out) for month, _, gens_out in keys]
+    distinct = {key: k for k, key in enumerate(dict.fromkeys(wanted))}
+    misses = [key for key in distinct if key not in dispatched]
+    if misses:
+        offline = units_out(case, [gens_out for _, gens_out in misses])
+        demand = np.array([months[month][0] for month, _ in misses])
+        base = np.array([months[month][1] for month, _ in misses])
+        schedule, served, deficit = dispatch_rows(case, demand, offline)
+        dispatched.update(zip(misses, zip(
+            served, bus_generation(case, schedule), deficit,
+            np.where(offline, base, 0.0))))
+    rows = np.fromiter(map(distinct.__getitem__, wanted), np.intp,
+                       len(wanted))
+    served, generation, deficit, ego = (
+        np.array(col)[rows]
+        for col in zip(*map(dispatched.__getitem__, distinct)))
     sol = solve_rows(net, generation - served,
                      [lines_out for _, lines_out, _ in keys])
     return StateRecord(flows=sol.flows, demand=served, generation=generation,
@@ -463,10 +495,10 @@ def build_records(
 
 def base_schedules(case: NetworkCase) -> list[tuple[float, ...]]:
     """Intact-fleet merit dispatch for each of the 12 months."""
-    return [
-        merit_order_dispatch(case, scenario_demand(case, m)).schedule
-        for m in MONTHS
-    ]
+    schedule, _, _ = dispatch_rows(
+        case, np.array([scenario_demand(case, m) for m in MONTHS]),
+        np.zeros((len(MONTHS), len(case.generators)), dtype=bool))
+    return [tuple(row) for row in schedule.tolist()]
 
 
 class PlanEvaluator:

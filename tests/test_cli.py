@@ -269,3 +269,48 @@ def test_cli_defaults_are_the_library_defaults(toy_case_path, monkeypatch):
 def test_missing_case_file_is_validation_error(capsys):
     assert main(["validate", "--case", "/nonexistent/nope.json"]) \
         == EXIT_VALIDATION
+
+
+def test_calls_in_turn_share_one_parser_and_match_fresh_calls(
+        toy_case_path, tmp_path, capsys):
+    """``main`` builds its parser once per process. A plan, an assessment
+    of its plan file, a validation and a bad flag (exit 2), run in turn
+    through the one parser, each give the exit code, output and files a
+    call with a freshly built parser gives."""
+    def calls(out):
+        return [
+            ["plan", "--case", str(toy_case_path), "--mode", "mcs",
+             "--policy", "wel", "--mcs-iters", "8", "--seed", "3",
+             "--pop-size", "4", "--generations", "1", "--out",
+             str(out / "plan")],
+            ["adequacy", "--case", str(toy_case_path), "--plan-file",
+             str(out / "plan" / "plan.json"), "--mcs-iters", "8",
+             "--out", str(out / "adequacy")],
+            ["validate", "--case", str(toy_case_path)],
+            ["plan", "--case", str(toy_case_path), "--no-such-flag"],
+        ]
+
+    def run(out, fresh):
+        seen = []
+        for argv in calls(out):
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            io = capsys.readouterr()
+            seen.append((code, io.out.replace(str(out), "<out>"),
+                         io.err.replace(str(out), "<out>")))
+        plan = json.loads((out / "plan" / "plan.json").read_text())
+        del plan["manifest"]["wall_time_s"], plan["manifest"]["case_path"]
+        files = [(out / name).read_text() for name in (
+            "plan/report.csv", "plan/history.csv", "adequacy/adequacy.csv")]
+        return seen, plan, files
+
+    parser = cli.build_parser()
+    shared = run(tmp_path / "shared", fresh=False)
+    assert cli.build_parser() is parser
+    assert [code for code, _, _ in shared[0]] == [EXIT_OK] * 3 + [2]
+    assert "--no-such-flag" in shared[0][-1][2]
+    assert run(tmp_path / "fresh", fresh=True) == shared

@@ -8,18 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridtep import contingency
 from gridtep.contingency import (
     OutageState,
     RoundSampler,
     enumerate_deterministic,
     is_islanded,
     sample_state,
+    screen,
 )
 from gridtep.errors import ResampleBudgetError
-from gridtep.network import Chromosome, apply_plan, load_case
+from gridtep.network import (Chromosome, apply_plan, connected_components,
+                             load_case)
 from gridtep.rng import DOMAIN_MCS, substream, substreams
 
-from _toys import build_case, gen, line, per_draw_reference
+from _toys import build_case, gen, line, mcs_toy_case, per_draw_reference
 
 from test_network import BUNDLED
 
@@ -53,13 +56,13 @@ def test_unrejected_sampling_reproduces_outage_rates():
         min_online=1,
     )
     net = net_of(case)
-    rng = substream(1234, 1)
     n = 20000
-    counts = np.zeros(3)
-    for _ in range(n):
-        state = sample_state(case, net, rng)
-        for lid in state.lines_out:
-            counts[lid - 1] += 1
+    sampler = RoundSampler(case, net, substreams(1234, (1,), np.arange(n)))
+    ids, draws, exhausted = sampler.draw(np.arange(n), np.full(n, 1000), 512)
+    assert exhausted is None and (draws == 1).all()
+    out = np.array([[lid in lines_out for lid in (1, 2, 3)]
+                    for lines_out, _ in sampler.states])
+    counts = np.bincount(ids, minlength=len(out)) @ out
     for k, r in enumerate(rates):
         sigma = (r * (1 - r) / n) ** 0.5
         assert abs(counts[k] / n - r) <= 3 * sigma
@@ -202,15 +205,80 @@ def test_round_sampler_matches_a_per_draw_reference(which, seed, data):
         budgets = data.draw(st.lists(
             st.one_of(st.just(0), st.just(1), st.integers(2, 6)),
             min_size=len(index), max_size=len(index)))
-        states, draws, exhausted = sampler.draw(
+        ids, draws, exhausted = sampler.draw(
             np.array(index), np.array(budgets), data.draw(st.integers(1, 5)))
         want, want_draws, want_exhausted, _ = per_draw_reference(
             case, net, [rngs[k] for k in index], budgets)
         assert exhausted == want_exhausted
-        assert states[:len(want)] == want
+        assert [sampler.states[k] for k in ids[:len(want)]] == want
         assert draws[:len(want_draws)].tolist() == want_draws
         if exhausted is not None:
             usable = [k for k in usable if k not in index[exhausted + 1:]]
+
+
+@pytest.mark.parametrize("which", sorted(ROUND_CASES))
+def test_round_sampler_gives_each_outage_code_one_id(which):
+    """The sampler's table holds each drawn outage state once, under one
+    id, with the answer of the one-state screen, on codes of one byte and
+    of nine; every id a draw accepts is a feasible state's."""
+    case = ROUND_CASES[which]
+    net = net_of(case)
+    n = 200
+    sampler = RoundSampler(case, net, substreams(5, (DOMAIN_MCS,),
+                                                 np.arange(n)))
+    for _ in range(3):
+        ids, draws, exhausted = sampler.draw(np.arange(n), np.full(n, 50), 64)
+        assert exhausted is None
+        assert sampler.feasible[ids].all()
+    assert len(set(sampler.states)) == len(sampler.states) > n // 10
+    assert sampler.feasible.tolist() == [
+        contingency._feasible(case, net, *state) for state in sampler.states]
+    assert not sampler.feasible.all()
+
+
+def union_find_islanded(case, net, lines_out, gens_out):
+    """The island test the slow way: components of the in-service lines by
+    union-find, then the buses that must share the slack bus's."""
+    in_service = np.array([ln.id not in lines_out for ln in net.lines],
+                          dtype=bool)
+    label = connected_components(net, in_service)
+    slack = label[net.bus_index[net.slack_bus]]
+    needed = [b.id for b in case.buses if b.base_demand > 0] + [
+        g.bus for k, g in enumerate(case.generators) if k not in gens_out]
+    return any(label[net.bus_index[b]] != slack for b in needed)
+
+
+SCREEN_CASES = {"toy": mcs_toy_case(), "bundled": load_case(BUNDLED)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from(sorted(SCREEN_CASES)), data=st.data())
+def test_batched_screen_matches_a_per_state_union_find(which, data):
+    """On random outage sets of a random plan, with every line out and
+    every generator out among them, the batched screen gives each state
+    the answer a per-state union-find gives, and so do its one-state
+    views."""
+    case = SCREEN_CASES[which]
+    net = apply_plan(case, Chromosome.from_ints(data.draw(st.lists(
+        st.integers(0, 1), min_size=len(case.candidate_lines),
+        max_size=len(case.candidate_lines)))))
+    units = range(len(case.generators))
+    states = data.draw(st.lists(st.tuples(
+        st.frozensets(st.sampled_from(net.line_ids)),
+        st.frozensets(st.sampled_from(units))), max_size=30))
+    states += [(frozenset(net.line_ids), frozenset()),
+               (frozenset(), frozenset(units))]
+    gens_out = np.array([[k in gens for k in units] for _, gens in states],
+                        dtype=bool)
+    got = screen(case, net, [lines for lines, _ in states], gens_out)
+    islanded = [union_find_islanded(case, net, *state) for state in states]
+    want = [len(gens) <= len(units) - case.min_online_generators and not cut
+            for (_, gens), cut in zip(states, islanded)]
+    assert got.tolist() == want
+    assert islanded[-2] and not want[-1]  # no line; too few units online
+    assert [contingency._feasible(case, net, *state)
+            for state in states] == want
+    assert [is_islanded(case, net, *state) for state in states] == islanded
 
 
 def test_islanding_on_bundled_case():

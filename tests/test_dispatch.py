@@ -5,17 +5,21 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from gridtep.contingency import OutageState
 from gridtep.dispatch import (
     bus_generation,
+    dispatch_rows,
     merit_order,
     merit_order_dispatch,
 )
 from gridtep.evaluation import build_record
-from gridtep.network import Chromosome, apply_plan
+from gridtep.network import Chromosome, apply_plan, load_case
 
 from _toys import build_case, gen, line
+
+from test_network import BUNDLED
 
 
 def two_gen_case():
@@ -128,3 +132,53 @@ def test_cut_off_outputs_use_base_schedule():
     intact = build_record(case, net, demand, OutageState(frozenset(),
                                                          frozenset()), base)
     np.testing.assert_array_equal(intact.ego, [0.0, 0.0])
+
+
+def loop_dispatch(case, demand, offline):
+    """Merit dispatch the slow way, unit by unit in plain Python floats:
+    (schedule, served demand, deficit)."""
+    total = float(demand.sum())
+    schedule, remaining = [0.0] * len(case.generators), total
+    for k in merit_order(case):
+        if k in offline or remaining <= 0:
+            continue
+        schedule[k] = min(case.generators[k].capacity_mw, remaining)
+        remaining -= schedule[k]
+    if remaining > 1e-9:
+        served = demand * ((total - remaining) / total) if total > 0 \
+            else demand.copy()
+        return schedule, served, remaining
+    return schedule, demand.copy(), 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundled=st.booleans(), data=st.data())
+def test_dispatch_rows_match_the_one_row_view_bit_for_bit(bundled, data):
+    """Each row of a many-row dispatch is, to the bit, the one-row
+    dispatch of its demand and outages, and the unit-by-unit loop's:
+    rows short of online capacity (the deficit branch) and rows of zero
+    total demand included."""
+    case = load_case(BUNDLED) if bundled else two_gen_case()
+    n_buses, n_units = len(case.buses), len(case.generators)
+    peak = 1.5 * sum(g.capacity_mw for g in case.generators) / n_buses
+    rows = data.draw(st.lists(st.tuples(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, peak)),
+                 min_size=n_buses, max_size=n_buses),
+        st.frozensets(st.integers(0, n_units - 1))), min_size=1, max_size=20))
+    rows += [([0.0] * n_buses, frozenset()),
+             ([peak] * n_buses, frozenset([0]))]
+    demand = np.array([d for d, _ in rows])
+    offline = np.array([[k in out for k in range(n_units)]
+                        for _, out in rows])
+    schedule, served, deficit = dispatch_rows(case, demand, offline)
+    generation = bus_generation(case, schedule)
+    for r, (d, out) in enumerate(rows):
+        one = merit_order_dispatch(case, demand[r], offline=out)
+        want = loop_dispatch(case, demand[r], out)
+        assert one.schedule == tuple(schedule[r].tolist()) == tuple(want[0])
+        assert one.served_demand.tobytes() == served[r].tobytes() \
+            == want[1].tobytes()
+        assert one.deficit == deficit[r] == want[2]
+        assert bus_generation(case, one.schedule).tobytes() \
+            == generation[r].tobytes()
+    assert deficit[-1] > 0 and not served[-2].any()

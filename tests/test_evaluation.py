@@ -490,22 +490,27 @@ def test_mcs_batch_raises_the_error_a_slot_by_slot_build_meets(
     evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs",
                                                       n_mcs=n_mcs), [4, 1])
     made = {}
+    sampler = evaluator.scenario.sampler
+    monkeypatch.setattr(sampler, "states", list(states.values()))
+    state_id = {outcome: k for k, outcome in enumerate(states)}
 
     def draw(index, budgets, part):
-        """The round sampler's contract: a state and its draws per
-        position, and the first position whose budget ran out, after
-        which nothing is drawn."""
+        """The round sampler's contract: the id of a state in the
+        sampler's ``states`` and its draws per position, and the first
+        position whose budget ran out, after which nothing is drawn."""
         drawn = []
         for pos, flat in enumerate(index.tolist()):
             key = flat // n_mcs + 1, flat % n_mcs
             k = made[key] = made.get(key, -1) + 1
             outcome = script.get(key, "")[k:k + 1] or "v"
             if outcome == "x":
-                return drawn, np.ones(len(drawn), dtype=int), pos
-            drawn.append(states[outcome])
-        return drawn, np.ones(len(drawn), dtype=int), None
+                return (np.array(drawn, dtype=np.intp),
+                        np.ones(len(drawn), dtype=int), pos)
+            drawn.append(state_id[outcome])
+        return np.array(drawn, dtype=np.intp), np.ones(len(drawn),
+                                                        dtype=int), None
 
-    monkeypatch.setattr(evaluator.scenario.sampler, "draw", draw)
+    monkeypatch.setattr(sampler, "draw", draw)
     with pytest.raises(error) as info:
         evaluator.evaluate(net.base_capacities)
     assert str(info.value) == message
