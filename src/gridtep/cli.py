@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from functools import cache
@@ -20,7 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import CaseParseError, CaseValidationError, GridTepError
-from .evaluation import MODES, POLICIES, PlanEvaluator, PlanSettings
+from .evaluation import (MODES, POLICIES, PlanEvaluator, PlanSettings,
+                         is_integer)
 from .network import Chromosome, apply_plan, load_case
 from .contingency import is_islanded
 from .planner import GaConfig, run
@@ -200,13 +200,14 @@ def _plan_bits(args, case) -> tuple[Chromosome, tuple[float, ...] | None]:
     try:
         best = json.loads(Path(args.plan_file).read_text())["result"]["best"]
         raw_bits = list(best["bits"])
-        capacities = tuple(float(c) for c in best["capacities_mw"])
+        capacities = tuple(best["capacities_mw"])
     except OSError as exc:
         raise GridTepError(f"cannot read plan file: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise GridTepError(
             f"{args.plan_file} is not a readable plan.json: {exc!r}") from exc
-    if len(raw_bits) != n or any(b not in (0, 1) for b in raw_bits):
+    if len(raw_bits) != n or not all(is_integer(b) and b in (0, 1)
+                                     for b in raw_bits):
         raise GridTepError(
             f"plan file bits must be {n} 0s and 1s, one per candidate line")
     bits = Chromosome.from_ints(raw_bits)
@@ -215,10 +216,13 @@ def _plan_bits(args, case) -> tuple[Chromosome, tuple[float, ...] | None]:
         raise GridTepError(
             f"plan file has {len(capacities)} capacities for the plan's "
             f"{n_lines} lines (an infeasible plan has none)")
-    if not all(0 <= c < math.inf for c in capacities):
+    # JSON numbers only: a bool or a string is not a rating, and an
+    # integer past the float range is not finite.
+    if not all((is_integer(c) or isinstance(c, float))
+               and 0 <= c <= sys.float_info.max for c in capacities):
         raise GridTepError(
             "plan file capacities must be finite and >= 0 MW")
-    return bits, capacities
+    return bits, tuple(map(float, capacities))
 
 
 def cmd_adequacy(args) -> int:

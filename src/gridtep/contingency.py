@@ -5,11 +5,12 @@ Two sources of outage states share one representation:
 * Monte Carlo sampling — each line and generator is drawn out with its
   forced outage rate. States that island the network or leave fewer than
   the minimum number of generators online are rejected and redrawn, up
-  to a resample budget. ``RoundSampler`` draws many slot streams at once:
-  one uniform row per stream, packed into an outage code. Each distinct
-  code gets an integer id once per sampler, and a draw hands back ids:
-  only a round's new codes are decoded into outage sets and screened,
-  and only the rejected rows are redrawn.
+  to a resample budget. ``RoundSampler`` draws many slot streams at once,
+  one or more states ahead per stream: each uniform row is packed into
+  an outage code. Each distinct code gets an integer id once per
+  sampler, and a draw hands back ids: only a pass's new codes are
+  decoded into outage sets and screened, and only the rejected rows are
+  redrawn.
 * Deterministic enumeration — every single (N-1) or pair (N-2) outage
   over lines and generators, with the same feasibility screen.
 
@@ -122,9 +123,10 @@ class RoundSampler:
     rate. A drawn row is packed into an outage code, bytes of one bit per
     element, so any number of elements fits. Each distinct code gets an
     integer id, in ``states`` (its lines out and generators out) and
-    ``feasible``: a round's codes are told apart by one ``np.unique`` over
+    ``feasible``: a pass's codes are told apart by one ``np.unique`` over
     them, and only the codes not seen before are decoded and screened,
-    together (``screen``).
+    together (``screen``). A stream can draw several states ahead in one
+    pass, and ``keep`` then moves it back to just after the ones used.
     """
 
     def __init__(self, case: NetworkCase, net: ActiveNetwork,
@@ -139,34 +141,63 @@ class RoundSampler:
         self._ids: dict[bytes, int] = {}  # outage code -> id
         self.states: list[tuple[frozenset[int], frozenset[int]]] = []
         self.feasible = np.zeros(0, dtype=bool)  # per id
+        self._last = None  # the last draw's streams, start states and draws
 
-    def draw(self, index: np.ndarray, budgets: np.ndarray, part: int):
-        """Draw one feasible state from each stream ``index`` lists (no
-        stream twice), redrawing only the rejected rows, within each
-        stream's budget of element-wise draws.
+    def draw(self, index: np.ndarray, budgets: np.ndarray, part: int,
+             ahead: int = 1):
+        """Draw the next ``ahead`` feasible states of each stream ``index``
+        lists (no stream twice), redrawing only the rejected rows, within
+        each stream's budget of element-wise draws; ``part`` bounds the
+        rows per kernel pass.
 
-        Returns ``(ids, draws, exhausted)``: per position, the id of its
-        state and the draws made, the accepted one included; and the first
-        position whose budget ran out, or None. Positions from it on are
-        left unresolved: a slot-by-slot sampler would stop there. ``part``
-        bounds the streams per kernel pass.
+        Returns ``(ids, draws)``, two (streams, ``ahead``) arrays: the id
+        of each stream's j-th next state and the element-wise draws up to
+        and including it. Past the stream's budget the id is -1 and the
+        draws are all it made, its budget. Each stream is left just after
+        its last draw.
         """
-        ids = np.full(len(index), -1, dtype=np.intp)
-        draws = np.zeros(len(index), dtype=np.int64)
-        spent = np.flatnonzero(budgets <= 0)
-        exhausted = int(spent[0]) if len(spent) else len(index)
-        todo = np.arange(exhausted)
+        ids = np.full((len(index), ahead), -1, dtype=np.intp)
+        draws = np.zeros((len(index), ahead), dtype=np.int64)
+        got = np.zeros(len(index), dtype=np.intp)  # states found
+        made = np.zeros(len(index), dtype=np.int64)  # element-wise draws
+        self._last = index, self.streams.state[:, index], made
+        todo = np.flatnonzero(budgets > 0)
         while len(todo):
-            out = self.streams.random(index[todo], len(self.rates),
-                                      part) < self.rates
-            draws[todo] += 1
-            ids[todo] = drawn = self._id(np.packbits(out, axis=1))
-            todo = todo[~self.feasible[drawn]]
-            spent = todo[draws[todo] >= budgets[todo]]
-            if len(spent):
-                exhausted = int(spent[0])
-                todo = todo[todo < exhausted]
-        return ids, draws, None if exhausted == len(index) else exhausted
+            rows = np.minimum(ahead - got[todo], budgets[todo] - made[todo])
+            out = self.streams.random(index[todo], len(self.rates), part,
+                                      rows) < self.rates
+            drawn = self._id(np.packbits(out, axis=1))
+            ok = self.feasible[drawn]
+            if len(drawn) == len(todo):  # one row per stream
+                pos = todo[ok]
+                ids[pos, got[pos]] = drawn[ok]
+                draws[pos, got[pos]] = made[pos] + 1
+                got[pos] += 1
+            else:
+                # Rows run stream after stream; number each one, and each
+                # accepted one's state, from 0 within its stream.
+                ends = np.cumsum(rows)
+                firsts = np.repeat(ends - rows, rows)
+                hits = np.cumsum(ok)
+                before = hits - ok  # accepted rows before this one
+                pos = np.repeat(todo, rows)[ok]
+                state = got[pos] + (before - before[firsts])[ok]
+                ids[pos, state] = drawn[ok]
+                draws[pos, state] = (np.repeat(made[todo], rows) + 1
+                                     + np.arange(len(ok)) - firsts)[ok]
+                got[todo] += hits[ends - 1] - before[ends - rows]
+            made[todo] += rows
+            todo = todo[(got[todo] < ahead) & (made[todo] < budgets[todo])]
+        return ids, np.where(ids < 0, made[:, None], draws)
+
+    def keep(self, draws: np.ndarray) -> None:
+        """Leave each stream of the last ``draw`` just after its first
+        ``draws[k]`` element-wise draws there, as if it had made no more."""
+        index, start, made = self._last
+        back = np.flatnonzero(draws < made)
+        if len(back):
+            self.streams.seek(index[back], start[:, back], draws[back],
+                              len(self.rates))
 
     def _id(self, packed: np.ndarray) -> np.ndarray:
         """The id of each packed outage code row; codes not seen before
@@ -206,10 +237,10 @@ def sample_state(
     """
     streams = Streams.of(rng)
     sampler = RoundSampler(case, net, streams)
-    (state,), (draws,), exhausted = sampler.draw(
+    ((state,),), ((draws,),) = sampler.draw(
         np.zeros(1, dtype=np.intp), np.array([max_draws]), 1)
     streams.store(rng)
-    if exhausted is not None:
+    if state < 0:
         raise ResampleBudgetError(
             f"no feasible outage state within {max_draws} draws")
     lines_out, gens_out = sampler.states[state]

@@ -21,28 +21,36 @@ its own RNG substream: stream ``(month - 1) * n_slots + slot`` of one
 array of PCG64 states, seeded in one vectorized pass (``substreams``)
 when the evaluator is built, draws what ``substream`` gives that slot.
 A ``contingency.RoundSampler`` draws a round's pending streams as arrays:
-one uniform row per stream, and per row the integer id of its outage
+rows of uniforms per stream, and per row the integer id of its outage
 code, each distinct code decoded and screened once per evaluator, and
-only the rejected rows redrawn. A round's rows are keyed by (month, id)
+only the rejected rows redrawn. A round's states are keyed by (month, id)
 in an array of batch rows, so only the (month, id) pairs not built
 before become batch keys, in order of first appearance. The scenario
-keeps each stream's draws so far, and every state drawn as a (stream,
-batch row, draws so far) entry, in draw order.
+keeps each stream's draws so far, and every state a slot has used as a
+(stream, batch row, draws so far) entry, in one-state round order.
 A slot's sample at a capacity vector is the first state of its stream
 that passes the validity screen, so estimates across sizing iterations
 share common random numbers. Each capacity vector evaluates every stored
 row in one kernel call and finds each stream's first valid state with
 array operations. Streams with no valid state, or no state yet, are
-resolved in rounds: a round draws one more state from each pending
-stream, in ascending stream order (month by month, slot by slot), builds
-the states together and evaluates only the rows it added; the first
-capacity vector's round 0 draws every slot's first state. The cost is
-linear in the draws, validity redraws included. A kernel row's figures
-do not depend on which rows share its call, and each month's
-expectations reduce over that month's rows alone, in the order it first
-drew them, so every figure is the one a month-by-month pricing gives.
-When a slot's budget runs out, or a round's states fail to build, the
-round's first error is raised (``_McsScenario._extend``).
+resolved in redraw rounds, in ascending stream order (month by month,
+slot by slot): round 0 draws one state per pending stream, and a stream
+still pending after round r draws 2**r states ahead in round r + 1, in
+one sampling pass, one build and one kernel call over the rows added. A
+slot that needs N states in a row so takes about log2(N + 1) rounds, not
+N. It uses its states up to its first valid one and its stream is moved
+back to just after it, so the draws, the states used and every later
+draw are those of one state per round. States drawn ahead and not used
+stay built, and a redraw finds them by key; no month weighs them. A
+kernel row's figures do not depend on which rows share its call, and
+each month's expectations reduce over the rows its slots used, in the
+order they first used them, so every figure is the one a month-by-month
+pricing gives.
+Errors are raised where one state per round meets them: a round whose
+states run out of budget names the slot, round by round and stream by
+stream, whose budget runs out first with no valid state before it; a
+round whose drawn-ahead build raises is drawn again, and the call
+finished, one state per stream (``_McsScenario.result``).
 ``MAX_RESAMPLES`` bounds every element-wise draw of a slot, island
 rejections included. A month's ``samples_drawn`` sums, over slots, the
 element-wise draws up to and including the slot's accepted state, so it
@@ -96,11 +104,13 @@ POLICY_WEL = "wel"  # sizing may resize every line
 POLICIES = (POLICY_NL, POLICY_WEL)
 
 MAX_RESAMPLES = 1000  # element-wise draws per Monte Carlo slot
-# Rows per adequacy-kernel pass (at least), and per build and slot
-# streams per sampling pass (at most). A pass costs some tens of NumPy
-# calls whatever its size, which outweighs per-row work now that rows
-# carry integer state ids, not Python keys. On the bundled case 256 runs
-# as fast as 512, whose temporaries add about 0.5 MB to a study's peak.
+# Rows per adequacy-kernel pass (at least), and per build and sampling
+# pass (at most): a sampling pass holds one stream's n uniforms per row,
+# and a stream drawing states ahead fills several rows. A pass costs some
+# tens of NumPy calls whatever its size, which outweighs per-row work now
+# that rows carry integer state ids, not Python keys. On the bundled case
+# 256 runs as fast as 512, whose temporaries add about 0.5 MB to a
+# study's peak.
 KERNEL_ROWS = 256
 
 
@@ -158,8 +168,7 @@ class ScenarioBatch:
     A row is keyed by (month, lines out, generators out). Rows are
     append-only: a state keeps its row for the batch's lifetime, and the
     stacked arrays grow in place, so earlier rows are never copied per
-    append. ``month_rows`` lists each month's rows in the order they were
-    added.
+    append.
     """
 
     def __init__(self, case: NetworkCase, net: ActiveNetwork,
@@ -172,7 +181,6 @@ class ScenarioBatch:
                        for m, schedule in schedules.items()}
         self.key_row: dict[tuple[int, frozenset[int], frozenset[int]],
                            int] = {}
-        self.month_rows: dict[int, list[int]] = {m: [] for m in self.months}
         # (month, gens_out) -> the month's dispatch with those units out.
         self._dispatched: dict[tuple[int, frozenset[int]], tuple] = {}
         self._n = 0
@@ -198,9 +206,7 @@ class ScenarioBatch:
             part = new[lo:lo + KERNEL_ROWS]
             start = self._append(build_records(
                 self.case, self.net, part, self.months, self._dispatched))
-            for row, key in enumerate(part, start):
-                key_row[key] = row
-                self.month_rows[key[0]].append(row)
+            key_row.update(zip(part, range(start, start + len(part))))
         return [key_row[key] for key in keys]
 
     def _append(self, recs: StateRecord) -> int:
@@ -308,13 +314,26 @@ class CapacityEvaluation:
     congestion_probability: np.ndarray  # per line, mean over the 12 months
 
 
+def _firsts(keys: np.ndarray, size: int) -> np.ndarray:
+    """Where each distinct key of ``keys``, integers in [0, size), first
+    appears, in order of appearance."""
+    first = np.full(size, len(keys))
+    at = np.arange(len(keys))
+    np.minimum.at(first, keys, at)
+    return at[first[keys] == at]
+
+
 class _McsScenario:
     """Monte Carlo slots of the 12 scenario months, priced together.
 
     Slot ``slot`` of month ``month`` draws from stream ``(month - 1) *
     n_slots + slot``. ``draws`` holds each stream's element-wise draws so
-    far, and ``states[:n_states]`` each drawn state as (stream, batch row,
-    draws so far), in draw order; spare rows follow, as in ScenarioBatch.
+    far, and ``states[:n_states]`` each state a slot has used as (stream,
+    batch row, draws so far), in one-state round order; spare rows
+    follow, as in ScenarioBatch. ``month_rows`` lists each month's rows in
+    the order its slots first used them. A stream stands just after the
+    last state it used: states drawn ahead and not used are built, and
+    found by key when the stream draws them again.
     """
 
     def __init__(self, batch, entropy, n_slots):
@@ -329,55 +348,90 @@ class _McsScenario:
         # Batch row of each (month - 1, sampler state id), -1 when unbuilt;
         # grown with spare ids as the sampler meets new outage codes.
         self.row_of = np.full((len(MONTHS), 0), -1, dtype=np.intp)
+        self.month_rows: dict[int, list[int]] = {m: [] for m in MONTHS}
+        self.listed = np.zeros(0, dtype=bool)  # per batch row
 
-    def _extend(self, pending):
-        """Draw the next state of each pending stream, within what is left
-        of its budget, and add the new states to the batch in one call, in
-        stream order. Returns their rows and their streams' draws so far.
+    def _budget_error(self, stream) -> ResampleBudgetError:
+        month, slot = divmod(int(stream), self.n_slots)
+        return ResampleBudgetError(
+            f"slot {slot} of month {month + 1}: no valid sample within "
+            f"{MAX_RESAMPLES} draws")
 
-        The first pending stream whose budget runs out raises before any
-        of the round's states is built; an error building them propagates.
-        """
+    def _draw(self, pending, ahead):
+        """Draw the next ``ahead`` states of each pending stream, within
+        what is left of its budget. Returns their sampler ids, -1 past a
+        budget, and the element-wise draws up to each, as (streams, ahead)
+        arrays. The first stream whose budget runs out before its first
+        state raises, before any state is built."""
+        ids, draws = self.sampler.draw(
+            pending, MAX_RESAMPLES - self.draws[pending], KERNEL_ROWS, ahead)
+        spent = np.flatnonzero(ids[:, 0] < 0)
+        if len(spent):
+            self.sampler.keep(draws[:, 0])
+            raise self._budget_error(pending[spent[0]])
+        return ids, draws
+
+    def _build(self, pending, ids):
+        """The batch rows of the drawn states ``ids``, -1 where none; the
+        new ones are built in one call, in one-state round order."""
         sampler = self.sampler
-        ids, draws, exhausted = sampler.draw(
-            pending, MAX_RESAMPLES - self.draws[pending], KERNEL_ROWS)
-        if exhausted is not None:
-            month, slot = divmod(int(pending[exhausted]), self.n_slots)
-            raise ResampleBudgetError(
-                f"slot {slot} of month {month + 1}: no valid sample within "
-                f"{MAX_RESAMPLES} draws")
         n_ids = len(sampler.states)
         if n_ids > self.row_of.shape[1]:
             self.row_of = np.pad(self.row_of, ((0, 0), (0, n_ids)),
                                  constant_values=-1)
-        months = pending // self.n_slots
-        rows = self.row_of[months, ids]
-        unbuilt = np.flatnonzero(rows < 0)
+        months = np.broadcast_to(pending[:, None] // self.n_slots, ids.shape)
+        rows = np.where(ids < 0, -1, self.row_of[months, ids])
+        unbuilt = np.flatnonzero(((rows < 0) & (ids >= 0)).T)
         if len(unbuilt):
             # Each new (month, id) once, in order of first appearance.
-            _, first = np.unique(months[unbuilt] * n_ids + ids[unbuilt],
-                                 return_index=True)
-            new = unbuilt[np.sort(first)]
-            self.row_of[months[new], ids[new]] = self.batch.rows([
-                (month + 1, *sampler.states[i])
-                for month, i in zip(months[new].tolist(), ids[new].tolist())])
-            rows = self.row_of[months, ids]
-        self.draws[pending] += draws
-        new = np.column_stack([pending, rows, self.draws[pending]])
+            m, i = months.T.ravel()[unbuilt], ids.T.ravel()[unbuilt]
+            new = _firsts(m * n_ids + i, len(MONTHS) * n_ids)
+            self.row_of[m[new], i[new]] = self.batch.rows([
+                (month + 1, *sampler.states[k])
+                for month, k in zip(m[new].tolist(), i[new].tolist())])
+            rows = np.where(ids < 0, -1, self.row_of[months, ids])
+        return rows
+
+    def _use(self, pending, rows, draws, used):
+        """Record the first ``used[k]`` states of each pending stream's
+        last draw as used, in one-state round order, and leave each stream
+        just after them."""
+        state, pos = np.nonzero(np.arange(rows.shape[1])[:, None] < used)
+        before = self.draws[pending]
+        kept = draws[np.arange(len(used)), used - 1]
+        self.sampler.keep(kept)
+        self.draws[pending] = before + kept
+        new = np.column_stack([pending[pos], rows[pos, state],
+                               before[pos] + draws[pos, state]])
         end = self.n_states + len(new)
         if end > len(self.states):
             self.states = np.resize(self.states, (max(16, 2 * end), 3))
         self.states[self.n_states:end] = new
         self.n_states = end
-        return new[:, 1], new[:, 2]
+        # A month lists a row when one of its slots first uses it.
+        if len(self.listed) < len(self.batch):
+            self.listed = np.pad(self.listed,
+                                 (0, len(self.batch) - len(self.listed)))
+        fresh = new[~self.listed[new[:, 1]]]
+        fresh = fresh[_firsts(fresh[:, 1], len(self.listed))]
+        self.listed[fresh[:, 1]] = True
+        for stream, row in fresh[:, :2].tolist():
+            self.month_rows[stream // self.n_slots + 1].append(row)
 
     def result(self, capacities: np.ndarray) -> list[dict]:
         """The 12 months' ``ExpectationReport`` entries at these ratings.
 
         Streams with no valid state yet, or no state at all, are pending,
-        in ascending stream order; a redraw round draws each one's next
-        state, so a slot's first draw is round 0, and evaluates only the
-        rows it added. A round's first error is raised (``_extend``).
+        in ascending stream order. Redraw rounds resolve them: round 0
+        draws one state per pending stream, and each later round twice as
+        many per stream still pending, each round's in one sampling pass,
+        one build and one kernel call over the rows it added. A stream
+        uses its states up to its first valid one, so a slot that needs N
+        states in a row takes about log2(N + 1) rounds, and every figure
+        is the one drawing a state per round gives. Errors are raised
+        where that one-state order meets them: if a round's build raises,
+        the round is drawn again, and the call finished, one state per
+        stream.
         """
         batch = self.batch
         parts = [batch.evaluate(capacities)] if len(batch) else []
@@ -390,22 +444,50 @@ class _McsScenario:
         rows[found], drawn[found] = row[ok[first]], so_far[ok[first]]
         pending = np.flatnonzero(rows < 0)
 
+        ahead, grow = 1, 2
+        evaluated = len(batch)
         while len(pending):
-            start = len(batch)
-            new_rows, new_drawn = self._extend(pending)
-            if len(batch) > start:
-                parts.append(batch.evaluate(capacities, start))
+            ids, draws = self._draw(pending, ahead)
+            try:
+                new_rows = self._build(pending, ids)
+            except Exception:
+                if ahead == 1:
+                    raise
+                # The state that failed may be one no slot reaches. Drawn
+                # again one state per round, the error, whatever it is,
+                # comes back where a slot does reach it.
+                self.sampler.keep(np.zeros(len(pending), dtype=np.int64))
+                ahead, grow = 1, 1
+                continue
+            if len(batch) > evaluated:
+                parts.append(batch.evaluate(capacities, evaluated))
                 valid = np.concatenate([valid, parts[-1].valid])
-            rows[pending], drawn[pending] = new_rows, new_drawn
-            pending = pending[~valid[new_rows]]
+                evaluated = len(batch)
+            got = (new_rows >= 0).sum(axis=1)
+            hit = (new_rows >= 0) & valid[new_rows]
+            done = hit.any(axis=1)
+            # Each stream uses its states up to its first valid one.
+            last = np.where(done, hit.argmax(axis=1), ahead - 1)
+            k = np.arange(len(pending))
+            short = ~done & (got < ahead)  # out of budget, nothing valid
+            if short.any():
+                # The one-state round where a budget first runs out.
+                at = got[short].min()
+                self.sampler.keep(draws[k, np.minimum(last, at)])
+                raise self._budget_error(pending[short & (got == at)][0])
+            self._use(pending, new_rows, draws, last + 1)
+            rows[pending[done]] = new_rows[k, last][done]
+            drawn[pending[done]] = self.draws[pending[done]]
+            pending = pending[~done]
+            ahead *= grow
 
         # Each month's expectations reduce over its own rows, in the order
-        # it first drew them.
+        # it first used them.
         ev = BatchEvaluation.concat(parts)
         w = np.bincount(rows, minlength=len(batch)) / self.n_slots
         drawn = drawn.reshape(len(MONTHS), self.n_slots).sum(axis=1)
         results = []
-        for own, month_drawn in zip(batch.month_rows.values(),
+        for own, month_drawn in zip(self.month_rows.values(),
                                     drawn.tolist()):
             own = np.array(own)
             results.append(ev.take(own).weighted(w[own], self.n_slots,

@@ -14,10 +14,13 @@ SeedSequence mixes the words they share, once, and gridtep runs the hash
 steps of the remaining path words and of the seed words on uint32 arrays
 with one column per stream, then seeds PCG64 (NumPy's default bit
 generator) on uint64 words. PCG64 is a 128-bit linear congruential
-generator, so ``Streams.random`` draws the next ``n`` uniforms of any
-subset of streams by jump-ahead, a fixed number of array operations per
-call. Stream ``k`` draws exactly what ``substream(entropy, *path, *words)``
-draws, bit for bit; the tests check it.
+generator, so ``Streams.random`` draws the next rows of ``n`` uniforms
+of any subset of streams by jump-ahead, a fixed number of array
+operations per pass: each row starts from its stream's state by a jump
+of a multiple of ``n`` steps, so the cached jump constants grow with the
+rows and ``n``, not with their product. Stream ``k`` draws exactly what
+``substream(entropy, *path, *words)`` draws, bit for bit; the tests check
+it.
 """
 
 from __future__ import annotations
@@ -145,17 +148,32 @@ _U1, _U11, _U32, _U58, _U63, _U64, _LOW32 = (
 
 
 @cache
-def _jumps(n: int) -> tuple[np.ndarray, ...]:
-    """Jump-ahead constants of 1 to ``n`` steps: step j maps a state s
-    to A_j * s + G_j * inc mod 2**128, with A_j = M**j and G_j the sum of
-    M**i for i < j. Returned as uint64 rows: A's high and low word and the
-    low word's two 32-bit halves, then the same for G."""
+def _jumps(n: int, step: int = 1, first: int = 1) -> tuple[np.ndarray, ...]:
+    """Jump-ahead constants of ``n`` jumps of ``first * step``, ``(first +
+    1) * step``, ... steps: a jump of j steps maps a state s to A_j * s +
+    G_j * inc mod 2**128, with A_j = M**j and G_j the sum of M**i for i <
+    j. Returned as uint64 rows: A's high and low word and the low word's
+    two 32-bit halves, then the same for G."""
+    a_step, g_step = 1, 0
+    for _ in range(step):
+        a_step, g_step = a_step * _PCG_MULT & _MASK128, (
+            g_step * _PCG_MULT + 1) & _MASK128
     a, g, rows = 1, 0, []
-    for _ in range(n):
-        a, g = a * _PCG_MULT & _MASK128, (g * _PCG_MULT + 1) & _MASK128
-        rows.append([a >> 64, a & _MASK64, a & _MASK32, a >> 32 & _MASK32,
-                     g >> 64, g & _MASK64, g & _MASK32, g >> 32 & _MASK32])
+    for j in range(first + n):
+        if j >= first:
+            rows.append([a >> 64, a & _MASK64, a & _MASK32,
+                         a >> 32 & _MASK32, g >> 64, g & _MASK64,
+                         g & _MASK32, g >> 32 & _MASK32])
+        a, g = a_step * a & _MASK128, (a_step * g + g_step) & _MASK128
     return tuple(np.array(rows, dtype=np.uint64).reshape(n, 8).T)
+
+
+def _leaps(rows: int, n: int) -> tuple[np.ndarray, ...]:
+    """Jump-ahead constants of 0, n, 2n, ... steps, at least ``rows`` of
+    them: the start of each of a stream's next rows of ``n`` uniforms.
+    Their count is rounded up to a power of two, so the cached tables of
+    all row counts hold at most twice the largest."""
+    return _jumps(1 << (rows - 1).bit_length(), n, 0)
 
 
 def _mulhi(c0, c1, s_lo):
@@ -219,20 +237,43 @@ class Streams:
         state["state"]["state"] = hi << 64 | lo
         rng.bit_generator.state = state
 
-    def random(self, index: np.ndarray, n: int, part: int) -> np.ndarray:
-        """The next ``n`` uniforms of each stream ``index`` lists (no
-        stream twice), one row per stream: what ``Generator.random(n)``
-        draws from it. Jumps run over parts of at most ``part`` streams,
-        so their temporaries stay small however many streams draw."""
-        jumps = _jumps(n)
-        out = np.empty((len(index), n))
-        for lo in range(0, len(index), part):
-            rows = index[lo:lo + part]
-            states = _jump(jumps, self.state[:, rows, None],
-                           self.inc[:, rows, None])
-            self.state[:, rows] = [words[:, -1] for words in states]
-            out[lo:lo + part] = _uniforms(*states)
+    def random(self, index: np.ndarray, n: int, part: int,
+               rows=1) -> np.ndarray:
+        """The next ``rows[k] * n`` uniforms of each stream ``index`` lists
+        (no stream twice), as ``rows[k]`` rows of ``n``, stream after
+        stream: what ``Generator.random((rows[k], n))`` draws from it.
+        ``rows`` is a count of at least 1 per stream, or one for all.
+        Jumps run over parts of at most ``part`` rows, so their
+        temporaries stay small however many rows are drawn."""
+        rows = np.broadcast_to(rows, index.shape)
+        ends = np.cumsum(rows)
+        stream, leaps = index, None
+        if len(index) and ends[-1] > len(index):
+            stream = np.repeat(index, rows)
+            row = np.arange(len(stream)) - np.repeat(ends - rows, rows)
+            leaps = _leaps(int(row.max()) + 1, n)
+        steps = _jumps(n)
+        state, inc = self.state[:, stream], self.inc[:, stream]
+        out = np.empty((len(stream), n))
+        for lo in range(0, len(stream), part):
+            at = slice(lo, lo + part)
+            start = state[:, at]
+            if leaps is not None:  # each row from its stream's state
+                start = _jump([c[row[at]] for c in leaps], start, inc[:, at])
+            states = _jump(steps, (start[0][:, None], start[1][:, None]),
+                           inc[:, at, None])
+            state[:, at] = [words[:, -1] for words in states]
+            out[at] = _uniforms(*states)
+        self.state[:, index] = state[:, ends - 1]
         return out
+
+    def seek(self, index: np.ndarray, start: np.ndarray, rows: np.ndarray,
+             n: int) -> None:
+        """Set each stream ``index`` lists to ``rows[k]`` rows of ``n``
+        uniforms after ``start[:, k]``, one of its earlier states."""
+        leaps = _leaps(int(rows.max()) + 1, n)
+        self.state[:, index] = _jump([c[rows] for c in leaps], start,
+                                     self.inc[:, index])
 
 
 def chromosome_entropy(seed: int, bits) -> list[int]:

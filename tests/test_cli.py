@@ -175,9 +175,16 @@ def _plan_json(bits, capacities):
     (_plan_json([1] + [0] * 5, [-5.0] + [100.0] * 5), []),
     (_plan_json([1] + [0] * 5, [float("nan")] + [100.0] * 5), []),
     (_plan_json([1] + [0] * 5, [float("inf")] + [100.0] * 5), []),
+    # JSON true and 1.0 equal 1 in Python, but are not bits.
+    (_plan_json([True] + [0] * 5, [100.0] * 6), []),
+    (_plan_json([1.0] + [0] * 5, [100.0] * 6), []),
+    # float() would read "300" as 300 MW and true as 1 MW.
+    (_plan_json([1] + [0] * 5, ["300"] + [100.0] * 5), []),
+    (_plan_json([1] + [0] * 5, [True] + [100.0] * 5), []),
 ], ids=["missing", "not-json", "bit-count", "bit-string", "capacity-count",
         "infeasible", "with-plan", "negative-candidate", "negative-existing",
-        "nan", "infinite"])
+        "nan", "infinite", "bit-true", "bit-float", "capacity-string",
+        "capacity-true"])
 def test_bad_plan_file_is_one_error_line_and_exit_2(
         plan_text, extra, toy_case_path, tmp_path, capsys):
     plan = tmp_path / "plan.json"

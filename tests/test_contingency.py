@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from math import comb
 
 import numpy as np
@@ -58,8 +59,9 @@ def test_unrejected_sampling_reproduces_outage_rates():
     net = net_of(case)
     n = 20000
     sampler = RoundSampler(case, net, substreams(1234, (1,), np.arange(n)))
-    ids, draws, exhausted = sampler.draw(np.arange(n), np.full(n, 1000), 512)
-    assert exhausted is None and (draws == 1).all()
+    ids, draws = (a[:, 0] for a in sampler.draw(
+        np.arange(n), np.full(n, 1000), 512))
+    assert (ids >= 0).all() and (draws == 1).all()
     out = np.array([[lid in lines_out for lid in (1, 2, 3)]
                     for lines_out, _ in sampler.states])
     counts = np.bincount(ids, minlength=len(out)) @ out
@@ -205,15 +207,65 @@ def test_round_sampler_matches_a_per_draw_reference(which, seed, data):
         budgets = data.draw(st.lists(
             st.one_of(st.just(0), st.just(1), st.integers(2, 6)),
             min_size=len(index), max_size=len(index)))
-        ids, draws, exhausted = sampler.draw(
+        ids, draws = sampler.draw(
             np.array(index), np.array(budgets), data.draw(st.integers(1, 5)))
         want, want_draws, want_exhausted, _ = per_draw_reference(
             case, net, [rngs[k] for k in index], budgets)
+        spent = np.flatnonzero(ids[:, 0] < 0)
+        exhausted = int(spent[0]) if len(spent) else None
         assert exhausted == want_exhausted
-        assert [sampler.states[k] for k in ids[:len(want)]] == want
-        assert draws[:len(want_draws)].tolist() == want_draws
+        assert [sampler.states[k] for k in ids[:len(want), 0]] == want
+        assert draws[:len(want_draws), 0].tolist() == want_draws
         if exhausted is not None:
             usable = [k for k in usable if k not in index[exhausted + 1:]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from(sorted(ROUND_CASES)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_round_sampler_draws_ahead_as_one_state_rounds(which, seed, data):
+    """Drawing ``ahead`` states per stream in one call gives each stream
+    the states and running draw counts that ``ahead`` one-state rounds of
+    the per-draw loop give, within budgets of 0 to 20 draws, and -1 and
+    the whole budget past it, whatever the kernel's part size. Kept
+    after any number of its states, a stream goes on where the loop goes
+    on after drawing just those."""
+    case = ROUND_CASES[which]
+    net = net_of(case)
+    n = 6
+    streams = substreams(seed, (DOMAIN_MCS,), np.ones(n), np.arange(n))
+    rngs = [substream(seed, DOMAIN_MCS, 1, slot) for slot in range(n)]
+    sampler = RoundSampler(case, net, streams)
+    for _ in range(data.draw(st.integers(1, 3))):
+        ahead = data.draw(st.integers(1, 9))
+        budgets = data.draw(st.lists(st.integers(0, 20), min_size=n,
+                                     max_size=n))
+        ids, draws = sampler.draw(np.arange(n), np.array(budgets),
+                                  data.draw(st.integers(1, 40)), ahead)
+        assert ids.shape == draws.shape == (n, ahead)
+        keep = [data.draw(st.integers(0, ahead)) for _ in range(n)]
+        kept = []
+        for k, (rng, budget) in enumerate(zip(rngs, budgets)):
+            ref = copy.deepcopy(rng)
+            made, want, want_draws = 0, [], []
+            for j in range(ahead):
+                state, (d,), exhausted, _ = per_draw_reference(
+                    case, net, [ref], [budget - made])
+                made += d
+                want_draws.append(made)
+                if exhausted is not None:
+                    want_draws += [made] * (ahead - j - 1)
+                    break
+                want += state
+                if j + 1 == keep[k]:
+                    rng.bit_generator.state = ref.bit_generator.state
+            assert [sampler.states[i] for i in ids[k, :len(want)]] == want
+            assert (ids[k, len(want):] == -1).all()
+            assert draws[k].tolist() == want_draws
+            if keep[k] > len(want):  # past the budget: all it drew
+                rng.bit_generator.state = ref.bit_generator.state
+            kept.append(draws[k, keep[k] - 1] if keep[k] else 0)
+        sampler.keep(np.array(kept))
 
 
 @pytest.mark.parametrize("which", sorted(ROUND_CASES))
@@ -227,8 +279,8 @@ def test_round_sampler_gives_each_outage_code_one_id(which):
     sampler = RoundSampler(case, net, substreams(5, (DOMAIN_MCS,),
                                                  np.arange(n)))
     for _ in range(3):
-        ids, draws, exhausted = sampler.draw(np.arange(n), np.full(n, 50), 64)
-        assert exhausted is None
+        ids, draws = sampler.draw(np.arange(n), np.full(n, 50), 64)
+        assert (ids >= 0).all()
         assert sampler.feasible[ids].all()
     assert len(set(sampler.states)) == len(sampler.states) > n // 10
     assert sampler.feasible.tolist() == [

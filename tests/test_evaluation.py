@@ -426,6 +426,40 @@ def test_each_distinct_state_is_built_once_per_evaluator(monkeypatch, mode):
     assert len(built) == before
 
 
+@pytest.mark.parametrize("entropy", [[4, 1], [9, 2], [13, 3]])
+def test_long_redraw_chains_take_logarithmically_many_builds(monkeypatch,
+                                                             entropy):
+    """At 5 MW the validity screen rejects about 93 % of the toy case's
+    states, so slots redraw dozens of times in a row. A call whose
+    longest chain uses N states, one per one-state round, makes at most
+    ceil(log2(N + 1)) + 1 builds."""
+    case = mcs_toy_case()
+    net = toy_net(case)
+    builds = []
+    real = evaluation.build_records
+
+    def counted(*args):
+        builds.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(evaluation, "build_records", counted)
+    evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=20),
+                              entropy)
+    scenario = evaluator.scenario
+    used = np.zeros(len(scenario.draws), dtype=int)
+    longest = []
+    for caps in ([60.0] * 4, [5.0] * 4, [25.0] * 4, [4.0] * 4):
+        builds.clear()
+        evaluator.evaluate(caps)
+        now = np.bincount(scenario.states[:scenario.n_states, 0],
+                          minlength=len(used))
+        n = int((now - used).max())
+        used = now
+        assert len(builds) <= math.ceil(math.log2(n + 1)) + 1, (n, builds)
+        longest.append(n)
+    assert max(longest) >= 20, longest
+
+
 STRANDED = "bus with nonzero injection is disconnected from the slack bus"
 
 
@@ -434,15 +468,56 @@ def budget(slot, month):
             f"{evaluation.MAX_RESAMPLES} draws")
 
 
-# Per (month, slot), the outcome of the slot's k-th draw is the script's
+# Per (month, slot), the outcome of the slot's k-th state is the script's
 # k-th character: "." a state invalid at the toy case's base ratings (the
-# intact one), "s" a state that cuts bus 3 and its 60 MW of demand off the
-# slack (lines 2 and 3 out), "x" an exhausted budget. Past its script, or
-# without one, a slot draws a valid state (line 1 out). The script stands
-# in for the round sampler, which a round hands its pending slots' flat
-# (month, slot) stream indices in order. A round draws month 1's slot 0
-# first whenever it is pending, so its draws count the rounds it took
-# part in.
+# intact one), "v" a valid one (line 1 out), "s" a state that cuts bus 3
+# and its 60 MW of demand off the slack (lines 2 and 3 out), "x" an
+# exhausted budget. Past its script, or without one, a slot draws "v".
+# The script stands in for the round sampler, which a round hands its
+# pending slots' flat (month, slot) stream indices in order, with the
+# states each draws ahead; ``keep`` hands back those not used. A round
+# draws month 1's slot 0 first whenever it is pending, so the states it
+# used count the one-state rounds it took part in.
+def scripted(monkeypatch, evaluator, script, n_mcs):
+    """Replace the evaluator's sampler by the script. Returns the count of
+    states each (month, slot) has used, "x" included."""
+    states = {".": (frozenset(), frozenset()),
+              "v": (frozenset([1]), frozenset()),
+              "s": (frozenset([2, 3]), frozenset())}
+    sampler = evaluator.scenario.sampler
+    monkeypatch.setattr(sampler, "states", list(states.values()))
+    state_id = {outcome: k for k, outcome in enumerate(states)}
+    used, last = {}, []
+
+    def draw(index, budgets, part, ahead=1):
+        """The round sampler's contract: per position the ids of its next
+        ``ahead`` states in the sampler's ``states``, -1 past an
+        exhausted budget, and the draws up to each, "x" counting one."""
+        ids = np.full((len(index), ahead), -1, dtype=np.intp)
+        draws = np.zeros((len(index), ahead), dtype=np.int64)
+        last[:] = []
+        for pos, flat in enumerate(index.tolist()):
+            key = flat // n_mcs + 1, flat % n_mcs
+            at = used.get(key, 0)
+            last.append((key, at))
+            for j in range(ahead):
+                outcome = script.get(key, "")[at + j:at + j + 1] or "v"
+                draws[pos, j:] = j + 1
+                if outcome == "x":
+                    break
+                ids[pos, j] = state_id[outcome]
+            used[key] = at + int(draws[pos, -1])
+        return ids, draws
+
+    def keep(draws):
+        for (key, at), d in zip(last, draws.tolist()):
+            used[key] = at + d
+
+    monkeypatch.setattr(sampler, "draw", draw)
+    monkeypatch.setattr(sampler, "keep", keep)
+    return used
+
+
 @pytest.mark.parametrize("script, error, message, first_slot_draws", [
     # Round 0: an exhausted budget beats a stranded state drawn before it.
     pytest.param({(1, 1): "s", (1, 3): "x"}, ResampleBudgetError,
@@ -473,48 +548,69 @@ def budget(slot, month):
     # Month 2 fails in round 1: month 1, still pending, draws no more.
     pytest.param({(1, 0): "....", (2, 1): ".x"}, ResampleBudgetError,
                  budget(1, 2), 2, id="m1-pending-m2-exhausted-r1"),
+    # Inside one draw-ahead round (rounds 3 to 6): month 2 runs out in
+    # round 4, before month 1 in round 5 and month 3 is stranded in 6.
+    pytest.param({(1, 0): ".....x", (2, 1): "....x", (3, 2): "......s"},
+                 ResampleBudgetError, budget(1, 2), 5,
+                 id="ahead-m2-exhausted-r4-m1-exhausted-r5"),
+    # Round 4: month 3's stranded state comes before month 2's budget.
+    pytest.param({(2, 1): "......x", (3, 2): "....s"},
+                 NetworkDisconnectedError, STRANDED, 1,
+                 id="ahead-m3-stranded-r4-m2-exhausted-r6"),
+    # Round 4: month 4 and month 2 run out together; month 2 is named.
+    pytest.param({(4, 0): "....x", (2, 3): "....x", (1, 0): "......"},
+                 ResampleBudgetError, budget(3, 2), 5,
+                 id="ahead-m2-m4-exhausted-r4"),
 ])
 def test_mcs_batch_raises_the_error_a_slot_by_slot_build_meets(
         monkeypatch, script, error, message, first_slot_draws):
     """States are built in batches, one per redraw round of all months
-    together, first draws (round 0) included. A round raises the first
-    error it meets: the first slot, month by month and slot by slot, whose
-    budget runs out, before any of the round's states is built; else the
-    error building them. No round is drawn after it."""
+    together, first draws (round 0) included, and later rounds draw
+    states ahead. A call raises the first error a one-state order meets:
+    round by round, the first slot, month by month and slot by slot,
+    whose budget runs out, before any of that round's states is built;
+    else the error building them. No state is used after it."""
     case = mcs_toy_case()
     net = toy_net(case)
-    states = {".": (frozenset(), frozenset()),
-              "s": (frozenset([2, 3]), frozenset()),
-              "v": (frozenset([1]), frozenset())}
     n_mcs = 5
     evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs",
                                                       n_mcs=n_mcs), [4, 1])
-    made = {}
-    sampler = evaluator.scenario.sampler
-    monkeypatch.setattr(sampler, "states", list(states.values()))
-    state_id = {outcome: k for k, outcome in enumerate(states)}
-
-    def draw(index, budgets, part):
-        """The round sampler's contract: the id of a state in the
-        sampler's ``states`` and its draws per position, and the first
-        position whose budget ran out, after which nothing is drawn."""
-        drawn = []
-        for pos, flat in enumerate(index.tolist()):
-            key = flat // n_mcs + 1, flat % n_mcs
-            k = made[key] = made.get(key, -1) + 1
-            outcome = script.get(key, "")[k:k + 1] or "v"
-            if outcome == "x":
-                return (np.array(drawn, dtype=np.intp),
-                        np.ones(len(drawn), dtype=int), pos)
-            drawn.append(state_id[outcome])
-        return np.array(drawn, dtype=np.intp), np.ones(len(drawn),
-                                                        dtype=int), None
-
-    monkeypatch.setattr(sampler, "draw", draw)
+    used = scripted(monkeypatch, evaluator, script, n_mcs)
     with pytest.raises(error) as info:
         evaluator.evaluate(net.base_capacities)
     assert str(info.value) == message
-    assert made[1, 0] + 1 == first_slot_draws
+    assert used[1, 0] == first_slot_draws
+
+
+@pytest.mark.parametrize("script, first_slot_draws", [
+    ({(1, 0): ".vs"}, 2),
+    ({(1, 0): ".vx"}, 2),
+    ({(1, 0): "...vs", (2, 1): ".v.s"}, 4),
+    ({(1, 0): "..v.x", (3, 3): "...v.x"}, 3),
+])
+def test_mcs_batch_prices_a_slot_whose_unused_state_would_fail(
+        monkeypatch, script, first_slot_draws):
+    """A state drawn ahead that a one-state order never reaches fails
+    nothing: after an invalid state, a slot that draws a valid one and
+    then a stranded one or an exhausted budget is priced, with the
+    figures of the script that stops at the valid state."""
+    case = mcs_toy_case()
+    net = toy_net(case)
+    n_mcs = 5
+
+    def price(script):
+        evaluator = PlanEvaluator(case, net, PlanSettings(
+            mode="mcs", n_mcs=n_mcs), [4, 1])
+        used = scripted(monkeypatch, evaluator, script, n_mcs)
+        return evaluator.evaluate(net.base_capacities).report, used
+
+    report, used = price(script)
+    assert used[1, 0] == first_slot_draws
+    want, _ = price({key: chars[:chars.rindex("v") + 1]
+                     for key, chars in script.items() if "v" in chars})
+    for field in fields(ExpectationReport):
+        assert np.array_equal(getattr(report, field.name),
+                              getattr(want, field.name)), field.name
 
 
 def count_draws(monkeypatch, evaluator):
@@ -527,9 +623,10 @@ def count_draws(monkeypatch, evaluator):
     outcomes = {}
     real = sampler.streams.random
 
-    def random(index, n, part):
-        u = real(index, n, part)
-        for flat, out in zip(index.tolist(), (u < sampler.rates).tolist()):
+    def random(index, n, part, rows=1):
+        u = real(index, n, part, rows)
+        for flat, out in zip(np.repeat(index, rows).tolist(),
+                             (u < sampler.rates).tolist()):
             lines_out = frozenset(compress(net.line_ids, out[:n_lines]))
             gens_out = frozenset(compress(range(n - n_lines), out[n_lines:]))
             outcomes.setdefault(flat, []).append(

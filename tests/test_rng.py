@@ -28,8 +28,9 @@ def test_bulk_streams_match_single_streams_bit_for_bit(entropy, path, count,
                                                        data):
     """Stream k of substreams draws what substream(entropy, *path, k)
     draws, over several calls in a row on random subsets of the streams,
-    1 to 70 uniforms each, whatever the kernel's part size. Some of the
-    path's words are passed as columns, as the Monte Carlo months are."""
+    1 to 4 rows of 1 to 70 uniforms each, whatever the kernel's part
+    size. Some of the path's words are passed as columns, as the Monte
+    Carlo months are."""
     cut = data.draw(st.integers(0, len(path)))
     columns = [np.full(count, word) for word in path[cut:]]
     streams = substreams(entropy, path[:cut], *columns, np.arange(count))
@@ -43,12 +44,15 @@ def test_bulk_streams_match_single_streams_bit_for_bit(entropy, path, count,
             st.integers(0, count - 1), min_size=1, max_size=6))))
         first = []
         n = data.draw(st.integers(1, 70))
+        rows = np.array(data.draw(st.lists(st.integers(1, 4),
+                                           min_size=len(picks),
+                                           max_size=len(picks))))
         got = streams.random(np.array(picks), n,
-                             data.draw(st.integers(1, 8)))
-        assert got.shape == (len(picks), n)
-        for row, k in zip(got, picks):
+                             data.draw(st.integers(1, 8)), rows)
+        assert got.shape == (rows.sum(), n)
+        for block, k in zip(np.split(got, np.cumsum(rows)[:-1]), picks):
             rng = singles.setdefault(k, substream(entropy, *path, k))
-            assert row.tobytes() == rng.random(n).tobytes(), k
+            assert block.tobytes() == rng.random(block.shape).tobytes(), k
 
 
 @pytest.mark.parametrize("entropy", [-1, [3, -2], None])
