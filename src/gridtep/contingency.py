@@ -154,14 +154,27 @@ class RoundSampler:
         of each stream's j-th next state and the element-wise draws up to
         and including it. Past the stream's budget the id is -1 and the
         draws are all it made, its budget. Each stream is left just after
-        its last draw.
+        its last draw. One state per stream, the common case, takes a
+        one-dimensional loop.
         """
-        ids = np.full((len(index), ahead), -1, dtype=np.intp)
-        draws = np.zeros((len(index), ahead), dtype=np.int64)
-        got = np.zeros(len(index), dtype=np.intp)  # states found
         made = np.zeros(len(index), dtype=np.int64)  # element-wise draws
         self._last = index, self.streams.state[:, index], made
         todo = np.flatnonzero(budgets > 0)
+        if ahead == 1:
+            ids = np.full(len(index), -1, dtype=np.intp)
+            while len(todo):
+                out = self.streams.random(index[todo], len(self.rates),
+                                          part) < self.rates
+                made[todo] += 1
+                drawn = self._id(np.packbits(out, axis=1))
+                ok = self.feasible[drawn]
+                ids[todo[ok]] = drawn[ok]
+                todo = todo[~ok]
+                todo = todo[made[todo] < budgets[todo]]
+            return ids[:, None], made[:, None]
+        ids = np.full((len(index), ahead), -1, dtype=np.intp)
+        draws = np.zeros((len(index), ahead), dtype=np.int64)
+        got = np.zeros(len(index), dtype=np.intp)  # states found
         while len(todo):
             rows = np.minimum(ahead - got[todo], budgets[todo] - made[todo])
             out = self.streams.random(index[todo], len(self.rates), part,

@@ -36,21 +36,23 @@ array operations. Streams with no valid state, or no state yet, are
 resolved in redraw rounds, in ascending stream order (month by month,
 slot by slot): round 0 draws one state per pending stream, and a stream
 still pending after round r draws 2**r states ahead in round r + 1, in
-one sampling pass, one build and one kernel call over the rows added. A
-slot that needs N states in a row so takes about log2(N + 1) rounds, not
-N. It uses its states up to its first valid one and its stream is moved
-back to just after it, so the draws, the states used and every later
-draw are those of one state per round. States drawn ahead and not used
-stay built, and a redraw finds them by key; no month weighs them. A
-kernel row's figures do not depend on which rows share its call, and
-each month's expectations reduce over the rows its slots used, in the
-order they first used them, so every figure is the one a month-by-month
-pricing gives.
+one sampling pass, one build and one kernel call over the rows added,
+as long as the round stays within ``ROUND_ROWS`` rows; wider rounds
+draw one state per stream, as round 0 does. A slot that needs N states
+in a row so takes about log2(N + 1) rounds, not N, once few slots are
+left pending. It uses its states up to its first valid one and its
+stream is moved back to just after it, so the draws, the states used
+and every later draw are those of one state per round. States drawn
+ahead and not used stay built, and a redraw finds them by key; no month
+weighs them. A kernel row's figures do not depend on which rows share
+its call, and each month's expectations reduce over the rows its slots
+used, in the order they first used them, so every figure is the one a
+month-by-month pricing gives.
 Errors are raised where one state per round meets them: a round whose
 states run out of budget names the slot, round by round and stream by
 stream, whose budget runs out first with no valid state before it; a
-round whose drawn-ahead build raises is drawn again, and the call
-finished, one state per stream (``_McsScenario.result``).
+round whose drawn-ahead build raises a GridTepError is drawn again, and
+the call finished, one state per stream (``_McsScenario.result``).
 ``MAX_RESAMPLES`` bounds every element-wise draw of a slot, island
 rejections included. A month's ``samples_drawn`` sums, over slots, the
 element-wise draws up to and including the slot's accepted state, so it
@@ -112,6 +114,14 @@ MAX_RESAMPLES = 1000  # element-wise draws per Monte Carlo slot
 # 256 runs as fast as 512, whose temporaries add about 0.5 MB to a
 # study's peak.
 KERNEL_ROWS = 256
+# Rows a redraw round draws at most, unless more streams are pending, when
+# it draws one state each. Without a bound, a capacity vector that leaves
+# every state invalid (zero ratings) doubles thousands of streams' draws
+# each round up to the resample budget, and one round's arrays take
+# gigabytes. 4096 rows keep a round's arrays to a few MB, and still let a
+# few hundred slots that reject more than nine states in ten double their
+# draws every round.
+ROUND_ROWS = 16 * KERNEL_ROWS
 
 
 def is_integer(value) -> bool:
@@ -371,38 +381,31 @@ class _McsScenario:
             raise self._budget_error(pending[spent[0]])
         return ids, draws
 
-    def _build(self, pending, ids):
-        """The batch rows of the drawn states ``ids``, -1 where none; the
-        new ones are built in one call, in one-state round order."""
+    def _build(self, months, ids):
+        """The batch rows of the drawn states ``ids`` of months ``months``
+        (0-based), flat arrays in one-state round order; -1 where no state
+        is. The new ones are built in one call, in that order."""
         sampler = self.sampler
         n_ids = len(sampler.states)
         if n_ids > self.row_of.shape[1]:
             self.row_of = np.pad(self.row_of, ((0, 0), (0, n_ids)),
                                  constant_values=-1)
-        months = np.broadcast_to(pending[:, None] // self.n_slots, ids.shape)
-        rows = np.where(ids < 0, -1, self.row_of[months, ids])
-        unbuilt = np.flatnonzero(((rows < 0) & (ids >= 0)).T)
+        rows = self.row_of[months, ids]
+        unbuilt = np.flatnonzero((rows < 0) & (ids >= 0))
         if len(unbuilt):
             # Each new (month, id) once, in order of first appearance.
-            m, i = months.T.ravel()[unbuilt], ids.T.ravel()[unbuilt]
+            m, i = months[unbuilt], ids[unbuilt]
             new = _firsts(m * n_ids + i, len(MONTHS) * n_ids)
             self.row_of[m[new], i[new]] = self.batch.rows([
                 (month + 1, *sampler.states[k])
                 for month, k in zip(m[new].tolist(), i[new].tolist())])
-            rows = np.where(ids < 0, -1, self.row_of[months, ids])
-        return rows
+            rows = self.row_of[months, ids]
+        return np.where(ids < 0, -1, rows)
 
-    def _use(self, pending, rows, draws, used):
-        """Record the first ``used[k]`` states of each pending stream's
-        last draw as used, in one-state round order, and leave each stream
-        just after them."""
-        state, pos = np.nonzero(np.arange(rows.shape[1])[:, None] < used)
-        before = self.draws[pending]
-        kept = draws[np.arange(len(used)), used - 1]
-        self.sampler.keep(kept)
-        self.draws[pending] = before + kept
-        new = np.column_stack([pending[pos], rows[pos, state],
-                               before[pos] + draws[pos, state]])
+    def _use(self, streams, rows, so_far):
+        """Record states as used, in one-state round order: each one's
+        stream, batch row and stream's draws so far."""
+        new = np.column_stack([streams, rows, so_far])
         end = self.n_states + len(new)
         if end > len(self.states):
             self.states = np.resize(self.states, (max(16, 2 * end), 3))
@@ -410,13 +413,15 @@ class _McsScenario:
         self.n_states = end
         # A month lists a row when one of its slots first uses it.
         if len(self.listed) < len(self.batch):
-            self.listed = np.pad(self.listed,
-                                 (0, len(self.batch) - len(self.listed)))
-        fresh = new[~self.listed[new[:, 1]]]
-        fresh = fresh[_firsts(fresh[:, 1], len(self.listed))]
-        self.listed[fresh[:, 1]] = True
-        for stream, row in fresh[:, :2].tolist():
-            self.month_rows[stream // self.n_slots + 1].append(row)
+            self.listed = np.concatenate([self.listed, np.zeros(
+                len(self.batch) - len(self.listed), dtype=bool)])
+        fresh = np.flatnonzero(~self.listed[rows])
+        if len(fresh):
+            fresh = fresh[_firsts(rows[fresh], len(self.listed))]
+            self.listed[rows[fresh]] = True
+            for stream, row in zip(streams[fresh].tolist(),
+                                   rows[fresh].tolist()):
+                self.month_rows[stream // self.n_slots + 1].append(row)
 
     def result(self, capacities: np.ndarray) -> list[dict]:
         """The 12 months' ``ExpectationReport`` entries at these ratings.
@@ -424,14 +429,17 @@ class _McsScenario:
         Streams with no valid state yet, or no state at all, are pending,
         in ascending stream order. Redraw rounds resolve them: round 0
         draws one state per pending stream, and each later round twice as
-        many per stream still pending, each round's in one sampling pass,
-        one build and one kernel call over the rows it added. A stream
-        uses its states up to its first valid one, so a slot that needs N
-        states in a row takes about log2(N + 1) rounds, and every figure
-        is the one drawing a state per round gives. Errors are raised
-        where that one-state order meets them: if a round's build raises,
-        the round is drawn again, and the call finished, one state per
-        stream.
+        many per stream still pending as the round before, each round's
+        in one sampling pass, one build and one kernel call over the rows
+        it added. A round draws at most ``ROUND_ROWS`` states, or one per
+        pending stream when more are pending: wide rounds draw one state
+        per stream, as round 0 does, and pay nothing for drawing ahead.
+        A stream uses its states up to its first valid one, so a lone slot
+        that needs N states in a row takes about log2(N + 1) rounds, and
+        every figure is the one drawing a state per round gives. Errors
+        are raised where that one-state order meets them: if a drawn-ahead
+        build raises a GridTepError, the round is drawn again, and the
+        call finished, one state per stream.
         """
         batch = self.batch
         parts = [batch.evaluate(capacities)] if len(batch) else []
@@ -444,42 +452,58 @@ class _McsScenario:
         rows[found], drawn[found] = row[ok[first]], so_far[ok[first]]
         pending = np.flatnonzero(rows < 0)
 
-        ahead, grow = 1, 2
+        ahead, grow = 1, True
         evaluated = len(batch)
         while len(pending):
             ids, draws = self._draw(pending, ahead)
             try:
-                new_rows = self._build(pending, ids)
-            except Exception:
+                new_rows = self._build(
+                    np.tile(pending // self.n_slots, ahead),
+                    ids.T.ravel()).reshape(ahead, -1).T
+            except GridTepError:
                 if ahead == 1:
                     raise
                 # The state that failed may be one no slot reaches. Drawn
-                # again one state per round, the error, whatever it is,
-                # comes back where a slot does reach it.
+                # again one state per round, the error comes back where a
+                # slot does reach it.
                 self.sampler.keep(np.zeros(len(pending), dtype=np.int64))
-                ahead, grow = 1, 1
+                ahead, grow = 1, False
                 continue
             if len(batch) > evaluated:
                 parts.append(batch.evaluate(capacities, evaluated))
                 valid = np.concatenate([valid, parts[-1].valid])
                 evaluated = len(batch)
-            got = (new_rows >= 0).sum(axis=1)
-            hit = (new_rows >= 0) & valid[new_rows]
-            done = hit.any(axis=1)
-            # Each stream uses its states up to its first valid one.
-            last = np.where(done, hit.argmax(axis=1), ahead - 1)
-            k = np.arange(len(pending))
-            short = ~done & (got < ahead)  # out of budget, nothing valid
-            if short.any():
-                # The one-state round where a budget first runs out.
-                at = got[short].min()
-                self.sampler.keep(draws[k, np.minimum(last, at)])
-                raise self._budget_error(pending[short & (got == at)][0])
-            self._use(pending, new_rows, draws, last + 1)
-            rows[pending[done]] = new_rows[k, last][done]
-            drawn[pending[done]] = self.draws[pending[done]]
+            before = self.draws[pending]
+            if ahead == 1:  # every stream uses its one state
+                used, so_far = new_rows[:, 0], before + draws[:, 0]
+                self.draws[pending] = so_far
+                self._use(pending, used, so_far)
+                done = valid[used]
+                rows[pending[done]] = used[done]
+                drawn[pending[done]] = so_far[done]
+            else:
+                got = (new_rows >= 0).sum(axis=1)
+                hit = (new_rows >= 0) & valid[new_rows]
+                done = hit.any(axis=1)
+                # Each stream uses its states up to its first valid one.
+                last = np.where(done, hit.argmax(axis=1), ahead - 1)
+                k = np.arange(len(pending))
+                short = ~done & (got < ahead)  # out of budget, nothing valid
+                if short.any():
+                    # The one-state round where a budget first runs out.
+                    at = got[short].min()
+                    self.sampler.keep(draws[k, np.minimum(last, at)])
+                    raise self._budget_error(pending[short & (got == at)][0])
+                self.sampler.keep(draws[k, last])
+                self.draws[pending] = before + draws[k, last]
+                state, pos = np.nonzero(np.arange(ahead)[:, None] <= last)
+                self._use(pending[pos], new_rows[pos, state],
+                          before[pos] + draws[pos, state])
+                rows[pending[done]] = new_rows[k, last][done]
+                drawn[pending[done]] = self.draws[pending[done]]
             pending = pending[~done]
-            ahead *= grow
+            if grow and len(pending):
+                ahead = min(2 * ahead, max(1, ROUND_ROWS // len(pending)))
 
         # Each month's expectations reduce over its own rows, in the order
         # it first used them.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from itertools import compress
 
@@ -458,6 +459,73 @@ def test_long_redraw_chains_take_logarithmically_many_builds(monkeypatch,
         assert len(builds) <= math.ceil(math.log2(n + 1)) + 1, (n, builds)
         longest.append(n)
     assert max(longest) >= 20, longest
+
+
+def test_a_redraw_round_draws_at_most_round_rows_states(monkeypatch):
+    """At zero ratings no state is valid, so every slot redraws until its
+    budget runs out. Each round draws at most ``ROUND_ROWS`` states, or
+    one per pending slot when more are pending, and its sampling pass
+    allocates a few hundred kB where doubling every round's draws up to
+    the budget allocates about 13 MB. The budget error is the one of a
+    state per round."""
+    case = mcs_toy_case()
+    net = toy_net(case)
+
+    def run():
+        evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs",
+                                                          n_mcs=20), [4, 1])
+        sampler = evaluator.scenario.sampler
+        real = sampler.draw
+        rounds = []
+
+        def draw(index, budgets, part, ahead=1):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = real(index, budgets, part, ahead)
+            rounds.append((len(index), ahead,
+                           tracemalloc.get_traced_memory()[1] - before))
+            return out
+
+        monkeypatch.setattr(sampler, "draw", draw)
+        with pytest.raises(ResampleBudgetError) as info:
+            evaluator.evaluate([0.0] * len(net.lines))
+        return str(info.value), rounds
+
+    tracemalloc.start()
+    try:
+        message, rounds = run()
+    finally:
+        tracemalloc.stop()
+    assert max(ahead for _, ahead, _ in rounds) > 1
+    for streams, ahead, _ in rounds:
+        assert streams * ahead <= max(streams, evaluation.ROUND_ROWS)
+    assert max(peak for _, _, peak in rounds) < 2e6
+    monkeypatch.setattr(evaluation, "ROUND_ROWS", 1)  # a state per round
+    assert run()[0] == message
+
+
+def test_only_a_gridtep_error_from_a_drawn_ahead_build_is_drawn_again(
+        monkeypatch):
+    """A drawn-ahead build is drawn again one state per stream only when
+    it raises a GridTepError, which a slot may never reach. Any other
+    error propagates at once."""
+    case = mcs_toy_case()
+    net = toy_net(case)
+    real = evaluation.build_records
+
+    def build_records(case, net, keys, *args):
+        if any(lines == {2, 3} for _, lines, _ in keys):
+            raise RuntimeError("out of memory")
+        return real(case, net, keys, *args)
+
+    monkeypatch.setattr(evaluation, "build_records", build_records)
+    evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=5),
+                              [4, 1])
+    # Round 1 draws slot 0's "v" and "s" ahead; a state per round stops
+    # at "v".
+    scripted(monkeypatch, evaluator, {(1, 0): ".vs"}, 5)
+    with pytest.raises(RuntimeError, match="out of memory"):
+        evaluator.evaluate(net.base_capacities)
 
 
 STRANDED = "bus with nonzero injection is disconnected from the slack bus"
