@@ -21,11 +21,21 @@ total overload on congested lines.
 Every function takes one state as per-bus / per-line vectors, or a
 block of states with a leading rows axis; buses and lines are always the
 last axis, and totals reduce over it. ``nodal_balance`` chains (a) and
-(b); ``ScenarioBatch.evaluate`` prices plans with the same functions.
+(b).
+
+Only the truncation at the ratings depends on them. What each step reads
+of a state otherwise, its flows' ``flow_terms`` (|f| and direction) and
+its injections' ``screen_limits``, can be computed once and reused for
+any number of rating vectors: ``diff_from_terms``, ``screen`` and
+``overloads_from_terms`` are the steps on those terms, and the public
+functions above compute the terms and call them. ``ScenarioBatch``
+keeps the terms of every stored state and prices plans with the same
+three functions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +55,33 @@ class NodalBalance:
     valid: np.ndarray  # bool: the state passes the validity screen
 
 
+def flow_terms(flows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What step (a) reads of the flows, none of it rating-dependent: per
+    line |f|, and whether the flow runs forward (f >= 0) or backward
+    (f < 0); a NaN flow runs neither way."""
+    flows = np.asarray(flows, dtype=float)
+    return np.abs(flows), flows >= 0, flows < 0
+
+
+def diff_from_terms(
+    net: ActiveNetwork,
+    abs_flows: np.ndarray,
+    forward: np.ndarray,
+    backward: np.ndarray,
+    demand: np.ndarray,
+    generation: np.ndarray,
+    capacities: np.ndarray,
+) -> np.ndarray:
+    """Step (a) from the ``flow_terms`` of the flows."""
+    delivered = np.minimum(abs_flows, capacities)
+    pos = np.where(forward, delivered, 0.0)
+    neg = np.where(backward, delivered, 0.0)
+    a_from, a_to = net.incidence
+    inflow = pos @ a_to + neg @ a_from
+    outflow = pos @ a_from + neg @ a_to
+    return demand - inflow + outflow - generation
+
+
 def nodal_diff(
     net: ActiveNetwork,
     flows: np.ndarray,
@@ -54,15 +91,55 @@ def nodal_diff(
 ) -> np.ndarray:
     """Step (a): per-bus DIFF from unconstrained DC flows, with each
     line's deliverable power truncated at its rating in ``capacities``."""
-    flows = np.asarray(flows, dtype=float)
-    delivered = np.minimum(np.abs(flows), capacities)
-    pos = np.where(flows >= 0, delivered, 0.0)
-    neg = np.where(flows < 0, delivered, 0.0)
-    a_from, a_to = net.incidence
-    inflow = pos @ a_to + neg @ a_from
-    outflow = pos @ a_from + neg @ a_to
-    return np.asarray(demand, float) - inflow + outflow \
-        - np.asarray(generation, float)
+    return diff_from_terms(net, *flow_terms(flows),
+                           np.asarray(demand, float),
+                           np.asarray(generation, float), capacities)
+
+
+def screen_limits(
+    demand: np.ndarray, generation: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The validity screen's limits, none of them rating-dependent: a
+    state fails when a bus's DIFF is at or above its demand limit or at or
+    below its generation limit, or when total DNS (GNS) is at or above the
+    total limit.
+
+    A bus with demand (generation) has that demand (minus that
+    generation) as its limit, and any other bus an infinite one, so the
+    per-bus screens only apply where the bus actually has demand or
+    generation. A system total is its own limit, or the smallest
+    subnormal when it is 0, so that zero DNS (GNS) passes a system with no
+    demand (generation) and any positive amount fails it. The comparisons
+    give what the screen's definition gives, ties and NaN included,
+    unless a line's flow and rating are both infinite.
+    """
+    demand = np.asarray(demand, dtype=float)
+    generation = np.asarray(generation, dtype=float)
+    d_tot = demand.sum(axis=-1)
+    g_tot = generation.sum(axis=-1)
+    tiny = math.ulp(0.0)
+    return (np.where(demand > 0, demand, np.inf),
+            np.where(generation > 0, -generation, -np.inf),
+            np.where(d_tot == 0, tiny, d_tot),
+            np.where(g_tot == 0, tiny, g_tot))
+
+
+def screen(
+    diff: np.ndarray,
+    dns_limit: np.ndarray,
+    gns_limit: np.ndarray,
+    total_dns_limit: np.ndarray,
+    total_gns_limit: np.ndarray,
+) -> NodalBalance:
+    """Step (b) against the ``screen_limits`` of the injections."""
+    dns = np.maximum(diff, 0.0)
+    gns = np.maximum(-diff, 0.0)
+    dns_tot = dns.sum(axis=-1)
+    gns_tot = gns.sum(axis=-1)
+    bad = ((diff >= dns_limit) | (diff <= gns_limit)).any(axis=-1) | (
+        dns_tot >= total_dns_limit) | (gns_tot >= total_gns_limit)
+    return NodalBalance(diff=diff, dns=dns, gns=gns, total_dns=dns_tot,
+                        total_gns=gns_tot, valid=~bad)
 
 
 def balance_from_diffs(
@@ -78,21 +155,8 @@ def balance_from_diffs(
     artifacts from asymmetric line truncation, which the system totals
     still absorb.
     """
-    diff = np.asarray(diff, dtype=float)
-    demand = np.asarray(demand, dtype=float)
-    generation = np.asarray(generation, dtype=float)
-    dns = np.maximum(diff, 0.0)
-    gns = np.maximum(-diff, 0.0)
-    bad_bus = np.any((demand > 0) & (dns >= demand), axis=-1) | np.any(
-        (generation > 0) & (gns >= generation), axis=-1)
-    dns_tot = dns.sum(axis=-1)
-    gns_tot = gns.sum(axis=-1)
-    d_tot = demand.sum(axis=-1)
-    g_tot = generation.sum(axis=-1)
-    bad_sys = ((dns_tot >= d_tot) & ~((d_tot == 0) & (dns_tot == 0))) | (
-        (gns_tot >= g_tot) & ~((g_tot == 0) & (gns_tot == 0)))
-    return NodalBalance(diff=diff, dns=dns, gns=gns, total_dns=dns_tot,
-                        total_gns=gns_tot, valid=~(bad_bus | bad_sys))
+    return screen(np.asarray(diff, dtype=float),
+                  *screen_limits(demand, generation))
 
 
 def nodal_balance(
@@ -108,14 +172,22 @@ def nodal_balance(
         demand, generation)
 
 
+def overloads_from_terms(
+    abs_flows: np.ndarray, capacities: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``line_overloads`` from per-line |flow|."""
+    excess = abs_flows - capacities
+    congested = excess > 0
+    return congested, np.where(congested, excess, 0.0).sum(axis=-1)
+
+
 def line_overloads(
     flows: np.ndarray, capacities: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(congested, wheeling loss): per line, whether |flow| strictly
     exceeds its rating, and the total overload in MW over those lines."""
-    excess = np.abs(np.asarray(flows, dtype=float)) - capacities
-    congested = excess > 0
-    return congested, np.where(congested, excess, 0.0).sum(axis=-1)
+    return overloads_from_terms(np.abs(np.asarray(flows, dtype=float)),
+                                capacities)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@
 A ``PlanEvaluator`` is bound to one topology (an applied build plan) and
 prices rating vectors for it, one rating per line. The expensive work
 per outage state — merit dispatch and the DC solve — does not depend on
-ratings, so it is computed once per distinct state and cached; each
-rating vector then only re-runs the cheap truncation arithmetic,
-vectorized across all distinct states of a scenario.
+ratings, so it is computed once per distinct state and cached. So is
+what the adequacy kernel reads of each state apart from the ratings:
+|flow|, the flow's direction and the validity screen's limits, computed
+for each build's rows in one pass. Each rating vector then only re-runs
+the cheap truncation arithmetic, vectorized across all distinct states
+of a scenario.
 
 A scenario builds its new states together: its enumerated states, or
 one redraw round's draws of all months. Merit dispatch depends only on
@@ -47,7 +50,9 @@ ahead and not used stay built, and a redraw finds them by key; no month
 weighs them. A kernel row's figures do not depend on which rows share
 its call, and each month's expectations reduce over the rows its slots
 used, in the order they first used them, so every figure is the one a
-month-by-month pricing gives.
+month-by-month pricing gives. The rows of all months are gathered once,
+in month order, from an index rebuilt only when slots use rows not used
+before; each month then reduces a contiguous slice of them.
 Errors are raised where one state per round meets them: a round whose
 states run out of budget names the slot, round by round and stream by
 stream, whose budget runs out first with no valid state before it; a
@@ -65,8 +70,10 @@ vector cannot be priced (GridTepError). Their peak-month expectations
 are replicated across all 12 months for the annual cost formulas.
 
 Both kinds of scenario price their distinct states through the adequacy
-kernel (``adequacy.nodal_balance`` and ``adequacy.line_overloads``) and
-reduce them to expectations with per-state weights.
+kernel (``adequacy.diff_from_terms``, ``adequacy.screen`` and
+``adequacy.overloads_from_terms``) and reduce them to the report's
+arrays with per-state weights, one dot product per month and field
+(``expectations``).
 """
 
 from __future__ import annotations
@@ -76,7 +83,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adequacy import ExpectationReport, line_overloads, nodal_balance
+from .adequacy import (ExpectationReport, diff_from_terms, flow_terms,
+                       overloads_from_terms, screen, screen_limits)
 from .contingency import OutageState, RoundSampler, enumerate_deterministic
 # sample_state is unused here; it stays importable because
 # perfbench/tracer.py rebinds evaluation.sample_state.
@@ -171,6 +179,17 @@ class StateRecord:
     ego: np.ndarray  # per generator, cut-off base-dispatch output
 
 
+def _columns(recs: StateRecord) -> list[np.ndarray]:
+    """What the kernel reads of a batch of records, none of it
+    rating-dependent, a row per record: the flows' terms (|f|, forward,
+    backward), the demand and generation and the screen's limits (per bus,
+    then system), and last the dispatch deficit and the cut-off base
+    output (ego)."""
+    return [*flow_terms(recs.flows), recs.demand, recs.generation,
+            *screen_limits(recs.demand, recs.generation), recs.deficit,
+            recs.ego]
+
+
 class ScenarioBatch:
     """Distinct outage states of one or more scenario months, stacked for
     vector math.
@@ -196,11 +215,10 @@ class ScenarioBatch:
         self._n = 0
         n_lines, n_buses = len(net.lines), net.n_buses
         # Row storage with spare capacity; rows [0, _n) are live.
-        self._flows = np.zeros((0, n_lines))
-        self._demand = np.zeros((0, n_buses))
-        self._gen = np.zeros((0, n_buses))
-        self._deficit = np.zeros(0)
-        self._ego = np.zeros((0, len(case.generators)))
+        self._cols = _columns(StateRecord(
+            flows=np.zeros((0, n_lines)), demand=np.zeros((0, n_buses)),
+            generation=np.zeros((0, n_buses)), deficit=np.zeros(0),
+            ego=np.zeros((0, len(case.generators)))))
 
     def __len__(self) -> int:
         return self._n
@@ -219,21 +237,22 @@ class ScenarioBatch:
             key_row.update(zip(part, range(start, start + len(part))))
         return [key_row[key] for key in keys]
 
+    @property
+    def ego(self) -> np.ndarray:
+        """(rows, generators) cut-off base-dispatch output of each row."""
+        return self._cols[-1][:self._n]
+
     def _append(self, recs: StateRecord) -> int:
-        """Append a batch of records; returns the first one's row."""
+        """Append a batch of records, with their kernel terms and screen
+        limits; returns the first one's row."""
         start = self._n
         end = start + len(recs.deficit)
-        if end > len(self._deficit):
-            size = max(16, 2 * len(self._deficit), end)
-            self._flows, self._demand, self._gen, self._deficit, self._ego = (
-                np.resize(a, (size, *a.shape[1:])) for a in
-                (self._flows, self._demand, self._gen, self._deficit,
-                 self._ego))
-        self._flows[start:end] = recs.flows
-        self._demand[start:end] = recs.demand
-        self._gen[start:end] = recs.generation
-        self._deficit[start:end] = recs.deficit
-        self._ego[start:end] = recs.ego
+        if end > len(self._cols[0]):
+            size = max(16, 2 * len(self._cols[0]), end)
+            self._cols = [np.resize(col, (size, *col.shape[1:]))
+                          for col in self._cols]
+        for col, new in zip(self._cols, _columns(recs)):
+            col[start:end] = new
         self._n = end
         return start
 
@@ -260,17 +279,18 @@ class ScenarioBatch:
 
     def _kernel(self, capacities: np.ndarray, rows: slice
                 ) -> "BatchEvaluation":
-        flows = self._flows[rows]
-        balance = nodal_balance(self.net, flows, self._demand[rows],
-                                self._gen[rows], capacities)
-        congested, wheeling = line_overloads(flows, capacities)
+        abs_flows, forward, backward, demand, gen, *limits, deficit = (
+            col[rows] for col in self._cols[:-1])
+        balance = screen(diff_from_terms(self.net, abs_flows, forward,
+                                         backward, demand, gen, capacities),
+                         *limits)
+        congested, wheeling = overloads_from_terms(abs_flows, capacities)
         return BatchEvaluation(
             valid=balance.valid,
-            dns=balance.total_dns + self._deficit[rows],
+            dns=balance.total_dns + deficit,
             gns=balance.total_gns,
             wheeling=wheeling,
             congested=congested,
-            ego=self._ego[rows],
         )
 
 
@@ -281,7 +301,6 @@ class BatchEvaluation:
     gns: np.ndarray
     wheeling: np.ndarray
     congested: np.ndarray  # (states, lines) bool
-    ego: np.ndarray  # (states, generators) MW
 
     @staticmethod
     def concat(parts: list["BatchEvaluation"]) -> "BatchEvaluation":
@@ -297,22 +316,33 @@ class BatchEvaluation:
         return BatchEvaluation(*(getattr(self, name)[rows]
                                  for name in _BATCH_FIELDS))
 
-    def weighted(self, w: np.ndarray, samples_used: int,
-                 samples_drawn: int) -> dict:
-        """One scenario's ``ExpectationReport`` entries: expectations over
-        the states with per-row weights ``w``."""
-        return {
-            "edns": float(w @ self.dns),
-            "egns": float(w @ self.gns),
-            "ewl": float(w @ self.wheeling),
-            "ego": w @ self.ego,
-            "congestion_probability": w @ self.congested,
-            "samples_used": samples_used,
-            "samples_drawn": samples_drawn,
-        }
-
 
 _BATCH_FIELDS = tuple(f.name for f in fields(BatchEvaluation))
+
+
+def expectations(w: np.ndarray, ev: BatchEvaluation, ego: np.ndarray,
+                 bounds, samples_used, samples_drawn) -> ExpectationReport:
+    """The ``ExpectationReport`` of consecutive groups of rows: row k of
+    each field holds the expectations over rows ``bounds[k]`` to
+    ``bounds[k + 1]`` of ``ev`` and ``ego`` with per-row weights ``w``,
+    each from one dot product over that slice."""
+    n = len(bounds) - 1
+    edns, egns, ewl = np.empty(n), np.empty(n), np.empty(n)
+    ego_out = np.empty((n, ego.shape[1]))
+    congestion = np.empty((n, ev.congested.shape[1]))
+    dns, gns, wheeling, congested = ev.dns, ev.gns, ev.wheeling, ev.congested
+    for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        wk = w[a:b]
+        edns[k] = wk.dot(dns[a:b])
+        egns[k] = wk.dot(gns[a:b])
+        ewl[k] = wk.dot(wheeling[a:b])
+        ego_out[k] = wk.dot(ego[a:b])
+        congestion[k] = wk.dot(congested[a:b])
+    return ExpectationReport(
+        edns=edns, egns=egns, ewl=ewl, ego=ego_out,
+        congestion_probability=congestion,
+        samples_used=np.asarray(samples_used),
+        samples_drawn=np.asarray(samples_drawn))
 
 
 @dataclass(frozen=True)
@@ -340,10 +370,10 @@ class _McsScenario:
     n_slots + slot``. ``draws`` holds each stream's element-wise draws so
     far, and ``states[:n_states]`` each state a slot has used as (stream,
     batch row, draws so far), in one-state round order; spare rows
-    follow, as in ScenarioBatch. ``month_rows`` lists each month's rows in
-    the order its slots first used them. A stream stands just after the
-    last state it used: states drawn ahead and not used are built, and
-    found by key when the stream draws them again.
+    follow, as in ScenarioBatch. ``first_used`` lists the rows in the order
+    slots first used them, and ``first_month`` the month of each. A stream
+    stands just after the last state it used: states drawn ahead and not
+    used are built, and found by key when the stream draws them again.
     """
 
     def __init__(self, batch, entropy, n_slots):
@@ -358,8 +388,11 @@ class _McsScenario:
         # Batch row of each (month - 1, sampler state id), -1 when unbuilt;
         # grown with spare ids as the sampler meets new outage codes.
         self.row_of = np.full((len(MONTHS), 0), -1, dtype=np.intp)
-        self.month_rows: dict[int, list[int]] = {m: [] for m in MONTHS}
         self.listed = np.zeros(0, dtype=bool)  # per batch row
+        # Every listed row and its month (0-based), in order of first use.
+        self.first_used = np.zeros(0, dtype=np.intp)
+        self.first_month = np.zeros(0, dtype=np.intp)
+        self._by_month = None  # what _months returns, until rows are listed
 
     def _budget_error(self, stream) -> ResampleBudgetError:
         month, slot = divmod(int(stream), self.n_slots)
@@ -419,12 +452,25 @@ class _McsScenario:
         if len(fresh):
             fresh = fresh[_firsts(rows[fresh], len(self.listed))]
             self.listed[rows[fresh]] = True
-            for stream, row in zip(streams[fresh].tolist(),
-                                   rows[fresh].tolist()):
-                self.month_rows[stream // self.n_slots + 1].append(row)
+            self.first_used = np.concatenate([self.first_used, rows[fresh]])
+            self.first_month = np.concatenate([
+                self.first_month, streams[fresh] // self.n_slots])
+            self._by_month = None
 
-    def result(self, capacities: np.ndarray) -> list[dict]:
-        """The 12 months' ``ExpectationReport`` entries at these ratings.
+    def _months(self):
+        """Each month's rows in the order its slots first used them, the
+        months one after another; where each month's rows begin (13
+        bounds); and those rows' ego."""
+        if self._by_month is None:
+            order = np.argsort(self.first_month, kind="stable")
+            rows = self.first_used[order]
+            bounds = np.searchsorted(self.first_month[order],
+                                     np.arange(len(MONTHS) + 1))
+            self._by_month = rows, bounds.tolist(), self.batch.ego[rows]
+        return self._by_month
+
+    def result(self, capacities: np.ndarray) -> ExpectationReport:
+        """The 12 months' ``ExpectationReport`` at these ratings.
 
         Streams with no valid state yet, or no state at all, are pending,
         in ascending stream order. Redraw rounds resolve them: round 0
@@ -506,17 +552,14 @@ class _McsScenario:
                 ahead = min(2 * ahead, max(1, ROUND_ROWS // len(pending)))
 
         # Each month's expectations reduce over its own rows, in the order
-        # it first used them.
+        # it first used them, gathered once for all months.
         ev = BatchEvaluation.concat(parts)
         w = np.bincount(rows, minlength=len(batch)) / self.n_slots
-        drawn = drawn.reshape(len(MONTHS), self.n_slots).sum(axis=1)
-        results = []
-        for own, month_drawn in zip(self.month_rows.values(),
-                                    drawn.tolist()):
-            own = np.array(own)
-            results.append(ev.take(own).weighted(w[own], self.n_slots,
-                                                 month_drawn))
-        return results
+        order, bounds, ego = self._months()
+        return expectations(
+            w[order], ev.take(order), ego, bounds,
+            np.full(len(MONTHS), self.n_slots),
+            drawn.reshape(len(MONTHS), self.n_slots).sum(axis=1))
 
 
 class _DeterministicScenario:
@@ -532,7 +575,7 @@ class _DeterministicScenario:
         batch.rows([(month, state.lines_out, state.gens_out)
                     for state in states])
 
-    def result(self, capacities: np.ndarray) -> list[dict]:
+    def result(self, capacities: np.ndarray) -> ExpectationReport:
         ev = self.batch.evaluate(capacities)
         w = ev.valid / self.n_states
         total = w.sum()
@@ -541,8 +584,11 @@ class _DeterministicScenario:
                 f"mode {self.mode}, month {self.month}: none of the "
                 f"{self.n_states} enumerated states passes the validity "
                 "screen at these ratings")
-        return [ev.weighted(w / total, int(ev.valid.sum()),
-                            self.n_states)] * len(MONTHS)
+        peak = expectations(w / total, ev, self.batch.ego, (0, len(w)),
+                            [np.count_nonzero(ev.valid)], [self.n_states])
+        return ExpectationReport(*(
+            getattr(peak, f.name).repeat(len(MONTHS), axis=0)
+            for f in fields(ExpectationReport)))
 
 
 def build_record(
@@ -654,10 +700,7 @@ class PlanEvaluator:
             raise ValueError(
                 f"ratings must be finite and >= 0 MW, got {float(caps[k])!r} "
                 f"for line {self.net.lines[k].id}")
-        results = self.scenario.result(caps)
-        report = ExpectationReport(**{
-            f.name: np.array([r[f.name] for r in results])
-            for f in fields(ExpectationReport)})
+        report = self.scenario.result(caps)
         costs, generators = self.case.costs, self.case.generators
         return CapacityEvaluation(
             report=report,

@@ -35,8 +35,15 @@ MAX_SIZING_ITERATIONS = 200
 def spin(rng: np.random.Generator, weights: np.ndarray,
          n_spins: int) -> np.ndarray:
     """Spin a wheel with one segment per weight, sized in proportion to
-    it, ``n_spins`` times; return the hits of each segment."""
-    picks = rng.choice(len(weights), size=n_spins, p=weights / weights.sum())
+    it, ``n_spins`` times; return the hits of each segment.
+
+    A spin is a uniform draw mapped through the wheel's cumulative bounds,
+    as ``rng.choice(len(weights), n_spins, p=weights / weights.sum())``
+    maps the same draws, so the hits, and the generator's state after
+    them, are the ones it gives."""
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    picks = cdf.searchsorted(rng.random(n_spins), side="right")
     return np.bincount(picks, minlength=len(weights))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridtep.adequacy import (
     NodalBalance,
@@ -158,30 +158,55 @@ QUARTERS = st.integers(-600, 600).map(lambda q: q / 4)
 NONNEGATIVE_QUARTERS = st.integers(0, 400).map(lambda q: q / 4)
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5),
-       data=st.data())
-def test_kernel_rows_match_the_per_line_loop_reference(seed, rows, data):
-    """The kernel on k stacked rows, and on each row alone, gives what a
-    plain loop over lines and buses gives for DIFF, DNS, GNS, validity,
-    congestion and wheeling loss."""
-    net = random_connected_net(np.random.default_rng(seed))
+@st.composite
+def kernel_rows(draw):
+    """A random connected network, one to five stacked rows of its
+    flows, demand and generation, and one rating per line."""
+    net = random_connected_net(np.random.default_rng(
+        draw(st.integers(0, 2**32 - 1))))
     n_lines, n_buses = len(net.lines), net.n_buses
+    rows = draw(st.integers(1, 5))
 
     def block(values, width):
-        return np.array(data.draw(st.lists(
+        return np.array(draw(st.lists(
             st.lists(values, min_size=width, max_size=width),
             min_size=rows, max_size=rows)))
 
-    flows = block(QUARTERS, n_lines)
-    demand = block(NONNEGATIVE_QUARTERS, n_buses)
-    generation = block(NONNEGATIVE_QUARTERS, n_buses)
-    caps = np.array(data.draw(st.lists(NONNEGATIVE_QUARTERS,
-                                       min_size=n_lines, max_size=n_lines)))
+    caps = draw(st.lists(NONNEGATIVE_QUARTERS, min_size=n_lines,
+                         max_size=n_lines))
+    return (net, block(QUARTERS, n_lines),
+            block(NONNEGATIVE_QUARTERS, n_buses),
+            block(NONNEGATIVE_QUARTERS, n_buses), np.array(caps))
 
+
+# Every tie the validity screen must keep, on the path 1 -> 2 -> 3 rated
+# 30 MW per line, one row each, each failing on at most one check:
+# bus 3's DNS equals its demand; bus 1's GNS equals its generation; no
+# demand, no generation and no flow (valid); no demand, no generation and
+# 5 MW moved (positive total DNS against zero demand); no generation and
+# total DNS equal to total demand; no demand and total GNS equal to total
+# generation, with no bus bottling all of its own.
+TIES = (bare_net(3, [(1, 2, 0.1), (2, 3, 0.1)]),
+        np.array([[30.0, 0.0], [0.0, 20.0], [0.0, 0.0], [5.0, 0.0],
+                  [0.0, 10.0], [5.0, 10.0]]),
+        np.array([[0.0, 10.0, 20.0], [0.0, 0.0, 20.0], [0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0], [0.0, 0.0, 10.0], [0.0, 0.0, 0.0]]),
+        np.array([[40.0, 0.0, 0.0], [20.0, 20.0, 0.0], [0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [10.0, 10.0, 0.0]]),
+        np.array([30.0, 30.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=kernel_rows())
+@example(case=TIES)
+def test_kernel_rows_match_the_per_line_loop_reference(case):
+    """The kernel on k stacked rows, and on each row alone, gives what a
+    plain loop over lines and buses gives for DIFF, DNS, GNS, validity,
+    congestion and wheeling loss."""
+    net, flows, demand, generation, caps = case
     stacked = nodal_balance(net, flows, demand, generation, caps)
     congested, wheeling = line_overloads(flows, caps)
-    for r in range(rows):
+    for r in range(len(flows)):
         want = tuple(adequacy_reference(net, flows[r], demand[r],
                                         generation[r], caps))
         one = nodal_balance(net, flows[r], demand[r], generation[r], caps)
@@ -190,6 +215,20 @@ def test_kernel_rows_match_the_per_line_loop_reference(seed, rows, data):
         row = NodalBalance(*(getattr(stacked, f.name)[r]
                              for f in fields(stacked)))
         assert want == summary(row, congested[r], wheeling[r])
+
+
+def test_tie_rows_reach_their_limits():
+    """The tie rows above are what they claim: each fails on its tie, and
+    the row without demand, generation or flow passes."""
+    net, flows, demand, generation, caps = TIES
+    balance = nodal_balance(net, flows, demand, generation, caps)
+    assert balance.valid.tolist() == [False, False, True, False, False,
+                                      False]
+    assert balance.dns[0, 2] == demand[0, 2]
+    assert balance.gns[1, 0] == generation[1, 0]
+    assert balance.total_dns[4] == demand[4].sum()
+    assert balance.total_gns[5] == generation[5].sum()
+    assert np.all(balance.gns[5, :2] < generation[5, :2])
 
 
 def summary(balance, congested, wheeling):

@@ -25,6 +25,7 @@ from gridtep.evaluation import (
     ScenarioBatch,
     base_schedules,
     build_record,
+    expectations,
 )
 from gridtep.network import (
     MONTHS,
@@ -321,10 +322,11 @@ def month_by_month(case, net, entropy, n_mcs):
                         still.append(slot)
                 pending = still
             counts = np.bincount(rows, minlength=len(batch)).astype(float)
-            results.append(BatchEvaluation.concat(parts).weighted(
-                counts / n_mcs, n_mcs, drawn))
-        return {name: np.array([r[name] for r in results])
-                for name in results[0]}
+            results.append(expectations(
+                counts / n_mcs, BatchEvaluation.concat(parts), batch.ego,
+                (0, len(batch)), [n_mcs], [drawn]))
+        return {f.name: np.concatenate([getattr(r, f.name) for r in results])
+                for f in fields(ExpectationReport)}
 
     return price
 
@@ -805,7 +807,6 @@ def test_batch_rows_do_not_depend_on_how_they_are_split():
         whole = batch.evaluate(caps)
         for start in range(len(batch)):
             part = batch.evaluate(caps, start)
-            for field in ("valid", "dns", "gns", "wheeling", "congested",
-                          "ego"):
+            for field in ("valid", "dns", "gns", "wheeling", "congested"):
                 np.testing.assert_array_equal(getattr(part, field),
                                               getattr(whole, field)[start:])

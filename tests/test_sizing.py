@@ -77,8 +77,8 @@ def first_update(p, policy=POLICY_WEL):
 
 
 def test_wheel_normalizes_eligible_probabilities():
-    """``spin`` hands the wheel's normalised weights to ``rng.choice`` and
-    counts the picks per segment."""
+    """``spin`` counts per segment the picks ``rng.choice`` makes with the
+    wheel's normalised weights."""
     weights = np.array([0.2, 0.6, 0.2])
     hits = spin(substream(9, 1), weights, n_spins=1000)
     picks = substream(9, 1).choice(3, size=1000, p=[0.2, 0.6, 0.2])
@@ -89,6 +89,25 @@ def test_wheel_normalizes_eligible_probabilities():
     # A segment that no pick lands on still gets its zero count.
     np.testing.assert_array_equal(
         spin(substream(9, 1), np.array([1.0, 0.0]), n_spins=4), [4, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       weights=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
+                        max_size=21),
+       n_spins=st.integers(1, 21))
+def test_spin_is_generator_choice_bit_for_bit(seed, weights, n_spins):
+    """Spun from its cumulative bounds, the wheel gets the hits
+    ``Generator.choice`` gives on a fresh substream, and leaves the
+    generator where ``choice`` leaves it."""
+    weights = np.array(weights)
+    rng, reference = substream(seed, 2, 1), substream(seed, 2, 1)
+    hits = spin(rng, weights, n_spins)
+    picks = reference.choice(len(weights), size=n_spins,
+                             p=weights / weights.sum())
+    np.testing.assert_array_equal(
+        hits, np.bincount(picks, minlength=len(weights)))
+    assert rng.random() == reference.random()
 
 
 def test_wheel_threshold_is_strict():
