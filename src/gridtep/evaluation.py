@@ -1,67 +1,54 @@
 """Plan evaluation engine.
 
 A ``PlanEvaluator`` is bound to one topology (an applied build plan) and
-prices rating vectors for it, one rating per line. The expensive work
-per outage state — merit dispatch and the DC solve — does not depend on
-ratings, so it is computed once per distinct state and cached. So is
-what the adequacy kernel reads of each state apart from the ratings:
-|flow|, the flow's direction and the validity screen's limits, computed
-for each build's rows in one pass. Each rating vector then only re-runs
-the cheap truncation arithmetic, vectorized across all distinct states
-of a scenario.
+prices rating vectors for it, one rating per line. Merit dispatch and
+the DC solve of an outage state do not depend on ratings, so each
+distinct state of a scenario is built once, into a row of a
+``ScenarioBatch``. The row also keeps what the adequacy kernel reads of
+the state apart from the ratings: |flow|, the flow's direction and the
+validity screen's limits. A rating vector then only re-runs the
+truncation arithmetic, vectorized over the batch's rows.
 
-A scenario builds its new states together: its enumerated states, or
-one redraw round's draws of all months. Merit dispatch depends only on
-the month and the generator-outage set, so a scenario's batch runs it
-once per distinct (month, ``gens_out``), a build's new ones in one
-``dispatch.dispatch_rows`` call, and keeps the result.
-``dcflow.solve_rows`` then solves the new states, ``KERNEL_ROWS`` at a
-time (``build_records``), each with the bits a one-state solve gives.
+A build dispatches and solves its states together (``build_records``):
+merit dispatch depends only on the month and the generator-outage set,
+so it runs once per distinct (month, ``gens_out``) not dispatched
+before, in one ``dispatch.dispatch_rows`` call, and the DC flows come
+from one ``dcflow.solve_rows`` call per ``KERNEL_ROWS`` states, each
+with the bits a one-state solve gives.
 
-Monte Carlo mode prices the 12 months together, from one batch whose rows
-are keyed by (month, lines out, generators out). Each (month, slot) has
-its own RNG substream: stream ``(month - 1) * n_slots + slot`` of one
-array of PCG64 states, seeded in one vectorized pass (``substreams``)
-when the evaluator is built, draws what ``substream`` gives that slot.
-A ``contingency.RoundSampler`` draws a round's pending streams as arrays:
-rows of uniforms per stream, and per row the integer id of its outage
-code, each distinct code decoded and screened once per evaluator, and
-only the rejected rows redrawn. A round's states are keyed by (month, id)
-in an array of batch rows, so only the (month, id) pairs not built
-before become batch keys, in order of first appearance. The scenario
-keeps each stream's draws so far, and every state a slot has used as a
-(stream, batch row, draws so far) entry, in one-state round order.
-A slot's sample at a capacity vector is the first state of its stream
-that passes the validity screen, so estimates across sizing iterations
-share common random numbers. Each capacity vector evaluates every stored
-row in one kernel call and finds each stream's first valid state with
-array operations. Streams with no valid state, or no state yet, are
-resolved in redraw rounds, in ascending stream order (month by month,
-slot by slot): round 0 draws one state per pending stream, and a stream
-still pending after round r draws 2**r states ahead in round r + 1, in
-one sampling pass, one build and one kernel call over the rows added,
-as long as the round stays within ``ROUND_ROWS`` rows; wider rounds
-draw one state per stream, as round 0 does. A slot that needs N states
-in a row so takes about log2(N + 1) rounds, not N, once few slots are
-left pending. It uses its states up to its first valid one and its
-stream is moved back to just after it, so the draws, the states used
-and every later draw are those of one state per round. States drawn
-ahead and not used stay built, and a redraw finds them by key; no month
-weighs them. A kernel row's figures do not depend on which rows share
-its call, and each month's expectations reduce over the rows its slots
-used, in the order they first used them, so every figure is the one a
-month-by-month pricing gives. The rows of all months are gathered once,
-in month order, from an index rebuilt only when slots use rows not used
-before; each month then reduces a contiguous slice of them.
-Errors are raised where one state per round meets them: a round whose
-states run out of budget names the slot, round by round and stream by
-stream, whose budget runs out first with no valid state before it; a
-round whose drawn-ahead build raises a GridTepError is drawn again, and
-the call finished, one state per stream (``_McsScenario.result``).
+Monte Carlo mode prices the 12 months together, from one batch. Slot
+``slot`` of month ``month`` draws from stream ``(month - 1) * n_slots +
+slot`` of one array of PCG64 states, seeded in one vectorized pass
+(``substreams``) when the evaluator is built: it draws what
+``substream`` gives that slot. A ``contingency.RoundSampler`` draws the
+pending streams as arrays and hands back an integer id per drawn state;
+``_McsScenario`` maps each (month, id) to its batch row, and builds only
+the pairs it has not built before. A slot's sample at a rating vector is
+the first state of its stream that passes the validity screen, so
+estimates across sizing iterations share common random numbers. Each
+rating vector evaluates the stored rows in one kernel call and finds
+each stream's first valid state with array operations. Streams with no
+valid state yet are resolved in redraw rounds, in ascending stream order
+(month by month, slot by slot): round 0 draws one state per pending
+stream, and a stream still pending after round r draws 2**r states
+ahead in round r + 1, as long as the round stays within ``ROUND_ROWS``
+rows; wider rounds draw one state per stream. A round is one sampling
+pass, one build and one kernel call over the rows it added. A stream
+uses its states up to its first valid one and is moved back to just
+after it, so a slot that needs N states in a row takes about
+log2(N + 1) rounds, and the draws, the states used and every later draw
+are those of one state per round. States drawn ahead and not used stay
+built; no month weighs them. A kernel row's figures do not depend on
+which rows share its call, and each month's expectations reduce over
+the rows its slots used, in the order they first used them, so every
+figure is the one a month-by-month pricing gives. The rows of all
+months are gathered in month order from one index, rebuilt only when
+slots use rows not used before (``_McsScenario._months``). Errors are
+raised where one state per round meets them (``_McsScenario.result``).
 ``MAX_RESAMPLES`` bounds every element-wise draw of a slot, island
 rejections included. A month's ``samples_drawn`` sums, over slots, the
 element-wise draws up to and including the slot's accepted state, so it
-does not depend on which capacity vectors were priced before.
+does not depend on which rating vectors were priced before.
 
 Deterministic modes (N-1 / N-2) run the enumerated states of the peak
 month with equal weights; states invalid at the current capacities are
@@ -191,13 +178,15 @@ def _columns(recs: StateRecord) -> list[np.ndarray]:
 
 
 class ScenarioBatch:
-    """Distinct outage states of one or more scenario months, stacked for
-    vector math.
+    """Dispatched, solved outage states of one or more scenario months,
+    stacked for vector math: a row per state, holding what the kernel
+    reads of it.
 
-    A row is keyed by (month, lines out, generators out). Rows are
-    append-only: a state keeps its row for the batch's lifetime, and the
-    stacked arrays grow in place, so earlier rows are never copied per
-    append.
+    Rows are append-only: a state keeps its row for the batch's lifetime,
+    and the stacked arrays grow in place, so earlier rows are never copied
+    per append. The batch keeps no map from states to rows: each caller
+    adds a state once and remembers its row (``_McsScenario`` by (month,
+    sampler id), enumeration by adding its distinct states once).
     """
 
     def __init__(self, case: NetworkCase, net: ActiveNetwork,
@@ -208,8 +197,6 @@ class ScenarioBatch:
         self.net = net
         self.months = {m: (scenario_demand(case, m), schedule)
                        for m, schedule in schedules.items()}
-        self.key_row: dict[tuple[int, frozenset[int], frozenset[int]],
-                           int] = {}
         # (month, gens_out) -> the month's dispatch with those units out.
         self._dispatched: dict[tuple[int, frozenset[int]], tuple] = {}
         self._n = 0
@@ -223,38 +210,31 @@ class ScenarioBatch:
     def __len__(self) -> int:
         return self._n
 
-    def rows(self, keys) -> list[int]:
-        """Row index of each (month, lines_out, gens_out) key. Keys not
-        seen before take rows in order of first appearance; they are
-        dispatched and solved in batches of at most ``KERNEL_ROWS``, so a
-        build's temporaries stay small however many keys a round holds."""
-        key_row = self.key_row
-        new = [key for key in dict.fromkeys(keys) if key not in key_row]
-        for lo in range(0, len(new), KERNEL_ROWS):
-            part = new[lo:lo + KERNEL_ROWS]
-            start = self._append(build_records(
-                self.case, self.net, part, self.months, self._dispatched))
-            key_row.update(zip(part, range(start, start + len(part))))
-        return [key_row[key] for key in keys]
+    def add(self, keys) -> int:
+        """Append the states ``keys``, (month, lines_out, gens_out) each,
+        as rows in order, with their kernel terms and screen limits;
+        returns the first one's row. They are dispatched and solved
+        ``KERNEL_ROWS`` at a time, so a build's temporaries stay small
+        however many keys a round holds."""
+        start = self._n
+        for lo in range(0, len(keys), KERNEL_ROWS):
+            recs = build_records(self.case, self.net,
+                                 keys[lo:lo + KERNEL_ROWS], self.months,
+                                 self._dispatched)
+            end = self._n + len(recs.deficit)
+            if end > len(self._cols[0]):
+                size = max(16, 2 * len(self._cols[0]), end)
+                self._cols = [np.resize(col, (size, *col.shape[1:]))
+                              for col in self._cols]
+            for col, new in zip(self._cols, _columns(recs)):
+                col[self._n:end] = new
+            self._n = end
+        return start
 
     @property
     def ego(self) -> np.ndarray:
         """(rows, generators) cut-off base-dispatch output of each row."""
         return self._cols[-1][:self._n]
-
-    def _append(self, recs: StateRecord) -> int:
-        """Append a batch of records, with their kernel terms and screen
-        limits; returns the first one's row."""
-        start = self._n
-        end = start + len(recs.deficit)
-        if end > len(self._cols[0]):
-            size = max(16, 2 * len(self._cols[0]), end)
-            self._cols = [np.resize(col, (size, *col.shape[1:]))
-                          for col in self._cols]
-        for col, new in zip(self._cols, _columns(recs)):
-            col[start:end] = new
-        self._n = end
-        return start
 
     def evaluate(self, capacities: np.ndarray, start: int = 0
                  ) -> "BatchEvaluation":
@@ -370,10 +350,12 @@ class _McsScenario:
     n_slots + slot``. ``draws`` holds each stream's element-wise draws so
     far, and ``states[:n_states]`` each state a slot has used as (stream,
     batch row, draws so far), in one-state round order; spare rows
-    follow, as in ScenarioBatch. ``first_used`` lists the rows in the order
-    slots first used them, and ``first_month`` the month of each. A stream
-    stands just after the last state it used: states drawn ahead and not
-    used are built, and found by key when the stream draws them again.
+    follow, as in ScenarioBatch. ``row_of`` holds the batch row of each
+    (month, sampler id) built, so each is built once. ``first_used`` lists
+    the rows in the order slots first used them, and ``first_month`` the
+    month of each. A stream stands just after the last state it used:
+    states drawn ahead and not used are built, and found in ``row_of``
+    when the stream draws them again.
     """
 
     def __init__(self, batch, entropy, n_slots):
@@ -429,9 +411,10 @@ class _McsScenario:
             # Each new (month, id) once, in order of first appearance.
             m, i = months[unbuilt], ids[unbuilt]
             new = _firsts(m * n_ids + i, len(MONTHS) * n_ids)
-            self.row_of[m[new], i[new]] = self.batch.rows([
+            start = self.batch.add([
                 (month + 1, *sampler.states[k])
                 for month, k in zip(m[new].tolist(), i[new].tolist())])
+            self.row_of[m[new], i[new]] = np.arange(start, len(self.batch))
             rows = self.row_of[months, ids]
         return np.where(ids < 0, -1, rows)
 
@@ -478,12 +461,13 @@ class _McsScenario:
         many per stream still pending as the round before, each round's
         in one sampling pass, one build and one kernel call over the rows
         it added. A round draws at most ``ROUND_ROWS`` states, or one per
-        pending stream when more are pending: wide rounds draw one state
-        per stream, as round 0 does, and pay nothing for drawing ahead.
-        A stream uses its states up to its first valid one, so a lone slot
-        that needs N states in a row takes about log2(N + 1) rounds, and
-        every figure is the one drawing a state per round gives. Errors
-        are raised where that one-state order meets them: if a drawn-ahead
+        pending stream when more are pending. Every round, one state wide
+        or more, takes the same update: a stream uses its states up to
+        its first valid one, so a lone slot that needs N states in a row
+        takes about log2(N + 1) rounds, and every figure is the one
+        drawing a state per round gives. Errors are raised where that
+        one-state order meets them: a budget that runs out names the slot
+        of the first one-state round where one does, and if a drawn-ahead
         build raises a GridTepError, the round is drawn again, and the
         call finished, one state per stream.
         """
@@ -511,7 +495,8 @@ class _McsScenario:
                     raise
                 # The state that failed may be one no slot reaches. Drawn
                 # again one state per round, the error comes back where a
-                # slot does reach it.
+                # slot does reach it. Rows a failed build added stay
+                # unused: their states are built again when drawn again.
                 self.sampler.keep(np.zeros(len(pending), dtype=np.int64))
                 ahead, grow = 1, False
                 continue
@@ -520,33 +505,25 @@ class _McsScenario:
                 valid = np.concatenate([valid, parts[-1].valid])
                 evaluated = len(batch)
             before = self.draws[pending]
-            if ahead == 1:  # every stream uses its one state
-                used, so_far = new_rows[:, 0], before + draws[:, 0]
-                self.draws[pending] = so_far
-                self._use(pending, used, so_far)
-                done = valid[used]
-                rows[pending[done]] = used[done]
-                drawn[pending[done]] = so_far[done]
-            else:
-                got = (new_rows >= 0).sum(axis=1)
-                hit = (new_rows >= 0) & valid[new_rows]
-                done = hit.any(axis=1)
-                # Each stream uses its states up to its first valid one.
-                last = np.where(done, hit.argmax(axis=1), ahead - 1)
-                k = np.arange(len(pending))
-                short = ~done & (got < ahead)  # out of budget, nothing valid
-                if short.any():
-                    # The one-state round where a budget first runs out.
-                    at = got[short].min()
-                    self.sampler.keep(draws[k, np.minimum(last, at)])
-                    raise self._budget_error(pending[short & (got == at)][0])
-                self.sampler.keep(draws[k, last])
-                self.draws[pending] = before + draws[k, last]
-                state, pos = np.nonzero(np.arange(ahead)[:, None] <= last)
-                self._use(pending[pos], new_rows[pos, state],
-                          before[pos] + draws[pos, state])
-                rows[pending[done]] = new_rows[k, last][done]
-                drawn[pending[done]] = self.draws[pending[done]]
+            got = (new_rows >= 0).sum(axis=1)
+            hit = (new_rows >= 0) & valid[new_rows]
+            done = hit.any(axis=1)
+            # Each stream uses its states up to its first valid one.
+            last = np.where(done, hit.argmax(axis=1), ahead - 1)
+            k = np.arange(len(pending))
+            short = ~done & (got < ahead)  # out of budget, nothing valid
+            if short.any():
+                # The one-state round where a budget first runs out.
+                at = got[short].min()
+                self.sampler.keep(draws[k, np.minimum(last, at)])
+                raise self._budget_error(pending[short & (got == at)][0])
+            self.sampler.keep(draws[k, last])
+            self.draws[pending] = before + draws[k, last]
+            state, pos = np.nonzero(np.arange(ahead)[:, None] <= last)
+            self._use(pending[pos], new_rows[pos, state],
+                      before[pos] + draws[pos, state])
+            rows[pending[done]] = new_rows[k, last][done]
+            drawn[pending[done]] = self.draws[pending[done]]
             pending = pending[~done]
             if grow and len(pending):
                 ahead = min(2 * ahead, max(1, ROUND_ROWS // len(pending)))
@@ -572,8 +549,8 @@ class _DeterministicScenario:
         self.month = month
         states = enumerate_deterministic(batch.case, batch.net, order)
         self.n_states = len(states)
-        batch.rows([(month, state.lines_out, state.gens_out)
-                    for state in states])
+        batch.add([(month, state.lines_out, state.gens_out)
+                   for state in states])
 
     def result(self, capacities: np.ndarray) -> ExpectationReport:
         ev = self.batch.evaluate(capacities)

@@ -248,6 +248,8 @@ class Streams:
         rows = np.broadcast_to(rows, index.shape)
         ends = np.cumsum(rows)
         stream, leaps = index, None
+        # One row per stream jumps from the stream states themselves; doing
+        # that from per-row leaps too priced adequacy_mcs 7-13 % slower.
         if len(index) and ends[-1] > len(index):
             stream = np.repeat(index, rows)
             row = np.arange(len(stream)) - np.repeat(ends - rows, rows)

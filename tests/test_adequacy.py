@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gridtep.adequacy import (
@@ -196,6 +197,7 @@ TIES = (bare_net(3, [(1, 2, 0.1), (2, 3, 0.1)]),
         np.array([30.0, 30.0]))
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=150, deadline=None)
 @given(case=kernel_rows())
 @example(case=TIES)

@@ -7,7 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridtep import contingency
 from gridtep.contingency import (
@@ -46,6 +46,7 @@ def test_zero_outage_rates_sample_the_intact_state():
         assert state == OutageState(frozenset(), frozenset())
 
 
+@pytest.mark.numpy_floor
 def test_unrejected_sampling_reproduces_outage_rates():
     """On a network where no outage combination is ever rejected, each
     line's empirical outage frequency matches its rate within 3 sigma."""
@@ -171,6 +172,7 @@ ROUND_CASES = {
 }
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("which", sorted(ROUND_CASES))
 def test_round_sampler_cases_reject_by_both_screens(which):
     """The cases below reach both rejections, so the comparison covers
@@ -182,6 +184,7 @@ def test_round_sampler_cases_reject_by_both_screens(which):
     assert rejected["island"] > 0 and rejected["online"] > 0, rejected
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=40, deadline=None)
 @given(which=st.sampled_from(sorted(ROUND_CASES)),
        seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -220,10 +223,26 @@ def test_round_sampler_matches_a_per_draw_reference(which, seed, data):
             usable = [k for k in usable if k not in index[exhausted + 1:]]
 
 
+def ahead_round(ahead, n=6):
+    """One call of the draw-ahead test: ``ahead``, a budget per stream,
+    the kernel's part size, and how many states each stream keeps."""
+    return st.tuples(st.just(ahead),
+                     st.lists(st.integers(0, 20), min_size=n, max_size=n),
+                     st.integers(1, 40),
+                     st.lists(st.integers(0, ahead), min_size=n, max_size=n))
+
+
+@pytest.mark.numpy_floor
 @settings(max_examples=40, deadline=None)
 @given(which=st.sampled_from(sorted(ROUND_CASES)),
-       seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_round_sampler_draws_ahead_as_one_state_rounds(which, seed, data):
+       seed=st.integers(0, 2**32 - 1),
+       rounds=st.lists(st.integers(1, 9).flatmap(ahead_round), min_size=1,
+                       max_size=3))
+# Two states ahead within three draws: the first pass draws two rows per
+# stream, and the second one row for each of the five streams still
+# short, so the numbering of accepted rows runs on a one-row pass.
+@example(which="ring", seed=0, rounds=[(2, [3] * 6, 40, [1, 2, 0, 2, 1, 2])])
+def test_round_sampler_draws_ahead_as_one_state_rounds(which, seed, rounds):
     """Drawing ``ahead`` states per stream in one call gives each stream
     the states and running draw counts that ``ahead`` one-state rounds of
     the per-draw loop give, within budgets of 0 to 20 draws, and -1 and
@@ -236,14 +255,10 @@ def test_round_sampler_draws_ahead_as_one_state_rounds(which, seed, data):
     streams = substreams(seed, (DOMAIN_MCS,), np.ones(n), np.arange(n))
     rngs = [substream(seed, DOMAIN_MCS, 1, slot) for slot in range(n)]
     sampler = RoundSampler(case, net, streams)
-    for _ in range(data.draw(st.integers(1, 3))):
-        ahead = data.draw(st.integers(1, 9))
-        budgets = data.draw(st.lists(st.integers(0, 20), min_size=n,
-                                     max_size=n))
-        ids, draws = sampler.draw(np.arange(n), np.array(budgets),
-                                  data.draw(st.integers(1, 40)), ahead)
+    for ahead, budgets, part, keep in rounds:
+        ids, draws = sampler.draw(np.arange(n), np.array(budgets), part,
+                                  ahead)
         assert ids.shape == draws.shape == (n, ahead)
-        keep = [data.draw(st.integers(0, ahead)) for _ in range(n)]
         kept = []
         for k, (rng, budget) in enumerate(zip(rngs, budgets)):
             ref = copy.deepcopy(rng)
@@ -268,6 +283,7 @@ def test_round_sampler_draws_ahead_as_one_state_rounds(which, seed, data):
         sampler.keep(np.array(kept))
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("which", sorted(ROUND_CASES))
 def test_round_sampler_gives_each_outage_code_one_id(which):
     """The sampler's table holds each drawn outage state once, under one
@@ -303,6 +319,7 @@ def union_find_islanded(case, net, lines_out, gens_out):
 SCREEN_CASES = {"toy": mcs_toy_case(), "bundled": load_case(BUNDLED)}
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=40, deadline=None)
 @given(which=st.sampled_from(sorted(SCREEN_CASES)), data=st.data())
 def test_batched_screen_matches_a_per_state_union_find(which, data):

@@ -27,6 +27,10 @@ from _toys import (
     ring4_net,
 )
 
+# Every check here also runs under NumPy 1.x broadcasting: the stacked
+# solve must read its (rows, m, 1) right-hand side as stacked vectors, and
+# the batched island pass must give the union-find's masks.
+pytestmark = pytest.mark.numpy_floor
 
 def test_two_bus_flow_equals_transfer():
     """Power injected at one end of a single line comes out of the other."""

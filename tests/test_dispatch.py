@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridtep.contingency import OutageState
@@ -151,6 +152,7 @@ def loop_dispatch(case, demand, offline):
     return schedule, demand.copy(), 0.0
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=40, deadline=None)
 @given(bundled=st.booleans(), data=st.data())
 def test_dispatch_rows_match_the_one_row_view_bit_for_bit(bundled, data):

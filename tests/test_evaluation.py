@@ -233,6 +233,7 @@ RATINGS = st.lists(st.floats(min_value=5.0, max_value=60.0),
                    min_size=4, max_size=4)
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=12, deadline=None)
 @given(vectors=st.lists(RATINGS, min_size=1, max_size=3, unique_by=tuple),
        seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -265,9 +266,11 @@ def month_by_month(case, net, entropy, n_mcs):
     """The reference: Monte Carlo pricing month by month. Each month has
     its own batch, slot streams and chains, and is resolved alone: its
     stored rows in one kernel call, then one redraw round after another,
-    each evaluating only the rows it added. Returns a function that prices
-    a rating vector into ``ExpectationReport`` fields."""
+    each evaluating only the rows it added. Each distinct state of a month
+    takes one row of its batch, found again by key. Returns a function
+    that prices a rating vector into ``ExpectationReport`` fields."""
     schedules = base_schedules(case)
+    key_row = {}  # (month, lines out, gens out) -> row of the month's batch
     months = [(month, ScenarioBatch(case, net, {month: schedules[month - 1]}),
                [substream(entropy, DOMAIN_MCS, month, slot)
                 for slot in range(n_mcs)],
@@ -280,9 +283,12 @@ def month_by_month(case, net, entropy, n_mcs):
             case, net, [rngs[slot] for slot in slots],
             [evaluation.MAX_RESAMPLES - b for b in before])
         assert exhausted is None
-        rows = batch.rows([(month, *state) for state in states])
-        for slot, row, b, d in zip(slots, rows, before, draws):
-            chains[slot].append((row, b + d))
+        keys = [(month, *state) for state in states]
+        new = [key for key in dict.fromkeys(keys) if key not in key_row]
+        start = batch.add(new)
+        key_row.update(zip(new, range(start, start + len(new))))
+        for slot, key, b, d in zip(slots, keys, before, draws):
+            chains[slot].append((key_row[key], b + d))
 
     def price(caps):
         results = []
@@ -331,6 +337,7 @@ def month_by_month(case, net, entropy, n_mcs):
     return price
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("kernel_rows", [evaluation.KERNEL_ROWS, 2])
 @pytest.mark.parametrize("which", ["toy", "bundled"])
 def test_months_priced_together_are_the_month_by_month_figures_bit_for_bit(
@@ -372,6 +379,7 @@ def test_months_priced_together_are_the_month_by_month_figures_bit_for_bit(
         assert (np.bincount(stream) > 1).any()  # some slot was redrawn
 
 
+@pytest.mark.numpy_floor
 def test_samples_drawn_counts_redraws_up_to_each_accepted_state():
     """At 5 MW the validity screen rejects most states; each month reports
     the draws its slots made up to their accepted states, not n_mcs."""
@@ -403,7 +411,9 @@ def test_sizing_sees_the_mean_of_the_monthly_congestion_rows():
 def test_each_distinct_state_is_built_once_per_evaluator(monkeypatch, mode):
     """Merit dispatch and the DC solve run once per distinct outage state
     of a scenario, whatever rating vectors are priced: re-pricing builds
-    nothing. Under MCS each tighter vector draws new states."""
+    nothing. Under MCS each tighter vector draws new states, and some
+    states drawn ahead under one vector are first used under a later one,
+    whose rounds find them built."""
     case = mcs_toy_case()
     net = toy_net(case)
     built, months = [], []  # every key built; the months of each build
@@ -417,18 +427,30 @@ def test_each_distinct_state_is_built_once_per_evaluator(monkeypatch, mode):
     monkeypatch.setattr(evaluation, "build_records", counted)
     evaluator = PlanEvaluator(case, net, PlanSettings(mode=mode, n_mcs=40),
                               [4, 1])
+    scenario = evaluator.scenario
     vectors = [[60.0] * 4, [25.0] * 4, [5.0] * 4]
+    sizes, used = [0], [set()]  # batch rows, and rows used, after each
     for caps in vectors:
         evaluator.evaluate(caps)
+        sizes.append(len(scenario.batch))
+        if mode == "mcs":
+            used.append(set(scenario.states[:scenario.n_states, 1].tolist()))
     assert len(set(built)) == len(built)
-    assert len(built) == len(evaluator.scenario.batch)
+    assert len(built) == len(scenario.batch)
     if mode == "mcs":  # first draws are one redraw round of all months
         assert months[0] == set(MONTHS)
+        # Rows each later vector first uses that an earlier one built:
+        # drawn ahead there, found through row_of here (3 at 25 MW, 6 at
+        # 5 MW).
+        late = [used[w] - used[w - 1] - set(range(sizes[w - 1], sizes[w]))
+                for w in range(2, len(used))]
+        assert all(late), late
     before = len(built)
     evaluator.evaluate(vectors[0])
     assert len(built) == before
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("entropy", [[4, 1], [9, 2], [13, 3]])
 def test_long_redraw_chains_take_logarithmically_many_builds(monkeypatch,
                                                              entropy):
@@ -463,6 +485,7 @@ def test_long_redraw_chains_take_logarithmically_many_builds(monkeypatch,
     assert max(longest) >= 20, longest
 
 
+@pytest.mark.numpy_floor
 def test_a_redraw_round_draws_at_most_round_rows_states(monkeypatch):
     """At zero ratings no state is valid, so every slot redraws until its
     budget runs out. Each round draws at most ``ROUND_ROWS`` states, or
@@ -588,6 +611,7 @@ def scripted(monkeypatch, evaluator, script, n_mcs):
     return used
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("script, error, message, first_slot_draws", [
     # Round 0: an exhausted budget beats a stranded state drawn before it.
     pytest.param({(1, 1): "s", (1, 3): "x"}, ResampleBudgetError,
@@ -652,6 +676,7 @@ def test_mcs_batch_raises_the_error_a_slot_by_slot_build_meets(
     assert used[1, 0] == first_slot_draws
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("script, first_slot_draws", [
     ({(1, 0): ".vs"}, 2),
     ({(1, 0): ".vx"}, 2),
@@ -707,6 +732,7 @@ def count_draws(monkeypatch, evaluator):
     return outcomes
 
 
+@pytest.mark.numpy_floor
 def test_slot_budget_bounds_every_draw_including_island_rejections(
         monkeypatch):
     """With every state invalid at zero ratings, the slot that raises
@@ -731,6 +757,7 @@ def test_slot_budget_bounds_every_draw_including_island_rejections(
     assert True in named and False in named  # both screens rejected
 
 
+@pytest.mark.numpy_floor
 def test_slot_budget_checks_its_last_draw(monkeypatch):
     """A slot whose first valid state is the last draw its budget allows
     is priced; one draw less raises."""

@@ -22,6 +22,7 @@ ENTROPY = st.one_of(ENTROPY_WORD, st.lists(ENTROPY_WORD, max_size=6))
 PATH = st.lists(st.integers(0, 2**32 - 1), max_size=3)
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=60, deadline=None)
 @given(entropy=ENTROPY, path=PATH, count=st.integers(0, 300), data=st.data())
 def test_bulk_streams_match_single_streams_bit_for_bit(entropy, path, count,
@@ -55,6 +56,7 @@ def test_bulk_streams_match_single_streams_bit_for_bit(entropy, path, count,
             assert block.tobytes() == rng.random(block.shape).tobytes(), k
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("entropy", [-1, [3, -2], None])
 def test_bulk_streams_reject_negative_or_missing_entropy(entropy):
     with pytest.raises(ValueError):

@@ -91,6 +91,7 @@ def test_wheel_normalizes_eligible_probabilities():
         spin(substream(9, 1), np.array([1.0, 0.0]), n_spins=4), [4, 0])
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        weights=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
