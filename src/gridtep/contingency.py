@@ -6,11 +6,12 @@ Two sources of outage states share one representation:
   forced outage rate. States that island the network or leave fewer than
   the minimum number of generators online are rejected and redrawn, up
   to a resample budget. ``RoundSampler`` draws many slot streams at once,
-  one or more states ahead per stream: each uniform row is packed into
-  an outage code. Each distinct code gets an integer id once per
-  sampler, and a draw hands back ids: only a pass's new codes are
-  decoded into outage sets and screened, and only the rejected rows are
-  redrawn.
+  one or more states ahead per stream: the PCG64 kernel
+  (``rng.Streams.codes``) hands back each drawn row as an outage code of
+  uint64 words, one bit per element, without making a uniform. Each
+  distinct code gets an integer id once per sampler, and a draw hands
+  back ids: only a pass's new codes are decoded into outage sets and
+  screened, and only the rejected rows are redrawn.
 * Deterministic enumeration — every single (N-1) or pair (N-2) outage
   over lines and generators, with the same feasibility screen.
 
@@ -37,7 +38,7 @@ from .dcflow import fill_slack_connected
 from .dispatch import units_out
 from .errors import ResampleBudgetError
 from .network import ActiveNetwork, NetworkCase
-from .rng import Streams
+from .rng import Streams, limits, unpack
 # Unused here: no path reaches the union-find, as the batched pass fills
 # slack_connected's memo. The name stays importable only because
 # perfbench/tracer.py rebinds contingency.connected_components.
@@ -120,12 +121,15 @@ class RoundSampler:
 
     A draw is one uniform per line, then one per generator, from the
     stream: an element is out when its uniform is below its forced outage
-    rate. A drawn row is packed into an outage code, bytes of one bit per
-    element, so any number of elements fits. Each distinct code gets an
-    integer id, in ``states`` (its lines out and generators out) and
-    ``feasible``: a pass's codes are told apart by one ``np.unique`` over
-    them, and only the codes not seen before are decoded and screened,
-    together (``screen``). ``draw`` redraws only the rejected rows, pass
+    rate. The kernel decides that on PCG64's integer output against each
+    rate's exact bound (``limits``) and returns a drawn row as an outage
+    code, uint64 words of one bit per element, element 0 first, so any
+    number of elements fits. Each distinct code gets an integer id, in
+    ``states`` (its lines out and generators out) and ``feasible``: a
+    pass's codes are told apart by one ``np.unique`` over them, as plain
+    integers when one word holds them, and only the codes not seen
+    before are decoded (``rng.unpack``) and screened, together
+    (``screen``). ``draw`` redraws only the rejected rows, pass
     after pass, in one of two loops: one state per stream, or several
     states ahead, where a pass draws each pending stream's rows up to its
     next states or its budget and numbers the accepted rows within their
@@ -138,21 +142,17 @@ class RoundSampler:
         self.case = case
         self.net = net
         self.streams = streams
-        self.rates = np.array(net.line_outage_rates
-                              + case.generator_outage_rates)
-        width = (len(self.rates) + 7) // 8
-        self._code = np.dtype((np.void, width))  # a packed row as one item
-        self._ids: dict[bytes, int] = {}  # outage code -> id
+        self.limits = limits(net.line_outage_rates
+                             + case.generator_outage_rates)
+        self._ids: dict = {}  # outage code (int, or tuple of words) -> id
         self.states: list[tuple[frozenset[int], frozenset[int]]] = []
         self.feasible = np.zeros(0, dtype=bool)  # per id
         self._last = None  # the last draw's streams, start states and draws
 
-    def draw(self, index: np.ndarray, budgets: np.ndarray, part: int,
-             ahead: int = 1):
+    def draw(self, index: np.ndarray, budgets: np.ndarray, ahead: int = 1):
         """Draw the next ``ahead`` feasible states of each stream ``index``
         lists (no stream twice), redrawing only the rejected rows, within
-        each stream's budget of element-wise draws; ``part`` bounds the
-        rows per kernel pass.
+        each stream's budget of element-wise draws.
 
         Returns ``(ids, draws)``, two (streams, ``ahead``) arrays: the id
         of each stream's j-th next state and the element-wise draws up to
@@ -168,10 +168,9 @@ class RoundSampler:
         if ahead == 1:
             ids = np.full(len(index), -1, dtype=np.intp)
             while len(todo):
-                out = self.streams.random(index[todo], len(self.rates),
-                                          part) < self.rates
+                drawn = self._id(self.streams.codes(index[todo],
+                                                    self.limits))
                 made[todo] += 1
-                drawn = self._id(np.packbits(out, axis=1))
                 ok = self.feasible[drawn]
                 ids[todo[ok]] = drawn[ok]
                 todo = todo[~ok]
@@ -182,9 +181,8 @@ class RoundSampler:
         got = np.zeros(len(index), dtype=np.intp)  # states found
         while len(todo):
             rows = np.minimum(ahead - got[todo], budgets[todo] - made[todo])
-            out = self.streams.random(index[todo], len(self.rates), part,
-                                      rows) < self.rates
-            drawn = self._id(np.packbits(out, axis=1))
+            drawn = self._id(self.streams.codes(index[todo], self.limits,
+                                                rows))
             ok = self.feasible[drawn]
             # Rows run stream after stream; number each one, and each
             # accepted one's state, from 0 within its stream.
@@ -209,23 +207,27 @@ class RoundSampler:
         back = np.flatnonzero(draws < made)
         if len(back):
             self.streams.seek(index[back], start[:, back], draws[back],
-                              len(self.rates))
+                              len(self.limits))
 
-    def _id(self, packed: np.ndarray) -> np.ndarray:
-        """The id of each packed outage code row; codes not seen before
-        are decoded, screened and given the next ids."""
-        codes, inverse = np.unique(packed.view(self._code).ravel(),
-                                   return_inverse=True)
-        ids = np.array([self._ids.get(code, -1) for code in codes.tolist()],
+    def _id(self, codes: np.ndarray) -> np.ndarray:
+        """The id of each row of (rows, words) outage codes; codes not
+        seen before are decoded, screened and given the next ids."""
+        if codes.shape[1] == 1:  # the codes as plain integers
+            codes, inverse = np.unique(codes[:, 0], return_inverse=True)
+            keys = codes.tolist()
+            codes = codes[:, None]
+        else:
+            codes, inverse = np.unique(codes, axis=0, return_inverse=True)
+            keys = list(map(tuple, codes.tolist()))
+        ids = np.array([self._ids.get(key, -1) for key in keys],
                        dtype=np.intp)
         new = np.flatnonzero(ids < 0)
         if len(new):
-            fresh = codes[new]
-            out = np.unpackbits(fresh.view(np.uint8).reshape(len(new), -1),
-                                axis=1, count=len(self.rates)).astype(bool)
+            out = unpack(codes[new], len(self.limits))
             states = _decode(self.net, out)
             ids[new] = np.arange(len(self.states), len(self.states) + len(new))
-            self._ids.update(zip(fresh.tolist(), ids[new].tolist()))
+            self._ids.update(zip([keys[k] for k in new.tolist()],
+                                 ids[new].tolist()))
             self.states += states
             self.feasible = np.concatenate([self.feasible, screen(
                 self.case, self.net, [lines for lines, _ in states],
@@ -249,8 +251,8 @@ def sample_state(
     """
     streams = Streams.of(rng)
     sampler = RoundSampler(case, net, streams)
-    ((state,),), ((draws,),) = sampler.draw(
-        np.zeros(1, dtype=np.intp), np.array([max_draws]), 1)
+    ((state,),), ((draws,),) = sampler.draw(np.zeros(1, dtype=np.intp),
+                                            np.array([max_draws]))
     streams.store(rng)
     if state < 0:
         raise ResampleBudgetError(

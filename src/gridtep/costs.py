@@ -97,6 +97,34 @@ def outage_compensation_factor(forced_outage_rate: float) -> float:
     return (1.0 - forced_outage_rate) / forced_outage_rate
 
 
+class TransmissionInvestment:
+    """Line investment of one topology at any ratings, in k$: what
+    ``transmission_investment`` gives, with each line's constants (its
+    status, base rating and length, c_t2 times its length, and its OCF)
+    worked out once. Each call sums the lines in order, as Python floats.
+    """
+
+    def __init__(self, net: ActiveNetwork, costs: CostParameters):
+        self.lines = [(ln.status == CANDIDATE, ln.base_capacity_mw,
+                       ln.length_km, costs.c_t2 * ln.length_km,
+                       outage_compensation_factor(ln.forced_outage_rate))
+                      for ln in net.lines]
+
+    def __call__(self, capacities) -> float:
+        capital = 0.0
+        operating = 0.0
+        for (candidate, base, length, charge, ocf), cap in zip(
+                self.lines, capacities, strict=True):
+            if candidate:
+                capital += line_capital_rate(cap) * length
+            else:
+                increment = cap - base
+                if increment > 0:
+                    capital += line_capital_rate(increment) * length
+            operating += charge * cap * ocf
+        return capital + operating
+
+
 def transmission_investment(
     net: ActiveNetwork,
     capacities,
@@ -110,18 +138,7 @@ def transmission_investment(
     rate evaluated on that increment. Operating: every active line pays
     c_t2 * length * rating * OCF.
     """
-    capital = 0.0
-    operating = 0.0
-    for ln, cap in zip(net.lines, capacities, strict=True):
-        if ln.status == CANDIDATE:
-            capital += line_capital_rate(cap) * ln.length_km
-        else:
-            increment = cap - ln.base_capacity_mw
-            if increment > 0:
-                capital += line_capital_rate(increment) * ln.length_km
-        ocf = outage_compensation_factor(ln.forced_outage_rate)
-        operating += costs.c_t2 * ln.length_km * cap * ocf
-    return capital + operating
+    return TransmissionInvestment(net, costs)(capacities)
 
 
 def generation_investment(case: NetworkCase, base_schedules) -> float:

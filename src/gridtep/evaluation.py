@@ -76,8 +76,8 @@ from .contingency import OutageState, RoundSampler, enumerate_deterministic
 # sample_state is unused here; it stays importable because
 # perfbench/tracer.py rebinds evaluation.sample_state.
 from .contingency import sample_state  # noqa: F401
-from .costs import (CostBreakdown, edns_cost, egns_cost, ewl_cost,
-                    generation_investment, objective, transmission_investment)
+from .costs import (CostBreakdown, TransmissionInvestment, edns_cost,
+                    egns_cost, ewl_cost, generation_investment, objective)
 from .dispatch import bus_generation, dispatch_rows, units_out
 # merit_order_dispatch is unused here; it stays importable because
 # perfbench/tracer.py rebinds evaluation.merit_order_dispatch.
@@ -101,13 +101,11 @@ POLICY_WEL = "wel"  # sizing may resize every line
 POLICIES = (POLICY_NL, POLICY_WEL)
 
 MAX_RESAMPLES = 1000  # element-wise draws per Monte Carlo slot
-# Rows per adequacy-kernel pass (at least), and per build and sampling
-# pass (at most): a sampling pass holds one stream's n uniforms per row,
-# and a stream drawing states ahead fills several rows. A pass costs some
-# tens of NumPy calls whatever its size, which outweighs per-row work now
-# that rows carry integer state ids, not Python keys. On the bundled case
-# 256 runs as fast as 512, whose temporaries add about 0.5 MB to a
-# study's peak.
+# Rows per adequacy-kernel pass (at least), and per build (at most). A
+# pass costs some tens of NumPy calls whatever its size, which outweighs
+# per-row work now that rows carry integer state ids, not Python keys. On
+# the bundled case 256 runs as fast as 512, whose temporaries add about
+# 0.5 MB to a study's peak.
 KERNEL_ROWS = 256
 # Rows a redraw round draws at most, unless more streams are pending, when
 # it draws one state each. Without a bound, a capacity vector that leaves
@@ -389,7 +387,7 @@ class _McsScenario:
         arrays. The first stream whose budget runs out before its first
         state raises, before any state is built."""
         ids, draws = self.sampler.draw(
-            pending, MAX_RESAMPLES - self.draws[pending], KERNEL_ROWS, ahead)
+            pending, MAX_RESAMPLES - self.draws[pending], ahead)
         spent = np.flatnonzero(ids[:, 0] < 0)
         if len(spent):
             self.sampler.keep(draws[:, 0])
@@ -487,9 +485,11 @@ class _McsScenario:
         while len(pending):
             ids, draws = self._draw(pending, ahead)
             try:
+                # The j-th states of all pending streams, j after j, as
+                # (ahead, streams) batch rows.
                 new_rows = self._build(
                     np.tile(pending // self.n_slots, ahead),
-                    ids.T.ravel()).reshape(ahead, -1).T
+                    ids.T.ravel()).reshape(ahead, -1)
             except GridTepError:
                 if ahead == 1:
                     raise
@@ -504,26 +504,33 @@ class _McsScenario:
                 parts.append(batch.evaluate(capacities, evaluated))
                 valid = np.concatenate([valid, parts[-1].valid])
                 evaluated = len(batch)
-            before = self.draws[pending]
-            got = (new_rows >= 0).sum(axis=1)
+            draws = draws.T
             hit = (new_rows >= 0) & valid[new_rows]
-            done = hit.any(axis=1)
-            # Each stream uses its states up to its first valid one.
-            last = np.where(done, hit.argmax(axis=1), ahead - 1)
-            k = np.arange(len(pending))
-            short = ~done & (got < ahead)  # out of budget, nothing valid
+            # Each stream uses its states up to its first valid one, all of
+            # them when none is.
+            seen = np.logical_or.accumulate(hit)
+            use = np.ones_like(hit)
+            use[1:] = ~seen[:-1]
+            done = seen[-1]
+            short = ~done & (new_rows[-1] < 0)  # out of budget, none valid
             if short.any():
                 # The one-state round where a budget first runs out.
+                got = (new_rows >= 0).sum(axis=0)
                 at = got[short].min()
-                self.sampler.keep(draws[k, np.minimum(last, at)])
+                self.sampler.keep(
+                    np.where(use, draws, 0)[:at + 1].max(axis=0))
                 raise self._budget_error(pending[short & (got == at)][0])
-            self.sampler.keep(draws[k, last])
-            self.draws[pending] = before + draws[k, last]
-            state, pos = np.nonzero(np.arange(ahead)[:, None] <= last)
-            self._use(pending[pos], new_rows[pos, state],
-                      before[pos] + draws[pos, state])
-            rows[pending[done]] = new_rows[k, last][done]
-            drawn[pending[done]] = self.draws[pending[done]]
+            spent = np.where(use, draws, 0).max(axis=0)
+            self.sampler.keep(spent)
+            before = self.draws[pending]
+            self.draws[pending] = before + spent
+            flat = np.flatnonzero(use)  # state-major: one-state round order
+            pos = flat % len(pending)
+            self._use(pending[pos], new_rows.ravel()[flat],
+                      before[pos] + draws.ravel()[flat])
+            rows[pending] = np.where(hit & use, new_rows, -1).max(axis=0)
+            # Streams still pending are set again when they are done.
+            drawn[pending] = self.draws[pending]
             pending = pending[~done]
             if grow and len(pending):
                 ahead = min(2 * ahead, max(1, ROUND_ROWS // len(pending)))
@@ -635,7 +642,8 @@ class PlanEvaluator:
 
     All randomness flows from the entropy key, making evaluations
     replayable. G_inv does not depend on the line plan; it is computed
-    once, from the base schedules the scenarios share.
+    once, from the base schedules the scenarios share. T_inv's per-line
+    constants are worked out once for the topology.
     """
 
     def __init__(
@@ -649,6 +657,7 @@ class PlanEvaluator:
         self.net = net
         self.base_schedules = base_schedules(case)
         self.g_inv = generation_investment(case, self.base_schedules)
+        self.t_inv = TransmissionInvestment(net, case.costs)
 
         if settings.mode == MODE_MCS:
             self.scenario = _McsScenario(
@@ -685,7 +694,7 @@ class PlanEvaluator:
                 edns_cost(report.edns, costs),
                 egns_cost(report.egns, report.ego, costs, generators),
                 ewl_cost(report.ewl, costs),
-                transmission_investment(self.net, capacities, costs),
+                self.t_inv(caps.tolist()),
                 self.g_inv),
             congestion_probability=report.congestion_probability.mean(axis=0),
         )

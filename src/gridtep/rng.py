@@ -13,14 +13,24 @@ paths share a prefix at once, as a ``Streams`` kernel: NumPy's
 SeedSequence mixes the words they share, once, and gridtep runs the hash
 steps of the remaining path words and of the seed words on uint32 arrays
 with one column per stream, then seeds PCG64 (NumPy's default bit
-generator) on uint64 words. PCG64 is a 128-bit linear congruential
-generator, so ``Streams.random`` draws the next rows of ``n`` uniforms
-of any subset of streams by jump-ahead, a fixed number of array
-operations per pass: each row starts from its stream's state by a jump
-of a multiple of ``n`` steps, so the cached jump constants grow with the
-rows and ``n``, not with their product. Stream ``k`` draws exactly what
+generator) on uint64 words. Stream ``k`` draws exactly what
 ``substream(entropy, *path, *words)`` draws, bit for bit; the tests check
 it.
+
+PCG64 is a 128-bit linear congruential generator (O'Neill 2014), so a
+stream can skip ahead by any number of steps in a fixed number of
+operations (Brown 1994). ``Streams.codes`` draws the next rows of ``n``
+uniforms of any subset of streams as outage codes, never as floats: the
+bit of element j is set when the row's j-th uniform is below the
+element's rate, decided on the integer output word against the exact
+bound ``ceil(rate * 2**53)`` (``limits``), and the bits are shifted into
+uint64 words, element 0 first (``unpack`` reads them back). Each row
+starts from its stream's state, by a jump of a multiple of ``n`` steps
+when a stream draws several rows. A pass of few rows then jumps to all
+``n`` states of every row at once, a fixed number of operations over
+(rows, n) arrays; a pass of ``STEP_ROWS`` rows or more steps every row's
+state one element at a time over 1-D row vectors, which stay in cache
+however many rows there are.
 """
 
 from __future__ import annotations
@@ -145,6 +155,54 @@ _MASK128 = (1 << 128) - 1
 # 0-d arrays: a NumPy scalar operand costs more per call.
 _U1, _U11, _U32, _U58, _U63, _U64, _LOW32 = (
     np.array(k, dtype=np.uint64) for k in (1, 11, 32, 58, 63, 64, _MASK32))
+# M's high and low word, and the low word's two 32-bit halves.
+_M_HI, _M_LO, _M0, _M1 = (
+    np.array(k, dtype=np.uint64) for k in (
+        _PCG_MULT >> 64, _PCG_MULT & _MASK64, _PCG_MULT & _MASK32,
+        _PCG_MULT >> 32 & _MASK32))
+# Rows from which a pass steps every row's state one element at a time
+# over 1-D row vectors instead of jumping to all n states of each row at
+# once over (rows, n) arrays. Stepping costs about 34 NumPy calls per
+# element whatever the row count; the jump costs a few dozen per pass,
+# each over rows * n words. On a 2-vCPU VM, at 25 elements, the jump took
+# 0.05 ms at 8 rows against 0.37 for stepping, 0.26 against 0.44 at 256
+# rows, both about 0.5 ms at 384, and 5.3 ms at 3,000 rows against 1.3;
+# at 11 and at 70 elements they crossed between 256 and 512 rows too.
+# The threshold sits at the low end: plan_mcs_wel, whose passes fall on
+# both sides, ran as fast in process from 256 as from 384, and the jump's
+# (rows, n) temporaries stay smaller (tracemalloc peak of one study
+# 1.28 MB against 1.37 MB).
+STEP_ROWS = 256
+
+
+def limits(rates) -> np.ndarray:
+    """Each outage rate as an integer bound on the top 53 bits ``k`` of a
+    PCG64 output word: ``Generator.random`` makes the double ``k * 2**-53``
+    of the word, which is below the rate exactly when ``k`` is below
+    ``ceil(rate * 2**53)``. Scaling by a power of two is exact, so rates
+    0 and 1 give 0 (never out) and 2**53 (always out)."""
+    scaled = np.clip(np.asarray(rates, dtype=float), 0.0, 1.0) * 2.0**53
+    return np.ceil(scaled).astype(np.uint64)
+
+
+@cache
+def _layout(n: int) -> tuple[np.ndarray, ...]:
+    """Where each of ``n`` elements lies in a code of uint64 words: its
+    word, its bit's shift in that word, and each word's first element.
+    Word w holds elements 64w to 64w + 63, the last word the rest; a
+    word's first element is its most significant bit and its last the
+    least, so codes compare as their bit strings do."""
+    j = np.arange(n)
+    word = j // 64
+    shift = np.minimum(64, n - 64 * word) - 1 - j % 64
+    return word, shift.astype(np.uint64), np.arange(0, n, 64)
+
+
+def unpack(codes: np.ndarray, n: int) -> np.ndarray:
+    """The bool (rows, n) rows of ``n`` bits that (rows, words) codes of
+    ``Streams.codes`` hold."""
+    word, shift, _ = _layout(n)
+    return (codes[:, word] >> shift & _U1).astype(bool)
 
 
 @cache
@@ -202,13 +260,71 @@ def _jump(jumps, state, inc):
     return hi, lo
 
 
-def _uniforms(hi, lo):
-    """PCG64's XSL-RR output of each state, as Generator.random makes a
-    double of it: its top 53 bits times 2**-53."""
+def _jump_codes(state, inc, limits):
+    """Codes of rows from their start states by one jump to all ``n``
+    states of each row, as (rows, n) arrays; and each row's last state."""
+    (hi, lo), (i_hi, i_lo) = state, inc
+    hi, lo = _jump(_jumps(len(limits)), (hi[:, None], lo[:, None]),
+                   (i_hi[:, None], i_lo[:, None]))
     word = hi ^ lo
     turn = hi >> _U58
     word = word >> turn | word << ((_U64 - turn) & _U63)
-    return (word >> _U11) * (1.0 / 9007199254740992.0)
+    _, shift, starts = _layout(len(limits))
+    bits = (word >> _U11 < limits) << shift
+    codes = np.bitwise_or.reduceat(bits, starts, axis=1)
+    return codes, (hi[:, -1], lo[:, -1])
+
+
+def _step_codes(state, inc, limits):
+    """Codes of rows from their start states by stepping every row's
+    state one element at a time, each step and output over 1-D row
+    vectors written in place, so a pass's arrays stay in cache; and each
+    row's last state."""
+    hi, lo = (np.array(words) for words in state)
+    i_hi, i_lo = inc
+    s0, s1, t, u, v, word, turn = (np.empty_like(lo) for _ in range(7))
+    bit = np.empty(len(lo), dtype=bool)
+    codes = np.zeros(((len(limits) + 63) // 64, len(lo)), dtype=np.uint64)
+    for j, limit in enumerate(limits[:, None]):
+        code = codes[j // 64]
+        # hi:lo = M * hi:lo + inc; s1 ends as the high word of M_lo * lo.
+        np.bitwise_and(lo, _LOW32, out=s0)
+        np.right_shift(lo, _U32, out=s1)
+        np.multiply(s0, _M0, out=t)
+        np.multiply(s0, _M1, out=u)
+        np.right_shift(t, _U32, out=t)
+        u += t
+        np.multiply(s1, _M0, out=v)
+        np.bitwise_and(u, _LOW32, out=t)
+        v += t
+        s1 *= _M1
+        u >>= _U32
+        s1 += u
+        v >>= _U32
+        s1 += v
+        hi *= _M_LO
+        hi += s1
+        np.multiply(lo, _M_HI, out=t)
+        hi += t
+        lo *= _M_LO
+        lo += i_lo
+        hi += i_hi
+        np.less(lo, i_lo, out=bit)  # the carry out of the low words
+        hi += bit
+        # XSL-RR output: hi ^ lo rotated right by hi's top 6 bits; its
+        # top 53 bits against the element's limit.
+        np.bitwise_xor(hi, lo, out=word)
+        np.right_shift(hi, _U58, out=turn)
+        np.right_shift(word, turn, out=t)
+        np.subtract(_U64, turn, out=turn)
+        turn &= _U63
+        word <<= turn
+        word |= t
+        word >>= _U11
+        np.less(word, limit, out=bit)
+        code <<= _U1
+        code |= bit
+    return codes.T, (hi, lo)
 
 
 class Streams:
@@ -237,37 +353,32 @@ class Streams:
         state["state"]["state"] = hi << 64 | lo
         rng.bit_generator.state = state
 
-    def random(self, index: np.ndarray, n: int, part: int,
-               rows=1) -> np.ndarray:
-        """The next ``rows[k] * n`` uniforms of each stream ``index`` lists
-        (no stream twice), as ``rows[k]`` rows of ``n``, stream after
-        stream: what ``Generator.random((rows[k], n))`` draws from it.
-        ``rows`` is a count of at least 1 per stream, or one for all.
-        Jumps run over parts of at most ``part`` rows, so their
-        temporaries stay small however many rows are drawn."""
+    def codes(self, index: np.ndarray, limits: np.ndarray,
+              rows=1) -> np.ndarray:
+        """The outage codes of the next ``rows[k]`` rows of ``n =
+        len(limits)`` uniforms of each stream ``index`` lists (no stream
+        twice), stream after stream, as (rows, words) uint64: bit j of a
+        row is set when its j-th uniform, what ``Generator.random((rows[k],
+        n))`` draws there, is below the rate of ``limits[j]`` (see
+        ``limits``), laid out as ``unpack`` reads it. ``rows`` is a count
+        of at least 1 per stream, or one for all. Each stream is left
+        after its last row."""
+        n = len(limits)
         rows = np.broadcast_to(rows, index.shape)
         ends = np.cumsum(rows)
-        stream, leaps = index, None
-        # One row per stream jumps from the stream states themselves; doing
-        # that from per-row leaps too priced adequacy_mcs 7-13 % slower.
+        state, inc = self.state[:, index], self.inc[:, index]
+        # One row per stream starts from the stream states themselves;
+        # several start by a jump of a multiple of n from their stream's.
         if len(index) and ends[-1] > len(index):
             stream = np.repeat(index, rows)
             row = np.arange(len(stream)) - np.repeat(ends - rows, rows)
-            leaps = _leaps(int(row.max()) + 1, n)
-        steps = _jumps(n)
-        state, inc = self.state[:, stream], self.inc[:, stream]
-        out = np.empty((len(stream), n))
-        for lo in range(0, len(stream), part):
-            at = slice(lo, lo + part)
-            start = state[:, at]
-            if leaps is not None:  # each row from its stream's state
-                start = _jump([c[row[at]] for c in leaps], start, inc[:, at])
-            states = _jump(steps, (start[0][:, None], start[1][:, None]),
-                           inc[:, at, None])
-            state[:, at] = [words[:, -1] for words in states]
-            out[at] = _uniforms(*states)
-        self.state[:, index] = state[:, ends - 1]
-        return out
+            inc = self.inc[:, stream]
+            state = _jump([c[row] for c in _leaps(int(row.max()) + 1, n)],
+                          self.state[:, stream], inc)
+        kernel = _jump_codes if len(inc[0]) < STEP_ROWS else _step_codes
+        codes, last = kernel(state, inc, limits)
+        self.state[:, index] = [words[ends - 1] for words in last]
+        return codes
 
     def seek(self, index: np.ndarray, start: np.ndarray, rows: np.ndarray,
              n: int) -> None:

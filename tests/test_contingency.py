@@ -21,7 +21,7 @@ from gridtep.contingency import (
 from gridtep.errors import ResampleBudgetError
 from gridtep.network import (Chromosome, apply_plan, connected_components,
                              load_case)
-from gridtep.rng import DOMAIN_MCS, substream, substreams
+from gridtep.rng import DOMAIN_MCS, STEP_ROWS, substream, substreams
 
 from _toys import build_case, gen, line, mcs_toy_case, per_draw_reference
 
@@ -210,8 +210,7 @@ def test_round_sampler_matches_a_per_draw_reference(which, seed, data):
         budgets = data.draw(st.lists(
             st.one_of(st.just(0), st.just(1), st.integers(2, 6)),
             min_size=len(index), max_size=len(index)))
-        ids, draws = sampler.draw(
-            np.array(index), np.array(budgets), data.draw(st.integers(1, 5)))
+        ids, draws = sampler.draw(np.array(index), np.array(budgets))
         want, want_draws, want_exhausted, _ = per_draw_reference(
             case, net, [rngs[k] for k in index], budgets)
         spent = np.flatnonzero(ids[:, 0] < 0)
@@ -225,10 +224,9 @@ def test_round_sampler_matches_a_per_draw_reference(which, seed, data):
 
 def ahead_round(ahead, n=6):
     """One call of the draw-ahead test: ``ahead``, a budget per stream,
-    the kernel's part size, and how many states each stream keeps."""
+    and how many states each stream keeps."""
     return st.tuples(st.just(ahead),
                      st.lists(st.integers(0, 20), min_size=n, max_size=n),
-                     st.integers(1, 40),
                      st.lists(st.integers(0, ahead), min_size=n, max_size=n))
 
 
@@ -241,23 +239,21 @@ def ahead_round(ahead, n=6):
 # Two states ahead within three draws: the first pass draws two rows per
 # stream, and the second one row for each of the five streams still
 # short, so the numbering of accepted rows runs on a one-row pass.
-@example(which="ring", seed=0, rounds=[(2, [3] * 6, 40, [1, 2, 0, 2, 1, 2])])
+@example(which="ring", seed=0, rounds=[(2, [3] * 6, [1, 2, 0, 2, 1, 2])])
 def test_round_sampler_draws_ahead_as_one_state_rounds(which, seed, rounds):
     """Drawing ``ahead`` states per stream in one call gives each stream
     the states and running draw counts that ``ahead`` one-state rounds of
     the per-draw loop give, within budgets of 0 to 20 draws, and -1 and
-    the whole budget past it, whatever the kernel's part size. Kept
-    after any number of its states, a stream goes on where the loop goes
-    on after drawing just those."""
+    the whole budget past it. Kept after any number of its states, a
+    stream goes on where the loop goes on after drawing just those."""
     case = ROUND_CASES[which]
     net = net_of(case)
     n = 6
     streams = substreams(seed, (DOMAIN_MCS,), np.ones(n), np.arange(n))
     rngs = [substream(seed, DOMAIN_MCS, 1, slot) for slot in range(n)]
     sampler = RoundSampler(case, net, streams)
-    for ahead, budgets, part, keep in rounds:
-        ids, draws = sampler.draw(np.arange(n), np.array(budgets), part,
-                                  ahead)
+    for ahead, budgets, keep in rounds:
+        ids, draws = sampler.draw(np.arange(n), np.array(budgets), ahead)
         assert ids.shape == draws.shape == (n, ahead)
         kept = []
         for k, (rng, budget) in enumerate(zip(rngs, budgets)):
@@ -287,15 +283,16 @@ def test_round_sampler_draws_ahead_as_one_state_rounds(which, seed, rounds):
 @pytest.mark.parametrize("which", sorted(ROUND_CASES))
 def test_round_sampler_gives_each_outage_code_one_id(which):
     """The sampler's table holds each drawn outage state once, under one
-    id, with the answer of the one-state screen, on codes of one byte and
-    of nine; every id a draw accepts is a feasible state's."""
+    id, with the answer of the one-state screen, on codes of one word and
+    of two; every id a draw accepts is a feasible state's. Each call's
+    first pass steps its STEP_ROWS rows and its redraws jump."""
     case = ROUND_CASES[which]
     net = net_of(case)
-    n = 200
+    n = STEP_ROWS
     sampler = RoundSampler(case, net, substreams(5, (DOMAIN_MCS,),
                                                  np.arange(n)))
     for _ in range(3):
-        ids, draws = sampler.draw(np.arange(n), np.full(n, 50), 64)
+        ids, draws = sampler.draw(np.arange(n), np.full(n, 50))
         assert (ids >= 0).all()
         assert sampler.feasible[ids].all()
     assert len(set(sampler.states)) == len(sampler.states) > n // 10

@@ -503,10 +503,10 @@ def test_a_redraw_round_draws_at_most_round_rows_states(monkeypatch):
         real = sampler.draw
         rounds = []
 
-        def draw(index, budgets, part, ahead=1):
+        def draw(index, budgets, ahead=1):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            out = real(index, budgets, part, ahead)
+            out = real(index, budgets, ahead)
             rounds.append((len(index), ahead,
                            tracemalloc.get_traced_memory()[1] - before))
             return out
@@ -582,7 +582,7 @@ def scripted(monkeypatch, evaluator, script, n_mcs):
     state_id = {outcome: k for k, outcome in enumerate(states)}
     used, last = {}, []
 
-    def draw(index, budgets, part, ahead=1):
+    def draw(index, budgets, ahead=1):
         """The round sampler's contract: per position the ids of its next
         ``ahead`` states in the sampler's ``states``, -1 past an
         exhausted budget, and the draws up to each, "x" counting one."""
@@ -711,24 +711,28 @@ def test_mcs_batch_prices_a_slot_whose_unused_state_would_fail(
 def count_draws(monkeypatch, evaluator):
     """Record, per flat (month, slot) stream index of an MCS evaluator,
     whether each element-wise draw's state passes the feasibility screen:
-    a dict from the index to its outcomes in draw order."""
+    a dict from the index to its outcomes in draw order. Each drawn row's
+    outage code is read as its bit string, element 0 first."""
     sampler = evaluator.scenario.sampler
     case, net = sampler.case, sampler.net
-    n_lines = len(net.line_ids)
+    n_lines, n = len(net.line_ids), len(sampler.limits)
     outcomes = {}
-    real = sampler.streams.random
+    real = sampler.streams.codes
 
-    def random(index, n, part, rows=1):
-        u = real(index, n, part, rows)
-        for flat, out in zip(np.repeat(index, rows).tolist(),
-                             (u < sampler.rates).tolist()):
+    def codes(index, limits, rows=1):
+        got = real(index, limits, rows)
+        for flat, words in zip(np.repeat(index, rows).tolist(),
+                               got.tolist()):
+            last = n - 64 * (len(words) - 1)
+            out = [b == "1" for b in "".join(
+                [f"{w:064b}" for w in words[:-1]] + [f"{words[-1]:0{last}b}"])]
             lines_out = frozenset(compress(net.line_ids, out[:n_lines]))
             gens_out = frozenset(compress(range(n - n_lines), out[n_lines:]))
             outcomes.setdefault(flat, []).append(
                 contingency._feasible(case, net, lines_out, gens_out))
-        return u
+        return got
 
-    monkeypatch.setattr(sampler.streams, "random", random)
+    monkeypatch.setattr(sampler.streams, "codes", codes)
     return outcomes
 
 

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridtep
-from gridtep.rng import substream, substreams
+from gridtep.rng import STEP_ROWS, limits, substream, substreams, unpack
 
+from test_contingency import ROUND_CASES, net_of
 from test_network import BUNDLED
 
 # 0, ordinary seeds, and words of 2**32 and above (two or three uint32s).
@@ -22,6 +23,27 @@ ENTROPY = st.one_of(ENTROPY_WORD, st.lists(ENTROPY_WORD, max_size=6))
 PATH = st.lists(st.integers(0, 2**32 - 1), max_size=3)
 
 
+# Rates of exactly 0 and 1, multiples of 2**-53 (where a uniform can equal
+# the rate), and any others in between.
+RATE = st.one_of(st.just(0.0), st.just(1.0),
+                 st.integers(0, 2**53).map(lambda k: k / 2**53),
+                 st.floats(0.0, 1.0))
+
+
+def packed(bits) -> list[list[int]]:
+    """Each row of a bool (rows, n) array as its bit string, element 0
+    first, cut into 64-bit words read as binary numbers: what
+    ``Streams.codes`` gives for it."""
+    rows = ["".join("1" if b else "0" for b in row) for row in bits.tolist()]
+    return [[int(row[a:a + 64], 2) for a in range(0, len(row), 64)]
+            for row in rows]
+
+
+def state_of(streams, k) -> int:
+    hi, lo = (int(word) for word in streams.state[:, k])
+    return hi << 64 | lo
+
+
 @pytest.mark.numpy_floor
 @settings(max_examples=60, deadline=None)
 @given(entropy=ENTROPY, path=PATH, count=st.integers(0, 300), data=st.data())
@@ -29,9 +51,10 @@ def test_bulk_streams_match_single_streams_bit_for_bit(entropy, path, count,
                                                        data):
     """Stream k of substreams draws what substream(entropy, *path, k)
     draws, over several calls in a row on random subsets of the streams,
-    1 to 4 rows of 1 to 70 uniforms each, whatever the kernel's part
-    size. Some of the path's words are passed as columns, as the Monte
-    Carlo months are."""
+    1 to 4 rows of 1 to 70 elements each: the outage codes are the
+    Generator's uniforms below the rates, packed element 0 first, and
+    the stream is left in the Generator's state. Some of the path's words
+    are passed as columns, as the Monte Carlo months are."""
     cut = data.draw(st.integers(0, len(path)))
     columns = [np.full(count, word) for word in path[cut:]]
     streams = substreams(entropy, path[:cut], *columns, np.arange(count))
@@ -45,15 +68,54 @@ def test_bulk_streams_match_single_streams_bit_for_bit(entropy, path, count,
             st.integers(0, count - 1), min_size=1, max_size=6))))
         first = []
         n = data.draw(st.integers(1, 70))
+        rates = np.array(data.draw(st.lists(RATE, min_size=n, max_size=n)))
         rows = np.array(data.draw(st.lists(st.integers(1, 4),
                                            min_size=len(picks),
                                            max_size=len(picks))))
-        got = streams.random(np.array(picks), n,
-                             data.draw(st.integers(1, 8)), rows)
-        assert got.shape == (rows.sum(), n)
+        got = streams.codes(np.array(picks), limits(rates), rows)
+        assert got.dtype == np.uint64
+        assert got.shape == (rows.sum(), (n + 63) // 64)
         for block, k in zip(np.split(got, np.cumsum(rows)[:-1]), picks):
             rng = singles.setdefault(k, substream(entropy, *path, k))
-            assert block.tobytes() == rng.random(block.shape).tobytes(), k
+            want = rng.random((len(block), n)) < rates
+            assert block.tolist() == packed(want), k
+            assert unpack(block, n).tolist() == want.tolist()
+            assert state_of(streams, k) == rng.bit_generator.state[
+                "state"]["state"], k
+
+
+@pytest.mark.numpy_floor
+@pytest.mark.parametrize("size", [STEP_ROWS - 1, STEP_ROWS])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_stream_codes_jump_and_step_alike(size, seed, data):
+    """A pass of just fewer than STEP_ROWS rows, which jumps to every
+    element's state at once, and one of STEP_ROWS, which steps the rows
+    one element at a time, both give each stream what numpy's Generator
+    draws from it, and leave it in the Generator's state: on one row per
+    stream or several, with the wide round-sampler case's 70 rates (two
+    code words) or up to 64 random ones, among them exactly 0 and 1."""
+    if data.draw(st.booleans()):
+        case = ROUND_CASES["wide"]
+        rates = np.array(net_of(case).line_outage_rates
+                         + case.generator_outage_rates)
+    else:
+        rates = np.array(data.draw(st.permutations(
+            [0.0, 1.0] + data.draw(st.lists(RATE, max_size=62)))))
+    n = len(rates)
+    cuts = data.draw(st.one_of(
+        st.just(range(1, size)),  # one row per stream
+        st.lists(st.integers(1, size - 1), unique=True, max_size=30)))
+    rows = np.diff([0, *sorted(cuts), size])
+    index = np.array(data.draw(st.permutations(range(len(rows)))))
+    streams = substreams(seed, (1,), np.arange(len(rows)))
+    got = streams.codes(index, limits(rates), rows)
+    assert got.shape == (size, (n + 63) // 64)
+    for block, k, m in zip(np.split(got, np.cumsum(rows)[:-1]), index, rows):
+        rng = substream(seed, 1, k)
+        assert block.tolist() == packed(rng.random((m, n)) < rates), k
+        assert state_of(streams, k) == rng.bit_generator.state[
+            "state"]["state"], k
 
 
 @pytest.mark.numpy_floor
