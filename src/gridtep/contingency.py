@@ -1,6 +1,8 @@
 """Contingency state generation.
 
-Two sources of outage states share one representation:
+Two sources of outage states share one representation, a row of a bool
+outage mask: the network's lines in line order, then the generators in
+fleet order, True where the element is out.
 
 * Monte Carlo sampling — each line and generator is drawn out with its
   forced outage rate. States that island the network or leave fewer than
@@ -10,16 +12,19 @@ Two sources of outage states share one representation:
   (``rng.Streams.codes``) hands back each drawn row as an outage code of
   uint64 words, one bit per element, without making a uniform. Each
   distinct code gets an integer id once per sampler, and a draw hands
-  back ids: only a pass's new codes are decoded into outage sets and
+  back ids: only a pass's new codes are unpacked into mask rows and
   screened, and only the rejected rows are redrawn.
 * Deterministic enumeration — every single (N-1) or pair (N-2) outage
-  over lines and generators, with the same feasibility screen.
+  over lines and generators, with the same feasibility screen
+  (``enumerate_outages``).
 
-Both call one batched screen (``screen``): the minimum-online test and
-the island test as array operations over states, after one batched
-reachability pass (``dcflow.fill_slack_connected``) over their outage
-sets, all of them for enumeration and each round's new ones for
-sampling. ``is_islanded`` and ``_feasible`` are its one-state views.
+Both call one batched screen (``screen``) on their mask rows: the
+minimum-online test and the island test as array operations over
+states, after one reachability pass (``dcflow.slack_connected``) over
+their in-service lines, all of them for enumeration and each round's
+new ones for sampling. Line and generator id sets appear only in the
+one-state views, which convert at their edge: ``sample_state``,
+``enumerate_deterministic``, ``is_islanded`` and ``_feasible``.
 
 A state islands the network when any demand bus, or any bus hosting an
 online generator, is cut off from the slack bus. Buses with neither
@@ -34,13 +39,13 @@ from itertools import combinations, compress
 
 import numpy as np
 
-from .dcflow import fill_slack_connected
+from .dcflow import _in_service, slack_connected
 from .dispatch import units_out
 from .errors import ResampleBudgetError
 from .network import ActiveNetwork, NetworkCase
 from .rng import Streams, limits, unpack
-# Unused here: no path reaches the union-find, as the batched pass fills
-# slack_connected's memo. The name stays importable only because
+# Unused here: no path reaches the union-find, as the island test reads
+# the batched reachability pass. The name stays importable only because
 # perfbench/tracer.py rebinds contingency.connected_components.
 from .network import connected_components  # noqa: F401
 
@@ -54,33 +59,46 @@ class OutageState:
     draws: int = field(default=1, compare=False)
 
 
-def screen(case: NetworkCase, net: ActiveNetwork, lines_out,
-           gens_out: np.ndarray) -> np.ndarray:
-    """Bool per outage state: True where it is feasible, i.e. it leaves at
-    least the minimum number of generators online and islands nothing.
-
-    State s has the line ids of ``lines_out[s]`` out and the units of row
-    s of the bool (states, generators) mask ``gens_out``. Both tests run
-    as array operations over the states, after one
-    ``fill_slack_connected`` pass over their line sets.
-    """
-    online = len(case.generators) - gens_out.sum(axis=1)
+def screen(case: NetworkCase, net: ActiveNetwork, out: np.ndarray
+           ) -> np.ndarray:
+    """Bool per row of the bool (states, lines + generators) outage mask
+    ``out``: True where the state is feasible, i.e. it leaves at least
+    the minimum number of generators online and islands nothing. Both
+    tests run as array operations over the states."""
+    online = len(case.generators) - out[:, len(net.lines):].sum(axis=1)
     return ((online >= case.min_online_generators)
-            & ~_islanded(case, net, fill_slack_connected(net, lines_out),
-                         gens_out))
+            & ~_islanded(case, net, out))
 
 
-def _islanded(case: NetworkCase, net: ActiveNetwork, live: np.ndarray,
-              gens_out: np.ndarray) -> np.ndarray:
-    """Bool per state: a demand bus, or the bus of a unit still online, is
-    outside the state's row of slack-connected bus masks ``live``."""
+def _islanded(case: NetworkCase, net: ActiveNetwork, out: np.ndarray
+              ) -> np.ndarray:
+    """Bool per row of the outage mask ``out``: a demand bus, or the bus
+    of a unit still online, no longer reaches the slack bus."""
+    n_lines = len(net.lines)
     index = net.bus_index
     demand = np.zeros(net.n_buses, dtype=bool)
     demand[[index[b.id] for b in case.buses if b.base_demand > 0]] = True
     gen_bus = np.array([index[g.bus] for g in case.generators], dtype=np.intp)
-    cut = ~live
+    cut = ~slack_connected(net, ~out[:, :n_lines])
     return ((cut & demand).any(axis=1)
-            | (cut[:, gen_bus] & ~gens_out).any(axis=1))
+            | (cut[:, gen_bus] & ~out[:, n_lines:]).any(axis=1))
+
+
+def _encode(case: NetworkCase, net: ActiveNetwork, states) -> np.ndarray:
+    """The outage mask of (lines out, generators out) id-set pairs, a row
+    each; ``_decode`` reads it back."""
+    return np.hstack([~_in_service(net, [lines for lines, _ in states]),
+                      units_out(case, [gens for _, gens in states])])
+
+
+def _decode(net: ActiveNetwork, out: np.ndarray) -> list[tuple]:
+    """(lines out, generators out) id sets of each row of an outage
+    mask."""
+    n_lines = len(net.line_ids)
+    units = range(out.shape[1] - n_lines)
+    return [(frozenset(compress(net.line_ids, row[:n_lines])),
+             frozenset(compress(units, row[n_lines:])))
+            for row in out.tolist()]
 
 
 def is_islanded(
@@ -92,8 +110,8 @@ def is_islanded(
     """True when a demand bus or an online generator's bus loses its path
     to the slack bus once the given lines are removed: the island test of
     ``screen`` on one state."""
-    live = fill_slack_connected(net, [lines_out])
-    return bool(_islanded(case, net, live, units_out(case, [gens_out]))[0])
+    out = _encode(case, net, [(lines_out, gens_out)])
+    return bool(_islanded(case, net, out)[0])
 
 
 def _feasible(
@@ -103,17 +121,8 @@ def _feasible(
     gens_out: frozenset[int],
 ) -> bool:
     """``screen`` on one state."""
-    return bool(screen(case, net, [lines_out], units_out(case, [gens_out]))[0])
-
-
-def _decode(net: ActiveNetwork, out: np.ndarray) -> list[tuple]:
-    """(lines out, generators out) id sets of each row of a bool (states,
-    lines + generators) outage mask, lines first in network order."""
-    n_lines = len(net.line_ids)
-    units = range(out.shape[1] - n_lines)
-    return [(frozenset(compress(net.line_ids, row[:n_lines])),
-             frozenset(compress(units, row[n_lines:])))
-            for row in out.tolist()]
+    return bool(screen(case, net, _encode(case, net,
+                                          [(lines_out, gens_out)]))[0])
 
 
 class RoundSampler:
@@ -124,17 +133,15 @@ class RoundSampler:
     rate. The kernel decides that on PCG64's integer output against each
     rate's exact bound (``limits``) and returns a drawn row as an outage
     code, uint64 words of one bit per element, element 0 first, so any
-    number of elements fits. Each distinct code gets an integer id, in
-    ``states`` (its lines out and generators out) and ``feasible``: a
-    pass's codes are told apart by one ``np.unique`` over them, as plain
-    integers when one word holds them, and only the codes not seen
-    before are decoded (``rng.unpack``) and screened, together
-    (``screen``). ``draw`` redraws only the rejected rows, pass
-    after pass, in one of two loops: one state per stream, or several
-    states ahead, where a pass draws each pending stream's rows up to its
-    next states or its budget and numbers the accepted rows within their
-    streams. ``keep`` then moves each stream back to just after the
-    states it used.
+    number of elements fits. Each distinct code gets an integer id, a row
+    of ``out`` (its outage mask) and of ``feasible``: a pass's codes are
+    told apart by one ``np.unique`` over them, as plain integers when one
+    word holds them, and only the codes not seen before are unpacked
+    (``rng.unpack``) and screened, together (``screen``). ``draw``
+    redraws only the rejected rows, pass after pass: a pass draws each
+    pending stream's rows up to its next states or its budget and numbers
+    the accepted rows within their streams. ``keep`` then moves each
+    stream back to just after the states it used.
     """
 
     def __init__(self, case: NetworkCase, net: ActiveNetwork,
@@ -145,7 +152,7 @@ class RoundSampler:
         self.limits = limits(net.line_outage_rates
                              + case.generator_outage_rates)
         self._ids: dict = {}  # outage code (int, or tuple of words) -> id
-        self.states: list[tuple[frozenset[int], frozenset[int]]] = []
+        self.out = np.zeros((0, len(self.limits)), dtype=bool)  # per id
         self.feasible = np.zeros(0, dtype=bool)  # per id
         self._last = None  # the last draw's streams, start states and draws
 
@@ -163,19 +170,6 @@ class RoundSampler:
         made = np.zeros(len(index), dtype=np.int64)  # element-wise draws
         self._last = index, self.streams.state[:, index], made
         todo = np.flatnonzero(budgets > 0)
-        # One state per stream carries every draw of adequacy_mcs; the
-        # draw-ahead loop below in its place priced it 2-13 % slower.
-        if ahead == 1:
-            ids = np.full(len(index), -1, dtype=np.intp)
-            while len(todo):
-                drawn = self._id(self.streams.codes(index[todo],
-                                                    self.limits))
-                made[todo] += 1
-                ok = self.feasible[drawn]
-                ids[todo[ok]] = drawn[ok]
-                todo = todo[~ok]
-                todo = todo[made[todo] < budgets[todo]]
-            return ids[:, None], made[:, None]
         ids = np.full((len(index), ahead), -1, dtype=np.intp)
         draws = np.zeros((len(index), ahead), dtype=np.int64)
         got = np.zeros(len(index), dtype=np.intp)  # states found
@@ -211,7 +205,7 @@ class RoundSampler:
 
     def _id(self, codes: np.ndarray) -> np.ndarray:
         """The id of each row of (rows, words) outage codes; codes not
-        seen before are decoded, screened and given the next ids."""
+        seen before are unpacked, screened and given the next ids."""
         if codes.shape[1] == 1:  # the codes as plain integers
             codes, inverse = np.unique(codes[:, 0], return_inverse=True)
             keys = codes.tolist()
@@ -224,14 +218,12 @@ class RoundSampler:
         new = np.flatnonzero(ids < 0)
         if len(new):
             out = unpack(codes[new], len(self.limits))
-            states = _decode(self.net, out)
-            ids[new] = np.arange(len(self.states), len(self.states) + len(new))
+            ids[new] = np.arange(len(self.out), len(self.out) + len(new))
             self._ids.update(zip([keys[k] for k in new.tolist()],
                                  ids[new].tolist()))
-            self.states += states
-            self.feasible = np.concatenate([self.feasible, screen(
-                self.case, self.net, [lines for lines, _ in states],
-                out[:, len(self.net.line_ids):])])
+            self.out = np.concatenate([self.out, out])
+            self.feasible = np.concatenate([
+                self.feasible, screen(self.case, self.net, out)])
         return ids[inverse.ravel()]
 
 
@@ -257,30 +249,35 @@ def sample_state(
     if state < 0:
         raise ResampleBudgetError(
             f"no feasible outage state within {max_draws} draws")
-    lines_out, gens_out = sampler.states[state]
+    ((lines_out, gens_out),) = _decode(net, sampler.out[[state]])
     return OutageState(lines_out=lines_out, gens_out=gens_out,
                        draws=int(draws))
+
+
+def enumerate_outages(case: NetworkCase, net: ActiveNetwork, order: int
+                      ) -> np.ndarray:
+    """The outage mask rows of all feasible states of the given
+    contingency order.
+
+    Order 1 lists every single line or generator outage; order 2 lists
+    every unordered pair of element outages, in ``combinations`` order
+    over lines then generators. The intact state is never included.
+    """
+    if order not in (1, 2):
+        raise ValueError(f"contingency order must be 1 or 2, got {order}")
+
+    n = len(net.lines) + len(case.generators)
+    picks = np.array(list(combinations(range(n), order)),
+                     dtype=np.intp).reshape(-1, order)
+    out = np.zeros((len(picks), n), dtype=bool)
+    out[np.arange(len(picks))[:, None], picks] = True
+    return out[screen(case, net, out)]
 
 
 def enumerate_deterministic(
     case: NetworkCase, net: ActiveNetwork, order: int
 ) -> list[OutageState]:
-    """All feasible outage states of the given contingency order.
-
-    Order 1 lists every single line or generator outage; order 2 lists
-    every unordered pair of element outages. The intact state is never
-    included.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"contingency order must be 1 or 2, got {order}")
-
-    n_lines = len(net.lines)
-    n = n_lines + len(case.generators)
-    picks = np.array(list(combinations(range(n), order)),
-                     dtype=np.intp).reshape(-1, order)
-    out = np.zeros((len(picks), n), dtype=bool)
-    out[np.arange(len(picks))[:, None], picks] = True
-    states = _decode(net, out)
-    ok = screen(case, net, [lines for lines, _ in states], out[:, n_lines:])
-    return [OutageState(lines_out=lines, gens_out=gens)
-            for (lines, gens), keep in zip(states, ok.tolist()) if keep]
+    """All feasible outage states of the given contingency order, as id
+    sets: ``enumerate_outages`` decoded."""
+    return [OutageState(lines_out=lines, gens_out=gens) for lines, gens
+            in _decode(net, enumerate_outages(case, net, order))]

@@ -11,10 +11,12 @@ line ratings — so one solve serves every capacity assignment of the same
 topology.
 
 ``solve_rows`` solves a batch of outage states of one network at once, a
-row per state: one stacked susceptance assembly, and one stacked
-``np.linalg.solve`` per set of buses still tied to the slack. Each row
-gets the bits its own solve would, whichever rows share the call;
-``solve_with_outages`` is the one-row case.
+row per state, each given as a row of in-service line masks: one
+reachability pass (``slack_connected``, with no memo), one stacked
+susceptance assembly, and one stacked ``np.linalg.solve`` per set of
+buses still tied to the slack. Each row gets the bits its own solve
+would, whichever rows share the call; ``solve_with_outages`` is the
+one-row case, taking the ids of the lines out.
 """
 
 from __future__ import annotations
@@ -47,51 +49,26 @@ def _in_service(net: ActiveNetwork, outages) -> np.ndarray:
     return in_service
 
 
-def slack_connected(net: ActiveNetwork, lines_out: frozenset[int]) -> np.ndarray:
-    """Bool per bus: True where the bus still reaches the slack bus once
-    the given lines are removed.
+def slack_connected(net: ActiveNetwork, in_service: np.ndarray) -> np.ndarray:
+    """Bool (rows, buses): True where the bus still reaches the slack bus
+    over the lines of row r of the bool (rows, lines) ``in_service``.
 
-    Memoized on the network instance by outage set: a miss runs
-    ``fill_slack_connected`` on the one set, so reachability is computed
-    once per distinct outage set however often the island screen and the
-    load flow ask. The returned array is read-only.
+    Reachability from the slack bus spreads over each row's lines one hop
+    per step, for at most n_buses - 1 steps, all rows at once; memory
+    grows with rows times lines.
     """
-    memo = net.slack_connected_memo
-    if lines_out not in memo:
-        fill_slack_connected(net, [lines_out])
-    return memo[lines_out]
-
-
-def fill_slack_connected(net: ActiveNetwork, outages) -> np.ndarray:
-    """``slack_connected``'s masks of the listed outage sets (line ids),
-    stacked as (sets, buses): the sets not yet in its memo are filled in
-    one vectorized pass.
-
-    The new outage sets are stacked as rows of in-service line masks, and
-    reachability from the slack bus spreads over each row's lines one hop
-    per step, for at most n_buses - 1 steps; memory grows with sets times
-    lines. The memoized masks are read-only.
-    """
-    memo = net.slack_connected_memo
-    new = [lines_out for lines_out in dict.fromkeys(outages)
-           if lines_out not in memo]
-    if new:
-        in_service = _in_service(net, new)
-        a_from, a_to = net.incidence
-        ends = a_from + a_to  # lines x buses: each line's two ends
-        reach = np.zeros((len(new), net.n_buses), dtype=bool)
-        reach[:, net.bus_index[net.slack_bus]] = True
-        for _ in range(net.n_buses - 1):
-            # An in-service line with a reached end reaches its other end.
-            carried = (reach @ ends.T > 0) & in_service
-            grown = reach | (carried @ ends > 0)
-            if (grown == reach).all():
-                break
-            reach = grown
-        reach.flags.writeable = False
-        memo.update(zip(new, reach))
-    return np.array([memo[lines_out] for lines_out in outages],
-                    dtype=bool).reshape(len(outages), net.n_buses)
+    a_from, a_to = net.incidence
+    ends = a_from + a_to  # lines x buses: each line's two ends
+    reach = np.zeros((len(in_service), net.n_buses), dtype=bool)
+    reach[:, net.bus_index[net.slack_bus]] = True
+    for _ in range(net.n_buses - 1):
+        # An in-service line with a reached end reaches its other end.
+        carried = (reach @ ends.T > 0) & in_service
+        grown = reach | (carried @ ends > 0)
+        if (grown == reach).all():
+            break
+        reach = grown
+    return reach
 
 
 def solve(net: ActiveNetwork, injections) -> FlowSolution:
@@ -101,7 +78,7 @@ def solve(net: ActiveNetwork, injections) -> FlowSolution:
     zero and NetworkDisconnectedError when any bus is unreachable from
     the slack bus.
     """
-    if not slack_connected(net, frozenset()).all():
+    if not slack_connected(net, _in_service(net, [frozenset()])).all():
         raise NetworkDisconnectedError(
             "network is disconnected: some bus is unreachable from the slack bus")
     return solve_with_outages(net, injections, frozenset())
@@ -121,26 +98,27 @@ def solve_with_outages(
     if p.shape != (net.n_buses,):
         raise ValueError(
             f"injections must have shape ({net.n_buses},), got {p.shape}")
-    sol = solve_rows(net, p[None], [lines_out])
+    sol = solve_rows(net, p[None], _in_service(net, [lines_out]))
     return FlowSolution(angles=sol.angles[0], flows=sol.flows[0],
                         injections=sol.injections[0])
 
 
-def solve_rows(net: ActiveNetwork, injections, outages) -> FlowSolution:
+def solve_rows(net: ActiveNetwork, injections, in_service: np.ndarray
+               ) -> FlowSolution:
     """Solve one or more outage states of one network at once.
 
-    Row s of ``injections`` (rows, buses) is solved with the lines of
-    ``outages[s]`` removed, as ``solve_with_outages`` solves it alone: its
-    angles and flows are the same bits whichever rows share the call.
-    ``outages`` is a sequence of line-id sets. The returned arrays gain a
-    leading row axis. Each check runs over the whole batch, and the first
-    that fails raises: balance, then stranded injections, then each group
-    of rows' solve and residual.
+    Row s of ``injections`` (rows, buses) is solved over the lines of row
+    s of the bool (rows, lines) ``in_service``, as ``solve_with_outages``
+    solves it alone: its angles and flows are the same bits whichever
+    rows share the call. The returned arrays gain a leading row axis.
+    Each check runs over the whole batch, and the first that fails
+    raises: balance, then stranded injections, then each group of rows'
+    solve and residual.
     """
     p = np.asarray(injections, dtype=float)
-    if p.shape != (len(outages), net.n_buses):
+    if p.shape != (len(in_service), net.n_buses):
         raise ValueError(
-            f"injections must have shape ({len(outages)}, {net.n_buses}), "
+            f"injections must have shape ({len(in_service)}, {net.n_buses}), "
             f"got {p.shape}")
     totals = p.sum(axis=1)
     unbalanced = np.abs(totals) > BALANCE_TOL
@@ -148,13 +126,13 @@ def solve_rows(net: ActiveNetwork, injections, outages) -> FlowSolution:
         raise UnbalancedInjectionsError(
             f"injections sum to {float(totals[unbalanced.argmax()]):.6g} MW, "
             "expected 0")
-    live_bus = fill_slack_connected(net, outages)
+    live_bus = slack_connected(net, in_service)
     size = np.abs(p)
     if not live_bus.all() and ((size > BALANCE_TOL) & ~live_bus).any():
         raise NetworkDisconnectedError(
             "bus with nonzero injection is disconnected from the slack bus")
     live_line = (live_bus[:, net.from_idx] & live_bus[:, net.to_idx]
-                 & _in_service(net, outages))
+                 & in_service)
     b = _susceptance_matrices(net, live_line)
     # A row's residual is judged against its largest injection.
     tol = 1e-6 * size.max(axis=1, initial=1.0)

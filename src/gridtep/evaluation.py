@@ -9,12 +9,15 @@ the state apart from the ratings: |flow|, the flow's direction and the
 validity screen's limits. A rating vector then only re-runs the
 truncation arithmetic, vectorized over the batch's rows.
 
-A build dispatches and solves its states together (``build_records``):
-merit dispatch depends only on the month and the generator-outage set,
-so it runs once per distinct (month, ``gens_out``) not dispatched
-before, in one ``dispatch.dispatch_rows`` call, and the DC flows come
-from one ``dcflow.solve_rows`` call per ``KERNEL_ROWS`` states, each
-with the bits a one-state solve gives.
+A state is a month and a row of a bool outage mask, the network's lines
+then the generators (``contingency``), from the sampler or the
+enumeration to the DC solve. A build dispatches and solves its states
+together (``build_records``): merit dispatch depends only on the month
+and the generator part of the row, so it runs once per distinct pair not
+dispatched before, in one ``dispatch.dispatch_rows`` call, and the DC
+flows come from one ``dcflow.solve_rows`` call per ``KERNEL_ROWS``
+states, over the rows' in-service lines, each with the bits a one-state
+solve gives.
 
 Monte Carlo mode prices the 12 months together, from one batch. Slot
 ``slot`` of month ``month`` draws from stream ``(month - 1) * n_slots +
@@ -72,13 +75,15 @@ import numpy as np
 
 from .adequacy import (ExpectationReport, diff_from_terms, flow_terms,
                        overloads_from_terms, screen, screen_limits)
-from .contingency import OutageState, RoundSampler, enumerate_deterministic
-# sample_state is unused here; it stays importable because
-# perfbench/tracer.py rebinds evaluation.sample_state.
-from .contingency import sample_state  # noqa: F401
+from .contingency import (OutageState, RoundSampler, _encode,
+                          enumerate_outages)
+# sample_state and enumerate_deterministic are unused here; they stay
+# importable because perfbench/tracer.py rebinds evaluation.sample_state
+# and evaluation.enumerate_deterministic.
+from .contingency import enumerate_deterministic, sample_state  # noqa: F401
 from .costs import (CostBreakdown, TransmissionInvestment, edns_cost,
                     egns_cost, ewl_cost, generation_investment, objective)
-from .dispatch import bus_generation, dispatch_rows, units_out
+from .dispatch import bus_generation, dispatch_rows
 # merit_order_dispatch is unused here; it stays importable because
 # perfbench/tracer.py rebinds evaluation.merit_order_dispatch.
 from .dispatch import merit_order_dispatch  # noqa: F401
@@ -195,8 +200,8 @@ class ScenarioBatch:
         self.net = net
         self.months = {m: (scenario_demand(case, m), schedule)
                        for m, schedule in schedules.items()}
-        # (month, gens_out) -> the month's dispatch with those units out.
-        self._dispatched: dict[tuple[int, frozenset[int]], tuple] = {}
+        # (month, generator-outage row) bytes -> that month's dispatch.
+        self._dispatched: dict[bytes, tuple] = {}
         self._n = 0
         n_lines, n_buses = len(net.lines), net.n_buses
         # Row storage with spare capacity; rows [0, _n) are live.
@@ -208,17 +213,17 @@ class ScenarioBatch:
     def __len__(self) -> int:
         return self._n
 
-    def add(self, keys) -> int:
-        """Append the states ``keys``, (month, lines_out, gens_out) each,
-        as rows in order, with their kernel terms and screen limits;
-        returns the first one's row. They are dispatched and solved
-        ``KERNEL_ROWS`` at a time, so a build's temporaries stay small
-        however many keys a round holds."""
+    def add(self, month: np.ndarray, out: np.ndarray) -> int:
+        """Append the states of month ``month[k]`` with the outages of row
+        k of the bool outage mask ``out`` as rows in order, with their
+        kernel terms and screen limits; returns the first one's row. They
+        are dispatched and solved ``KERNEL_ROWS`` at a time, so a build's
+        temporaries stay small however many states a round holds."""
         start = self._n
-        for lo in range(0, len(keys), KERNEL_ROWS):
-            recs = build_records(self.case, self.net,
-                                 keys[lo:lo + KERNEL_ROWS], self.months,
-                                 self._dispatched)
+        for lo in range(0, len(out), KERNEL_ROWS):
+            hi = lo + KERNEL_ROWS
+            recs = build_records(self.case, self.net, month[lo:hi],
+                                 out[lo:hi], self.months, self._dispatched)
             end = self._n + len(recs.deficit)
             if end > len(self._cols[0]):
                 size = max(16, 2 * len(self._cols[0]), end)
@@ -399,7 +404,7 @@ class _McsScenario:
         (0-based), flat arrays in one-state round order; -1 where no state
         is. The new ones are built in one call, in that order."""
         sampler = self.sampler
-        n_ids = len(sampler.states)
+        n_ids = len(sampler.out)
         if n_ids > self.row_of.shape[1]:
             self.row_of = np.pad(self.row_of, ((0, 0), (0, n_ids)),
                                  constant_values=-1)
@@ -409,9 +414,7 @@ class _McsScenario:
             # Each new (month, id) once, in order of first appearance.
             m, i = months[unbuilt], ids[unbuilt]
             new = _firsts(m * n_ids + i, len(MONTHS) * n_ids)
-            start = self.batch.add([
-                (month + 1, *sampler.states[k])
-                for month, k in zip(m[new].tolist(), i[new].tolist())])
+            start = self.batch.add(m[new] + 1, sampler.out[i[new]])
             self.row_of[m[new], i[new]] = np.arange(start, len(self.batch))
             rows = self.row_of[months, ids]
         return np.where(ids < 0, -1, rows)
@@ -476,8 +479,8 @@ class _McsScenario:
         drawn = np.zeros(len(self.draws), dtype=np.int64)
         stream, row, so_far = self.states[:self.n_states].T
         ok = np.flatnonzero(valid[row])
-        found, first = np.unique(stream[ok], return_index=True)
-        rows[found], drawn[found] = row[ok[first]], so_far[ok[first]]
+        first = ok[_firsts(stream[ok], len(self.draws))]
+        rows[stream[first]], drawn[stream[first]] = row[first], so_far[first]
         pending = np.flatnonzero(rows < 0)
 
         ahead, grow = 1, True
@@ -554,10 +557,9 @@ class _DeterministicScenario:
         self.batch = batch
         self.mode = mode
         self.month = month
-        states = enumerate_deterministic(batch.case, batch.net, order)
-        self.n_states = len(states)
-        batch.add([(month, state.lines_out, state.gens_out)
-                   for state in states])
+        out = enumerate_outages(batch.case, batch.net, order)
+        self.n_states = len(out)
+        batch.add(np.full(len(out), month), out)
 
     def result(self, capacities: np.ndarray) -> ExpectationReport:
         ev = self.batch.evaluate(capacities)
@@ -584,7 +586,8 @@ def build_record(
 ) -> StateRecord:
     """Dispatch and solve one outage state (capacity-independent): a
     one-row ``build_records``."""
-    rec = build_records(case, net, [(0, state.lines_out, state.gens_out)],
+    out = _encode(case, net, [(state.lines_out, state.gens_out)])
+    rec = build_records(case, net, np.zeros(1, dtype=np.intp), out,
                         {0: (demand, base_schedule)}, {})
     return StateRecord(flows=rec.flows[0], demand=rec.demand[0],
                        generation=rec.generation[0],
@@ -594,37 +597,44 @@ def build_record(
 def build_records(
     case: NetworkCase,
     net: ActiveNetwork,
-    keys: list[tuple[int, frozenset[int], frozenset[int]]],
+    month: np.ndarray,
+    out: np.ndarray,
     months: dict[int, tuple[np.ndarray, tuple[float, ...]]],
     dispatched: dict,
 ) -> StateRecord:
     """Dispatch and solve a non-empty batch of outage states, a row each.
 
-    Row k is the state ``keys[k] = (month, lines_out, gens_out)``, and
-    ``months`` maps each month to its demand vector and base schedule.
-    Merit dispatch runs once per distinct (month, gens_out), the ones not
-    yet in ``dispatched`` in one ``dispatch_rows`` call: ``dispatched``
-    maps each to its dispatch, and keeps the new ones for later calls. The
-    DC flows come from one ``solve_rows`` call.
+    Row k is month ``month[k]`` with the outages of row k of the bool
+    (states, lines + generators) outage mask ``out``; ``months`` maps each
+    month to its demand vector and base schedule. Merit dispatch runs once
+    per distinct (month, generator-outage row), the ones not yet in
+    ``dispatched`` in one ``dispatch_rows`` call: ``dispatched`` maps the
+    bytes of each to its dispatch, and keeps the new ones for later
+    calls. The DC flows come from one ``solve_rows`` call.
     """
-    wanted = [(month, gens_out) for month, _, gens_out in keys]
-    distinct = {key: k for k, key in enumerate(dict.fromkeys(wanted))}
-    misses = [key for key in distinct if key not in dispatched]
+    n_lines = len(net.lines)
+    # Each row's month (a byte holds it) and generator-outage row, as one
+    # byte string, so one 1-D np.unique tells them apart.
+    rows = np.column_stack([month, out[:, n_lines:]]).astype(np.uint8)
+    distinct, first, inverse = np.unique(
+        rows.view(np.dtype((np.void, rows.shape[1])))[:, 0],
+        return_index=True, return_inverse=True)
+    keys = distinct.tolist()
+    misses = [k for k, key in enumerate(keys) if key not in dispatched]
     if misses:
-        offline = units_out(case, [gens_out for _, gens_out in misses])
-        demand = np.array([months[month][0] for month, _ in misses])
-        base = np.array([months[month][1] for month, _ in misses])
-        schedule, served, deficit = dispatch_rows(case, demand, offline)
-        dispatched.update(zip(misses, zip(
+        at = first[misses]
+        offline = out[at, n_lines:]
+        scenarios = [months[m] for m in month[at].tolist()]
+        base = np.array([schedule for _, schedule in scenarios])
+        schedule, served, deficit = dispatch_rows(
+            case, np.array([demand for demand, _ in scenarios]), offline)
+        dispatched.update(zip([keys[k] for k in misses], zip(
             served, bus_generation(case, schedule), deficit,
             np.where(offline, base, 0.0))))
-    rows = np.fromiter(map(distinct.__getitem__, wanted), np.intp,
-                       len(wanted))
     served, generation, deficit, ego = (
-        np.array(col)[rows]
-        for col in zip(*map(dispatched.__getitem__, distinct)))
-    sol = solve_rows(net, generation - served,
-                     [lines_out for _, lines_out, _ in keys])
+        np.array(col)[inverse]
+        for col in zip(*map(dispatched.__getitem__, keys)))
+    sol = solve_rows(net, generation - served, ~out[:, :n_lines])
     return StateRecord(flows=sol.flows, demand=served, generation=generation,
                        deficit=deficit, ego=ego)
 

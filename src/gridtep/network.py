@@ -211,12 +211,6 @@ class ActiveNetwork:
     def line_outage_rates(self) -> tuple[float, ...]:
         return tuple(ln.forced_outage_rate for ln in self.lines)
 
-    @cached_property
-    def slack_connected_memo(self) -> dict[frozenset[int], np.ndarray]:
-        """Per-instance memo of :func:`gridtep.dcflow.slack_connected`:
-        outage set (line ids) -> bus mask."""
-        return {}
-
 
 def connected_components(
     net: ActiveNetwork, line_in_service: np.ndarray | None = None

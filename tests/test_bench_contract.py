@@ -45,3 +45,19 @@ def test_tracer_counts_the_slots_of_an_mcs_adequacy_call(
                          "--mcs-iters", str(n_mcs)])
     assert code == cli.EXIT_OK
     assert tracer.mcs_slots == 12 * n_mcs
+
+
+def test_workloads_reproduce_the_reference_fingerprints(monkeypatch,
+                                                        tmp_path):
+    """Each benchmark workload, run at its default seed, passes its own
+    checks: the invariants of every call, and the best bits, J, sizing
+    stop reason and adequacy means recorded in perfbench/reference.json."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import workloads
+
+    for name in workloads.NAMES:
+        study = workloads.prepare(name, workloads.DEFAULT_SEEDS[name], ROOT,
+                                  tmp_path / name)
+        assert all(call.expect is not None for call in study.calls), name
+        _, codes = workloads.run_study(study)
+        assert workloads.check_study(study, codes) == [], name

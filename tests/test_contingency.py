@@ -63,8 +63,7 @@ def test_unrejected_sampling_reproduces_outage_rates():
     ids, draws = (a[:, 0] for a in sampler.draw(
         np.arange(n), np.full(n, 1000), 512))
     assert (ids >= 0).all() and (draws == 1).all()
-    out = np.array([[lid in lines_out for lid in (1, 2, 3)]
-                    for lines_out, _ in sampler.states])
+    out = sampler.out[:, :3]  # lines 1, 2 and 3
     counts = np.bincount(ids, minlength=len(out)) @ out
     for k, r in enumerate(rates):
         sigma = (r * (1 - r) / n) ** 0.5
@@ -216,7 +215,8 @@ def test_round_sampler_matches_a_per_draw_reference(which, seed, data):
         spent = np.flatnonzero(ids[:, 0] < 0)
         exhausted = int(spent[0]) if len(spent) else None
         assert exhausted == want_exhausted
-        assert [sampler.states[k] for k in ids[:len(want), 0]] == want
+        assert contingency._decode(net, sampler.out[ids[:len(want), 0]]
+                                   ) == want
         assert draws[:len(want_draws), 0].tolist() == want_draws
         if exhausted is not None:
             usable = [k for k in usable if k not in index[exhausted + 1:]]
@@ -270,7 +270,8 @@ def test_round_sampler_draws_ahead_as_one_state_rounds(which, seed, rounds):
                 want += state
                 if j + 1 == keep[k]:
                     rng.bit_generator.state = ref.bit_generator.state
-            assert [sampler.states[i] for i in ids[k, :len(want)]] == want
+            assert contingency._decode(net, sampler.out[ids[k, :len(want)]]
+                                       ) == want
             assert (ids[k, len(want):] == -1).all()
             assert draws[k].tolist() == want_draws
             if keep[k] > len(want):  # past the budget: all it drew
@@ -295,9 +296,10 @@ def test_round_sampler_gives_each_outage_code_one_id(which):
         ids, draws = sampler.draw(np.arange(n), np.full(n, 50))
         assert (ids >= 0).all()
         assert sampler.feasible[ids].all()
-    assert len(set(sampler.states)) == len(sampler.states) > n // 10
+    assert len(np.unique(sampler.out, axis=0)) == len(sampler.out) > n // 10
     assert sampler.feasible.tolist() == [
-        contingency._feasible(case, net, *state) for state in sampler.states]
+        contingency._feasible(case, net, *state)
+        for state in contingency._decode(net, sampler.out)]
     assert not sampler.feasible.all()
 
 
@@ -334,9 +336,10 @@ def test_batched_screen_matches_a_per_state_union_find(which, data):
         st.frozensets(st.sampled_from(units))), max_size=30))
     states += [(frozenset(net.line_ids), frozenset()),
                (frozenset(), frozenset(units))]
-    gens_out = np.array([[k in gens for k in units] for _, gens in states],
-                        dtype=bool)
-    got = screen(case, net, [lines for lines, _ in states], gens_out)
+    out = np.array([[lid in lines for lid in net.line_ids]
+                    + [k in gens for k in units] for lines, gens in states],
+                   dtype=bool)
+    got = screen(case, net, out)
     islanded = [union_find_islanded(case, net, *state) for state in states]
     want = [len(gens) <= len(units) - case.min_online_generators and not cut
             for (_, gens), cut in zip(states, islanded)]
@@ -372,8 +375,7 @@ def test_islanding_sees_offline_generators_as_harmless():
 
 def test_tree_edge_removal_matches_reachability_check():
     """is_islanded agrees with a brute-force reachability test on every
-    single-line outage of a random network, both when it computes the
-    answer and when it reads it back from the connectivity memo."""
+    single-line outage of a random network."""
     rng = np.random.default_rng(3)
     for _ in range(30):
         n = int(rng.integers(3, 7))
@@ -405,8 +407,7 @@ def test_tree_edge_removal_matches_reachability_check():
                 for b in case.buses
                 if b.base_demand > 0 or b.id == 1
             )
-            for _ in range(2):  # the second call is a memo hit
-                assert is_islanded(case, net, frozenset([ln.id])) == expected
+            assert is_islanded(case, net, frozenset([ln.id])) == expected
 
 
 def k4_case(min_online=2):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridtep.dcflow import (
-    fill_slack_connected,
     flow_residual,
     slack_connected,
     solve,
@@ -148,24 +147,30 @@ def test_connected_components_partition():
     assert split[1] != split[2]
 
 
+def in_service(net, outages):
+    """Bool (sets, lines) in-service mask of each outage set of line ids."""
+    return np.array([[ln.id not in lines_out for ln in net.lines]
+                     for lines_out in outages],
+                    dtype=bool).reshape(len(outages), len(net.lines))
+
+
 def test_without_lines_only_the_slack_bus_reaches_the_slack():
     """Buses and no lines: the in-service mask is empty, and the
     union-find and the batched pass both leave the slack bus alone."""
     only_slack = [False, True, False]
-    assert slack_connected(bare_net(3, [], slack=2),
-                           frozenset()).tolist() == only_slack
     net = bare_net(3, [], slack=2)
-    fill_slack_connected(net, [frozenset()])
-    assert net.slack_connected_memo[frozenset()].tolist() == only_slack
+    assert slack_connected(net, in_service(net, [frozenset()])
+                           ).tolist() == [only_slack]
+    comp = connected_components(net)
+    assert (comp == comp[1]).tolist() == only_slack
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_sets=st.integers(1, 8))
 def test_batched_slack_reachability_is_the_union_find_mask(seed, n_sets):
-    """The masks fill_slack_connected memoizes for outage sets of 0-3
-    lines, parallel lines included, are the buses connected_components
-    puts in the slack bus's component; they are read-only, and
-    slack_connected returns them."""
+    """The masks slack_connected gives for outage sets of 0-3 lines,
+    parallel lines included, are the buses connected_components puts in
+    the slack bus's component."""
     rng = np.random.default_rng(seed)
     net = random_connected_net(rng)
     outages = []
@@ -173,16 +178,12 @@ def test_batched_slack_reachability_is_the_union_find_mask(seed, n_sets):
         k = int(rng.integers(0, min(3, len(net.lines)) + 1))
         outages.append(frozenset(
             int(x) for x in rng.choice(net.line_ids, size=k, replace=False)))
-    fill_slack_connected(net, outages)
+    masks = in_service(net, outages)
     slack = net.bus_index[net.slack_bus]
-    for lines_out in outages:
-        live = net.slack_connected_memo[lines_out]
-        comp = connected_components(
-            net, np.array([ln.id not in lines_out for ln in net.lines]))
+    for live, mask in zip(slack_connected(net, masks), masks):
+        comp = connected_components(net, mask)
         assert live.dtype == bool
         assert np.array_equal(live, comp == comp[slack])
-        assert not live.flags.writeable
-        assert slack_connected(net, lines_out) is live
 
 
 def test_outage_solves_do_not_share_connectivity_between_networks():
@@ -215,9 +216,9 @@ def per_state_reference(net, p, lines_out):
     """(angles, flows) by the per-state algorithm: a dense B summed with
     four ``np.add.at`` passes in line order, and one 1-D ``np.linalg.solve``
     on the buses tied to the slack."""
-    live_bus = slack_connected(net, lines_out)
-    in_service = np.array([ln.id not in lines_out for ln in net.lines])
-    live_line = in_service & live_bus[net.from_idx] & live_bus[net.to_idx]
+    (live_bus,) = slack_connected(net, in_service(net, [lines_out]))
+    live_line = (in_service(net, [lines_out])[0] & live_bus[net.from_idx]
+                 & live_bus[net.to_idx])
     i, j = net.from_idx[live_line], net.to_idx[live_line]
     w = net.susceptance[live_line]
     b = np.zeros((net.n_buses, net.n_buses))
@@ -242,7 +243,7 @@ def random_rows(rng, net, n_rows):
         k = int(rng.integers(0, min(3, len(net.lines)) + 1))
         lines_out = frozenset(
             int(x) for x in rng.choice(net.line_ids, size=k, replace=False))
-        live = slack_connected(net, lines_out)
+        (live,) = slack_connected(net, in_service(net, [lines_out]))
         p = np.where(live, rng.uniform(-100, 100, size=net.n_buses), 0.0)
         p[live] -= p[live].mean()
         outages.append(lines_out)
@@ -259,7 +260,7 @@ def test_stacked_rows_are_the_per_state_solves_bit_for_bit(seed, n_rows):
     rng = np.random.default_rng(seed)
     net = random_connected_net(rng)
     p, outages = random_rows(rng, net, n_rows)
-    sol = solve_rows(net, p, outages)
+    sol = solve_rows(net, p, in_service(net, outages))
     for s, lines_out in enumerate(outages):
         one = solve_with_outages(net, p[s], lines_out)
         angles, flows = per_state_reference(net, p[s], lines_out)
@@ -277,9 +278,10 @@ def test_splitting_a_batch_changes_no_row(seed, n_rows, data):
     net = random_connected_net(rng)
     p, outages = random_rows(rng, net, n_rows)
     cut = data.draw(st.integers(1, n_rows - 1))
-    whole = solve_rows(net, p, outages)
-    head = solve_rows(net, p[:cut], outages[:cut])
-    tail = solve_rows(net, p[cut:], outages[cut:])
+    masks = in_service(net, outages)
+    whole = solve_rows(net, p, masks)
+    head = solve_rows(net, p[:cut], masks[:cut])
+    tail = solve_rows(net, p[cut:], masks[cut:])
     for field in ("angles", "flows"):
         assert np.array_equal(getattr(whole, field), np.concatenate(
             [getattr(head, field), getattr(tail, field)]))
@@ -292,7 +294,7 @@ def test_stacked_solve_with_a_dangling_bus_in_some_rows():
     p = np.array([[50.0, -20.0, -30.0, 0.0], [50.0, -20.0, -10.0, -20.0],
                   [40.0, -40.0, 0.0, 0.0]])
     outages = [frozenset([4]), frozenset(), frozenset([2, 4])]
-    sol = solve_rows(net, p, outages)
+    sol = solve_rows(net, p, in_service(net, outages))
     assert sol.angles[0, 3] == sol.flows[0, 3] == 0.0
     for s, lines_out in enumerate(outages):
         one = solve_with_outages(net, p[s], lines_out)
@@ -328,7 +330,8 @@ def test_stacked_solve_raises_the_first_failing_rows_error():
         for rows, outages in (
                 ([bad], [lines_out]),
                 ([good, bad, good], [cut, lines_out, frozenset()])):
-            assert failure(lambda: solve_rows(net, rows, outages)) == error
+            assert failure(lambda: solve_rows(
+                net, rows, in_service(net, outages))) == error
     assert failure(lambda: solve_rows(
         net, [good, stranded, unbalanced],
-        [frozenset(), cut, frozenset()])) == unbalanced_error
+        in_service(net, [frozenset(), cut, frozenset()]))) == unbalanced_error

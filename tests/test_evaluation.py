@@ -285,7 +285,8 @@ def month_by_month(case, net, entropy, n_mcs):
         assert exhausted is None
         keys = [(month, *state) for state in states]
         new = [key for key in dict.fromkeys(keys) if key not in key_row]
-        start = batch.add(new)
+        start = batch.add(np.full(len(new), month), contingency._encode(
+            case, net, [key[1:] for key in new]))
         key_row.update(zip(new, range(start, start + len(new))))
         for slot, key, b, d in zip(slots, keys, before, draws):
             chains[slot].append((key_row[key], b + d))
@@ -416,12 +417,12 @@ def test_each_distinct_state_is_built_once_per_evaluator(monkeypatch, mode):
     whose rounds find them built."""
     case = mcs_toy_case()
     net = toy_net(case)
-    built, months = [], []  # every key built; the months of each build
+    built, months = [], []  # every state built; the months of each build
     real = evaluation.build_records
 
-    def counted(*args):  # args[2] holds the (month, lines, gens out) keys
-        built.extend(args[2])
-        months.append({key[0] for key in args[2]})
+    def counted(*args):  # args[2] and [3]: each state's month and outages
+        built.extend(zip(args[2].tolist(), map(bytes, args[3])))
+        months.append(set(args[2].tolist()))
         return real(*args)
 
     monkeypatch.setattr(evaluation, "build_records", counted)
@@ -538,10 +539,10 @@ def test_only_a_gridtep_error_from_a_drawn_ahead_build_is_drawn_again(
     net = toy_net(case)
     real = evaluation.build_records
 
-    def build_records(case, net, keys, *args):
-        if any(lines == {2, 3} for _, lines, _ in keys):
+    def build_records(case, net, month, out, *args):
+        if any(lines == {2, 3} for lines, _ in contingency._decode(net, out)):
             raise RuntimeError("out of memory")
-        return real(case, net, keys, *args)
+        return real(case, net, month, out, *args)
 
     monkeypatch.setattr(evaluation, "build_records", build_records)
     evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=5),
@@ -578,13 +579,14 @@ def scripted(monkeypatch, evaluator, script, n_mcs):
               "v": (frozenset([1]), frozenset()),
               "s": (frozenset([2, 3]), frozenset())}
     sampler = evaluator.scenario.sampler
-    monkeypatch.setattr(sampler, "states", list(states.values()))
+    monkeypatch.setattr(sampler, "out", contingency._encode(
+        sampler.case, sampler.net, list(states.values())))
     state_id = {outcome: k for k, outcome in enumerate(states)}
     used, last = {}, []
 
     def draw(index, budgets, ahead=1):
         """The round sampler's contract: per position the ids of its next
-        ``ahead`` states in the sampler's ``states``, -1 past an
+        ``ahead`` states, rows of the sampler's ``out``, -1 past an
         exhausted budget, and the draws up to each, "x" counting one."""
         ids = np.full((len(index), ahead), -1, dtype=np.intp)
         draws = np.zeros((len(index), ahead), dtype=np.int64)
@@ -797,9 +799,10 @@ def test_island_screens_never_reach_the_union_find(monkeypatch):
         out = []
         for case, net in ((toy, toy_net(toy)), (bundled, apply_plan(
                 bundled, Chromosome.from_ints([1, 0] * 7)))):
-            masks = [dcflow.slack_connected(net, frozenset(lines)).tolist()
-                     for k in range(4)
-                     for lines in itertools.combinations(net.line_ids, k)]
+            masks = dcflow.slack_connected(net, np.array([
+                [lid not in lines for lid in net.line_ids] for k in range(4)
+                for lines in itertools.combinations(net.line_ids, k)])
+            ).tolist()
             evaluator = PlanEvaluator(
                 case, net, PlanSettings(mode="mcs", n_mcs=15), [3, 1])
             base = np.asarray(net.base_capacities)
@@ -841,3 +844,70 @@ def test_batch_rows_do_not_depend_on_how_they_are_split():
             for field in ("valid", "dns", "gns", "wheeling", "congested"):
                 np.testing.assert_array_equal(getattr(part, field),
                                               getattr(whole, field)[start:])
+
+
+@pytest.mark.parametrize("mode, order", [("n1", 1), ("n2", 2)])
+@pytest.mark.parametrize("which", ["toy", "bundled"])
+def test_enumerated_states_are_the_states_the_scenario_builds(
+        monkeypatch, which, mode, order):
+    """The public enumerate_deterministic lists exactly the states an N-1
+    or N-2 evaluator builds, in the order it builds them over several
+    builds, all of the peak month."""
+    if which == "toy":
+        case = mcs_toy_case()
+        net = toy_net(case)
+    else:
+        case = load_case(BUNDLED)
+        net = apply_plan(case, Chromosome.from_ints([1, 0] * 7))
+    built = []
+    real = evaluation.build_records
+
+    def counted(case, net, month, out, *args):
+        built.extend((m, *state) for m, state in zip(
+            month.tolist(), contingency._decode(net, out)))
+        return real(case, net, month, out, *args)
+
+    monkeypatch.setattr(evaluation, "build_records", counted)
+    monkeypatch.setattr(evaluation, "KERNEL_ROWS", 4)
+    PlanEvaluator(case, net, PlanSettings(mode=mode), [1, 1])
+    peak = case.ldc.peak_month()
+    assert built == [(peak, state.lines_out, state.gens_out)
+                     for state in enumerate_deterministic(case, net, order)]
+    assert len(built) > 4
+
+
+@pytest.mark.numpy_floor
+def test_build_records_dispatches_each_month_and_generator_row_once(
+        monkeypatch):
+    """States that share a month and a generator-outage row share one
+    merit dispatch, found again by later calls, and every row gets the
+    record a one-state build gives it, bit for bit."""
+    case = load_case(BUNDLED)
+    net = apply_plan(case, Chromosome.from_ints([1, 0] * 7))
+    out = contingency.enumerate_outages(case, net, 1)
+    month = np.resize([1, 7, 7], len(out))
+    schedules = base_schedules(case)
+    months = {m: (scenario_demand(case, m), schedules[m - 1])
+              for m in MONTHS}
+    dispatched_rows = []
+    real = evaluation.dispatch_rows
+
+    def counted(case, demand, offline):
+        dispatched_rows.append(len(offline))
+        return real(case, demand, offline)
+
+    monkeypatch.setattr(evaluation, "dispatch_rows", counted)
+    memo = {}
+    recs = evaluation.build_records(case, net, month, out, months, memo)
+    gens = out[:, len(net.lines):]
+    pairs = {(m, row.tobytes()) for m, row in zip(month.tolist(), gens)}
+    assert dispatched_rows == [len(pairs)]
+    assert len(pairs) < len(out)  # some rows share a dispatch
+    evaluation.build_records(case, net, month[::-1], out[::-1], months, memo)
+    assert dispatched_rows == [len(pairs)]
+    for k, state in enumerate(contingency._decode(net, out)):
+        one = build_record(case, net, months[month[k]][0],
+                           OutageState(*state), months[month[k]][1])
+        for field in fields(one):
+            assert np.array_equal(getattr(recs, field.name)[k],
+                                  getattr(one, field.name)), field.name
