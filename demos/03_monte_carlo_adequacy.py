@@ -31,6 +31,7 @@ from gridtep import (
     Chromosome,
     PlanEvaluator,
     PlanSettings,
+    RunContext,
     apply_plan,
     chromosome_entropy,
     load_case,
@@ -48,7 +49,7 @@ def main() -> None:
 
     n_mcs = 500
     evaluator = PlanEvaluator(
-        case, net, PlanSettings(mode="mcs", n_mcs=n_mcs),
+        RunContext(case), net, PlanSettings(mode="mcs", n_mcs=n_mcs),
         entropy=chromosome_entropy(seed=0, bits=bits),
     )
     ev = evaluator.evaluate(net.base_capacities)

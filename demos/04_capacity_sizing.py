@@ -31,6 +31,7 @@ from gridtep import (
     Chromosome,
     PlanEvaluator,
     PlanSettings,
+    RunContext,
     apply_plan,
     chromosome_entropy,
     load_case,
@@ -48,7 +49,7 @@ def main() -> None:
 
     settings = PlanSettings(mode="mcs", policy="wel", n_mcs=300,
                             delta_f=5.0, congestion_threshold=0.1)
-    evaluator = PlanEvaluator(case, net, settings, entropy)
+    evaluator = PlanEvaluator(RunContext(case), net, settings, entropy)
 
     print("sizing the all-candidates plan (WEL policy, 5 MW steps)\n")
     trace = sizing_loop(net, evaluator.evaluate, settings, entropy)

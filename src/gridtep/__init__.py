@@ -30,7 +30,8 @@ from .errors import (
     ResampleBudgetError,
     UnbalancedInjectionsError,
 )
-from .evaluation import CapacityEvaluation, PlanEvaluator, PlanSettings
+from .evaluation import (CapacityEvaluation, PlanEvaluator, PlanSettings,
+                         RunContext)
 from .network import (
     ActiveNetwork,
     Bus,
@@ -68,6 +69,7 @@ __all__ = [
     "PlanResult",
     "PlanSettings",
     "ResampleBudgetError",
+    "RunContext",
     "SizingTrace",
     "UnbalancedInjectionsError",
     "apply_plan",

@@ -16,21 +16,22 @@ two steps that can also be called on their own:
 Line terms cancel system-wide, so total DNS equals total GNS whenever
 the underlying injections balance. ``line_overloads`` adds per-line
 congestion (|f| strictly above the rating) and the wheeling loss, the
-total overload on congested lines.
+total overload on congested lines, summed as |f| less its delivery: for
+finite flows and ratings that is bit for bit the overload on a congested
+line and +0.0 on any other.
 
 Every function takes one state as per-bus / per-line vectors, or a
 block of states with a leading rows axis; buses and lines are always the
 last axis, and totals reduce over it. ``nodal_balance`` chains (a) and
 (b).
 
-Only the truncation at the ratings depends on them. What each step reads
-of a state otherwise, its flows' ``flow_terms`` (|f| and direction) and
-its injections' ``screen_limits``, can be computed once and reused for
-any number of rating vectors: ``diff_from_terms``, ``screen`` and
-``overloads_from_terms`` are the steps on those terms, and the public
-functions above compute the terms and call them. ``ScenarioBatch``
-keeps the terms of every stored state and prices plans with the same
-three functions.
+Only the truncation depends on the ratings. A state's ``flow_terms``
+(|f| and direction) and ``screen_limits`` can be computed once and
+reused for any number of rating vectors: ``ScenarioBatch`` keeps them
+per row and prices a rating vector with ``kernel``, one pass that
+truncates once for step (a) and the wheeling loss alike and takes the
+screen and the DNS/GNS totals without building a ``NodalBalance``. The
+public functions above are views of the same steps.
 """
 
 from __future__ import annotations
@@ -65,15 +66,14 @@ def flow_terms(flows: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def diff_from_terms(
     net: ActiveNetwork,
-    abs_flows: np.ndarray,
+    delivered: np.ndarray,
     forward: np.ndarray,
     backward: np.ndarray,
     demand: np.ndarray,
     generation: np.ndarray,
-    capacities: np.ndarray,
 ) -> np.ndarray:
-    """Step (a) from the ``flow_terms`` of the flows."""
-    delivered = np.minimum(abs_flows, capacities)
+    """Step (a) from each line's delivery min(|f|, cap) and the
+    direction ``flow_terms`` gives its flow."""
     pos = np.where(forward, delivered, 0.0)
     neg = np.where(backward, delivered, 0.0)
     a_from, a_to = net.incidence
@@ -91,9 +91,10 @@ def nodal_diff(
 ) -> np.ndarray:
     """Step (a): per-bus DIFF from unconstrained DC flows, with each
     line's deliverable power truncated at its rating in ``capacities``."""
-    return diff_from_terms(net, *flow_terms(flows),
-                           np.asarray(demand, float),
-                           np.asarray(generation, float), capacities)
+    abs_flows, forward, backward = flow_terms(flows)
+    return diff_from_terms(net, np.minimum(abs_flows, capacities), forward,
+                           backward, np.asarray(demand, float),
+                           np.asarray(generation, float))
 
 
 def screen_limits(
@@ -124,22 +125,17 @@ def screen_limits(
             np.where(g_tot == 0, tiny, g_tot))
 
 
-def screen(
-    diff: np.ndarray,
-    dns_limit: np.ndarray,
-    gns_limit: np.ndarray,
-    total_dns_limit: np.ndarray,
-    total_gns_limit: np.ndarray,
-) -> NodalBalance:
-    """Step (b) against the ``screen_limits`` of the injections."""
+def _screen(diff, dns_limit, gns_limit, total_dns_limit, total_gns_limit
+            ) -> tuple[np.ndarray, ...]:
+    """Step (b) against the ``screen_limits`` of the injections: per-bus
+    DNS and GNS, their totals and validity, in ``NodalBalance`` order."""
     dns = np.maximum(diff, 0.0)
     gns = np.maximum(-diff, 0.0)
     dns_tot = dns.sum(axis=-1)
     gns_tot = gns.sum(axis=-1)
     bad = ((diff >= dns_limit) | (diff <= gns_limit)).any(axis=-1) | (
         dns_tot >= total_dns_limit) | (gns_tot >= total_gns_limit)
-    return NodalBalance(diff=diff, dns=dns, gns=gns, total_dns=dns_tot,
-                        total_gns=gns_tot, valid=~bad)
+    return dns, gns, dns_tot, gns_tot, ~bad
 
 
 def balance_from_diffs(
@@ -155,8 +151,9 @@ def balance_from_diffs(
     artifacts from asymmetric line truncation, which the system totals
     still absorb.
     """
-    return screen(np.asarray(diff, dtype=float),
-                  *screen_limits(demand, generation))
+    diff = np.asarray(diff, dtype=float)
+    return NodalBalance(diff, *_screen(diff,
+                                       *screen_limits(demand, generation)))
 
 
 def nodal_balance(
@@ -172,13 +169,10 @@ def nodal_balance(
         demand, generation)
 
 
-def overloads_from_terms(
-    abs_flows: np.ndarray, capacities: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``line_overloads`` from per-line |flow|."""
-    excess = abs_flows - capacities
-    congested = excess > 0
-    return congested, np.where(congested, excess, 0.0).sum(axis=-1)
+def _overloads(abs_flows, delivered, capacities
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(congested, wheeling loss) from |f| and the deliveries."""
+    return abs_flows > capacities, (abs_flows - delivered).sum(axis=-1)
 
 
 def line_overloads(
@@ -186,8 +180,23 @@ def line_overloads(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(congested, wheeling loss): per line, whether |flow| strictly
     exceeds its rating, and the total overload in MW over those lines."""
-    return overloads_from_terms(np.abs(np.asarray(flows, dtype=float)),
-                                capacities)
+    abs_flows = np.abs(np.asarray(flows, dtype=float))
+    return _overloads(abs_flows, np.minimum(abs_flows, capacities),
+                      capacities)
+
+
+def kernel(net: ActiveNetwork, capacities: np.ndarray, abs_flows, forward,
+           backward, demand, generation, *limits) -> tuple[np.ndarray, ...]:
+    """Stacked rows priced in one pass from their ``flow_terms``, demand,
+    generation and ``screen_limits``: (valid, total DNS, total GNS,
+    wheeling loss, congested) per row, with the bits ``nodal_balance``
+    and ``line_overloads`` give for finite flows and ratings."""
+    delivered = np.minimum(abs_flows, capacities)
+    diff = diff_from_terms(net, delivered, forward, backward, demand,
+                           generation)
+    _, _, dns_tot, gns_tot, valid = _screen(diff, *limits)
+    congested, wheeling = _overloads(abs_flows, delivered, capacities)
+    return valid, dns_tot, gns_tot, wheeling, congested
 
 
 @dataclass(frozen=True)

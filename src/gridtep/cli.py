@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .errors import CaseParseError, CaseValidationError, GridTepError
 from .evaluation import (MODES, POLICIES, PlanEvaluator, PlanSettings,
-                         is_integer)
+                         RunContext, is_integer)
 from .network import Chromosome, apply_plan, load_case
 from .contingency import is_islanded
 from .planner import GaConfig, run
@@ -244,7 +244,7 @@ def cmd_adequacy(args) -> int:
                 "plan leaves a demand bus or generator bus disconnected")
         out = None if args.out is None else _out_dir(args.out)
         evaluator = PlanEvaluator(
-            case, net, settings,
+            RunContext(case), net, settings,
             chromosome_entropy(args.seed, chromosome.bits),
         )
         ev = evaluator.evaluate(

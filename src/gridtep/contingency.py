@@ -35,6 +35,7 @@ zero-injection dead ends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, compress
 
 import numpy as np
@@ -75,13 +76,9 @@ def _islanded(case: NetworkCase, net: ActiveNetwork, out: np.ndarray
     """Bool per row of the outage mask ``out``: a demand bus, or the bus
     of a unit still online, no longer reaches the slack bus."""
     n_lines = len(net.lines)
-    index = net.bus_index
-    demand = np.zeros(net.n_buses, dtype=bool)
-    demand[[index[b.id] for b in case.buses if b.base_demand > 0]] = True
-    gen_bus = np.array([index[g.bus] for g in case.generators], dtype=np.intp)
     cut = ~slack_connected(net, ~out[:, :n_lines])
-    return ((cut & demand).any(axis=1)
-            | (cut[:, gen_bus] & ~out[:, n_lines:]).any(axis=1))
+    return ((cut & (case.base_demand > 0)).any(axis=1)
+            | (cut[:, case.generator_buses] & ~out[:, n_lines:]).any(axis=1))
 
 
 def _encode(case: NetworkCase, net: ActiveNetwork, states) -> np.ndarray:
@@ -265,13 +262,21 @@ def enumerate_outages(case: NetworkCase, net: ActiveNetwork, order: int
     """
     if order not in (1, 2):
         raise ValueError(f"contingency order must be 1 or 2, got {order}")
+    out = _picks(len(net.lines) + len(case.generators), order)
+    return out[screen(case, net, out)]
 
-    n = len(net.lines) + len(case.generators)
+
+@cache
+def _picks(n: int, order: int) -> np.ndarray:
+    """Read-only outage mask of every ``order``-element outage of ``n``
+    elements, a row each in ``combinations`` order: a function of the two
+    counts alone, so plans of the same size share it."""
     picks = np.array(list(combinations(range(n), order)),
                      dtype=np.intp).reshape(-1, order)
     out = np.zeros((len(picks), n), dtype=bool)
     out[np.arange(len(picks))[:, None], picks] = True
-    return out[screen(case, net, out)]
+    out.flags.writeable = False
+    return out
 
 
 def enumerate_deterministic(

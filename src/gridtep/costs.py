@@ -50,18 +50,38 @@ def _check_12(name: str, values) -> np.ndarray:
     return arr
 
 
+class ExpectedCost:
+    """EC's components of 12 monthly expectations, in k$, from the monthly
+    rates and each generator's revenue-loss rate made arrays once:
+    ``edns_cost``, ``egns_cost`` and ``ewl_cost`` are its one-call views."""
+
+    def __init__(self, costs: CostParameters, generators):
+        self.hours = costs.hours_per_month
+        self.c_edns, self.c_egns, self.c_ewl = (
+            np.asarray(rates, dtype=float)
+            for rates in (costs.c_edns, costs.c_egns, costs.c_ewl))
+        self.revenue_loss = np.array(
+            [g.revenue_loss_rate for g in generators], dtype=float)
+
+    def edns(self, edns: np.ndarray) -> float:
+        return float(self.hours * np.dot(self.c_edns, edns))
+
+    def egns(self, egns: np.ndarray, ego: np.ndarray) -> float:
+        monthly = self.c_egns * egns + ego @ self.revenue_loss
+        return float(self.hours * monthly.sum())
+
+    def ewl(self, ewl: np.ndarray) -> float:
+        return float(self.hours * np.dot(self.c_ewl, ewl))
+
+
 def edns_cost(edns_by_month, costs: CostParameters) -> float:
     """730 * sum_t c_edns(t) * EDNS(t), in k$."""
-    edns = _check_12("edns_by_month", edns_by_month)
-    return float(costs.hours_per_month * np.dot(np.asarray(costs.c_edns), edns))
+    return ExpectedCost(costs, ()).edns(_check_12("edns_by_month",
+                                                  edns_by_month))
 
 
-def egns_cost(
-    egns_by_month,
-    ego_by_month_per_gen,
-    costs: CostParameters,
-    generators,
-) -> float:
+def egns_cost(egns_by_month, ego_by_month_per_gen, costs: CostParameters,
+              generators) -> float:
     """730 * sum_t [c_egns(t)*EGNS(t) + sum_s c_rl(s)*EGO_s(t)], in k$."""
     egns = _check_12("egns_by_month", egns_by_month)
     ego = np.asarray(ego_by_month_per_gen, dtype=float)
@@ -69,15 +89,13 @@ def egns_cost(
         raise ValueError(
             f"ego_by_month_per_gen must have shape (12, {len(generators)}), "
             f"got {ego.shape}")
-    rl = np.array([g.revenue_loss_rate for g in generators], dtype=float)
-    monthly = np.asarray(costs.c_egns) * egns + ego @ rl
-    return float(costs.hours_per_month * monthly.sum())
+    return ExpectedCost(costs, generators).egns(egns, ego)
 
 
 def ewl_cost(ewl_by_month, costs: CostParameters) -> float:
     """730 * sum_t c_ewl(t) * EWL(t), in k$."""
-    ewl = _check_12("ewl_by_month", ewl_by_month)
-    return float(costs.hours_per_month * np.dot(np.asarray(costs.c_ewl), ewl))
+    return ExpectedCost(costs, ()).ewl(_check_12("ewl_by_month",
+                                                 ewl_by_month))
 
 
 def line_capital_rate(capacity_mw: float) -> float:

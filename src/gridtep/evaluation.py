@@ -1,57 +1,43 @@
 """Plan evaluation engine.
 
+A ``RunContext`` holds what every plan of a run shares and no plan
+changes: the case, the 12 monthly demand vectors, base schedules and
+G_inv, the expected-cost rates as arrays, and the memo of merit
+dispatch. ``planner.run`` and the ``adequacy`` command build one per
+call, so nothing derived from the case outlives the run.
+
 A ``PlanEvaluator`` is bound to one topology (an applied build plan) and
 prices rating vectors for it, one rating per line. Merit dispatch and
 the DC solve of an outage state do not depend on ratings, so each
 distinct state of a scenario is built once, into a row of a
-``ScenarioBatch``. The row also keeps what the adequacy kernel reads of
-the state apart from the ratings: |flow|, the flow's direction and the
-validity screen's limits. A rating vector then only re-runs the
-truncation arithmetic, vectorized over the batch's rows.
+``ScenarioBatch``, which keeps what the adequacy kernel reads of it
+apart from the ratings: |flow|, the flow's direction and the validity
+screen's limits. A rating vector then runs one ``adequacy.kernel`` pass
+over the batch's rows.
 
 A state is a month and a row of a bool outage mask, the network's lines
 then the generators (``contingency``), from the sampler or the
-enumeration to the DC solve. A build dispatches and solves its states
-together (``build_records``): merit dispatch depends only on the month
-and the generator part of the row, so it runs once per distinct pair not
-dispatched before, in one ``dispatch.dispatch_rows`` call, and the DC
-flows come from one ``dcflow.solve_rows`` call per ``KERNEL_ROWS``
-states, over the rows' in-service lines, each with the bits a one-state
-solve gives.
+enumeration to the DC solve. A build (``build_records``) solves its
+states in one ``dcflow.solve_rows`` call per ``KERNEL_ROWS`` states.
+Merit dispatch depends only on the month and the generator part of the
+row, so the run context dispatches each distinct pair once per run, in
+one ``dispatch.dispatch_rows`` call for the pairs new to it, and every
+plan reuses it.
 
 Monte Carlo mode prices the 12 months together, from one batch. Slot
 ``slot`` of month ``month`` draws from stream ``(month - 1) * n_slots +
-slot`` of one array of PCG64 states, seeded in one vectorized pass
-(``substreams``) when the evaluator is built: it draws what
-``substream`` gives that slot. A ``contingency.RoundSampler`` draws the
-pending streams as arrays and hands back an integer id per drawn state;
-``_McsScenario`` maps each (month, id) to its batch row, and builds only
-the pairs it has not built before. A slot's sample at a rating vector is
-the first state of its stream that passes the validity screen, so
-estimates across sizing iterations share common random numbers. Each
-rating vector evaluates the stored rows in one kernel call and finds
-each stream's first valid state with array operations. Streams with no
-valid state yet are resolved in redraw rounds, in ascending stream order
-(month by month, slot by slot): round 0 draws one state per pending
-stream, and a stream still pending after round r draws 2**r states
-ahead in round r + 1, as long as the round stays within ``ROUND_ROWS``
-rows; wider rounds draw one state per stream. A round is one sampling
-pass, one build and one kernel call over the rows it added. A stream
-uses its states up to its first valid one and is moved back to just
-after it, so a slot that needs N states in a row takes about
-log2(N + 1) rounds, and the draws, the states used and every later draw
-are those of one state per round. States drawn ahead and not used stay
-built; no month weighs them. A kernel row's figures do not depend on
-which rows share its call, and each month's expectations reduce over
-the rows its slots used, in the order they first used them, so every
-figure is the one a month-by-month pricing gives. The rows of all
-months are gathered in month order from one index, rebuilt only when
-slots use rows not used before (``_McsScenario._months``). Errors are
-raised where one state per round meets them (``_McsScenario.result``).
-``MAX_RESAMPLES`` bounds every element-wise draw of a slot, island
-rejections included. A month's ``samples_drawn`` sums, over slots, the
-element-wise draws up to and including the slot's accepted state, so it
-does not depend on which rating vectors were priced before.
+slot`` of one array of PCG64 states (``substreams``), which draws what
+``substream`` gives that slot. A ``contingency.RoundSampler`` draws
+pending streams as arrays and hands back an integer id per drawn state,
+and ``_McsScenario`` builds each (month, id) once. A slot's sample at a
+rating vector is the first state of its stream that passes the validity
+screen, so estimates across sizing iterations share common random
+numbers; slots with none yet are resolved in redraw rounds that draw
+ahead (``_McsScenario.result``), with the figures, draw counts and
+errors of one state per round. ``MAX_RESAMPLES`` bounds every
+element-wise draw of a slot, island rejections included. A month's
+``samples_drawn`` sums, over slots, the draws up to and including the
+slot's accepted state.
 
 Deterministic modes (N-1 / N-2) run the enumerated states of the peak
 month with equal weights; states invalid at the current capacities are
@@ -59,11 +45,9 @@ dropped and the weights renormalized, and when none is left the capacity
 vector cannot be priced (GridTepError). Their peak-month expectations
 are replicated across all 12 months for the annual cost formulas.
 
-Both kinds of scenario price their distinct states through the adequacy
-kernel (``adequacy.diff_from_terms``, ``adequacy.screen`` and
-``adequacy.overloads_from_terms``) and reduce them to the report's
-arrays with per-state weights, one dot product per month and field
-(``expectations``).
+Both kinds of scenario reduce their states' kernel figures to the
+report's arrays with per-state weights, one dot product per month and
+field (``expectations``).
 """
 
 from __future__ import annotations
@@ -73,28 +57,21 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adequacy import (ExpectationReport, diff_from_terms, flow_terms,
-                       overloads_from_terms, screen, screen_limits)
+from .adequacy import ExpectationReport, flow_terms, kernel, screen_limits
 from .contingency import (OutageState, RoundSampler, _encode,
                           enumerate_outages)
-# sample_state and enumerate_deterministic are unused here; they stay
-# importable because perfbench/tracer.py rebinds evaluation.sample_state
-# and evaluation.enumerate_deterministic.
-from .contingency import enumerate_deterministic, sample_state  # noqa: F401
-from .costs import (CostBreakdown, TransmissionInvestment, edns_cost,
-                    egns_cost, ewl_cost, generation_investment, objective)
+from .costs import (CostBreakdown, ExpectedCost, TransmissionInvestment,
+                    generation_investment, objective)
 from .dispatch import bus_generation, dispatch_rows
-# merit_order_dispatch is unused here; it stays importable because
-# perfbench/tracer.py rebinds evaluation.merit_order_dispatch.
-from .dispatch import merit_order_dispatch  # noqa: F401
-# solve_with_outages is unused here; it stays importable because
-# perfbench/tracer.py rebinds evaluation.solve_with_outages.
-from .dcflow import solve_rows, solve_with_outages  # noqa: F401
+from .dcflow import solve_rows
 from .errors import GridTepError, ResampleBudgetError
 from .network import MONTHS, ActiveNetwork, NetworkCase, scenario_demand
-# substream is unused here; it stays importable because
-# perfbench/tracer.py rebinds evaluation.substream.
-from .rng import DOMAIN_MCS, substream, substreams  # noqa: F401
+from .rng import DOMAIN_MCS, substreams
+# Unused here, but perfbench/tracer.py rebinds them on this module.
+from .contingency import enumerate_deterministic, sample_state  # noqa: F401
+from .dcflow import solve_with_outages  # noqa: F401
+from .dispatch import merit_order_dispatch  # noqa: F401
+from .rng import substream  # noqa: F401
 
 MODE_MCS = "mcs"
 MODE_N1 = "n1"
@@ -192,16 +169,10 @@ class ScenarioBatch:
     sampler id), enumeration by adding its distinct states once).
     """
 
-    def __init__(self, case: NetworkCase, net: ActiveNetwork,
-                 schedules: dict[int, tuple[float, ...]]):
-        """``schedules`` maps each month the batch holds to its base
-        (intact-fleet) schedule."""
-        self.case = case
+    def __init__(self, context: RunContext, net: ActiveNetwork):
+        self.context = context
+        self.case = case = context.case
         self.net = net
-        self.months = {m: (scenario_demand(case, m), schedule)
-                       for m, schedule in schedules.items()}
-        # (month, generator-outage row) bytes -> that month's dispatch.
-        self._dispatched: dict[bytes, tuple] = {}
         self._n = 0
         n_lines, n_buses = len(net.lines), net.n_buses
         # Row storage with spare capacity; rows [0, _n) are live.
@@ -222,8 +193,8 @@ class ScenarioBatch:
         start = self._n
         for lo in range(0, len(out), KERNEL_ROWS):
             hi = lo + KERNEL_ROWS
-            recs = build_records(self.case, self.net, month[lo:hi],
-                                 out[lo:hi], self.months, self._dispatched)
+            recs = build_records(self.context, self.net, month[lo:hi],
+                                 out[lo:hi])
             end = self._n + len(recs.deficit)
             if end > len(self._cols[0]):
                 size = max(16, 2 * len(self._cols[0]), end)
@@ -262,19 +233,10 @@ class ScenarioBatch:
 
     def _kernel(self, capacities: np.ndarray, rows: slice
                 ) -> "BatchEvaluation":
-        abs_flows, forward, backward, demand, gen, *limits, deficit = (
-            col[rows] for col in self._cols[:-1])
-        balance = screen(diff_from_terms(self.net, abs_flows, forward,
-                                         backward, demand, gen, capacities),
-                         *limits)
-        congested, wheeling = overloads_from_terms(abs_flows, capacities)
-        return BatchEvaluation(
-            valid=balance.valid,
-            dns=balance.total_dns + deficit,
-            gns=balance.total_gns,
-            wheeling=wheeling,
-            congested=congested,
-        )
+        *terms, deficit = (col[rows] for col in self._cols[:-1])
+        valid, dns, gns, wheeling, congested = kernel(self.net, capacities,
+                                                      *terms)
+        return BatchEvaluation(valid, dns + deficit, gns, wheeling, congested)
 
 
 @dataclass(frozen=True)
@@ -572,115 +534,117 @@ class _DeterministicScenario:
                 "screen at these ratings")
         peak = expectations(w / total, ev, self.batch.ego, (0, len(w)),
                             [np.count_nonzero(ev.valid)], [self.n_states])
-        return ExpectationReport(*(
-            getattr(peak, f.name).repeat(len(MONTHS), axis=0)
-            for f in fields(ExpectationReport)))
+        return ExpectationReport(**{
+            name: value.repeat(len(MONTHS), axis=0)
+            for name, value in vars(peak).items()})
 
 
-def build_record(
-    case: NetworkCase,
-    net: ActiveNetwork,
-    demand: np.ndarray,
-    state: OutageState,
-    base_schedule: tuple[float, ...],
-) -> StateRecord:
-    """Dispatch and solve one outage state (capacity-independent): a
-    one-row ``build_records``."""
-    out = _encode(case, net, [(state.lines_out, state.gens_out)])
-    rec = build_records(case, net, np.zeros(1, dtype=np.intp), out,
-                        {0: (demand, base_schedule)}, {})
+def build_record(context: RunContext, net: ActiveNetwork, month: int,
+                 state: OutageState) -> StateRecord:
+    """Dispatch and solve one outage state of month ``month``
+    (capacity-independent): a one-row ``build_records``."""
+    out = _encode(context.case, net, [(state.lines_out, state.gens_out)])
+    rec = build_records(context, net, np.array([month]), out)
     return StateRecord(flows=rec.flows[0], demand=rec.demand[0],
                        generation=rec.generation[0],
                        deficit=float(rec.deficit[0]), ego=rec.ego[0])
 
 
-def build_records(
-    case: NetworkCase,
-    net: ActiveNetwork,
-    month: np.ndarray,
-    out: np.ndarray,
-    months: dict[int, tuple[np.ndarray, tuple[float, ...]]],
-    dispatched: dict,
-) -> StateRecord:
+def build_records(context: RunContext, net: ActiveNetwork,
+                  month: np.ndarray, out: np.ndarray) -> StateRecord:
     """Dispatch and solve a non-empty batch of outage states, a row each.
 
     Row k is month ``month[k]`` with the outages of row k of the bool
-    (states, lines + generators) outage mask ``out``; ``months`` maps each
-    month to its demand vector and base schedule. Merit dispatch runs once
-    per distinct (month, generator-outage row), the ones not yet in
-    ``dispatched`` in one ``dispatch_rows`` call: ``dispatched`` maps the
-    bytes of each to its dispatch, and keeps the new ones for later
-    calls. The DC flows come from one ``solve_rows`` call.
+    (states, lines + generators) outage mask ``out``. The merit dispatch
+    comes from the run's memo (``RunContext.dispatch``), the DC flows
+    from one ``solve_rows`` call.
     """
     n_lines = len(net.lines)
-    # Each row's month (a byte holds it) and generator-outage row, as one
-    # byte string, so one 1-D np.unique tells them apart.
-    rows = np.column_stack([month, out[:, n_lines:]]).astype(np.uint8)
-    distinct, first, inverse = np.unique(
-        rows.view(np.dtype((np.void, rows.shape[1])))[:, 0],
-        return_index=True, return_inverse=True)
-    keys = distinct.tolist()
-    misses = [k for k, key in enumerate(keys) if key not in dispatched]
-    if misses:
-        at = first[misses]
-        offline = out[at, n_lines:]
-        scenarios = [months[m] for m in month[at].tolist()]
-        base = np.array([schedule for _, schedule in scenarios])
-        schedule, served, deficit = dispatch_rows(
-            case, np.array([demand for demand, _ in scenarios]), offline)
-        dispatched.update(zip([keys[k] for k in misses], zip(
-            served, bus_generation(case, schedule), deficit,
-            np.where(offline, base, 0.0))))
-    served, generation, deficit, ego = (
-        np.array(col)[inverse]
-        for col in zip(*map(dispatched.__getitem__, keys)))
+    served, generation, deficit, ego = context.dispatch(month,
+                                                        out[:, n_lines:])
     sol = solve_rows(net, generation - served, ~out[:, :n_lines])
     return StateRecord(flows=sol.flows, demand=served, generation=generation,
                        deficit=deficit, ego=ego)
 
 
-def base_schedules(case: NetworkCase) -> list[tuple[float, ...]]:
-    """Intact-fleet merit dispatch for each of the 12 months."""
+def base_schedules(case: NetworkCase) -> np.ndarray:
+    """Intact-fleet merit dispatch for each of the 12 months, a row each."""
     schedule, _, _ = dispatch_rows(
         case, np.array([scenario_demand(case, m) for m in MONTHS]),
         np.zeros((len(MONTHS), len(case.generators)), dtype=bool))
-    return [tuple(row) for row in schedule.tolist()]
+    return schedule
+
+
+class RunContext:
+    """What every plan of one run shares and no plan changes: the case,
+    its monthly demand vectors (a row per month), base schedules and
+    G_inv, the expected-cost rates as arrays, and the memo of merit
+    dispatch. ``planner.run`` and the ``adequacy`` command build one per
+    call, so nothing here outlives the run.
+    """
+
+    def __init__(self, case: NetworkCase):
+        self.case = case
+        self.demand = np.array([scenario_demand(case, m) for m in MONTHS])
+        self.schedules = base_schedules(case)
+        self.g_inv = generation_investment(case, self.schedules)
+        self.expected_cost = ExpectedCost(case.costs, case.generators)
+        # (month, generator-outage row) bytes -> (served demand, bus
+        # generation, deficit, ego) of that dispatch.
+        self.dispatched: dict[bytes, tuple] = {}
+        self.rows_requested = self.rows_dispatched = 0
+
+    def dispatch(self, month: np.ndarray, offline: np.ndarray):
+        """(served demand, bus generation, deficit, ego) of month
+        ``month[k]`` with the units in row k of the bool ``offline`` out,
+        a row each. Each distinct pair is dispatched once per run, the
+        ones new to it in one ``dispatch_rows`` call; ``rows_requested``
+        and ``rows_dispatched`` count the rows asked for and dispatched."""
+        # Each row's month (a byte holds it) and generator-outage row, as
+        # one byte string, so one 1-D np.unique tells them apart.
+        rows = np.column_stack([month, offline]).astype(np.uint8)
+        distinct, first, inverse = np.unique(
+            rows.view(np.dtype((np.void, rows.shape[1])))[:, 0],
+            return_index=True, return_inverse=True)
+        keys = distinct.tolist()
+        memo = self.dispatched
+        misses = [k for k, key in enumerate(keys) if key not in memo]
+        self.rows_requested += len(rows)
+        if misses:
+            at = first[misses]
+            self.rows_dispatched += len(at)
+            m = month[at] - 1
+            schedule, served, deficit = dispatch_rows(
+                self.case, self.demand[m], offline[at])
+            memo.update(zip([keys[k] for k in misses], zip(
+                served, bus_generation(self.case, schedule), deficit,
+                np.where(offline[at], self.schedules[m], 0.0))))
+        return (np.array(col)[inverse]
+                for col in zip(*map(memo.__getitem__, keys)))
 
 
 class PlanEvaluator:
     """Prices rating vectors for one fixed topology.
 
     All randomness flows from the entropy key, making evaluations
-    replayable. G_inv does not depend on the line plan; it is computed
-    once, from the base schedules the scenarios share. T_inv's per-line
-    constants are worked out once for the topology.
+    replayable. What does not depend on the line plan (G_inv, the base
+    schedules, the expected-cost rates, merit dispatch) comes from the
+    run's ``RunContext``; T_inv's per-line constants are worked out once
+    for the topology.
     """
 
-    def __init__(
-        self,
-        case: NetworkCase,
-        net: ActiveNetwork,
-        settings: PlanSettings,
-        entropy,
-    ):
-        self.case = case
+    def __init__(self, context: RunContext, net: ActiveNetwork,
+                 settings: PlanSettings, entropy):
+        self.context = context
         self.net = net
-        self.base_schedules = base_schedules(case)
-        self.g_inv = generation_investment(case, self.base_schedules)
-        self.t_inv = TransmissionInvestment(net, case.costs)
-
+        self.t_inv = TransmissionInvestment(net, context.case.costs)
+        batch = ScenarioBatch(context, net)
         if settings.mode == MODE_MCS:
-            self.scenario = _McsScenario(
-                ScenarioBatch(case, net,
-                              dict(zip(MONTHS, self.base_schedules))),
-                entropy, settings.n_mcs)
+            self.scenario = _McsScenario(batch, entropy, settings.n_mcs)
         else:
-            peak = case.ldc.peak_month()
             order = 1 if settings.mode == MODE_N1 else 2
-            batch = ScenarioBatch(case, net,
-                                  {peak: self.base_schedules[peak - 1]})
-            self.scenario = _DeterministicScenario(batch, settings.mode,
-                                                   peak, order)
+            self.scenario = _DeterministicScenario(
+                batch, settings.mode, context.case.ldc.peak_month(), order)
 
     def evaluate(self, capacities) -> CapacityEvaluation:
         """Price one rating vector: a rating per line of the topology, in
@@ -697,14 +661,12 @@ class PlanEvaluator:
                 f"ratings must be finite and >= 0 MW, got {float(caps[k])!r} "
                 f"for line {self.net.lines[k].id}")
         report = self.scenario.result(caps)
-        costs, generators = self.case.costs, self.case.generators
+        ec = self.context.expected_cost
         return CapacityEvaluation(
             report=report,
             breakdown=objective(
-                edns_cost(report.edns, costs),
-                egns_cost(report.egns, report.ego, costs, generators),
-                ewl_cost(report.ewl, costs),
-                self.t_inv(caps.tolist()),
-                self.g_inv),
+                ec.edns(report.edns), ec.egns(report.egns, report.ego),
+                ec.ewl(report.ewl), self.t_inv(caps.tolist()),
+                self.context.g_inv),
             congestion_probability=report.congestion_probability.mean(axis=0),
         )

@@ -94,6 +94,14 @@ class NetworkCase:
         return d
 
     @cached_property
+    def generator_buses(self) -> np.ndarray:
+        """Each generator's bus position, in fleet order."""
+        a = np.array([self.bus_index[g.bus] for g in self.generators],
+                     dtype=np.intp)
+        a.flags.writeable = False
+        return a
+
+    @cached_property
     def existing_lines(self) -> tuple[LineSpec, ...]:
         return tuple(ln for ln in self.lines if ln.status == EXISTING)
 

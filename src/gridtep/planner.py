@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 from .adequacy import ExpectationReport
 from .contingency import is_islanded
-from .costs import CostBreakdown, generation_investment, objective
+from .costs import CostBreakdown, objective
 from .errors import GridTepError
-from .evaluation import (PlanEvaluator, PlanSettings, base_schedules,
-                         is_integer)
+from .evaluation import PlanEvaluator, PlanSettings, RunContext, is_integer
 from .network import ActiveNetwork, Chromosome, NetworkCase, apply_plan
 from .rng import DOMAIN_GA, chromosome_entropy, substream
 from .sizing import sizing_loop
@@ -85,50 +84,45 @@ class PlanResult:
 INFEASIBLE_SENTINEL = math.inf
 
 
-def _infeasible_record(case: NetworkCase, chromosome: Chromosome,
+def _infeasible_record(context: RunContext, chromosome: Chromosome,
                        reason: str) -> FitnessRecord:
     # inf propagates through the breakdown so j = ec + t_inv + g_inv holds.
-    g_inv = generation_investment(case, base_schedules(case))
     return FitnessRecord(
         chromosome=chromosome,
         line_ids=(),
         capacities=(),
         breakdown=objective(INFEASIBLE_SENTINEL, 0.0, 0.0,
-                            INFEASIBLE_SENTINEL, g_inv),
+                            INFEASIBLE_SENTINEL, context.g_inv),
         report=None,
         sizing=None,
         infeasible_reason=reason,
     )
 
 
-def evaluate_chromosome(
-    case: NetworkCase,
-    chromosome: Chromosome,
-    settings: PlanSettings,
-    seed: int,
-) -> FitnessRecord:
+def evaluate_chromosome(context: RunContext, chromosome: Chromosome,
+                        settings: PlanSettings, seed: int) -> FitnessRecord:
     """Full pricing of one build plan: sizing loop plus cost rollup.
 
     A plan that islands, or whose pricing raises a GridTepError, comes back
     infeasible with the reason.
     """
-    net = apply_plan(case, chromosome)
-    if is_islanded(case, net, frozenset(), frozenset()):
+    net = apply_plan(context.case, chromosome)
+    if is_islanded(context.case, net, frozenset(), frozenset()):
         return _infeasible_record(
-            case, chromosome,
+            context, chromosome,
             "intact network strands a demand bus or a generator")
     try:
-        return _priced_record(case, chromosome, net, settings, seed)
+        return _priced_record(context, chromosome, net, settings, seed)
     except GridTepError as exc:
-        return _infeasible_record(case, chromosome,
+        return _infeasible_record(context, chromosome,
                                   f"{type(exc).__name__}: {exc}")
 
 
-def _priced_record(case: NetworkCase, chromosome: Chromosome,
+def _priced_record(context: RunContext, chromosome: Chromosome,
                    net: ActiveNetwork, settings: PlanSettings,
                    seed: int) -> FitnessRecord:
     entropy = chromosome_entropy(seed, chromosome.bits)
-    evaluator = PlanEvaluator(case, net, settings, entropy)
+    evaluator = PlanEvaluator(context, net, settings, entropy)
     trace = sizing_loop(net, evaluator.evaluate, settings, entropy)
     ev = trace.final_evaluation
     return FitnessRecord(
@@ -155,14 +149,16 @@ def run(
     ga: GaConfig,
     settings: PlanSettings,
 ) -> PlanResult:
-    """Evolve build plans toward minimum J and return the best found."""
+    """Evolve build plans toward minimum J and return the best found.
+    Every plan of the run shares one ``RunContext``."""
     n_bits = len(case.candidate_lines)
     memo: dict[tuple[bool, ...], FitnessRecord] = {}
+    context = RunContext(case)
 
     def priced(bits: tuple[bool, ...]) -> FitnessRecord:
         rec = memo.get(bits)
         if rec is None:
-            rec = evaluate_chromosome(case, Chromosome(bits), settings,
+            rec = evaluate_chromosome(context, Chromosome(bits), settings,
                                       ga.seed)
             memo[bits] = rec
         return rec

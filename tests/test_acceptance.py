@@ -20,8 +20,8 @@ from gridtep.contingency import is_islanded
 from gridtep.costs import line_capital_rate
 from gridtep.dcflow import flow_residual, solve
 from gridtep.evaluation import (POLICY_WEL, PlanEvaluator, PlanSettings,
-                                base_schedules)
-from gridtep.network import Chromosome, apply_plan, load_case, scenario_demand
+                                RunContext)
+from gridtep.network import Chromosome, apply_plan, load_case
 from gridtep.planner import GaConfig, evaluate_chromosome, run
 from gridtep.rng import chromosome_entropy
 from gridtep.sizing import sizing_loop
@@ -65,7 +65,7 @@ def _sized_run(case, policy):
     entropy = chromosome_entropy(SIZING_SEED, ALL_ONES)
     settings = PlanSettings(mode="mcs", policy=policy, n_mcs=DESK_MCS,
                             delta_f=5.0, congestion_threshold=0.1)
-    evaluator = PlanEvaluator(case, net, settings, entropy)
+    evaluator = PlanEvaluator(RunContext(case), net, settings, entropy)
     trace = sizing_loop(net, evaluator.evaluate, settings, entropy)
     return evaluator, trace, trace.final_capacities
 
@@ -151,8 +151,7 @@ def _exhaustive_toy_oracle(case, net, caps):
     rules and the estimator's validity screen applied identically."""
     from gridtep.evaluation import build_record
 
-    demand = scenario_demand(case, case.ldc.peak_month())
-    schedule = base_schedules(case)[case.ldc.peak_month() - 1]
+    context = RunContext(case)
     line_ids = [ln.id for ln in net.lines]
     line_for = {ln.id: ln.forced_outage_rate for ln in net.lines}
     gen_for = [g.forced_outage_rate for g in case.generators]
@@ -182,8 +181,8 @@ def _exhaustive_toy_oracle(case, net, caps):
         if is_islanded(case, net, lines_out, gens_out):
             continue
         from gridtep.contingency import OutageState
-        rec = build_record(case, net, demand,
-                           OutageState(lines_out, gens_out), schedule)
+        rec = build_record(context, net, case.ldc.peak_month(),
+                           OutageState(lines_out, gens_out))
         ref = adequacy_reference(net, rec.flows, rec.demand, rec.generation,
                                  caps)
         if not ref.valid:
@@ -205,7 +204,8 @@ def test_criterion_06_mcs_matches_exhaustive_oracle():
     exact_mean, exact_var = _exhaustive_toy_oracle(case, net, caps)
 
     n_mcs = 1000
-    evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=n_mcs),
+    evaluator = PlanEvaluator(RunContext(case), net,
+                              PlanSettings(mode="mcs", n_mcs=n_mcs),
                               entropy=[606, 1])
     report = evaluator.evaluate(caps).report
     estimates = np.array([
@@ -237,7 +237,8 @@ def test_criterion_08_sizing_terminates_and_clears_congestion(
         bundled_case, bundled_wel_run):
     _, trace, final_caps = bundled_wel_run
     fresh = PlanEvaluator(
-        bundled_case, apply_plan(bundled_case, Chromosome(ALL_ONES)),
+        RunContext(bundled_case),
+        apply_plan(bundled_case, Chromosome(ALL_ONES)),
         PlanSettings(mode="mcs", n_mcs=DESK_MCS),
         chromosome_entropy(SIZING_SEED + 1, ALL_ONES),
     )
@@ -327,8 +328,8 @@ def test_criterion_12_ga_matches_exhaustive_search():
     history_ok = all(
         b <= a for a, b in zip(result.history, result.history[1:]))
     best_exhaustive = min(
-        evaluate_chromosome(case, Chromosome.from_ints(bits), settings,
-                            ga.seed).j
+        evaluate_chromosome(RunContext(case), Chromosome.from_ints(bits),
+                            settings, ga.seed).j
         for bits in itertools.product([0, 1], repeat=6)
     )
     ok = history_ok and result.best.j == best_exhaustive

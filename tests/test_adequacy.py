@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -11,9 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 from gridtep.adequacy import (
     NodalBalance,
     balance_from_diffs,
+    flow_terms,
+    kernel,
     line_overloads,
     nodal_balance,
     nodal_diff,
+    screen_limits,
 )
 from gridtep.dcflow import solve
 
@@ -238,3 +242,74 @@ def summary(balance, congested, wheeling):
     return (balance.diff.tolist(), balance.dns.tolist(), balance.gns.tolist(),
             float(balance.total_dns), float(balance.total_gns),
             bool(balance.valid), congested.tolist(), float(wheeling))
+
+
+def stepwise_kernel(net, flows, demand, generation, caps):
+    """The kernel's figures by the formulas it replaced, step by step:
+    (valid, total DNS, total GNS, wheeling loss, congested) per row, the
+    wheeling loss as the sum of the positive overloads."""
+    abs_flows = np.abs(flows)
+    delivered = np.minimum(abs_flows, caps)
+    pos = np.where(flows >= 0, delivered, 0.0)
+    neg = np.where(flows < 0, delivered, 0.0)
+    a_from, a_to = net.incidence
+    inflow = pos @ a_to + neg @ a_from
+    outflow = pos @ a_from + neg @ a_to
+    diff = demand - inflow + outflow - generation
+    dns_tot = np.maximum(diff, 0.0).sum(axis=-1)
+    gns_tot = np.maximum(-diff, 0.0).sum(axis=-1)
+    d_tot, g_tot = demand.sum(axis=-1), generation.sum(axis=-1)
+    tiny = math.ulp(0.0)
+    bad = ((diff >= np.where(demand > 0, demand, np.inf))
+           | (diff <= np.where(generation > 0, -generation, -np.inf))
+           ).any(axis=-1)
+    bad |= dns_tot >= np.where(d_tot == 0, tiny, d_tot)
+    bad |= gns_tot >= np.where(g_tot == 0, tiny, g_tot)
+    excess = abs_flows - caps
+    congested = excess > 0
+    wheeling = np.where(congested, excess, 0.0).sum(axis=-1)
+    return ~bad, dns_tot, gns_tot, wheeling, congested
+
+
+@pytest.mark.numpy_floor
+@pytest.mark.parametrize("rows", [2, 300])
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_is_the_stepwise_formulas_bit_for_bit(rows, seed):
+    """One kernel pass over stacked rows' terms gives every figure of
+    the step-by-step formulas bit for bit, its wheeling loss included
+    with the sign of each zero: flows at their rating (ties), zero
+    ratings, buses with no demand or no generation, and rows with no
+    demand or no generation at all. ``nodal_balance`` and
+    ``line_overloads`` agree with it."""
+    rng = np.random.default_rng([seed, rows])
+    net = random_connected_net(rng, max_buses=9)
+    n_lines, n_buses = len(net.lines), net.n_buses
+    caps = rng.uniform(0.0, 80.0, n_lines).round(1)
+    caps[rng.random(n_lines) < 0.25] = 0.0
+    flows = rng.normal(0.0, 60.0, (rows, n_lines))
+    ties = rng.random((rows, n_lines)) < 0.2
+    flows[ties] = np.where(rng.random(ties.sum()) < 0.5, 1.0, -1.0) \
+        * np.broadcast_to(caps, flows.shape)[ties]
+    demand = rng.uniform(0.0, 50.0, (rows, n_buses))
+    generation = rng.uniform(0.0, 70.0, (rows, n_buses))
+    demand[:, rng.random(n_buses) < 0.4] = 0.0
+    generation[:, rng.random(n_buses) < 0.4] = 0.0
+    demand[rows // 2] = 0.0
+    generation[-1] = 0.0
+    assert (np.abs(flows) == caps).any() and (caps == 0).any()
+
+    got = kernel(net, caps, *flow_terms(flows), demand, generation,
+                 *screen_limits(demand, generation))
+    want = stepwise_kernel(net, flows, demand, generation, caps)
+    for name, a, b in zip(("valid", "dns", "gns", "wheeling", "congested"),
+                          got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.array_equal(np.signbit(got[3]), np.signbit(want[3]))
+    assert not np.signbit(got[3]).any()
+    balance = nodal_balance(net, flows, demand, generation, caps)
+    congested, wheeling = line_overloads(flows, caps)
+    for a, b in zip(got, (balance.valid, balance.total_dns,
+                          balance.total_gns, wheeling, congested)):
+        assert np.array_equal(a, b)
+    if rows > 2:  # the screen both keeps and drops rows
+        assert got[0].any() and not got[0].all()

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -321,3 +323,29 @@ def test_calls_in_turn_share_one_parser_and_match_fresh_calls(
     assert [code for code, _, _ in shared[0]] == [EXIT_OK] * 3 + [2]
     assert "--no-such-flag" in shared[0][-1][2]
     assert run(tmp_path / "fresh", fresh=True) == shared
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--mode", "mcs", "--mcs-iters", "10", "--pop-size", "3",
+     "--generations", "1"],
+    ["adequacy", "--mode", "n2", "--plan", "111111"],
+], ids=["plan", "adequacy"])
+def test_nothing_keeps_the_loaded_case_after_the_call(
+        argv, toy_case_path, tmp_path, monkeypatch, capsys):
+    """Once a call returns and garbage is collected, nothing holds the
+    case it loaded: what a run derives from its case lives and dies with
+    the run, so a process that runs call after call does not grow."""
+    loaded = []
+    real = cli.load_case
+
+    def load(path):
+        case = real(path)
+        loaded.append(weakref.ref(case))
+        return case
+
+    monkeypatch.setattr(cli, "load_case", load)
+    assert main([*argv, "--case", str(toy_case_path),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    gc.collect()
+    assert len(loaded) == 1
+    assert loaded[0]() is None

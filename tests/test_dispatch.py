@@ -15,7 +15,7 @@ from gridtep.dispatch import (
     merit_order,
     merit_order_dispatch,
 )
-from gridtep.evaluation import build_record
+from gridtep.evaluation import RunContext, build_record
 from gridtep.network import Chromosome, apply_plan, load_case
 
 from _toys import build_case, gen, line
@@ -125,13 +125,13 @@ def test_cut_off_outputs_use_base_schedule():
     intact-fleet dispatch, not zero."""
     case = two_gen_case()
     net = apply_plan(case, Chromosome(()))
-    demand = np.array([0.0, 0.0, 120.0])
-    base = merit_order_dispatch(case, demand).schedule
-    out = build_record(case, net, demand, OutageState(frozenset(),
-                                                      frozenset([0])), base)
+    # A flat load curve: every month's demand is the base [0, 0, 120] MW.
+    context = RunContext(case)
+    out = build_record(context, net, 1, OutageState(frozenset(),
+                                                    frozenset([0])))
     np.testing.assert_array_equal(out.ego, [50.0, 0.0])
-    intact = build_record(case, net, demand, OutageState(frozenset(),
-                                                         frozenset()), base)
+    intact = build_record(context, net, 1, OutageState(frozenset(),
+                                                       frozenset()))
     np.testing.assert_array_equal(intact.ego, [0.0, 0.0])
 
 

@@ -22,8 +22,8 @@ from gridtep.evaluation import (
     BatchEvaluation,
     PlanEvaluator,
     PlanSettings,
+    RunContext,
     ScenarioBatch,
-    base_schedules,
     build_record,
     expectations,
 )
@@ -50,14 +50,17 @@ def test_mcs_evaluation_is_deterministic_per_entropy():
     net = toy_net(case)
     config = PlanSettings(mode="mcs", n_mcs=200)
     caps = net.base_capacities
-    a = PlanEvaluator(case, net, config, entropy=[7, 1]).evaluate(caps)
-    b = PlanEvaluator(case, net, config, entropy=[7, 1]).evaluate(caps)
+    a = PlanEvaluator(RunContext(case), net, config,
+                      entropy=[7, 1]).evaluate(caps)
+    b = PlanEvaluator(RunContext(case), net, config,
+                      entropy=[7, 1]).evaluate(caps)
     np.testing.assert_array_equal(a.report.edns, b.report.edns)
     np.testing.assert_array_equal(a.report.congestion_probability,
                                   b.report.congestion_probability)
     assert a.breakdown.ec == b.breakdown.ec
 
-    c = PlanEvaluator(case, net, config, entropy=[8, 1]).evaluate(caps)
+    c = PlanEvaluator(RunContext(case), net, config,
+                      entropy=[8, 1]).evaluate(caps)
     assert not np.array_equal(a.report.edns, c.report.edns)
 
 
@@ -68,7 +71,7 @@ def test_evaluator_rejects_a_rating_vector_of_the_wrong_shape(ratings):
     broadcast over every line."""
     case = mcs_toy_case()
     net = toy_net(case)
-    evaluator = PlanEvaluator(case, net, PlanSettings(mode="n1"),
+    evaluator = PlanEvaluator(RunContext(case), net, PlanSettings(mode="n1"),
                               entropy=[1, 1])
     with pytest.raises(ValueError, match="one per line"):
         evaluator.evaluate(ratings)
@@ -84,7 +87,8 @@ def test_evaluator_rejects_unusable_ratings_before_any_draw(mode, rating):
     budget."""
     case = mcs_toy_case()
     net = toy_net(case)
-    evaluator = PlanEvaluator(case, net, PlanSettings(mode=mode, n_mcs=5),
+    evaluator = PlanEvaluator(RunContext(case), net,
+                              PlanSettings(mode=mode, n_mcs=5),
                               entropy=[1, 1])
     with pytest.raises(ValueError) as info:
         evaluator.evaluate([50.0, 40.0, rating, 0.0])
@@ -117,17 +121,16 @@ def test_deterministic_mode_matches_manual_state_weighting():
     renormalize, average."""
     case = mcs_toy_case()
     net = toy_net(case)
-    evaluator = PlanEvaluator(case, net, PlanSettings(mode="n1"),
+    evaluator = PlanEvaluator(RunContext(case), net, PlanSettings(mode="n1"),
                               entropy=[1, 1])
     caps = np.asarray(net.base_capacities)
     result = evaluator.evaluate(caps)
 
     peak = case.ldc.peak_month()
-    demand = scenario_demand(case, peak)
-    schedule = base_schedules(case)[peak - 1]
+    context = RunContext(case)
     kept_dns = []
     for state in enumerate_deterministic(case, net, 1):
-        rec = build_record(case, net, demand, state, schedule)
+        rec = build_record(context, net, peak, state)
         ref = adequacy_reference(net, rec.flows, rec.demand, rec.generation,
                                  caps)
         if ref.valid:
@@ -147,7 +150,8 @@ def test_deterministic_mode_raises_when_no_state_passes_the_screen():
     state passes and carries all the weight."""
     case = mcs_toy_case()
     net = toy_net(case)
-    evaluator = PlanEvaluator(case, net, PlanSettings(mode="n1"), [1, 1])
+    evaluator = PlanEvaluator(RunContext(case), net, PlanSettings(mode="n1"),
+                              [1, 1])
     with pytest.raises(GridTepError, match="mode n1, month 1"):
         evaluator.evaluate([1.0] * 4)
     priced = evaluator.evaluate([5.0] * 4)
@@ -158,8 +162,8 @@ def test_deterministic_mode_raises_when_no_state_passes_the_screen():
 def test_deterministic_mode_replicates_peak_month():
     case = mcs_toy_case()
     net = toy_net(case)
-    result = PlanEvaluator(case, net, PlanSettings(mode="n2"), entropy=[1, 1]
-                           ).evaluate(net.base_capacities)
+    result = PlanEvaluator(RunContext(case), net, PlanSettings(mode="n2"),
+                           entropy=[1, 1]).evaluate(net.base_capacities)
     assert np.ptp(result.report.edns) == 0.0
     assert np.ptp(result.report.ewl) == 0.0
 
@@ -167,7 +171,7 @@ def test_deterministic_mode_replicates_peak_month():
 def test_generous_ratings_remove_all_shortfalls():
     case = mcs_toy_case()
     net = toy_net(case)
-    evaluator = PlanEvaluator(case, net, PlanSettings(mode="n1"),
+    evaluator = PlanEvaluator(RunContext(case), net, PlanSettings(mode="n1"),
                               entropy=[1, 1])
     result = evaluator.evaluate([1e9] * len(net.lines))
     # Line outages redistribute flow but nothing is truncated, so the only
@@ -198,12 +202,11 @@ def first_valid_reference(case, net, entropy, n_mcs, caps):
     substream through the per-draw sampling loop and average the first
     state of each slot that is valid at ``caps``. Also returns each
     month's element-wise draws up to and including those states."""
-    schedules = base_schedules(case)
+    context = RunContext(case)
     records = {}
     out = []
     drawn = np.zeros(12, dtype=int)
     for month in MONTHS:
-        demand = scenario_demand(case, month)
         totals = np.zeros(3)
         for slot in range(n_mcs):
             rng = substream(entropy, DOMAIN_MCS, month, slot)
@@ -213,9 +216,8 @@ def first_valid_reference(case, net, entropy, n_mcs, caps):
                 drawn[month - 1] += draws
                 key = (month, *state)
                 if key not in records:
-                    records[key] = build_record(
-                        case, net, demand, OutageState(*state),
-                        schedules[month - 1])
+                    records[key] = build_record(context, net, month,
+                                                OutageState(*state))
                 rec = records[key]
                 ref = adequacy_reference(net, rec.flows, rec.demand,
                                          rec.generation, caps)
@@ -250,7 +252,7 @@ def test_mcs_chain_takes_first_valid_state_of_each_slot_stream(vectors, seed,
     config = PlanSettings(mode="mcs", n_mcs=n_mcs)
     order = data.draw(st.permutations(range(len(vectors))))
     for sequence in (range(len(vectors)), order):
-        evaluator = PlanEvaluator(case, net, config, entropy)
+        evaluator = PlanEvaluator(RunContext(case), net, config, entropy)
         for k in sequence:
             caps = np.array(vectors[k])
             report = evaluator.evaluate(caps).report
@@ -269,9 +271,9 @@ def month_by_month(case, net, entropy, n_mcs):
     each evaluating only the rows it added. Each distinct state of a month
     takes one row of its batch, found again by key. Returns a function
     that prices a rating vector into ``ExpectationReport`` fields."""
-    schedules = base_schedules(case)
+    context = RunContext(case)
     key_row = {}  # (month, lines out, gens out) -> row of the month's batch
-    months = [(month, ScenarioBatch(case, net, {month: schedules[month - 1]}),
+    months = [(month, ScenarioBatch(context, net),
                [substream(entropy, DOMAIN_MCS, month, slot)
                 for slot in range(n_mcs)],
                [[] for _ in range(n_mcs)]) for month in MONTHS]
@@ -363,7 +365,7 @@ def test_months_priced_together_are_the_month_by_month_figures_bit_for_bit(
                    np.full(len(base), 15.0), base]
         n_mcs = 15
     for entropy in ([3, 1], [11, 2]):
-        evaluator = PlanEvaluator(case, net,
+        evaluator = PlanEvaluator(RunContext(case), net,
                                   PlanSettings(mode="mcs", n_mcs=n_mcs),
                                   entropy)
         reference = month_by_month(case, net, entropy, n_mcs)
@@ -388,7 +390,8 @@ def test_samples_drawn_counts_redraws_up_to_each_accepted_state():
     net = toy_net(case)
     caps = np.full(4, 5.0)
     n_mcs, entropy = 20, [4, 1]
-    report = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=n_mcs),
+    report = PlanEvaluator(RunContext(case), net,
+                           PlanSettings(mode="mcs", n_mcs=n_mcs),
                            entropy).evaluate(caps).report
     _, drawn = first_valid_reference(case, net, entropy, n_mcs, caps)
     np.testing.assert_array_equal(report.samples_drawn, drawn)
@@ -399,8 +402,8 @@ def test_samples_drawn_counts_redraws_up_to_each_accepted_state():
 def test_sizing_sees_the_mean_of_the_monthly_congestion_rows():
     case = mcs_toy_case()
     net = toy_net(case)
-    evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=40),
-                              [6, 1])
+    evaluator = PlanEvaluator(RunContext(case), net,
+                              PlanSettings(mode="mcs", n_mcs=40), [6, 1])
     ev = evaluator.evaluate([30.0] * 4)
     monthly = ev.report.congestion_probability
     assert not np.array_equal(monthly.max(axis=0), monthly.mean(axis=0))
@@ -426,8 +429,8 @@ def test_each_distinct_state_is_built_once_per_evaluator(monkeypatch, mode):
         return real(*args)
 
     monkeypatch.setattr(evaluation, "build_records", counted)
-    evaluator = PlanEvaluator(case, net, PlanSettings(mode=mode, n_mcs=40),
-                              [4, 1])
+    evaluator = PlanEvaluator(RunContext(case), net,
+                              PlanSettings(mode=mode, n_mcs=40), [4, 1])
     scenario = evaluator.scenario
     vectors = [[60.0] * 4, [25.0] * 4, [5.0] * 4]
     sizes, used = [0], [set()]  # batch rows, and rows used, after each
@@ -469,8 +472,8 @@ def test_long_redraw_chains_take_logarithmically_many_builds(monkeypatch,
         return real(*args)
 
     monkeypatch.setattr(evaluation, "build_records", counted)
-    evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=20),
-                              entropy)
+    evaluator = PlanEvaluator(RunContext(case), net,
+                              PlanSettings(mode="mcs", n_mcs=20), entropy)
     scenario = evaluator.scenario
     used = np.zeros(len(scenario.draws), dtype=int)
     longest = []
@@ -498,8 +501,8 @@ def test_a_redraw_round_draws_at_most_round_rows_states(monkeypatch):
     net = toy_net(case)
 
     def run():
-        evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs",
-                                                          n_mcs=20), [4, 1])
+        evaluator = PlanEvaluator(RunContext(case), net,
+                                  PlanSettings(mode="mcs", n_mcs=20), [4, 1])
         sampler = evaluator.scenario.sampler
         real = sampler.draw
         rounds = []
@@ -545,8 +548,8 @@ def test_only_a_gridtep_error_from_a_drawn_ahead_build_is_drawn_again(
         return real(case, net, month, out, *args)
 
     monkeypatch.setattr(evaluation, "build_records", build_records)
-    evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=5),
-                              [4, 1])
+    evaluator = PlanEvaluator(RunContext(case), net,
+                              PlanSettings(mode="mcs", n_mcs=5), [4, 1])
     # Round 1 draws slot 0's "v" and "s" ahead; a state per round stops
     # at "v".
     scripted(monkeypatch, evaluator, {(1, 0): ".vs"}, 5)
@@ -669,7 +672,7 @@ def test_mcs_batch_raises_the_error_a_slot_by_slot_build_meets(
     case = mcs_toy_case()
     net = toy_net(case)
     n_mcs = 5
-    evaluator = PlanEvaluator(case, net, PlanSettings(mode="mcs",
+    evaluator = PlanEvaluator(RunContext(case), net, PlanSettings(mode="mcs",
                                                       n_mcs=n_mcs), [4, 1])
     used = scripted(monkeypatch, evaluator, script, n_mcs)
     with pytest.raises(error) as info:
@@ -696,7 +699,7 @@ def test_mcs_batch_prices_a_slot_whose_unused_state_would_fail(
     n_mcs = 5
 
     def price(script):
-        evaluator = PlanEvaluator(case, net, PlanSettings(
+        evaluator = PlanEvaluator(RunContext(case), net, PlanSettings(
             mode="mcs", n_mcs=n_mcs), [4, 1])
         used = scripted(monkeypatch, evaluator, script, n_mcs)
         return evaluator.evaluate(net.base_capacities).report, used
@@ -751,7 +754,7 @@ def test_slot_budget_bounds_every_draw_including_island_rejections(
     net = toy_net(case)
     monkeypatch.setattr(evaluation, "MAX_RESAMPLES", 30)
     evaluator = PlanEvaluator(
-        case, net, PlanSettings(mode="mcs", n_mcs=1), [5, 1])
+        RunContext(case), net, PlanSettings(mode="mcs", n_mcs=1), [5, 1])
     outcomes = count_draws(monkeypatch, evaluator)
     with pytest.raises(ResampleBudgetError) as info:
         evaluator.evaluate([0.0] * 4)
@@ -772,8 +775,8 @@ def test_slot_budget_checks_its_last_draw(monkeypatch):
     tight = [5.0] * 4
 
     def evaluator():
-        return PlanEvaluator(case, net, PlanSettings(mode="mcs", n_mcs=1),
-                             [3, 1])
+        return PlanEvaluator(RunContext(case), net,
+                             PlanSettings(mode="mcs", n_mcs=1), [3, 1])
 
     free = evaluator()
     expected = free.evaluate(tight)
@@ -804,7 +807,8 @@ def test_island_screens_never_reach_the_union_find(monkeypatch):
                 for lines in itertools.combinations(net.line_ids, k)])
             ).tolist()
             evaluator = PlanEvaluator(
-                case, net, PlanSettings(mode="mcs", n_mcs=15), [3, 1])
+                RunContext(case), net, PlanSettings(mode="mcs", n_mcs=15),
+                [3, 1])
             base = np.asarray(net.base_capacities)
             reports = [evaluator.evaluate(caps).report
                        for caps in (base, 0.4 * base)]
@@ -833,8 +837,8 @@ def test_batch_rows_do_not_depend_on_how_they_are_split():
     whole batch gives for them, the single last row included."""
     case = load_case(BUNDLED)
     net = apply_plan(case, Chromosome.from_ints([1] * 14))
-    batch = PlanEvaluator(case, net, PlanSettings(mode="n1"), [1, 1]
-                          ).scenario.batch
+    batch = PlanEvaluator(RunContext(case), net, PlanSettings(mode="n1"),
+                          [1, 1]).scenario.batch
     rng = np.random.default_rng(0)
     for _ in range(3):
         caps = rng.uniform(1.0, 300.0, len(net.lines))
@@ -869,7 +873,7 @@ def test_enumerated_states_are_the_states_the_scenario_builds(
 
     monkeypatch.setattr(evaluation, "build_records", counted)
     monkeypatch.setattr(evaluation, "KERNEL_ROWS", 4)
-    PlanEvaluator(case, net, PlanSettings(mode=mode), [1, 1])
+    PlanEvaluator(RunContext(case), net, PlanSettings(mode=mode), [1, 1])
     peak = case.ldc.peak_month()
     assert built == [(peak, state.lines_out, state.gens_out)
                      for state in enumerate_deterministic(case, net, order)]
@@ -886,9 +890,7 @@ def test_build_records_dispatches_each_month_and_generator_row_once(
     net = apply_plan(case, Chromosome.from_ints([1, 0] * 7))
     out = contingency.enumerate_outages(case, net, 1)
     month = np.resize([1, 7, 7], len(out))
-    schedules = base_schedules(case)
-    months = {m: (scenario_demand(case, m), schedules[m - 1])
-              for m in MONTHS}
+    context = RunContext(case)
     dispatched_rows = []
     real = evaluation.dispatch_rows
 
@@ -897,17 +899,18 @@ def test_build_records_dispatches_each_month_and_generator_row_once(
         return real(case, demand, offline)
 
     monkeypatch.setattr(evaluation, "dispatch_rows", counted)
-    memo = {}
-    recs = evaluation.build_records(case, net, month, out, months, memo)
+    recs = evaluation.build_records(context, net, month, out)
     gens = out[:, len(net.lines):]
     pairs = {(m, row.tobytes()) for m, row in zip(month.tolist(), gens)}
     assert dispatched_rows == [len(pairs)]
     assert len(pairs) < len(out)  # some rows share a dispatch
-    evaluation.build_records(case, net, month[::-1], out[::-1], months, memo)
+    evaluation.build_records(context, net, month[::-1], out[::-1])
     assert dispatched_rows == [len(pairs)]
+    assert (context.rows_requested, context.rows_dispatched) == (
+        2 * len(out), len(pairs))
     for k, state in enumerate(contingency._decode(net, out)):
-        one = build_record(case, net, months[month[k]][0],
-                           OutageState(*state), months[month[k]][1])
+        one = build_record(RunContext(case), net, month[k],
+                           OutageState(*state))
         for field in fields(one):
             assert np.array_equal(getattr(recs, field.name)[k],
                                   getattr(one, field.name)), field.name

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 from gridtep import evaluation, planner
 from gridtep.adequacy import ExpectationReport
 from gridtep.costs import generation_investment
-from gridtep.evaluation import base_schedules
+from gridtep.evaluation import RunContext, base_schedules
 from gridtep.network import Chromosome, load_case
 from gridtep.planner import (
     GaConfig,
@@ -37,7 +37,8 @@ def test_plan_that_strands_a_generator_is_infeasible():
     """The bundled case parks two new generators on line-less buses; the
     empty build plan leaves them islanded and prices at infinity."""
     case = load_case(BUNDLED)
-    rec = evaluate_chromosome(case, Chromosome.from_ints([0] * 14), N1, seed=0)
+    rec = evaluate_chromosome(RunContext(case), Chromosome.from_ints([0] * 14),
+                              N1, seed=0)
     assert not rec.feasible
     assert math.isinf(rec.j)
     # G_inv survives so J still decomposes as EC + T_inv + G_inv.
@@ -53,8 +54,8 @@ def test_empty_plan_of_a_case_without_existing_lines_is_infeasible():
     case = dataclasses.replace(case, lines=tuple(
         dataclasses.replace(ln, status="candidate") for ln in case.lines))
     rec = evaluate_chromosome(
-        case, Chromosome.from_ints([0] * len(case.candidate_lines)), N1,
-        seed=0)
+        RunContext(case),
+        Chromosome.from_ints([0] * len(case.candidate_lines)), N1, seed=0)
     assert not rec.feasible
     assert "strands" in rec.infeasible_reason
 
@@ -102,7 +103,8 @@ def test_plan_json_of_an_infeasible_best_is_strict_json(tmp_path):
     """An infeasible plan's infinite costs are written as null, so parsers
     that reject Infinity and NaN read plan.json."""
     case = mcs_toy_case()
-    best = planner._infeasible_record(case, Chromosome(()), "stranded")
+    best = planner._infeasible_record(RunContext(case), Chromosome(()),
+                                      "stranded")
     result = PlanResult(best=best, history=(best.j, best.j), mode="mcs",
                         policy="nl")
     path = tmp_path / "plan.json"
@@ -127,7 +129,7 @@ def test_n1_plan_whose_every_state_fails_the_screen_is_infeasible():
     toy = mcs_toy_case()
     case = dataclasses.replace(toy, lines=tuple(
         dataclasses.replace(ln, base_capacity_mw=1.0) for ln in toy.lines))
-    rec = evaluate_chromosome(case, Chromosome(()), N1, seed=0)
+    rec = evaluate_chromosome(RunContext(case), Chromosome(()), N1, seed=0)
     assert not rec.feasible
     assert math.isinf(rec.j)
     assert rec.infeasible_reason.startswith("GridTepError: mode n1, month 1")
@@ -148,7 +150,8 @@ def assert_bit_identical(a, b):
 @hypothesis.settings(max_examples=10, deadline=None)
 @given(st.data())
 def test_records_do_not_depend_on_the_order_plans_are_priced_in(data):
-    """Pricing a set of plans, then pricing them again in another order on
+    """Pricing a set of plans, each with a run context of its own, then
+    pricing them again in another order with one shared run context on
     the same case object, gives bit-identical records: J and every
     monthly report array. Nothing one plan's pricing leaves behind may
     change another's."""
@@ -157,21 +160,75 @@ def test_records_do_not_depend_on_the_order_plans_are_priced_in(data):
     order = data.draw(st.permutations(range(len(plans))))
     case = ga_toy_case()
     settings = PlanSettings(mode="mcs", policy="wel", n_mcs=40)
-    first = [evaluate_chromosome(case, Chromosome(bits), settings, seed=5)
+    first = [evaluate_chromosome(RunContext(case), Chromosome(bits),
+                                 settings, seed=5)
              for bits in plans]
-    again = {k: evaluate_chromosome(case, Chromosome(plans[k]), settings,
+    shared = RunContext(case)
+    again = {k: evaluate_chromosome(shared, Chromosome(plans[k]), settings,
                                     seed=5)
              for k in order}
     for k, rec in enumerate(first):
         assert_bit_identical(rec, again[k])
 
 
+@pytest.mark.parametrize("settings", [
+    PlanSettings(mode="n2", policy="nl"),
+    PlanSettings(mode="mcs", policy="wel", n_mcs=30),
+], ids=["n2", "mcs"])
+def test_a_run_does_plan_independent_work_once(monkeypatch, settings):
+    """One run builds the base schedules once and merit-dispatches each
+    distinct (month, generator-outage row) its plans' states ask for
+    once, whichever plan asks first; every plan's record is the one it
+    gets priced with a run context of its own."""
+    case = ga_toy_case()
+    ga = GaConfig(population_size=6, generations=3, seed=3)
+    requested, dispatched, base_calls, records = set(), [], [], []
+    real_base = evaluation.base_schedules
+    real_rows = evaluation.dispatch_rows
+    real_build = evaluation.build_records
+    real_plan = planner.evaluate_chromosome
+
+    def base(case):
+        base_calls.append(len(dispatched))
+        result = real_base(case)
+        dispatched.pop()  # the intact-fleet schedules, not the memo's
+        return result
+
+    def dispatch_rows(case, demand, offline):
+        dispatched.append(len(offline))
+        return real_rows(case, demand, offline)
+
+    def build_records(context, net, month, out):
+        requested.update((m, row.tobytes()) for m, row in zip(
+            month.tolist(), out[:, len(net.lines):]))
+        return real_build(context, net, month, out)
+
+    def priced(*args):
+        records.append((args[1], real_plan(*args)))
+        return records[-1][1]
+
+    monkeypatch.setattr(evaluation, "base_schedules", base)
+    monkeypatch.setattr(evaluation, "dispatch_rows", dispatch_rows)
+    monkeypatch.setattr(evaluation, "build_records", build_records)
+    monkeypatch.setattr(planner, "evaluate_chromosome", priced)
+    run(case, ga, settings)
+    assert len(records) > 2
+    assert base_calls == [0]
+    assert sum(dispatched) == len(requested)
+    assert len(dispatched) < len(records)  # later plans find them all
+    monkeypatch.undo()
+    for chromosome, rec in records:
+        assert rec.feasible
+        assert_bit_identical(rec, evaluate_chromosome(
+            RunContext(case), chromosome, settings, ga.seed))
+
+
 def test_chromosome_pricing_is_deterministic():
     case = ga_toy_case()
     bits = Chromosome.from_ints([1, 0, 0, 1, 0, 0])
     settings = PlanSettings(mode="mcs", n_mcs=150)
-    a = evaluate_chromosome(case, bits, settings, seed=11)
-    b = evaluate_chromosome(case, bits, settings, seed=11)
+    a = evaluate_chromosome(RunContext(case), bits, settings, seed=11)
+    b = evaluate_chromosome(RunContext(case), bits, settings, seed=11)
     assert a.j == b.j
     assert a.capacities == b.capacities
     assert a.sizing == b.sizing
@@ -181,8 +238,8 @@ def test_seed_changes_monte_carlo_pricing():
     case = ga_toy_case()
     bits = Chromosome.from_ints([1, 0, 0, 1, 0, 0])
     settings = PlanSettings(mode="mcs", n_mcs=150)
-    a = evaluate_chromosome(case, bits, settings, seed=11)
-    b = evaluate_chromosome(case, bits, settings, seed=12)
+    a = evaluate_chromosome(RunContext(case), bits, settings, seed=11)
+    b = evaluate_chromosome(RunContext(case), bits, settings, seed=12)
     assert a.j != b.j
 
 
@@ -200,7 +257,8 @@ def test_ga_matches_exhaustive_on_single_candidate():
     ga = GaConfig(population_size=2, generations=3, seed=4)
     result = run(case, ga, N1)
     exhaustive = min(
-        (evaluate_chromosome(case, Chromosome.from_ints(bits), N1, ga.seed)
+        (evaluate_chromosome(RunContext(case), Chromosome.from_ints(bits), N1,
+                             ga.seed)
          for bits in ([0], [1])),
         key=lambda rec: rec.j,
     )
@@ -228,7 +286,7 @@ def test_ga_without_candidate_lines_returns_the_empty_plan():
     assert result.best.chromosome == Chromosome(())
     assert result.best.feasible
     assert result.history == (result.best.j,) * (ga.generations + 1)
-    alone = evaluate_chromosome(case, Chromosome(()), N1, ga.seed)
+    alone = evaluate_chromosome(RunContext(case), Chromosome(()), N1, ga.seed)
     assert (result.best.j, result.best.capacities) == \
         (alone.j, alone.capacities)
 
@@ -268,5 +326,5 @@ def test_exhaustive_landscape_is_not_flat():
     values = set()
     for combo in itertools.product([0, 1], repeat=3):
         bits = Chromosome.from_ints(list(combo) + [0, 0, 0])
-        values.add(evaluate_chromosome(case, bits, N1, seed=0).j)
+        values.add(evaluate_chromosome(RunContext(case), bits, N1, seed=0).j)
     assert len(values) > 1

@@ -13,7 +13,7 @@ from gridtep import sizing
 from gridtep.adequacy import ExpectationReport, line_overloads
 from gridtep.costs import objective
 from gridtep.evaluation import (POLICY_NL, POLICY_WEL, CapacityEvaluation,
-                                PlanEvaluator, PlanSettings)
+                                PlanEvaluator, PlanSettings, RunContext)
 from gridtep.network import ActiveNetwork, Chromosome, apply_plan
 from gridtep.rng import substream
 from gridtep.sizing import (
@@ -365,7 +365,7 @@ def test_sizing_prices_each_capacity_vector_once(seed, delta_f):
     for policy in (POLICY_NL, POLICY_WEL):
         config = PlanSettings(mode="mcs", policy=policy, n_mcs=10,
                               delta_f=delta_f)
-        evaluator = PlanEvaluator(case, net, config, entropy)
+        evaluator = PlanEvaluator(RunContext(case), net, config, entropy)
         priced = []
 
         def evaluate(capacities):
@@ -380,7 +380,8 @@ def test_sizing_prices_each_capacity_vector_once(seed, delta_f):
         final = trace.final_capacities
         got = trace.final_evaluation
         again = evaluator.evaluate(final)
-        fresh = PlanEvaluator(case, net, config, entropy).evaluate(final)
+        fresh = PlanEvaluator(RunContext(case), net, config,
+                              entropy).evaluate(final)
         assert got.breakdown == again.breakdown
         np.testing.assert_allclose(dataclasses.astuple(fresh.breakdown),
                                    dataclasses.astuple(got.breakdown),
