@@ -6,22 +6,16 @@ roulette-wheel capacity growth, and a genetic-algorithm search over
 build plans. Deterministic N-1/N-2 contingency enumeration is available
 as an alternative to sampling for direct comparison.
 
-The package namespace holds what the demos and the README use, with the
-types they return and raise; everything else is imported from its
-module (``gridtep.costs``, ``gridtep.sizing``, ...).
+The package namespace holds three groups of names: what the demos
+import, what the README's "Lower-level entry points" paragraph names,
+and the exception classes. Everything else, the types those names
+return included, is imported from its module (``gridtep.contingency``,
+``gridtep.costs``, ``gridtep.sizing``, ...).
 """
 
-from .adequacy import (
-    ExpectationReport,
-    NodalBalance,
-    balance_from_diffs,
-    line_overloads,
-    nodal_balance,
-    nodal_diff,
-)
-from .contingency import OutageState, enumerate_deterministic, sample_state
-from .costs import CostBreakdown, objective
-from .dcflow import FlowSolution, flow_residual, solve, solve_with_outages
+from .adequacy import line_overloads, nodal_balance
+from .costs import objective
+from .dcflow import flow_residual, solve, solve_with_outages
 from .errors import (
     CaseParseError,
     CaseValidationError,
@@ -37,13 +31,12 @@ from .network import (
     Bus,
     Chromosome,
     LineSpec,
-    NetworkCase,
     apply_plan,
     load_case,
 )
-from .planner import FitnessRecord, GaConfig, PlanResult, run
+from .planner import GaConfig, run
 from .rng import chromosome_entropy, substream
-from .sizing import SizingTrace, sizing_loop
+from .sizing import sizing_loop
 
 __version__ = "0.1.0"
 
@@ -54,36 +47,23 @@ __all__ = [
     "CaseParseError",
     "CaseValidationError",
     "Chromosome",
-    "CostBreakdown",
-    "ExpectationReport",
-    "FitnessRecord",
-    "FlowSolution",
     "GaConfig",
     "GridTepError",
     "LineSpec",
-    "NetworkCase",
     "NetworkDisconnectedError",
-    "NodalBalance",
-    "OutageState",
     "PlanEvaluator",
-    "PlanResult",
     "PlanSettings",
     "ResampleBudgetError",
     "RunContext",
-    "SizingTrace",
     "UnbalancedInjectionsError",
     "apply_plan",
-    "balance_from_diffs",
     "chromosome_entropy",
-    "enumerate_deterministic",
     "flow_residual",
     "line_overloads",
     "load_case",
     "nodal_balance",
-    "nodal_diff",
     "objective",
     "run",
-    "sample_state",
     "solve",
     "solve_with_outages",
     "sizing_loop",

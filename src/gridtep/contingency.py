@@ -23,8 +23,10 @@ minimum-online test and the island test as array operations over
 states, after one reachability pass (``dcflow.slack_connected``) over
 their in-service lines, all of them for enumeration and each round's
 new ones for sampling. Line and generator id sets appear only in the
-one-state views, which convert at their edge: ``sample_state``,
-``enumerate_deterministic``, ``is_islanded`` and ``_feasible``.
+one-state views, which convert at their edge: ``sample_state`` (the
+per-draw definition of what ``RoundSampler`` draws, one mask row at a
+time from a Generator), ``enumerate_deterministic``, ``is_islanded`` and
+``_feasible``.
 
 A state islands the network when any demand bus, or any bus hosting an
 online generator, is cut off from the slack bus. Buses with neither
@@ -230,25 +232,23 @@ def sample_state(
     rng: np.random.Generator,
     max_draws: int = 1000,
 ) -> OutageState:
-    """Draw one feasible outage state from a PCG64 Generator: a
-    ``RoundSampler`` of its one stream, which the Generator then goes on
-    from.
+    """Draw one feasible outage state from ``rng``: a row of uniforms per
+    draw, one per line then one per generator, an element being out where
+    its uniform is below its forced outage rate.
 
     Infeasible draws (islanding / too few units online) are rejected and
     redrawn; the returned state's ``draws`` counts them all. Finding no
     feasible state within ``max_draws`` draws raises ResampleBudgetError.
     """
-    streams = Streams.of(rng)
-    sampler = RoundSampler(case, net, streams)
-    ((state,),), ((draws,),) = sampler.draw(np.zeros(1, dtype=np.intp),
-                                            np.array([max_draws]))
-    streams.store(rng)
-    if state < 0:
-        raise ResampleBudgetError(
-            f"no feasible outage state within {max_draws} draws")
-    ((lines_out, gens_out),) = _decode(net, sampler.out[[state]])
-    return OutageState(lines_out=lines_out, gens_out=gens_out,
-                       draws=int(draws))
+    rates = np.array(net.line_outage_rates + case.generator_outage_rates)
+    for draws in range(1, max_draws + 1):
+        out = rng.random((1, len(rates))) < rates
+        if screen(case, net, out)[0]:
+            ((lines_out, gens_out),) = _decode(net, out)
+            return OutageState(lines_out=lines_out, gens_out=gens_out,
+                               draws=draws)
+    raise ResampleBudgetError(
+        f"no feasible outage state within {max_draws} draws")
 
 
 def enumerate_outages(case: NetworkCase, net: ActiveNetwork, order: int

@@ -11,6 +11,10 @@ OCF = (1 - FOR)/FOR. Generation investment is capital on new units plus
 the operating cost of the intact-network base dispatch; it does not
 depend on the line plan. The objective is J = EC + T_inv + G_inv.
 
+``ExpectedCost`` holds a run's rates and ``TransmissionInvestment`` a
+topology's line constants; a plan evaluator calls both once per rating
+vector.
+
 Everything is kept in k$ internally; reports convert to M$.
 """
 
@@ -43,17 +47,9 @@ class CostBreakdown:
         return {k: v / 1000.0 for k, v in asdict(self).items()}
 
 
-def _check_12(name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (12,):
-        raise ValueError(f"{name} must have 12 monthly entries, got shape {arr.shape}")
-    return arr
-
-
 class ExpectedCost:
     """EC's components of 12 monthly expectations, in k$, from the monthly
-    rates and each generator's revenue-loss rate made arrays once:
-    ``edns_cost``, ``egns_cost`` and ``ewl_cost`` are its one-call views."""
+    rates and each generator's revenue-loss rate made arrays once."""
 
     def __init__(self, costs: CostParameters, generators):
         self.hours = costs.hours_per_month
@@ -64,38 +60,18 @@ class ExpectedCost:
             [g.revenue_loss_rate for g in generators], dtype=float)
 
     def edns(self, edns: np.ndarray) -> float:
+        """730 * sum_t c_edns(t) * EDNS(t), in k$."""
         return float(self.hours * np.dot(self.c_edns, edns))
 
     def egns(self, egns: np.ndarray, ego: np.ndarray) -> float:
+        """730 * sum_t [c_egns(t)*EGNS(t) + sum_s c_rl(s)*EGO_s(t)], in k$,
+        from EGNS per month and a (12, generators) ``ego``."""
         monthly = self.c_egns * egns + ego @ self.revenue_loss
         return float(self.hours * monthly.sum())
 
     def ewl(self, ewl: np.ndarray) -> float:
+        """730 * sum_t c_ewl(t) * EWL(t), in k$."""
         return float(self.hours * np.dot(self.c_ewl, ewl))
-
-
-def edns_cost(edns_by_month, costs: CostParameters) -> float:
-    """730 * sum_t c_edns(t) * EDNS(t), in k$."""
-    return ExpectedCost(costs, ()).edns(_check_12("edns_by_month",
-                                                  edns_by_month))
-
-
-def egns_cost(egns_by_month, ego_by_month_per_gen, costs: CostParameters,
-              generators) -> float:
-    """730 * sum_t [c_egns(t)*EGNS(t) + sum_s c_rl(s)*EGO_s(t)], in k$."""
-    egns = _check_12("egns_by_month", egns_by_month)
-    ego = np.asarray(ego_by_month_per_gen, dtype=float)
-    if ego.shape != (12, len(generators)):
-        raise ValueError(
-            f"ego_by_month_per_gen must have shape (12, {len(generators)}), "
-            f"got {ego.shape}")
-    return ExpectedCost(costs, generators).egns(egns, ego)
-
-
-def ewl_cost(ewl_by_month, costs: CostParameters) -> float:
-    """730 * sum_t c_ewl(t) * EWL(t), in k$."""
-    return ExpectedCost(costs, ()).ewl(_check_12("ewl_by_month",
-                                                 ewl_by_month))
 
 
 def line_capital_rate(capacity_mw: float) -> float:
@@ -116,10 +92,15 @@ def outage_compensation_factor(forced_outage_rate: float) -> float:
 
 
 class TransmissionInvestment:
-    """Line investment of one topology at any ratings, in k$: what
-    ``transmission_investment`` gives, with each line's constants (its
-    status, base rating and length, c_t2 times its length, and its OCF)
-    worked out once. Each call sums the lines in order, as Python floats.
+    """Line investment of one topology at any ratings (one per line, in
+    line order), in k$.
+
+    Capital: new lines pay the full-rating rate times length; existing
+    lines pay only for capacity added beyond their base rating, at the
+    rate evaluated on that increment. Operating: every active line pays
+    c_t2 * length * rating * OCF. Each line's constants (its status, base
+    rating and length, c_t2 times its length, and its OCF) are worked out
+    once; each call sums the lines in order, as Python floats.
     """
 
     def __init__(self, net: ActiveNetwork, costs: CostParameters):
@@ -141,22 +122,6 @@ class TransmissionInvestment:
                     capital += line_capital_rate(increment) * length
             operating += charge * cap * ocf
         return capital + operating
-
-
-def transmission_investment(
-    net: ActiveNetwork,
-    capacities,
-    costs: CostParameters,
-) -> float:
-    """Line investment for a topology at the given ratings (one per line,
-    in line order), in k$.
-
-    Capital: new lines pay the full-rating rate times length; existing
-    lines pay only for capacity added beyond their base rating, at the
-    rate evaluated on that increment. Operating: every active line pays
-    c_t2 * length * rating * OCF.
-    """
-    return TransmissionInvestment(net, costs)(capacities)
 
 
 def generation_investment(case: NetworkCase, base_schedules) -> float:

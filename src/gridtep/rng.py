@@ -9,7 +9,8 @@ bit-for-bit regardless of evaluation order.
 
 ``substream`` derives one stream through ``numpy.random.SeedSequence``
 and returns its Generator. ``substreams`` derives many streams whose
-paths share a prefix at once, as a ``Streams`` kernel: NumPy's
+paths share a prefix at once, as a ``Streams`` kernel, which only the
+Monte Carlo scenario's ``contingency.RoundSampler`` draws from: NumPy's
 SeedSequence mixes the words they share, once, and gridtep runs the hash
 steps of the remaining path words and of the seed words on uint32 arrays
 with one column per stream, then seeds PCG64 (NumPy's default bit
@@ -337,21 +338,6 @@ class Streams:
     def __init__(self, state: np.ndarray, inc: np.ndarray):
         self.state = state
         self.inc = inc
-
-    @classmethod
-    def of(cls, rng: np.random.Generator) -> "Streams":
-        """One stream: a PCG64 Generator's current state."""
-        words = rng.bit_generator.state["state"]
-        return cls(*(np.array([[words[k] >> 64], [words[k] & _MASK64]],
-                              dtype=np.uint64) for k in ("state", "inc")))
-
-    def store(self, rng: np.random.Generator) -> None:
-        """Set a PCG64 Generator to stream 0's state, so it goes on
-        drawing where this stream stopped."""
-        state = rng.bit_generator.state
-        hi, lo = (int(w) for w in self.state[:, 0])
-        state["state"]["state"] = hi << 64 | lo
-        rng.bit_generator.state = state
 
     def codes(self, index: np.ndarray, limits: np.ndarray,
               rows=1) -> np.ndarray:

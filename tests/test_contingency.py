@@ -222,6 +222,36 @@ def test_round_sampler_matches_a_per_draw_reference(which, seed, data):
             usable = [k for k in usable if k not in index[exhausted + 1:]]
 
 
+@pytest.mark.parametrize("which", sorted(ROUND_CASES))
+def test_sample_state_is_the_per_draw_reference(which):
+    """Call after call, at budgets from 1 draw up, sample_state gives the
+    state and draw count of the per-draw reference on a copy of its
+    Generator, and leaves the Generator in the copy's state; where the
+    reference's budget runs out, it raises ResampleBudgetError. The ring's
+    outage codes take one word, the wide ring's two."""
+    case = ROUND_CASES[which]
+    net = net_of(case)
+    rng = substream(11, DOMAIN_MCS, 1, 0)
+    ref = copy.deepcopy(rng)
+    found = spent = 0
+    for budget in [1, 2, 3, 5, 1000] * 8:
+        want, (want_draws,), exhausted, _ = per_draw_reference(
+            case, net, [ref], [budget])
+        if exhausted is None:
+            state = sample_state(case, net, rng, max_draws=budget)
+            assert ((state.lines_out, state.gens_out), state.draws) == (
+                want[0], want_draws)
+            found += 1
+        else:
+            with pytest.raises(ResampleBudgetError,
+                               match=f"^no feasible outage state within "
+                                     f"{budget} draws$"):
+                sample_state(case, net, rng, max_draws=budget)
+            spent += 1
+        assert rng.bit_generator.state == ref.bit_generator.state
+    assert found and spent
+
+
 def ahead_round(ahead, n=6):
     """One call of the draw-ahead test: ``ahead``, a budget per stream,
     and how many states each stream keeps."""

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from gridtep.costs import (
-    edns_cost,
-    egns_cost,
-    ewl_cost,
+    ExpectedCost,
+    TransmissionInvestment,
     generation_investment,
     line_capital_rate,
     objective,
     outage_compensation_factor,
-    transmission_investment,
 )
 from gridtep.network import ActiveNetwork, CostParameters
 
@@ -37,17 +35,17 @@ def one_month(value, month=0):
 
 def test_edns_cost_single_month():
     """10 MW unserved for one 730-hour month at 1 k$/MWh costs 7300 k$."""
-    assert edns_cost(one_month(10.0), params()) == 7300.0
+    assert ExpectedCost(params(), ()).edns(one_month(10.0)) == 7300.0
 
 
 def test_edns_cost_uniform_year():
     """1 MW all year at 2 k$/MWh costs 730 * 12 * 2 = 17520 k$."""
-    assert edns_cost(np.ones(12), params(c_edns=2.0)) == 17520.0
+    assert ExpectedCost(params(c_edns=2.0), ()).edns(np.ones(12)) == 17520.0
 
 
 def test_edns_cost_requires_twelve_months():
     with pytest.raises(ValueError):
-        edns_cost(np.ones(11), params())
+        ExpectedCost(params(), ()).edns(np.ones(11))
 
 
 def test_egns_cost_splits_network_and_outage_terms():
@@ -56,22 +54,24 @@ def test_egns_cost_splits_network_and_outage_terms():
     3650 k$ on its own."""
     generators = (gen(1, 100.0, rl=0.5),)
     no_ego = np.zeros((12, 1))
-    assert egns_cost(one_month(5.0), no_ego, params(c_egns=2.0),
-                     generators) == 7300.0
+    assert ExpectedCost(params(c_egns=2.0), generators).egns(
+        one_month(5.0), no_ego) == 7300.0
     ego = np.zeros((12, 1))
     ego[3, 0] = 10.0
-    assert egns_cost(np.zeros(12), ego, params(), generators) == 3650.0
+    assert ExpectedCost(params(), generators).egns(np.zeros(12), ego) == 3650.0
 
 
 def test_egns_cost_checks_ego_shape():
     with pytest.raises(ValueError):
-        egns_cost(np.zeros(12), np.zeros((12, 3)), params(), (gen(1, 10.0),))
+        ExpectedCost(params(), (gen(1, 10.0),)).egns(np.zeros(12),
+                                                     np.zeros((12, 3)))
 
 
 def test_ewl_cost_examples():
-    assert ewl_cost(np.zeros(12), params()) == 0.0
-    assert ewl_cost(one_month(43.68), params()) == 31886.4
-    assert ewl_cost(2 * one_month(43.68), params()) == 2 * 31886.4
+    ewl = ExpectedCost(params(), ()).ewl
+    assert ewl(np.zeros(12)) == 0.0
+    assert ewl(one_month(43.68)) == 31886.4
+    assert ewl(2 * one_month(43.68)) == 2 * 31886.4
 
 
 def test_line_capital_rate_spot_values():
@@ -96,7 +96,7 @@ def test_new_line_pays_full_rating():
         buses=base.buses,
         lines=(line(1, 1, 2, length=40.0, status="candidate", for_=0.5),),
     )
-    assert transmission_investment(net, (100.0,), params(c_t2=0.0)) == 1407.6
+    assert TransmissionInvestment(net, params(c_t2=0.0))((100.0,)) == 1407.6
 
 
 def test_existing_line_pays_only_its_increment():
@@ -109,8 +109,8 @@ def test_existing_line_pays_only_its_increment():
     )
     net = ActiveNetwork(buses=base.buses, lines=lines)
     expected = line_capital_rate(20.0) * 10.0
-    assert transmission_investment(net, (120.0, 100.0),
-                                   params(c_t2=0.0)) == expected
+    assert TransmissionInvestment(net, params(c_t2=0.0))(
+        (120.0, 100.0)) == expected
 
 
 def test_operating_charge_scales_with_rating_and_outage_factor():
@@ -122,8 +122,8 @@ def test_operating_charge_scales_with_rating_and_outage_factor():
     )
     p = params(c_t2=0.002)
     caps = net.base_capacities
-    operating_only = transmission_investment(net, caps, p) \
-        - transmission_investment(net, caps, params(c_t2=0.0))
+    operating_only = TransmissionInvestment(net, p)(caps) \
+        - TransmissionInvestment(net, params(c_t2=0.0))(caps)
     assert operating_only == pytest.approx(0.002 * 10.0 * 50.0 * 9.0)
 
 
