@@ -8,12 +8,12 @@ fleet order, True where the element is out.
   forced outage rate. States that island the network or leave fewer than
   the minimum number of generators online are rejected and redrawn, up
   to a resample budget. ``RoundSampler`` draws many slot streams at once,
-  one or more states ahead per stream: the PCG64 kernel
-  (``rng.Streams.codes``) hands back each drawn row as an outage code of
-  uint64 words, one bit per element, without making a uniform. Each
-  distinct code gets an integer id once per sampler, and a draw hands
-  back ids: only a pass's new codes are unpacked into mask rows and
-  screened, and only the rejected rows are redrawn.
+  one or more states ahead per stream, each from a given position: the
+  PCG64 kernel (``rng.Streams.codes``) hands back each drawn row as an
+  outage code of uint64 words, one bit per element, without making a
+  uniform. Each distinct code gets an integer id once per sampler, and a
+  draw hands back ids: only a pass's new codes are unpacked into mask
+  rows and screened, and only the rejected rows are redrawn.
 * Deterministic enumeration — every single (N-1) or pair (N-2) outage
   over lines and generators, with the same feasibility screen
   (``enumerate_outages``).
@@ -139,8 +139,8 @@ class RoundSampler:
     (``rng.unpack``) and screened, together (``screen``). ``draw``
     redraws only the rejected rows, pass after pass: a pass draws each
     pending stream's rows up to its next states or its budget and numbers
-    the accepted rows within their streams. ``keep`` then moves each
-    stream back to just after the states it used.
+    the accepted rows within their streams. The sampler keeps no stream
+    positions: each draw says where each stream starts.
     """
 
     def __init__(self, case: NetworkCase, net: ActiveNetwork,
@@ -153,29 +153,27 @@ class RoundSampler:
         self._ids: dict = {}  # outage code (int, or tuple of words) -> id
         self.out = np.zeros((0, len(self.limits)), dtype=bool)  # per id
         self.feasible = np.zeros(0, dtype=bool)  # per id
-        self._last = None  # the last draw's streams, start states and draws
 
-    def draw(self, index: np.ndarray, budgets: np.ndarray, ahead: int = 1):
-        """Draw the next ``ahead`` feasible states of each stream ``index``
-        lists (no stream twice), redrawing only the rejected rows, within
-        each stream's budget of element-wise draws.
+    def draw(self, index: np.ndarray, at: np.ndarray, budgets: np.ndarray,
+             ahead: int = 1):
+        """Draw the first ``ahead`` feasible states of each stream ``index``
+        lists from its element-wise draw ``at[k]`` on, redrawing only the
+        rejected rows, within each stream's budget of element-wise draws.
 
         Returns ``(ids, draws)``, two (streams, ``ahead``) arrays: the id
-        of each stream's j-th next state and the element-wise draws up to
-        and including it. Past the stream's budget the id is -1 and the
-        draws are all it made, its budget. Each stream is left just after
-        its last draw.
+        of each stream's j-th state and the element-wise draws from
+        ``at[k]`` up to and including it. Past the stream's budget the id
+        is -1 and the draws are all it made, its budget.
         """
         made = np.zeros(len(index), dtype=np.int64)  # element-wise draws
-        self._last = index, self.streams.state[:, index], made
         todo = np.flatnonzero(budgets > 0)
         ids = np.full((len(index), ahead), -1, dtype=np.intp)
         draws = np.zeros((len(index), ahead), dtype=np.int64)
         got = np.zeros(len(index), dtype=np.intp)  # states found
         while len(todo):
             rows = np.minimum(ahead - got[todo], budgets[todo] - made[todo])
-            drawn = self._id(self.streams.codes(index[todo], self.limits,
-                                                rows))
+            drawn = self._id(self.streams.codes(
+                index[todo], at[todo] + made[todo], self.limits, rows))
             ok = self.feasible[drawn]
             # Rows run stream after stream; number each one, and each
             # accepted one's state, from 0 within its stream.
@@ -192,15 +190,6 @@ class RoundSampler:
             made[todo] += rows
             todo = todo[(got[todo] < ahead) & (made[todo] < budgets[todo])]
         return ids, np.where(ids < 0, made[:, None], draws)
-
-    def keep(self, draws: np.ndarray) -> None:
-        """Leave each stream of the last ``draw`` just after its first
-        ``draws[k]`` element-wise draws there, as if it had made no more."""
-        index, start, made = self._last
-        back = np.flatnonzero(draws < made)
-        if len(back):
-            self.streams.seek(index[back], start[:, back], draws[back],
-                              len(self.limits))
 
     def _id(self, codes: np.ndarray) -> np.ndarray:
         """The id of each row of (rows, words) outage codes; codes not

@@ -26,10 +26,11 @@ plan reuses it.
 
 Monte Carlo mode prices the 12 months together, from one batch. Slot
 ``slot`` of month ``month`` draws from stream ``(month - 1) * n_slots +
-slot`` of one array of PCG64 states (``substreams``), which draws what
-``substream`` gives that slot. A ``contingency.RoundSampler`` draws
-pending streams as arrays and hands back an integer id per drawn state,
-and ``_McsScenario`` builds each (month, id) once. A slot's sample at a
+slot`` of one array of PCG64 streams (``substreams``), which draws what
+``substream`` gives that slot. ``_McsScenario`` counts each stream's
+draws, and a ``contingency.RoundSampler`` draws pending streams from
+those positions as arrays and hands back an integer id per drawn state;
+the scenario builds each (month, id) once. A slot's sample at a
 rating vector is the first state of its stream that passes the validity
 screen, so estimates across sizing iterations share common random
 numbers; slots with none yet are resolved in redraw rounds that draw
@@ -313,14 +314,14 @@ class _McsScenario:
 
     Slot ``slot`` of month ``month`` draws from stream ``(month - 1) *
     n_slots + slot``. ``draws`` holds each stream's element-wise draws so
-    far, and ``states[:n_states]`` each state a slot has used as (stream,
-    batch row, draws so far), in one-state round order; spare rows
-    follow, as in ScenarioBatch. ``row_of`` holds the batch row of each
-    (month, sampler id) built, so each is built once. ``first_used`` lists
-    the rows in the order slots first used them, and ``first_month`` the
-    month of each. A stream stands just after the last state it used:
-    states drawn ahead and not used are built, and found in ``row_of``
-    when the stream draws them again.
+    far, where its next draw starts, and ``states[:n_states]`` each state
+    a slot has used as (stream, batch row, draws so far), in one-state
+    round order; spare rows follow, as in ScenarioBatch. ``row_of`` holds
+    the batch row of each (month, sampler id) built, so each is built
+    once. ``first_used`` lists the rows in the order slots first used
+    them, and ``first_month`` the month of each. States drawn ahead and
+    not used are built, and found in ``row_of`` when the stream draws them
+    again.
     """
 
     def __init__(self, batch, entropy, n_slots):
@@ -346,20 +347,6 @@ class _McsScenario:
         return ResampleBudgetError(
             f"slot {slot} of month {month + 1}: no valid sample within "
             f"{MAX_RESAMPLES} draws")
-
-    def _draw(self, pending, ahead):
-        """Draw the next ``ahead`` states of each pending stream, within
-        what is left of its budget. Returns their sampler ids, -1 past a
-        budget, and the element-wise draws up to each, as (streams, ahead)
-        arrays. The first stream whose budget runs out before its first
-        state raises, before any state is built."""
-        ids, draws = self.sampler.draw(
-            pending, MAX_RESAMPLES - self.draws[pending], ahead)
-        spent = np.flatnonzero(ids[:, 0] < 0)
-        if len(spent):
-            self.sampler.keep(draws[:, 0])
-            raise self._budget_error(pending[spent[0]])
-        return ids, draws
 
     def _build(self, months, ids):
         """The batch rows of the drawn states ``ids`` of months ``months``
@@ -432,7 +419,9 @@ class _McsScenario:
         one-state order meets them: a budget that runs out names the slot
         of the first one-state round where one does, and if a drawn-ahead
         build raises a GridTepError, the round is drawn again, and the
-        call finished, one state per stream.
+        call finished, one state per stream. When it raises a
+        GridTepError, ``draws`` counts each pending stream's draws up to
+        that one-state round.
         """
         batch = self.batch
         parts = [batch.evaluate(capacities)] if len(batch) else []
@@ -448,7 +437,15 @@ class _McsScenario:
         ahead, grow = 1, True
         evaluated = len(batch)
         while len(pending):
-            ids, draws = self._draw(pending, ahead)
+            at = self.draws[pending]
+            ids, draws = self.sampler.draw(pending, at, MAX_RESAMPLES - at,
+                                           ahead)
+            # A budget that runs out before a stream's first state raises
+            # before any state is built.
+            empty = np.flatnonzero(ids[:, 0] < 0)
+            if len(empty):
+                self.draws[pending] = at + draws[:, 0]
+                raise self._budget_error(pending[empty[0]])
             try:
                 # The j-th states of all pending streams, j after j, as
                 # (ahead, streams) batch rows.
@@ -457,12 +454,12 @@ class _McsScenario:
                     ids.T.ravel()).reshape(ahead, -1)
             except GridTepError:
                 if ahead == 1:
+                    self.draws[pending] = at + draws[:, 0]
                     raise
                 # The state that failed may be one no slot reaches. Drawn
                 # again one state per round, the error comes back where a
                 # slot does reach it. Rows a failed build added stay
                 # unused: their states are built again when drawn again.
-                self.sampler.keep(np.zeros(len(pending), dtype=np.int64))
                 ahead, grow = 1, False
                 continue
             if len(batch) > evaluated:
@@ -478,21 +475,18 @@ class _McsScenario:
             use[1:] = ~seen[:-1]
             done = seen[-1]
             short = ~done & (new_rows[-1] < 0)  # out of budget, none valid
+            spent = np.where(use, draws, 0)  # draws up to each used state
             if short.any():
                 # The one-state round where a budget first runs out.
                 got = (new_rows >= 0).sum(axis=0)
-                at = got[short].min()
-                self.sampler.keep(
-                    np.where(use, draws, 0)[:at + 1].max(axis=0))
-                raise self._budget_error(pending[short & (got == at)][0])
-            spent = np.where(use, draws, 0).max(axis=0)
-            self.sampler.keep(spent)
-            before = self.draws[pending]
-            self.draws[pending] = before + spent
+                last = got[short].min()
+                self.draws[pending] = at + spent[:last + 1].max(axis=0)
+                raise self._budget_error(pending[short & (got == last)][0])
+            self.draws[pending] = at + spent.max(axis=0)
             flat = np.flatnonzero(use)  # state-major: one-state round order
             pos = flat % len(pending)
             self._use(pending[pos], new_rows.ravel()[flat],
-                      before[pos] + draws.ravel()[flat])
+                      at[pos] + draws.ravel()[flat])
             rows[pending] = np.where(hit & use, new_rows, -1).max(axis=0)
             # Streams still pending are set again when they are done.
             drawn[pending] = self.draws[pending]

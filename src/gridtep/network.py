@@ -309,6 +309,9 @@ def validate_case(case: NetworkCase) -> list[tuple[str, str]]:
            "must be 730")
     _check(f, case.min_online_generators >= 1, "options.min_online_generators",
            "must be >= 1")
+    _check(f, case.min_online_generators <= len(case.generators),
+           "options.min_online_generators",
+           f"must be <= the generator count ({len(case.generators)})")
 
     # Existing lines must form one connected component (new-generator buses
     # may be line-less until candidates are built). An unknown endpoint,

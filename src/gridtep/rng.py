@@ -20,18 +20,18 @@ it.
 
 PCG64 is a 128-bit linear congruential generator (O'Neill 2014), so a
 stream can skip ahead by any number of steps in a fixed number of
-operations (Brown 1994). ``Streams.codes`` draws the next rows of ``n``
-uniforms of any subset of streams as outage codes, never as floats: the
-bit of element j is set when the row's j-th uniform is below the
-element's rate, decided on the integer output word against the exact
-bound ``ceil(rate * 2**53)`` (``limits``), and the bits are shifted into
-uint64 words, element 0 first (``unpack`` reads them back). Each row
-starts from its stream's state, by a jump of a multiple of ``n`` steps
-when a stream draws several rows. A pass of few rows then jumps to all
-``n`` states of every row at once, a fixed number of operations over
-(rows, n) arrays; a pass of ``STEP_ROWS`` rows or more steps every row's
-state one element at a time over 1-D row vectors, which stay in cache
-however many rows there are.
+operations (Brown 1994). A stream's draws are a function of its position:
+``Streams.codes`` reads the rows of ``n`` uniforms at given positions of
+any subset of streams as outage codes, never as floats: the bit of
+element j is set when the row's j-th uniform is below the element's rate,
+decided on the integer output word against the exact bound ``ceil(rate *
+2**53)`` (``limits``), and the bits are shifted into uint64 words,
+element 0 first (``unpack`` reads them back). A row at position p starts
+from its stream's first state, jumped p * n steps; the streams never
+change. A pass of few rows then jumps to all ``n`` states of every row at
+once, a fixed number of operations over (rows, n) arrays; a pass of
+``STEP_ROWS`` rows or more steps every row's state one element at a time
+over 1-D row vectors, which stay in cache however many rows there are.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def _jumps(n: int, step: int = 1, first: int = 1) -> tuple[np.ndarray, ...]:
 
 def _leaps(rows: int, n: int) -> tuple[np.ndarray, ...]:
     """Jump-ahead constants of 0, n, 2n, ... steps, at least ``rows`` of
-    them: the start of each of a stream's next rows of ``n`` uniforms.
+    them: the start of a stream's rows of ``n`` uniforms by position.
     Their count is rounded up to a power of two, so the cached tables of
     all row counts hold at most twice the largest."""
     return _jumps(1 << (rows - 1).bit_length(), n, 0)
@@ -263,7 +263,7 @@ def _jump(jumps, state, inc):
 
 def _jump_codes(state, inc, limits):
     """Codes of rows from their start states by one jump to all ``n``
-    states of each row, as (rows, n) arrays; and each row's last state."""
+    states of each row, as (rows, n) arrays."""
     (hi, lo), (i_hi, i_lo) = state, inc
     hi, lo = _jump(_jumps(len(limits)), (hi[:, None], lo[:, None]),
                    (i_hi[:, None], i_lo[:, None]))
@@ -272,15 +272,13 @@ def _jump_codes(state, inc, limits):
     word = word >> turn | word << ((_U64 - turn) & _U63)
     _, shift, starts = _layout(len(limits))
     bits = (word >> _U11 < limits) << shift
-    codes = np.bitwise_or.reduceat(bits, starts, axis=1)
-    return codes, (hi[:, -1], lo[:, -1])
+    return np.bitwise_or.reduceat(bits, starts, axis=1)
 
 
 def _step_codes(state, inc, limits):
     """Codes of rows from their start states by stepping every row's
     state one element at a time, each step and output over 1-D row
-    vectors written in place, so a pass's arrays stay in cache; and each
-    row's last state."""
+    vectors written in place, so a pass's arrays stay in cache."""
     hi, lo = (np.array(words) for words in state)
     i_hi, i_lo = inc
     s0, s1, t, u, v, word, turn = (np.empty_like(lo) for _ in range(7))
@@ -325,54 +323,40 @@ def _step_codes(state, inc, limits):
         np.less(word, limit, out=bit)
         code <<= _U1
         code |= bit
-    return codes.T, (hi, lo)
+    return codes.T
 
 
 class Streams:
-    """PCG64 streams held as uint64 words, drawn as arrays.
+    """PCG64 streams held as uint64 words, drawn as arrays by position.
 
-    ``state`` and ``inc`` are (2, streams) arrays: the high and the low
-    word of each stream's 128-bit state and increment.
+    ``first`` and ``inc`` are (2, streams) arrays: the high and the low
+    word of each stream's first 128-bit state and of its increment. They
+    never change.
     """
 
-    def __init__(self, state: np.ndarray, inc: np.ndarray):
-        self.state = state
+    def __init__(self, first: np.ndarray, inc: np.ndarray):
+        self.first = first
         self.inc = inc
 
-    def codes(self, index: np.ndarray, limits: np.ndarray,
-              rows=1) -> np.ndarray:
-        """The outage codes of the next ``rows[k]`` rows of ``n =
-        len(limits)`` uniforms of each stream ``index`` lists (no stream
-        twice), stream after stream, as (rows, words) uint64: bit j of a
-        row is set when its j-th uniform, what ``Generator.random((rows[k],
+    def codes(self, index: np.ndarray, at: np.ndarray, limits: np.ndarray,
+              rows: np.ndarray) -> np.ndarray:
+        """The outage codes of ``rows[k]`` rows of ``n = len(limits)``
+        uniforms of each stream ``index`` lists, from its row ``at[k]`` on,
+        stream after stream, as (rows, words) uint64: bit j of a row is set
+        when its j-th uniform, what ``Generator.random((at[k] + rows[k],
         n))`` draws there, is below the rate of ``limits[j]`` (see
-        ``limits``), laid out as ``unpack`` reads it. ``rows`` is a count
-        of at least 1 per stream, or one for all. Each stream is left
-        after its last row."""
+        ``limits``), laid out as ``unpack`` reads it."""
         n = len(limits)
-        rows = np.broadcast_to(rows, index.shape)
-        ends = np.cumsum(rows)
-        state, inc = self.state[:, index], self.inc[:, index]
-        # One row per stream starts from the stream states themselves;
-        # several start by a jump of a multiple of n from their stream's.
-        if len(index) and ends[-1] > len(index):
-            stream = np.repeat(index, rows)
-            row = np.arange(len(stream)) - np.repeat(ends - rows, rows)
-            inc = self.inc[:, stream]
-            state = _jump([c[row] for c in _leaps(int(row.max()) + 1, n)],
-                          self.state[:, stream], inc)
-        kernel = _jump_codes if len(inc[0]) < STEP_ROWS else _step_codes
-        codes, last = kernel(state, inc, limits)
-        self.state[:, index] = [words[ends - 1] for words in last]
-        return codes
-
-    def seek(self, index: np.ndarray, start: np.ndarray, rows: np.ndarray,
-             n: int) -> None:
-        """Set each stream ``index`` lists to ``rows[k]`` rows of ``n``
-        uniforms after ``start[:, k]``, one of its earlier states."""
-        leaps = _leaps(int(rows.max()) + 1, n)
-        self.state[:, index] = _jump([c[rows] for c in leaps], start,
-                                     self.inc[:, index])
+        stream = np.repeat(index, rows)
+        first = np.cumsum(rows) - rows  # each stream's first row here
+        pos = np.arange(len(stream)) + np.repeat(at - first, rows)
+        state, inc = self.first[:, stream], self.inc[:, stream]
+        # Rows at position 0 start from the first states themselves.
+        if pos.any():
+            state = _jump([c[pos] for c in _leaps(int(pos.max()) + 1, n)],
+                          state, inc)
+        kernel = _jump_codes if len(stream) < STEP_ROWS else _step_codes
+        return kernel(state, inc, limits)
 
 
 def chromosome_entropy(seed: int, bits) -> list[int]:

@@ -61,7 +61,7 @@ def test_unrejected_sampling_reproduces_outage_rates():
     n = 20000
     sampler = RoundSampler(case, net, substreams(1234, (1,), np.arange(n)))
     ids, draws = (a[:, 0] for a in sampler.draw(
-        np.arange(n), np.full(n, 1000), 512))
+        np.arange(n), np.zeros(n, dtype=np.int64), np.full(n, 1000), 512))
     assert (ids >= 0).all() and (draws == 1).all()
     out = sampler.out[:, :3]  # lines 1, 2 and 3
     counts = np.bincount(ids, minlength=len(out)) @ out
@@ -191,8 +191,8 @@ def test_round_sampler_matches_a_per_draw_reference(which, seed, data):
     """Round after round on subsets of the (month, slot) streams, with
     budgets of 0, 1 and a few draws, the round sampler gives each stream
     the states and draw counts a per-draw loop gives, up to and including
-    the first stream whose budget runs out, which it names. A stream is
-    drawn only within its budget, so after a round the streams up to that
+    the first stream whose budget runs out, which it names. Each stream is
+    drawn from its draws so far, so after a round the streams up to that
     one go on where the reference's do."""
     case = ROUND_CASES[which]
     net = net_of(case)
@@ -202,6 +202,7 @@ def test_round_sampler_matches_a_per_draw_reference(which, seed, data):
     rngs = [substream(seed, DOMAIN_MCS, month, slot)
             for month in (1, 2) for slot in range(n_slots)]
     sampler = RoundSampler(case, net, streams)
+    at = np.zeros(len(rngs), dtype=np.int64)  # each stream's draws so far
     usable = list(range(len(rngs)))  # streams still in step with rngs
     for _ in range(data.draw(st.integers(1, 4))):
         index = sorted(data.draw(st.sets(st.sampled_from(usable),
@@ -209,7 +210,9 @@ def test_round_sampler_matches_a_per_draw_reference(which, seed, data):
         budgets = data.draw(st.lists(
             st.one_of(st.just(0), st.just(1), st.integers(2, 6)),
             min_size=len(index), max_size=len(index)))
-        ids, draws = sampler.draw(np.array(index), np.array(budgets))
+        ids, draws = sampler.draw(np.array(index), at[index],
+                                  np.array(budgets))
+        at[index] += draws[:, 0]
         want, want_draws, want_exhausted, _ = per_draw_reference(
             case, net, [rngs[k] for k in index], budgets)
         spent = np.flatnonzero(ids[:, 0] < 0)
@@ -254,7 +257,7 @@ def test_sample_state_is_the_per_draw_reference(which):
 
 def ahead_round(ahead, n=6):
     """One call of the draw-ahead test: ``ahead``, a budget per stream,
-    and how many states each stream keeps."""
+    and how many of its states each stream uses."""
     return st.tuples(st.just(ahead),
                      st.lists(st.integers(0, 20), min_size=n, max_size=n),
                      st.lists(st.integers(0, ahead), min_size=n, max_size=n))
@@ -274,18 +277,20 @@ def test_round_sampler_draws_ahead_as_one_state_rounds(which, seed, rounds):
     """Drawing ``ahead`` states per stream in one call gives each stream
     the states and running draw counts that ``ahead`` one-state rounds of
     the per-draw loop give, within budgets of 0 to 20 draws, and -1 and
-    the whole budget past it. Kept after any number of its states, a
-    stream goes on where the loop goes on after drawing just those."""
+    the whole budget past it. Drawn again from its draws up to any number
+    of its states, a stream goes on where the loop goes on after drawing
+    just those."""
     case = ROUND_CASES[which]
     net = net_of(case)
     n = 6
     streams = substreams(seed, (DOMAIN_MCS,), np.ones(n), np.arange(n))
     rngs = [substream(seed, DOMAIN_MCS, 1, slot) for slot in range(n)]
     sampler = RoundSampler(case, net, streams)
-    for ahead, budgets, keep in rounds:
-        ids, draws = sampler.draw(np.arange(n), np.array(budgets), ahead)
+    at = np.zeros(n, dtype=np.int64)
+    for ahead, budgets, uses in rounds:
+        ids, draws = sampler.draw(np.arange(n), at, np.array(budgets), ahead)
         assert ids.shape == draws.shape == (n, ahead)
-        kept = []
+        spent = []
         for k, (rng, budget) in enumerate(zip(rngs, budgets)):
             ref = copy.deepcopy(rng)
             made, want, want_draws = 0, [], []
@@ -298,16 +303,16 @@ def test_round_sampler_draws_ahead_as_one_state_rounds(which, seed, rounds):
                     want_draws += [made] * (ahead - j - 1)
                     break
                 want += state
-                if j + 1 == keep[k]:
+                if j + 1 == uses[k]:
                     rng.bit_generator.state = ref.bit_generator.state
             assert contingency._decode(net, sampler.out[ids[k, :len(want)]]
                                        ) == want
             assert (ids[k, len(want):] == -1).all()
             assert draws[k].tolist() == want_draws
-            if keep[k] > len(want):  # past the budget: all it drew
+            if uses[k] > len(want):  # past the budget: all it drew
                 rng.bit_generator.state = ref.bit_generator.state
-            kept.append(draws[k, keep[k] - 1] if keep[k] else 0)
-        sampler.keep(np.array(kept))
+            spent.append(draws[k, uses[k] - 1] if uses[k] else 0)
+        at += spent
 
 
 @pytest.mark.numpy_floor
@@ -322,8 +327,10 @@ def test_round_sampler_gives_each_outage_code_one_id(which):
     n = STEP_ROWS
     sampler = RoundSampler(case, net, substreams(5, (DOMAIN_MCS,),
                                                  np.arange(n)))
+    at = np.zeros(n, dtype=np.int64)
     for _ in range(3):
-        ids, draws = sampler.draw(np.arange(n), np.full(n, 50))
+        ids, draws = sampler.draw(np.arange(n), at, np.full(n, 50))
+        at += draws[:, 0]
         assert (ids >= 0).all()
         assert sampler.feasible[ids].all()
     assert len(np.unique(sampler.out, axis=0)) == len(sampler.out) > n // 10

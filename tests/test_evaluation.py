@@ -507,10 +507,10 @@ def test_a_redraw_round_draws_at_most_round_rows_states(monkeypatch):
         real = sampler.draw
         rounds = []
 
-        def draw(index, budgets, ahead=1):
+        def draw(index, at, budgets, ahead=1):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            out = real(index, budgets, ahead)
+            out = real(index, at, budgets, ahead)
             rounds.append((len(index), ahead,
                            tracemalloc.get_traced_memory()[1] - before))
             return out
@@ -572,12 +572,12 @@ def budget(slot, month):
 # exhausted budget. Past its script, or without one, a slot draws "v".
 # The script stands in for the round sampler, which a round hands its
 # pending slots' flat (month, slot) stream indices in order, with the
-# states each draws ahead; ``keep`` hands back those not used. A round
-# draws month 1's slot 0 first whenever it is pending, so the states it
-# used count the one-state rounds it took part in.
+# states each has used, where its script goes on, and the states each
+# draws ahead. A round draws month 1's slot 0 first whenever it is
+# pending, so the states it used (``scenario.draws[0]``) count the
+# one-state rounds it took part in.
 def scripted(monkeypatch, evaluator, script, n_mcs):
-    """Replace the evaluator's sampler by the script. Returns the count of
-    states each (month, slot) has used, "x" included."""
+    """Replace the evaluator's sampler by the script."""
     states = {".": (frozenset(), frozenset()),
               "v": (frozenset([1]), frozenset()),
               "s": (frozenset([2, 3]), frozenset())}
@@ -585,35 +585,25 @@ def scripted(monkeypatch, evaluator, script, n_mcs):
     monkeypatch.setattr(sampler, "out", contingency._encode(
         sampler.case, sampler.net, list(states.values())))
     state_id = {outcome: k for k, outcome in enumerate(states)}
-    used, last = {}, []
 
-    def draw(index, budgets, ahead=1):
-        """The round sampler's contract: per position the ids of its next
-        ``ahead`` states, rows of the sampler's ``out``, -1 past an
-        exhausted budget, and the draws up to each, "x" counting one."""
+    def draw(index, at, budgets, ahead=1):
+        """The round sampler's contract: per position the ids of its
+        ``ahead`` states from its ``at``-th on, rows of the sampler's
+        ``out``, -1 past an exhausted budget, and the draws up to each,
+        "x" counting one."""
         ids = np.full((len(index), ahead), -1, dtype=np.intp)
         draws = np.zeros((len(index), ahead), dtype=np.int64)
-        last[:] = []
-        for pos, flat in enumerate(index.tolist()):
+        for pos, (flat, a) in enumerate(zip(index.tolist(), at.tolist())):
             key = flat // n_mcs + 1, flat % n_mcs
-            at = used.get(key, 0)
-            last.append((key, at))
             for j in range(ahead):
-                outcome = script.get(key, "")[at + j:at + j + 1] or "v"
+                outcome = script.get(key, "")[a + j:a + j + 1] or "v"
                 draws[pos, j:] = j + 1
                 if outcome == "x":
                     break
                 ids[pos, j] = state_id[outcome]
-            used[key] = at + int(draws[pos, -1])
         return ids, draws
 
-    def keep(draws):
-        for (key, at), d in zip(last, draws.tolist()):
-            used[key] = at + d
-
     monkeypatch.setattr(sampler, "draw", draw)
-    monkeypatch.setattr(sampler, "keep", keep)
-    return used
 
 
 @pytest.mark.numpy_floor
@@ -674,11 +664,11 @@ def test_mcs_batch_raises_the_error_a_slot_by_slot_build_meets(
     n_mcs = 5
     evaluator = PlanEvaluator(RunContext(case), net, PlanSettings(mode="mcs",
                                                       n_mcs=n_mcs), [4, 1])
-    used = scripted(monkeypatch, evaluator, script, n_mcs)
+    scripted(monkeypatch, evaluator, script, n_mcs)
     with pytest.raises(error) as info:
         evaluator.evaluate(net.base_capacities)
     assert str(info.value) == message
-    assert used[1, 0] == first_slot_draws
+    assert evaluator.scenario.draws[0] == first_slot_draws
 
 
 @pytest.mark.numpy_floor
@@ -701,11 +691,12 @@ def test_mcs_batch_prices_a_slot_whose_unused_state_would_fail(
     def price(script):
         evaluator = PlanEvaluator(RunContext(case), net, PlanSettings(
             mode="mcs", n_mcs=n_mcs), [4, 1])
-        used = scripted(monkeypatch, evaluator, script, n_mcs)
-        return evaluator.evaluate(net.base_capacities).report, used
+        scripted(monkeypatch, evaluator, script, n_mcs)
+        report = evaluator.evaluate(net.base_capacities).report
+        return report, evaluator.scenario.draws[0]
 
     report, used = price(script)
-    assert used[1, 0] == first_slot_draws
+    assert used == first_slot_draws
     want, _ = price({key: chars[:chars.rindex("v") + 1]
                      for key, chars in script.items() if "v" in chars})
     for field in fields(ExpectationReport):
@@ -724,8 +715,8 @@ def count_draws(monkeypatch, evaluator):
     outcomes = {}
     real = sampler.streams.codes
 
-    def codes(index, limits, rows=1):
-        got = real(index, limits, rows)
+    def codes(index, at, limits, rows):
+        got = real(index, at, limits, rows)
         for flat, words in zip(np.repeat(index, rows).tolist(),
                                got.tolist()):
             last = n - 64 * (len(words) - 1)

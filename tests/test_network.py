@@ -171,7 +171,7 @@ def valid_cases(draw):
                 is_new=draw(st.booleans()))
             for _ in range(draw(st.integers(1, 3)))]
     return build_case(demands, lines, gens, multipliers=multipliers,
-                      min_online=draw(st.integers(1, 3)),
+                      min_online=draw(st.integers(1, len(gens))),
                       c_edns=draw(number), c_t2=draw(number))
 
 
@@ -245,6 +245,26 @@ def test_malformed_value_fails_by_its_path(keys, value, path, message,
     assert main(["validate", "--case", str(bad)]) == EXIT_VALIDATION
     fails = [ln for ln in capsys.readouterr().out.splitlines() if "FAIL" in ln]
     assert fails == [f"{path}: FAIL - {message}"]
+
+
+def test_validation_rejects_more_online_generators_than_units(
+        tmp_path, capsys):
+    """A minimum-online count above the generator count leaves no state
+    that the sampler's screen passes: validation fails on it, from the
+    library and from `gridtep validate`."""
+    data = json.loads(BUNDLED.read_text())
+    data["options"]["min_online_generators"] = 5
+    failure = ("options.min_online_generators",
+               "must be <= the generator count (4)")
+    with pytest.raises(CaseValidationError) as err:
+        case_from_dict(data)
+    assert err.value.failures == [failure]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["validate", "--case", str(bad)]) == EXIT_VALIDATION
+    assert f"{failure[0]}: FAIL - {failure[1]}" in capsys.readouterr().out
+    data["options"]["min_online_generators"] = 4
+    assert validate_case(case_from_dict(data)) == []
 
 
 def test_load_case_rejects_malformed_json(tmp_path):

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridtep
-from gridtep.rng import STEP_ROWS, limits, substream, substreams, unpack
+from gridtep.evaluation import MAX_RESAMPLES
+from gridtep.rng import (DOMAIN_MCS, STEP_ROWS, limits, substream,
+                         substreams, unpack)
 
 from test_contingency import ROUND_CASES, net_of
 from test_network import BUNDLED
@@ -39,11 +41,6 @@ def packed(bits) -> list[list[int]]:
             for row in rows]
 
 
-def state_of(streams, k) -> int:
-    hi, lo = (int(word) for word in streams.state[:, k])
-    return hi << 64 | lo
-
-
 @pytest.mark.numpy_floor
 @settings(max_examples=60, deadline=None)
 @given(entropy=ENTROPY, path=PATH, count=st.integers(0, 300), data=st.data())
@@ -51,28 +48,31 @@ def test_bulk_streams_match_single_streams_bit_for_bit(entropy, path, count,
                                                        data):
     """Stream k of substreams draws what substream(entropy, *path, k)
     draws, over several calls in a row on random subsets of the streams,
-    1 to 4 rows of 1 to 70 elements each: the outage codes are the
-    Generator's uniforms below the rates, packed element 0 first, and
-    the stream is left in the Generator's state. Some of the path's words
-    are passed as columns, as the Monte Carlo months are."""
+    1 to 4 rows of 1 to 70 elements each, each stream's rows going on
+    from where its last call's ended: the outage codes are the
+    Generator's uniforms below the rates, packed element 0 first. Some of
+    the path's words are passed as columns, as the Monte Carlo months
+    are."""
     cut = data.draw(st.integers(0, len(path)))
     columns = [np.full(count, word) for word in path[cut:]]
     streams = substreams(entropy, path[:cut], *columns, np.arange(count))
-    assert streams.state.shape == streams.inc.shape == (2, count)
+    assert streams.first.shape == streams.inc.shape == (2, count)
     if count == 0:
         return
     singles = {}
+    at = np.zeros(count, dtype=np.int64)
     first = [0, count - 1]
+    n = data.draw(st.integers(1, 70))
     for _ in range(data.draw(st.integers(1, 4))):
         picks = list(dict.fromkeys(first + data.draw(st.lists(
             st.integers(0, count - 1), min_size=1, max_size=6))))
         first = []
-        n = data.draw(st.integers(1, 70))
         rates = np.array(data.draw(st.lists(RATE, min_size=n, max_size=n)))
         rows = np.array(data.draw(st.lists(st.integers(1, 4),
                                            min_size=len(picks),
                                            max_size=len(picks))))
-        got = streams.codes(np.array(picks), limits(rates), rows)
+        got = streams.codes(np.array(picks), at[picks], limits(rates), rows)
+        at[picks] += rows
         assert got.dtype == np.uint64
         assert got.shape == (rows.sum(), (n + 63) // 64)
         for block, k in zip(np.split(got, np.cumsum(rows)[:-1]), picks):
@@ -80,8 +80,6 @@ def test_bulk_streams_match_single_streams_bit_for_bit(entropy, path, count,
             want = rng.random((len(block), n)) < rates
             assert block.tolist() == packed(want), k
             assert unpack(block, n).tolist() == want.tolist()
-            assert state_of(streams, k) == rng.bit_generator.state[
-                "state"]["state"], k
 
 
 @pytest.mark.numpy_floor
@@ -92,8 +90,7 @@ def test_stream_codes_jump_and_step_alike(size, seed, data):
     """A pass of just fewer than STEP_ROWS rows, which jumps to every
     element's state at once, and one of STEP_ROWS, which steps the rows
     one element at a time, both give each stream what numpy's Generator
-    draws from it, and leave it in the Generator's state: on one row per
-    stream or several, with the wide round-sampler case's 70 rates (two
+    draws from it: on one row per stream or several, with the wide round-sampler case's 70 rates (two
     code words) or up to 64 random ones, among them exactly 0 and 1."""
     if data.draw(st.booleans()):
         case = ROUND_CASES["wide"]
@@ -109,13 +106,38 @@ def test_stream_codes_jump_and_step_alike(size, seed, data):
     rows = np.diff([0, *sorted(cuts), size])
     index = np.array(data.draw(st.permutations(range(len(rows)))))
     streams = substreams(seed, (1,), np.arange(len(rows)))
-    got = streams.codes(index, limits(rates), rows)
+    got = streams.codes(index, np.zeros(len(rows), dtype=np.int64),
+                        limits(rates), rows)
     assert got.shape == (size, (n + 63) // 64)
     for block, k, m in zip(np.split(got, np.cumsum(rows)[:-1]), index, rows):
         rng = substream(seed, 1, k)
         assert block.tolist() == packed(rng.random((m, n)) < rates), k
-        assert state_of(streams, k) == rng.bit_generator.state[
-            "state"]["state"], k
+
+
+@pytest.mark.numpy_floor
+@pytest.mark.parametrize("size", [STEP_ROWS - 1, STEP_ROWS])
+@pytest.mark.parametrize("n", [25, 70])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_stream_codes_read_rows_by_position(size, n, seed, data):
+    """Rows read at random positions of each stream, up to the Monte
+    Carlo budget of MAX_RESAMPLES rows, are the rows that a Generator
+    advanced by that many rows of ``n`` uniforms draws next: in passes of
+    just fewer than STEP_ROWS rows, which jump, and of STEP_ROWS, which
+    step, on codes of one word (25 elements) and of two (70)."""
+    rates = np.array(data.draw(st.lists(RATE, min_size=n, max_size=n)))
+    cuts = data.draw(st.lists(st.integers(1, size - 1), unique=True,
+                              max_size=30))
+    rows = np.diff([0, *sorted(cuts), size])
+    at = np.array([data.draw(st.integers(0, MAX_RESAMPLES - m))
+                   for m in rows.tolist()])
+    streams = substreams(seed, (DOMAIN_MCS,), np.arange(len(rows)))
+    got = streams.codes(np.arange(len(rows)), at, limits(rates), rows)
+    for k, block in enumerate(np.split(got, np.cumsum(rows)[:-1])):
+        rng = substream(seed, DOMAIN_MCS, k)
+        rng.bit_generator.advance(int(at[k]) * n)
+        want = rng.random((rows[k], n)) < rates
+        assert block.tolist() == packed(want), k
 
 
 @pytest.mark.numpy_floor
