@@ -131,10 +131,11 @@ def _screen(diff, dns_limit, gns_limit, total_dns_limit, total_gns_limit
     DNS and GNS, their totals and validity, in ``NodalBalance`` order."""
     dns = np.maximum(diff, 0.0)
     gns = np.maximum(-diff, 0.0)
-    dns_tot = dns.sum(axis=-1)
-    gns_tot = gns.sum(axis=-1)
-    bad = ((diff >= dns_limit) | (diff <= gns_limit)).any(axis=-1) | (
-        dns_tot >= total_dns_limit) | (gns_tot >= total_gns_limit)
+    dns_tot = np.add.reduce(dns, axis=-1)
+    gns_tot = np.add.reduce(gns, axis=-1)
+    bad = np.logical_or.reduce((diff >= dns_limit) | (diff <= gns_limit),
+                               axis=-1) | (dns_tot >= total_dns_limit) | (
+        gns_tot >= total_gns_limit)
     return dns, gns, dns_tot, gns_tot, ~bad
 
 
@@ -172,7 +173,8 @@ def nodal_balance(
 def _overloads(abs_flows, delivered, capacities
                ) -> tuple[np.ndarray, np.ndarray]:
     """(congested, wheeling loss) from |f| and the deliveries."""
-    return abs_flows > capacities, (abs_flows - delivered).sum(axis=-1)
+    return abs_flows > capacities, np.add.reduce(abs_flows - delivered,
+                                                 axis=-1)
 
 
 def line_overloads(

@@ -176,8 +176,9 @@ class ScenarioBatch:
         self.net = net
         self._n = 0
         n_lines, n_buses = len(net.lines), net.n_buses
-        # Row storage with spare capacity; rows [0, _n) are live.
-        self._cols = _columns(StateRecord(
+        # Row storage with spare capacity; rows [0, _n) are live, and
+        # _live holds views of them.
+        self._cols = self._live = _columns(StateRecord(
             flows=np.zeros((0, n_lines)), demand=np.zeros((0, n_buses)),
             generation=np.zeros((0, n_buses)), deficit=np.zeros(0),
             ego=np.zeros((0, len(case.generators)))))
@@ -204,12 +205,13 @@ class ScenarioBatch:
             for col, new in zip(self._cols, _columns(recs)):
                 col[self._n:end] = new
             self._n = end
+            self._live = [col[:end] for col in self._cols]
         return start
 
     @property
     def ego(self) -> np.ndarray:
         """(rows, generators) cut-off base-dispatch output of each row."""
-        return self._cols[-1][:self._n]
+        return self._live[-1]
 
     def evaluate(self, capacities: np.ndarray, start: int = 0
                  ) -> "BatchEvaluation":
@@ -226,15 +228,22 @@ class ScenarioBatch:
         """
         lo = max(0, min(start, self._n - 2))
         n_parts = max(1, (self._n - lo) // KERNEL_ROWS)
+        if n_parts == 1 and lo == start:
+            return self._kernel(capacities, lo, self._n)
         bounds = [lo + k * (self._n - lo) // n_parts
                   for k in range(n_parts + 1)]
         return BatchEvaluation.concat([
-            self._kernel(capacities, slice(a, b))
+            self._kernel(capacities, a, b)
             for a, b in zip(bounds, bounds[1:])]).take(slice(start - lo, None))
 
-    def _kernel(self, capacities: np.ndarray, rows: slice
+    def _kernel(self, capacities: np.ndarray, a: int, b: int
                 ) -> "BatchEvaluation":
-        *terms, deficit = (col[rows] for col in self._cols[:-1])
+        """The kernel's figures of rows ``a`` to ``b``; a pass over every
+        live row reads the live columns as they are."""
+        cols = self._live[:-1]
+        if (a, b) != (0, self._n):
+            cols = [col[a:b] for col in cols]
+        *terms, deficit = cols
         valid, dns, gns, wheeling, congested = kernel(self.net, capacities,
                                                       *terms)
         return BatchEvaluation(valid, dns + deficit, gns, wheeling, congested)
@@ -520,17 +529,21 @@ class _DeterministicScenario:
     def result(self, capacities: np.ndarray) -> ExpectationReport:
         ev = self.batch.evaluate(capacities)
         w = ev.valid / self.n_states
-        total = w.sum()
+        total = np.add.reduce(w)
         if not total > 0:
             raise GridTepError(
                 f"mode {self.mode}, month {self.month}: none of the "
                 f"{self.n_states} enumerated states passes the validity "
                 "screen at these ratings")
-        peak = expectations(w / total, ev, self.batch.ego, (0, len(w)),
-                            [np.count_nonzero(ev.valid)], [self.n_states])
-        return ExpectationReport(**{
-            name: value.repeat(len(MONTHS), axis=0)
-            for name, value in vars(peak).items()})
+        # The peak month's expectations, as ``expectations`` takes them
+        # over all rows, each repeated for the 12 months.
+        w = w / total
+        months = len(MONTHS)
+        return ExpectationReport(
+            *(w.dot(x)[None].repeat(months, axis=0) for x in (
+                ev.dns, ev.gns, ev.wheeling, self.batch.ego, ev.congested)),
+            samples_used=np.full(months, np.count_nonzero(ev.valid)),
+            samples_drawn=np.full(months, self.n_states))
 
 
 def build_record(context: RunContext, net: ActiveNetwork, month: int,
@@ -662,5 +675,8 @@ class PlanEvaluator:
                 ec.edns(report.edns), ec.egns(report.egns, report.ego),
                 ec.ewl(report.ewl), self.t_inv(caps.tolist()),
                 self.context.g_inv),
-            congestion_probability=report.congestion_probability.mean(axis=0),
+            # np.add.reduce / 12 is the bits of .mean(axis=0), without
+            # its wrapper.
+            congestion_probability=np.add.reduce(
+                report.congestion_probability, axis=0) / len(MONTHS),
         )

@@ -9,12 +9,14 @@ bit-for-bit regardless of evaluation order.
 
 ``substream`` derives one stream through ``numpy.random.SeedSequence``
 and returns its Generator. ``substreams`` derives many streams whose
-paths share a prefix at once, as a ``Streams`` kernel, which only the
-Monte Carlo scenario's ``contingency.RoundSampler`` draws from: NumPy's
-SeedSequence mixes the words they share, once, and gridtep runs the hash
-steps of the remaining path words and of the seed words on uint32 arrays
-with one column per stream, then seeds PCG64 (NumPy's default bit
-generator) on uint64 words. Stream ``k`` draws exactly what
+paths share a prefix at once, as a ``Streams`` kernel. The Monte Carlo
+scenario's ``contingency.RoundSampler`` draws outage codes from one, and
+``sizing.sizing_loop`` its spin uniforms (``Streams.random``), a block
+of iterations per ``substreams`` call. NumPy's SeedSequence mixes the
+words the streams share, once, and gridtep runs the hash steps of the
+remaining path words and of the seed words on uint32 arrays with one
+column per stream, then seeds PCG64 (NumPy's default bit generator) on
+uint64 words. Stream ``k`` draws exactly what
 ``substream(entropy, *path, *words)`` draws, bit for bit; the tests check
 it.
 
@@ -32,6 +34,9 @@ change. A pass of few rows then jumps to all ``n`` states of every row at
 once, a fixed number of operations over (rows, n) arrays; a pass of
 ``STEP_ROWS`` rows or more steps every row's state one element at a time
 over 1-D row vectors, which stay in cache however many rows there are.
+``Streams.random`` reads each stream's first ``n`` outputs by the same
+jump and output steps as the codes (``_outputs``), as the doubles
+``Generator.random`` makes of them.
 """
 
 from __future__ import annotations
@@ -261,17 +266,23 @@ def _jump(jumps, state, inc):
     return hi, lo
 
 
-def _jump_codes(state, inc, limits):
-    """Codes of rows from their start states by one jump to all ``n``
-    states of each row, as (rows, n) arrays."""
+def _outputs(state, inc, n):
+    """The output words of the ``n`` states after each row's start state,
+    by one jump to all of them, as a (rows, n) array: XSL-RR, hi ^ lo
+    rotated right by hi's top 6 bits."""
     (hi, lo), (i_hi, i_lo) = state, inc
-    hi, lo = _jump(_jumps(len(limits)), (hi[:, None], lo[:, None]),
+    hi, lo = _jump(_jumps(n), (hi[:, None], lo[:, None]),
                    (i_hi[:, None], i_lo[:, None]))
     word = hi ^ lo
     turn = hi >> _U58
-    word = word >> turn | word << ((_U64 - turn) & _U63)
+    return word >> turn | word << ((_U64 - turn) & _U63)
+
+
+def _jump_codes(state, inc, limits):
+    """Codes of rows from their start states by one jump to all ``n``
+    states of each row, as (rows, n) arrays."""
     _, shift, starts = _layout(len(limits))
-    bits = (word >> _U11 < limits) << shift
+    bits = (_outputs(state, inc, len(limits)) >> _U11 < limits) << shift
     return np.bitwise_or.reduceat(bits, starts, axis=1)
 
 
@@ -357,6 +368,12 @@ class Streams:
                           state, inc)
         kernel = _jump_codes if len(stream) < STEP_ROWS else _step_codes
         return kernel(state, inc, limits)
+
+    def random(self, n: int) -> np.ndarray:
+        """The first ``n`` uniforms of every stream, as (streams, n)
+        float64: row k is what ``Generator.random(n)`` draws from stream
+        k, the top 53 bits of each output word times 2**-53."""
+        return (_outputs(self.first, self.inc, n) >> _U11) * 2.0**-53
 
 
 def chromosome_entropy(seed: int, bits) -> list[int]:

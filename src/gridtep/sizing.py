@@ -23,27 +23,31 @@ import numpy as np
 
 from .evaluation import POLICY_WEL, CapacityEvaluation, PlanSettings
 from .network import CANDIDATE, ActiveNetwork
-from .rng import DOMAIN_SPIN, substream
+from .rng import DOMAIN_SPIN, substreams
+# Unused here, but perfbench/tracer.py rebinds it on this module.
+from .rng import substream  # noqa: F401
 
 STOP_NO_CONGESTION = "no_congestion"
 STOP_MARGINAL = "marginal_cost_floor"
 STOP_ITERATION_CAP = "iteration_cap"
 
 MAX_SIZING_ITERATIONS = 200
+# Iterations whose spin streams the loop derives in its first block; each
+# later block derives twice as many as the one before.
+SPIN_BLOCK = 16
 
 
-def spin(rng: np.random.Generator, weights: np.ndarray,
-         n_spins: int) -> np.ndarray:
+def spin(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Spin a wheel with one segment per weight, sized in proportion to
-    it, ``n_spins`` times; return the hits of each segment.
+    it, once per uniform in ``u``; return the hits of each segment.
 
-    A spin is a uniform draw mapped through the wheel's cumulative bounds,
-    as ``rng.choice(len(weights), n_spins, p=weights / weights.sum())``
-    maps the same draws, so the hits, and the generator's state after
-    them, are the ones it gives."""
+    A spin is a uniform mapped through the wheel's cumulative bounds, as
+    ``rng.choice(len(weights), len(u), p=weights / weights.sum())`` maps
+    the uniforms ``rng.random(len(u))`` would draw, so the hits are the
+    ones it gives."""
     cdf = np.cumsum(weights / weights.sum())
     cdf /= cdf[-1]
-    picks = cdf.searchsorted(rng.random(n_spins), side="right")
+    picks = cdf.searchsorted(u, side="right")
     return np.bincount(picks, minlength=len(weights))
 
 
@@ -91,9 +95,15 @@ def sizing_loop(
     twice, since every update adds at least one hit of ``delta_f`` > 0
     MW, and the trace keeps the last evaluation. ``settings`` gives the
     policy, the congestion threshold and the step ``delta_f``; at most
-    ``MAX_SIZING_ITERATIONS`` updates are made. The spin RNG is derived
-    from ``rng_entropy`` and the iteration index, so traces replay
-    exactly for a fixed seed.
+    ``MAX_SIZING_ITERATIONS`` updates are made.
+
+    Iteration k spins on the first uniforms of the stream
+    ``substream(rng_entropy, DOMAIN_SPIN, k)`` would give, one per
+    eligible line, so traces replay exactly for a fixed seed. The streams
+    are derived in blocks, one ``substreams`` call each: iterations 1 to
+    ``SPIN_BLOCK`` first, then blocks twice the size of the one before,
+    never past the iteration cap; each block reads its streams' first
+    uniforms, one per line, at once.
     """
     resizable = np.array([settings.policy == POLICY_WEL
                           or ln.status == CANDIDATE for ln in net.lines],
@@ -113,6 +123,10 @@ def sizing_loop(
     )]
 
     iteration = 0
+    # Row k of spins holds iteration start + k's uniforms; iteration end
+    # starts the next block.
+    start = end = 1
+    block = SPIN_BLOCK
     while True:
         p = ev.congestion_probability
         eligible = np.flatnonzero((p > settings.congestion_threshold)
@@ -123,8 +137,12 @@ def sizing_loop(
             return SizingTrace(tuple(steps), STOP_ITERATION_CAP, ev)
 
         iteration += 1
-        rng = substream(rng_entropy, DOMAIN_SPIN, iteration)
-        hits = spin(rng, p[eligible], n_spins=eligible.size)
+        if iteration == end:
+            start, end = end, min(end + block, MAX_SIZING_ITERATIONS + 1)
+            spins = substreams(rng_entropy, (DOMAIN_SPIN,), np.arange(
+                start, end)).random(len(caps))
+            block *= 2
+        hits = spin(spins[iteration - start, :eligible.size], p[eligible])
         added_mw = eligible.size * settings.delta_f
         prev = ev.breakdown
         caps[eligible] += hits * settings.delta_f

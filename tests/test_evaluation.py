@@ -823,22 +823,48 @@ def test_island_screens_never_reach_the_union_find(monkeypatch):
                                       getattr(expected, field.name))
 
 
-def test_batch_rows_do_not_depend_on_how_they_are_split():
+def test_batch_rows_do_not_depend_on_how_they_are_split(monkeypatch):
     """Evaluating rows from any start gives bit-for-bit the figures the
-    whole batch gives for them, the single last row included."""
+    whole batch gives for them, the single last row included, however
+    the rows are cut into kernel passes: at ``KERNEL_ROWS`` 2 every pass
+    is cut into parts of 2 or 3 rows, joined in row order; at a
+    ``KERNEL_ROWS`` above the batch's size one pass covers rows ``start``
+    on and its figures are returned as they are, unless ``start`` is the
+    last row, which is read off a pass from the row before. The batches:
+    one row, two rows, the N-1 states of a plan, and its N-2 states of
+    two months, more than two ``KERNEL_ROWS`` rows."""
     case = load_case(BUNDLED)
     net = apply_plan(case, Chromosome.from_ints([1] * 14))
-    batch = PlanEvaluator(RunContext(case), net, PlanSettings(mode="n1"),
-                          [1, 1]).scenario.batch
+    context = RunContext(case)
+    n1 = PlanEvaluator(context, net, PlanSettings(mode="n1"),
+                       [1, 1]).scenario.batch
+    n2 = ScenarioBatch(context, net)
+    out = contingency.enumerate_outages(case, net, 2)
+    n2.add(np.repeat([1, 7], len(out)), np.tile(out, (2, 1)))
+    assert len(n2) > 2 * evaluation.KERNEL_ROWS
+    batches = [n1, n2]
+    for rows in (1, 2):
+        batch = ScenarioBatch(context, net)
+        batch.add(np.full(rows, 7), out[:rows])
+        batches.append(batch)
     rng = np.random.default_rng(0)
-    for _ in range(3):
-        caps = rng.uniform(1.0, 300.0, len(net.lines))
-        whole = batch.evaluate(caps)
-        for start in range(len(batch)):
-            part = batch.evaluate(caps, start)
-            for field in ("valid", "dns", "gns", "wheeling", "congested"):
-                np.testing.assert_array_equal(getattr(part, field),
-                                              getattr(whole, field)[start:])
+    for batch in batches:
+        n = len(batch)
+        starts = sorted({*range(min(n, 30)), evaluation.KERNEL_ROWS - 1,
+                         evaluation.KERNEL_ROWS, n - 3, n - 2, n - 1}
+                        & set(range(n)))
+        for _ in range(3):
+            caps = rng.uniform(1.0, 300.0, len(net.lines))
+            whole = batch.evaluate(caps)
+            for kernel_rows, start in itertools.product(
+                    (2, evaluation.KERNEL_ROWS, n + 1), starts):
+                with monkeypatch.context() as patch:
+                    patch.setattr(evaluation, "KERNEL_ROWS", kernel_rows)
+                    part = batch.evaluate(caps, start)
+                for field in ("valid", "dns", "gns", "wheeling",
+                              "congested"):
+                    np.testing.assert_array_equal(
+                        getattr(part, field), getattr(whole, field)[start:])
 
 
 @pytest.mark.parametrize("mode, order", [("n1", 1), ("n2", 2)])

@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import gridtep
 from gridtep.evaluation import MAX_RESAMPLES
-from gridtep.rng import (DOMAIN_MCS, STEP_ROWS, limits, substream,
-                         substreams, unpack)
+from gridtep.network import load_case
+from gridtep.rng import (DOMAIN_MCS, DOMAIN_SPIN, STEP_ROWS, limits,
+                         substream, substreams, unpack)
+from gridtep.sizing import SPIN_BLOCK
 
 from test_contingency import ROUND_CASES, net_of
 from test_network import BUNDLED
@@ -138,6 +140,28 @@ def test_stream_codes_read_rows_by_position(size, n, seed, data):
         rng.bit_generator.advance(int(at[k]) * n)
         want = rng.random((rows[k], n)) < rates
         assert block.tolist() == packed(want), k
+
+
+@pytest.mark.numpy_floor
+@settings(max_examples=20, deadline=None)
+@given(entropy=ENTROPY)
+def test_stream_uniforms_are_generator_random_bit_for_bit(entropy):
+    """Row k of ``Streams.random(n)`` is what ``Generator.random(n)``
+    draws from stream k, bit for bit: on the sizing loop's spin streams
+    of its first two blocks, iterations 1 to ``SPIN_BLOCK`` and the
+    ``2 * SPIN_BLOCK`` after them, at one uniform and at one per line of
+    the bundled case."""
+    n_lines = len(load_case(BUNDLED).lines)
+    for first, last in ((1, SPIN_BLOCK), (SPIN_BLOCK + 1, 3 * SPIN_BLOCK)):
+        streams = substreams(entropy, (DOMAIN_SPIN,),
+                             np.arange(first, last + 1))
+        for n in (1, n_lines):
+            got = streams.random(n)
+            assert got.dtype == np.float64
+            assert got.shape == (last + 1 - first, n)
+            for k, row in enumerate(got, first):
+                want = substream(entropy, DOMAIN_SPIN, k).random(n)
+                assert row.tobytes() == want.tobytes(), (k, n)
 
 
 @pytest.mark.numpy_floor

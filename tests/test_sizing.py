@@ -14,17 +14,20 @@ from gridtep.adequacy import ExpectationReport, line_overloads
 from gridtep.costs import objective
 from gridtep.evaluation import (POLICY_NL, POLICY_WEL, CapacityEvaluation,
                                 PlanEvaluator, PlanSettings, RunContext)
-from gridtep.network import ActiveNetwork, Chromosome, apply_plan
-from gridtep.rng import substream
+from gridtep.network import ActiveNetwork, Chromosome, apply_plan, load_case
+from gridtep.rng import DOMAIN_SPIN, chromosome_entropy, substream
 from gridtep.sizing import (
+    SPIN_BLOCK,
     STOP_ITERATION_CAP,
     STOP_MARGINAL,
     STOP_NO_CONGESTION,
+    SizingStep,
     sizing_loop,
     spin,
 )
 
 from _toys import bare_net, line, mcs_toy_case
+from test_network import BUNDLED
 
 
 def mixed_net():
@@ -80,15 +83,15 @@ def test_wheel_normalizes_eligible_probabilities():
     """``spin`` counts per segment the picks ``rng.choice`` makes with the
     wheel's normalised weights."""
     weights = np.array([0.2, 0.6, 0.2])
-    hits = spin(substream(9, 1), weights, n_spins=1000)
+    hits = spin(substream(9, 1).random(1000), weights)
     picks = substream(9, 1).choice(3, size=1000, p=[0.2, 0.6, 0.2])
     np.testing.assert_array_equal(hits, np.bincount(picks, minlength=3))
     # Scaling every weight leaves the wheel, and so the hits, unchanged.
     np.testing.assert_array_equal(
-        spin(substream(9, 1), weights * 7.5, n_spins=1000), hits)
+        spin(substream(9, 1).random(1000), weights * 7.5), hits)
     # A segment that no pick lands on still gets its zero count.
     np.testing.assert_array_equal(
-        spin(substream(9, 1), np.array([1.0, 0.0]), n_spins=4), [4, 0])
+        spin(substream(9, 1).random(4), np.array([1.0, 0.0])), [4, 0])
 
 
 @pytest.mark.numpy_floor
@@ -98,12 +101,13 @@ def test_wheel_normalizes_eligible_probabilities():
                         max_size=21),
        n_spins=st.integers(1, 21))
 def test_spin_is_generator_choice_bit_for_bit(seed, weights, n_spins):
-    """Spun from its cumulative bounds, the wheel gets the hits
-    ``Generator.choice`` gives on a fresh substream, and leaves the
-    generator where ``choice`` leaves it."""
+    """Spun from its cumulative bounds on the uniforms ``Generator.random``
+    draws, the wheel gets the hits ``Generator.choice`` gives on a fresh
+    substream, and those draws leave the generator where ``choice``
+    leaves it."""
     weights = np.array(weights)
     rng, reference = substream(seed, 2, 1), substream(seed, 2, 1)
-    hits = spin(rng, weights, n_spins)
+    hits = spin(rng.random(n_spins), weights)
     picks = reference.choice(len(weights), size=n_spins,
                              p=weights / weights.sum())
     np.testing.assert_array_equal(
@@ -212,7 +216,7 @@ def test_spin_rounds_conserve_hits_and_update_exactly(monkeypatch):
 
 
 def test_equal_segments_split_spins_evenly():
-    hits = spin(substream(5, 2), np.array([0.4, 0.4]), n_spins=100_000)
+    hits = spin(substream(5, 2).random(100_000), np.array([0.4, 0.4]))
     assert hits.sum() == 100_000
     share = hits[0] / 100_000
     sigma = (0.5 * 0.5 / 100_000) ** 0.5
@@ -221,7 +225,7 @@ def test_equal_segments_split_spins_evenly():
 
 def test_single_segment_takes_every_spin():
     np.testing.assert_array_equal(
-        spin(substream(1, 1), np.array([0.9]), n_spins=4), [4])
+        spin(substream(1, 1).random(4), np.array([0.9])), [4])
     step = first_update(np.array([0.0, 0.0, 0.9]))
     assert step.eligible == (3,) and step.hits == ((3, 1),)
     base = mixed_net().base_capacities
@@ -392,3 +396,121 @@ def test_sizing_prices_each_capacity_vector_once(seed, delta_f):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
                 field.name
             np.testing.assert_allclose(c, a, rtol=1e-12, atol=1e-12)
+
+
+def per_iteration_reference(net, evaluate, settings, rng_entropy):
+    """(steps, stop reason) of the sizing loop by the per-iteration
+    algorithm: iteration k derives its own generator, ``substream(
+    rng_entropy, DOMAIN_SPIN, k)``, and spins the wheel with
+    ``Generator.choice``."""
+    resizable = [settings.policy == POLICY_WEL or ln.status == "candidate"
+                 for ln in net.lines]
+    caps = list(net.base_capacities)
+    ev = evaluate(tuple(caps))
+    steps = [SizingStep(0, tuple(caps), ev.breakdown.ec, ev.breakdown.t_inv,
+                        (), (), None, None)]
+    for iteration in itertools.count(1):
+        p = ev.congestion_probability
+        eligible = [k for k, ok in enumerate(resizable)
+                    if ok and p[k] > settings.congestion_threshold]
+        if not eligible:
+            return steps, STOP_NO_CONGESTION
+        if iteration > sizing.MAX_SIZING_ITERATIONS:
+            return steps, STOP_ITERATION_CAP
+        w = p[eligible]
+        picks = substream(rng_entropy, DOMAIN_SPIN, iteration).choice(
+            len(w), size=len(w), p=w / w.sum())
+        hits = np.bincount(picks, minlength=len(w)).tolist()
+        added_mw = len(eligible) * settings.delta_f
+        prev = ev.breakdown
+        for k, m in zip(eligible, hits):
+            caps[k] += m * settings.delta_f
+        ev = evaluate(tuple(caps))
+        mec = (ev.breakdown.ec - prev.ec) / added_mw
+        mi = (ev.breakdown.t_inv - prev.t_inv) / added_mw
+        ids = [net.line_ids[k] for k in eligible]
+        steps.append(SizingStep(
+            iteration, tuple(caps), ev.breakdown.ec, ev.breakdown.t_inv,
+            tuple(ids), tuple(sorted((i, m) for i, m in zip(ids, hits) if m)),
+            mec, mi))
+        if iteration >= 2 and abs(mec) <= mi:
+            return steps, STOP_MARGINAL
+
+
+def assert_matches_reference(net, make_evaluate, settings, entropy):
+    """``sizing_loop`` gives the reference's steps and stop reason, each
+    driven by a fresh evaluator from ``make_evaluate``; returns the
+    trace."""
+    trace = sizing_loop(net, make_evaluate(), settings, entropy)
+    steps, stop = per_iteration_reference(net, make_evaluate(), settings,
+                                          entropy)
+    assert trace.steps == tuple(steps)
+    assert trace.stop_reason == stop
+    return trace
+
+
+def plan_evaluator(case, net, settings, entropy):
+    return lambda: PlanEvaluator(RunContext(case), net, settings,
+                                 entropy).evaluate
+
+
+@pytest.mark.parametrize("mode, policy", [("n2", POLICY_NL),
+                                          ("mcs", POLICY_WEL)])
+def test_sizing_is_the_per_iteration_reference_on_seeded_plans(mode, policy):
+    """On seeded plans of the bundled case, priced as the planner prices
+    them, the loop's steps and stop reason are the ones iteration-by-
+    iteration spin streams give."""
+    case = load_case(BUNDLED)
+    settings = PlanSettings(mode=mode, policy=policy, n_mcs=25)
+    rng = np.random.default_rng(26)
+    for _ in range(4):
+        bits = tuple(bool(b) for b in rng.random(14) < 0.5)
+        net = apply_plan(case, Chromosome(bits))
+        entropy = chromosome_entropy(7, bits)
+        assert_matches_reference(net, plan_evaluator(case, net, settings,
+                                                     entropy),
+                                 settings, entropy)
+
+
+def test_sizing_past_the_first_spin_block_is_the_reference(monkeypatch):
+    """A plan whose N-2 loop runs past the first block of spin streams
+    still spins iteration by iteration as the reference does; so does
+    the same loop cut at iteration caps inside the first block, at its
+    end, just past it, and inside the second."""
+    case = load_case(BUNDLED)
+    settings = PlanSettings(mode="n2", policy=POLICY_NL)
+    bits = tuple(b == "1" for b in "10100000000001")
+    net = apply_plan(case, Chromosome(bits))
+    entropy = chromosome_entropy(7, bits)
+    evaluator = plan_evaluator(case, net, settings, entropy)
+    trace = assert_matches_reference(net, evaluator, settings, entropy)
+    assert trace.iterations > SPIN_BLOCK + 1
+    assert trace.stop_reason == STOP_NO_CONGESTION
+    for cap in (1, 5, SPIN_BLOCK, SPIN_BLOCK + 1, SPIN_BLOCK + 3):
+        monkeypatch.setattr(sizing, "MAX_SIZING_ITERATIONS", cap)
+        trace = assert_matches_reference(net, evaluator, settings, entropy)
+        assert trace.stop_reason == STOP_ITERATION_CAP
+        assert trace.iterations == cap
+
+
+@pytest.mark.parametrize("cap", [SPIN_BLOCK + 1, 3 * SPIN_BLOCK,
+                                 3 * SPIN_BLOCK + 1, 7 * SPIN_BLOCK + 5])
+def test_sizing_at_an_iteration_cap_is_the_reference(monkeypatch, cap):
+    """A loop that congestion never lets stop spins as the reference
+    does up to a monkeypatched iteration cap, through block boundaries:
+    the first block ends at ``SPIN_BLOCK`` and the second at three times
+    that. The k-th pricing draws every line's P_con from [0.2, 1) off
+    ``substream(cap, k)``, and EC falls 1 $ per MW."""
+    def make_evaluate():
+        calls = itertools.count()
+        return lambda caps: priced(-sum(caps), 0.0, substream(
+            cap, next(calls)).uniform(0.2, 1.0, len(caps)))
+
+    monkeypatch.setattr(sizing, "MAX_SIZING_ITERATIONS", cap)
+    net = mixed_net()
+    for policy in (POLICY_NL, POLICY_WEL):
+        settings = PlanSettings(policy=policy)
+        trace = assert_matches_reference(net, make_evaluate, settings,
+                                         [cap, 1])
+        assert trace.stop_reason == STOP_ITERATION_CAP
+        assert trace.iterations == cap
